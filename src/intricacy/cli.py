@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .benchmarks import provenance_for_adjacency, provenance_for_markov
@@ -37,8 +36,6 @@ EXIT_BAD_INPUT = 1
 EXIT_CAP = 2
 EXIT_PROPERTY_FAILURE = 3
 
-CACHE_ENV = "INTRICACY_CACHE_DIR"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the CLI reserves 2 for
@@ -54,7 +51,6 @@ def _fmt(x: float) -> str:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", help="write to this path instead of stdout")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,27 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the oracle and property suites")
     check.add_argument("--suite", default="all")
     check.add_argument("--max-n", type=int, default=8)
-    _add_common(check)
     return parser
 
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _load_sft(path: str) -> Sft:
-    sft = Sft.from_dict(_load_json(path))
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        sft.load_reach_cache(cache_dir)
-    return sft
-
-
-def _maybe_save_cache(sft: Sft) -> None:
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        sft.save_reach_cache(cache_dir)
 
 
 def _emit(rows: list[dict], float_fields: list[str], args) -> None:
@@ -167,7 +148,7 @@ def _emit(rows: list[dict], float_fields: list[str], args) -> None:
 
 
 def _cmd_topo(args) -> int:
-    sft = _load_sft(args.input)
+    sft = Sft.from_dict(_load_json(args.input))
     coeffs = parse_coeffs(args.coeffs)
     tag = provenance_for_adjacency(sft.adjacency)
     rows = []
@@ -187,12 +168,11 @@ def _cmd_topo(args) -> int:
             }
         )
     _emit(rows, ["H_n", "Asc_n", "Int_n", "Acc_n", "Alt_n"], args)
-    _maybe_save_cache(sft)
     return EXIT_OK
 
 
 def _cmd_pressure(args) -> int:
-    sft = _load_sft(args.input)
+    sft = Sft.from_dict(_load_json(args.input))
     f = Potential.from_dict(_load_json(args.potential))
     coeffs = parse_coeffs(args.coeffs)
     tag = provenance_for_adjacency(sft.adjacency, prefer="pressure-pair")
@@ -210,7 +190,6 @@ def _cmd_pressure(args) -> int:
             }
         )
     _emit(rows, ["Asp_n", "P_classical"], args)
-    _maybe_save_cache(sft)
     return EXIT_OK
 
 
@@ -298,8 +277,7 @@ def _cmd_sweep(args) -> int:
     family = (
         family_from_dict(_load_json(args.input)) if args.input else builtin_family(args.family)
     )
-    result = scan(family, step=args.step, terms=args.terms, objective=args.objective,
-                  threads=max(1, args.threads))
+    result = scan(family, step=args.step, terms=args.terms, objective=args.objective)
     refined = maximize(family, args.objective, result.best_theta, terms=args.terms)
 
     surface = [

@@ -278,12 +278,6 @@ def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSer
     return MarkovSeries(asc, 2.0 * asc - h, tail, terms, h)
 
 
-def _gap_step_entropy(m: MarkovMeasure, g: int) -> float:
-    """-sum_j p_j sum_k (P^g)_jk log (P^g)_jk: entropy added by one
-    sampled step at gap g in the chain rule (block_len 1)."""
-    return float(-(m.p[:, None] * _xlogx(m.power(g))).sum())
-
-
 def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None,
                           cap: int = ENUMERATION_CAP) -> float:
     """Joint entropy of the base symbols read at the places of S.
@@ -296,7 +290,7 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None,
     if spec.mask == 0:
         return 0.0
     if m.block_len == 1:
-        return _entropy(m.p) + sum(_gap_step_entropy(m, g) for g in spec.gaps)
+        return _entropy(m.p) + sum(gap_conditional_entropy(m, g) for g in spec.gaps)
 
     if m.alphabet_size ** spec.size > cap:
         raise CapExceeded(f"r^|S| exceeds the enumeration cap {cap}")
@@ -384,7 +378,7 @@ def asc_finite(
         raise CapExceeded(f"n={n} outside [1, {cap}] for block_len={m.block_len}")
     hp = _entropy(m.p)
     if m.block_len == 1:
-        G = additive_gap_table(n, lambda g: _gap_step_entropy(m, g))
+        G = additive_gap_table(n, lambda g: gap_conditional_entropy(m, g))
         H = G + hp
         H[0] = 0.0
     else:
@@ -441,7 +435,7 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
     bits[:, 0] = 1
     values = np.empty(samples)
     if m.block_len == 1:
-        hs = {g: _gap_step_entropy(m, g) for g in range(1, width)}
+        hs = {g: gap_conditional_entropy(m, g) for g in range(1, width)}
         hp = _entropy(m.p)
         for i in range(samples):
             elems = np.flatnonzero(bits[i])

@@ -6,7 +6,6 @@ baseline (log spectral radius of the weighted transfer matrix).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,7 @@ import numpy as np
 from ._masks import popcounts, product_table
 from .coeffs import CoefficientSystem
 from .errors import CapExceeded
-from .sft import Sft, SubsetSpec, _as_subset
+from .sft import Sft, SubsetSpec, _as_subset, log_spectral_radius
 from .topo import DEFAULT_N_CAP
 
 __all__ = ["Potential", "weighted_count", "asp_profile", "classical_pressure"]
@@ -39,14 +38,18 @@ class Potential:
     def as_dict(self) -> dict[int, float]:
         return dict(self.values)
 
-    def weight_vector(self, sft: Sft) -> np.ndarray:
-        """exp(f) per vertex, reading each vertex's symbol label; raises
-        if some symbol of the shift has no assigned value."""
+    def log_weights(self, sft: Sft) -> np.ndarray:
+        """f per vertex, reading each vertex's symbol label; raises if some
+        symbol of the shift has no assigned value."""
         table = self.as_dict()
         missing = [s for s in sft.symbol_labels if s not in table]
         if missing:
             raise ValueError(f"potential does not cover symbols {sorted(set(missing))}")
-        return np.exp(np.array([table[s] for s in sft.symbol_labels], dtype=float))
+        return np.array([table[s] for s in sft.symbol_labels], dtype=float)
+
+    def weight_vector(self, sft: Sft) -> np.ndarray:
+        """exp(f) per vertex."""
+        return np.exp(self.log_weights(sft))
 
 
 def weighted_count(sft: Sft, f: Potential, S, n: int | None = None) -> float:
@@ -90,26 +93,7 @@ def asp_profile(
     return total / n
 
 
-def classical_pressure(sft: Sft, f: Potential, tol: float = 1e-12, max_iter: int = 20000) -> float:
-    """log spectral radius of adjacency * diag(exp f), by power iteration;
-    the comparison baseline that the subset averages sit below."""
-    w = f.weight_vector(sft)
-    A = sft.adjacency.astype(float) * w[None, :]
-    r = A.shape[0]
-    v = np.full(r, 1.0 / r)
-    lam = 0.0
-    for _ in range(max_iter):
-        u = A @ v
-        s = u.sum()
-        if s == 0:
-            raise ValueError("weighted matrix drives every vector to zero")
-        u /= s
-        if abs(s - lam) <= tol * max(1.0, s) and np.max(np.abs(A @ u - s * u)) <= tol * max(1.0, s):
-            return math.log(s)
-        lam = s
-        v = u
-    warnings.warn(
-        "pressure power iteration did not converge; returning last estimate",
-        RuntimeWarning,
-    )
-    return math.log(lam)
+def classical_pressure(sft: Sft, f: Potential) -> float:
+    """log spectral radius of adjacency * diag(exp f); the comparison
+    baseline that the subset averages sit below."""
+    return log_spectral_radius(sft.adjacency, f.log_weights(sft))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmarks import SFT_BENCHMARKS
+from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
 from .markov import (
     MarkovMeasure,
@@ -23,6 +23,7 @@ from .markov import (
     sampled_joint_entropy,
     sampled_joint_entropy_oracle,
 )
+from .pressure import Potential, classical_pressure
 from .sft import Sft, SubsetSpec
 from .topo import finite_profile
 
@@ -271,6 +272,42 @@ def check_lambda_delta(terms: int = 20) -> PropertyReport:
     return rep
 
 
+def check_spectral() -> PropertyReport:
+    """Log spectral radii against independent routes, to 1e-12 relative:
+    the full r-shift closed form log sum_a e^f(a) for r = 2..5 with |f| up
+    to 800, constant-shift equivariance P(f + c) = P(f) + c for
+    c = 60, -800 on the benchmark shifts, and the exact word-growth rate
+    log(N(n+1)/N(n)) against the entropy on the primitive ones.  The
+    growth rate is taken at n = 50, where it is already within 1e-14 of
+    the entropy on every benchmark shift, so the exact counts stay cheap."""
+    rep = PropertyReport("spectral")
+    n = 50
+
+    def close(a: float, b: float) -> bool:
+        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    for r in range(2, 6):
+        full = Sft.full_shift(r)
+        for f in ([0.0] * r, [0.1 * a - 0.2 for a in range(r)], [60.0] + [0.0] * (r - 1),
+                  [100.0, -800.0] + [-60.0] * (r - 2)):
+            want = max(f) + math.log(sum(math.exp(v - max(f)) for v in f))
+            got = classical_pressure(full, Potential.from_values(dict(enumerate(f))))
+            rep.check(close(got, want), f"full {r}-shift, f={f}: P={got} != {want}")
+
+    for name, sft in _dedup_sfts():
+        f = {a: PRESSURE_F1.get(a, 0.0) for a in sft.symbol_labels}
+        p = classical_pressure(sft, Potential.from_values(f))
+        for c in (60.0, -800.0):
+            got = classical_pressure(sft, Potential.from_values({a: v + c for a, v in f.items()}))
+            rep.check(close(got, p + c), f"{name}: P(f{c:+g}) = {got} != P(f){c:+g}")
+        r = sft.alphabet_size
+        if sft.reach((r - 1) ** 2 + 1).all():  # Wielandt: primitive iff this power is positive
+            h = sft.topological_entropy()
+            rate = math.log(sft.complexity_count(n + 1)) - math.log(sft.complexity_count(n))
+            rep.check(close(rate, h), f"{name}: word growth {rate} != entropy {h}")
+    return rep
+
+
 SUITES = {
     "coeffs": check_coefficient_axioms,
     "measure-forms": check_measure_agreement,
@@ -282,6 +319,7 @@ SUITES = {
     "acc": check_acc_identity,
     "bounds": check_bounds,
     "lambda": check_lambda_delta,
+    "spectral": check_spectral,
 }
 
 _SIZE_ARG = {

@@ -10,18 +10,15 @@ A brute-force enumeration oracle is provided for cross-checking.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded
 
-__all__ = ["SubsetSpec", "Sft", "DEFAULT_ORACLE_CAP"]
+__all__ = ["SubsetSpec", "Sft", "DEFAULT_ORACLE_CAP", "log_spectral_radius"]
 
 DEFAULT_ORACLE_CAP = 10**7
 
@@ -101,6 +98,23 @@ class SubsetSpec:
         return iter(self.elements)
 
 
+def log_spectral_radius(A, log_weights=None) -> float:
+    """log of the spectral radius of A * diag(exp(log_weights)), from the
+    eigenvalues of the matrix.  The weights are shifted by their maximum
+    before exponentiating and the shift is added back, so large or very
+    negative potentials do not overflow.  A spread of log weights beyond
+    about 708 still underflows the smallest ones, which is exact only
+    while the heaviest cycle avoids them.  Raises ValueError when the
+    radius rounds to 0 instead of returning -inf."""
+    A = np.asarray(A, dtype=float)
+    lw = np.zeros(A.shape[0]) if log_weights is None else np.asarray(log_weights, dtype=float)
+    top = float(lw.max())
+    rho = float(np.max(np.abs(np.linalg.eigvals(A * np.exp(lw - top)[None, :]))))
+    if not rho > 0.0:
+        raise ValueError("spectral radius rounds to 0: no weighted cycle survives")
+    return top + math.log(rho)
+
+
 def _as_subset(S, n: int | None = None) -> SubsetSpec:
     if isinstance(S, SubsetSpec):
         return S
@@ -139,7 +153,7 @@ class Sft:
         M = np.asarray(adjacency)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        if not np.isin(M, (0, 1)).all():
+        if not ((M == 0) | (M == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         M = M.astype(np.int64)
         labels = list(range(M.shape[0])) if symbol_labels is None else list(symbol_labels)
@@ -273,59 +287,24 @@ class Sft:
             return 1
         v = [1] * self.alphabet_size
         for g in reversed(spec.gaps):
-            R = self.reach(g)
-            v = [sum(int(R[a, b]) * v[b] for b in range(self.alphabet_size))
-                 for a in range(self.alphabet_size)]
+            v = [sum(x * y for x, y in zip(row, v)) for row in self.reach(g).tolist()]
         return sum(v)
 
     def complexity_count(self, n: int) -> int:
         """Number of words of length n (exact integer)."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        successors = [np.flatnonzero(row).tolist() for row in self.adjacency]
         v = [1] * self.alphabet_size
-        M = self.adjacency
         for _ in range(n - 1):
-            v = [sum(int(M[a, b]) * v[b] for b in range(self.alphabet_size))
-                 for a in range(self.alphabet_size)]
+            v = [sum(map(v.__getitem__, succ)) for succ in successors]
         return sum(v)
 
-    def topological_entropy(self, tol: float = 1e-12, max_iter: int = 20000) -> float:
-        """log of the Perron eigenvalue of the adjacency matrix, by power
-        iteration.  Falls back, with a warning, to a growth-rate estimate
-        of the word counts when the iteration does not settle (reducible
-        or periodic pathologies)."""
-        if self._entropy is not None:
-            return self._entropy
-        A = self.adjacency.astype(float)
-        v = np.full(self.alphabet_size, 1.0 / self.alphabet_size)
-        lam = 0.0
-        converged = False
-        for _ in range(max_iter):
-            w = A @ v
-            s = w.sum()
-            if s == 0:
-                break
-            w /= s
-            if abs(s - lam) <= tol * max(1.0, s) and np.max(np.abs(A @ w - s * w)) <= tol * max(1.0, s):
-                lam = s
-                converged = True
-                break
-            lam = s
-            v = w
-        if not converged:
-            warnings.warn(
-                "power iteration did not converge; falling back to the "
-                "word-count growth rate",
-                RuntimeWarning,
-            )
-            n0, window = 64, 32
-            lo = self.complexity_count(n0)
-            hi = self.complexity_count(n0 + window)
-            value = (math.log(hi) - math.log(lo)) / window
-        else:
-            value = math.log(lam)
-        self._entropy = value
-        return value
+    def topological_entropy(self) -> float:
+        """log of the Perron eigenvalue of the adjacency matrix."""
+        if self._entropy is None:
+            self._entropy = log_spectral_radius(self.adjacency)
+        return self._entropy
 
     # -- brute-force oracles ---------------------------------------------
 
@@ -352,33 +331,6 @@ class Sft:
         length = elems[-1] + 1
         words = self.enumerate_words(length, cap)
         return len({tuple(w[i] for i in elems) for w in words})
-
-    # -- persistence of the reachability cache ----------------------------
-
-    def cache_key(self) -> str:
-        h = hashlib.sha256(self.adjacency.tobytes() + str(self.alphabet_size).encode())
-        return h.hexdigest()[:16]
-
-    def save_reach_cache(self, directory: str) -> str:
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"reach-{self.cache_key()}.npz")
-        with self._lock:
-            arrays = {f"g{g}": R for g, R in self._reach.items()}
-        np.savez(path, **arrays)
-        return path
-
-    def load_reach_cache(self, directory: str) -> bool:
-        path = os.path.join(directory, f"reach-{self.cache_key()}.npz")
-        if not os.path.exists(path):
-            return False
-        data = np.load(path)
-        with self._lock:
-            for name in data.files:
-                g = int(name[1:])
-                R = data[name].astype(np.int64)
-                R.setflags(write=False)
-                self._reach.setdefault(g, R)
-        return True
 
     def __repr__(self) -> str:
         return f"Sft(r={self.alphabet_size})"

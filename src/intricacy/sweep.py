@@ -8,7 +8,6 @@ refines a start point with a box-clamped simplex search.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -180,7 +179,6 @@ def scan(
     step: float = 0.005,
     terms: int = 20,
     objective: str = "asc",
-    threads: int = 1,
 ) -> SweepResult:
     """Evaluate the series at every grid point of the box, pick the best
     value of the requested objective, and collect strict local maxima on
@@ -199,11 +197,7 @@ def scan(
     thetas = [
         tuple(float(axes[d][i]) for d, i in enumerate(idx)) for idx in np.ndindex(*shape)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _evaluate(family, t, terms), thetas))
-    else:
-        results = [_evaluate(family, t, terms) for t in thetas]
+    results = [_evaluate(family, t, terms) for t in thetas]
 
     grid: list[GridPoint] = []
     skipped: list[tuple[tuple[float, ...], str]] = []

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from intricacy.cli import main
+from intricacy.cli import build_parser, main
 
 
 @pytest.fixture
@@ -98,14 +101,6 @@ class TestTopo:
         with pytest.raises(SystemExit) as exc:
             main(["topo", "--input", gms_file])
         assert exc.value.code == 1
-
-    def test_cache_dir_roundtrip(self, tmp_path, capsys, gms_file, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("INTRICACY_CACHE_DIR", str(cache))
-        assert main(["topo", "--input", gms_file, "--n", "6"]) == 0
-        capsys.readouterr()
-        assert list(cache.glob("reach-*.npz"))
-        assert main(["topo", "--input", gms_file, "--n", "6"]) == 0
 
 
 class TestPressure:
@@ -216,6 +211,7 @@ class TestCheck:
         lines = [l for l in out.splitlines() if l.strip()]
         assert all("[PASS]" in l for l in lines)
         assert any(l.startswith("coefficient-axioms:") for l in lines)
+        assert any(l.startswith("spectral:") for l in lines)
 
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--suite", "lambda")
@@ -224,3 +220,27 @@ class TestCheck:
 
     def test_unknown_suite(self, capsys):
         assert main(["check", "--suite", "nope"]) == 1
+
+    @pytest.mark.parametrize("flag", [["--output", "report.txt"], ["--format", "json"]])
+    def test_output_flags_are_usage_errors(self, capsys, tmp_path, monkeypatch, flag):
+        # check prints a status report, not a table: it takes neither flag
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "lambda", *flag])
+        assert exc.value.code == 1
+        assert not (tmp_path / "report.txt").exists()
+
+
+def test_readme_flags_line_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"--[a-z][a-z-]*", re.search(r"Flags: `([^`]*)`", readme)[1]))
+    (subcommands,) = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    registered = {
+        opt
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert documented == registered

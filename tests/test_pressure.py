@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from intricacy.coeffs import CoefficientSystem
@@ -8,6 +10,7 @@ from intricacy.sft import Sft, SubsetSpec
 from intricacy.topo import finite_profile
 
 UNIFORM = CoefficientSystem.uniform()
+GOLDEN_PAIR_I = [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
 PAIR_A = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 PAIR_B = [[1, 1, 0], [0, 0, 1], [1, 1, 1]]
 F1 = Potential.from_values({0: 0.0, 1: 0.0, 2: 1.0})
@@ -119,3 +122,28 @@ class TestClassicalPressure:
         for r, f in [(2, {0: 0.3, 1: -0.2}), (3, {0: 0.0, 1: 1.0, 2: 0.5}), (3, {0: 1.0, 1: 1.0, 2: 1.0})]:
             got = classical_pressure(Sft.full_shift(r), Potential.from_values(f))
             assert got == pytest.approx(math.log(sum(math.exp(v) for v in f.values())), abs=1e-6)
+
+
+def eigen_pressure(A, f):
+    """Independent reference: log rho(A diag(exp f)) from numpy eigenvalues,
+    with f shifted by its maximum."""
+    f = np.asarray(f, dtype=float)
+    M = np.asarray(A, dtype=float) * np.exp(f - f.max())[None, :]
+    return float(f.max() + np.log(np.max(np.abs(np.linalg.eigvals(M)))))
+
+
+class TestExtremePotentials:
+    def pressure_without_warning(self, A, f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return classical_pressure(Sft(A), Potential.from_values(dict(enumerate(f))))
+
+    def test_large_weight_on_one_symbol(self):
+        got = self.pressure_without_warning(GOLDEN_PAIR_I, [0.0, 0.0, 30.0])
+        assert got == pytest.approx(eigen_pressure(GOLDEN_PAIR_I, [0.0, 0.0, 30.0]), abs=1e-9)
+        assert got == pytest.approx(15.000000153, abs=1e-9)
+
+    def test_very_negative_constant_shifts_the_entropy(self):
+        got = self.pressure_without_warning(GOLDEN_PAIR_I, [-800.0] * 3)
+        h = Sft(GOLDEN_PAIR_I).topological_entropy()
+        assert got == pytest.approx(h - 800.0, abs=1e-9)

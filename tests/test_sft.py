@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intricacy.errors import CapExceeded
-from intricacy.sft import Sft, SubsetSpec
+from intricacy.sft import Sft, SubsetSpec, log_spectral_radius
 
 SFT_I = [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
 SFT_II = [[0, 1, 1], [1, 0, 1], [1, 0, 0]]
@@ -163,11 +164,24 @@ class TestEntropy:
             rate = math.log(s.complexity_count(31) / s.complexity_count(30))
             assert s.topological_entropy() == pytest.approx(rate, abs=0.01)
 
-    def test_periodic_fallback_warns(self):
-        # bipartite with unequal parts: the iteration oscillates forever
-        with pytest.warns(RuntimeWarning):
+    def test_periodic_shift_exact_without_warning(self):
+        # bipartite with unequal parts: eigenvalues +-sqrt(2), so h = log 2 / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             h = Sft([[0, 1, 1], [1, 0, 0], [1, 0, 0]]).topological_entropy()
-        assert h == pytest.approx(math.log(2) / 2, abs=1e-10)
+        assert h == pytest.approx(math.log(2) / 2, abs=1e-12)
+
+    def test_reducible_shift_has_zero_entropy(self):
+        # a loop at 1 fed from the 2-cycle 0 <-> 2: every component has rho = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = Sft([[0, 1, 1], [0, 1, 0], [1, 0, 0]]).topological_entropy()
+        assert h == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_radius_is_refused(self):
+        # nilpotent after the potential scaling: no weighted cycle survives
+        with pytest.raises(ValueError):
+            log_spectral_radius([[0, 1], [1, 0]], [0.0, -800.0])
 
 
 class TestOracle:
@@ -241,18 +255,3 @@ class TestCountProperties:
         # boolean semiring: reach(5) = sign(M^5)
         M5 = np.linalg.matrix_power(np.asarray(SFT_I), 5)
         assert np.array_equal(s.reach(5), (M5 > 0).astype(int))
-
-
-class TestReachPersistence:
-    def test_save_and_load_roundtrip(self, tmp_path):
-        s = Sft(SFT_I)
-        s.reach(3)
-        s.reach(7)
-        path = s.save_reach_cache(str(tmp_path))
-        fresh = Sft(SFT_I)
-        assert fresh.load_reach_cache(str(tmp_path))
-        assert np.array_equal(fresh.reach(7), s.reach(7))
-        assert path.endswith(".npz")
-
-    def test_load_missing_is_noop(self, tmp_path):
-        assert not Sft(SFT_I).load_reach_cache(str(tmp_path))

@@ -52,12 +52,6 @@ class TestScan:
         res = scan(builtin_family(family), step=0.01, objective="asc")
         assert len(res.local_maxima) == 1
 
-    def test_thread_count_does_not_change_values(self):
-        a = scan(builtin_family("gms-1step"), step=0.02, objective="asc", threads=1)
-        b = scan(builtin_family("gms-1step"), step=0.02, objective="asc", threads=4)
-        assert [pt.asc for pt in a.grid] == [pt.asc for pt in b.grid]
-        assert a.best_theta == b.best_theta
-
     def test_step_validation(self):
         with pytest.raises(ValueError):
             scan(builtin_family("gms-1step"), step=0.2)
