@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import additive_gap_table, popcounts
+from ._masks import additive_gap_table, complement_sum, size_sums
 from .coeffs import CoefficientSystem, SymmetricMeasure
 from .errors import CapExceeded
 from .sft import Sft, SubsetSpec, _as_subset
@@ -376,35 +376,24 @@ def asc_finite(
     cap = 20 if m.block_len == 1 else 12
     if n < 1 or n > cap:
         raise CapExceeded(f"n={n} outside [1, {cap}] for block_len={m.block_len}")
-    hp = _entropy(m.p)
+    # H over the canonical masks 2i+1: every joint entropy is that of a
+    # translate containing 0
     if m.block_len == 1:
-        G = additive_gap_table(n, lambda g: gap_conditional_entropy(m, g))
-        H = G + hp
-        H[0] = 0.0
+        H = additive_gap_table(n, lambda g: gap_conditional_entropy(m, g)) + _entropy(m.p)
     else:
-        memo: dict[int, float] = {}
-
-        def joint(mask: int) -> float:
-            if mask == 0:
-                return 0.0
-            spec = SubsetSpec(n, mask).canonical()
-            hit = memo.get(spec.mask)
-            if hit is None:
-                hit = sampled_joint_entropy(m, spec)
-                memo[spec.mask] = hit
-            return hit
-
-        H = np.array([joint(mask) for mask in range(1 << n)])
-    c = np.asarray(coeffs.weights_row(n))[popcounts(n)]
-    full = (1 << n) - 1
-    asc = float(c @ H) / n
-    intr = float(c @ (H + H[::-1] - H[full])) / n
+        H = np.array([sampled_joint_entropy(m, SubsetSpec(n, 2 * i + 1))
+                      for i in range(1 << (n - 1))])
+    c = np.asarray(coeffs.weights_row(n))
+    h_full = float(H[-1])
+    every = size_sums(H, n)[0]
+    asc = float(c @ every) / n
+    intr = complement_sum(c, every, h_full) / n
     series = asc_series_markov(m) if (with_series and m.block_len <= 2) else None
     return SampledEntropyResult(
         n,
         asc,
         intr,
-        float(H[full]) / n,
+        h_full / n,
         series.asc if series else None,
         series.tail_bound if series else None,
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import popcounts, product_table
+from ._masks import TABLE_ROW_LIMIT, product_table, size_sums
 from .coeffs import CoefficientSystem
 from .errors import CapExceeded
 from .sft import Sft, SubsetSpec, _as_subset, log_spectral_radius
@@ -76,16 +76,22 @@ def asp_profile(
 ) -> float:
     """Average over all 2^n subsets of the log weighted pattern count,
     divided by n.  With f identically 0 this equals the asc column of
-    finite_profile bit for bit."""
+    finite_profile bit for bit.
+
+    The table is built from f - max f, so every symbol weight is at most
+    1 and no product overflows; since each pattern at S carries |S|
+    symbols, the shift adds back max f * E|S| / n exactly."""
     if n < 1 or n > n_cap:
         raise CapExceeded(f"n={n} outside [1, {n_cap}]")
-    w = f.weight_vector(sft)
-    if n <= 22:
-        table = product_table(n, w, lambda g: sft.reach(g) * w[:, None])
-        logs = np.log(table)
-        c = np.asarray(coeffs.weights_row(n))[popcounts(n)]
-        return float(c @ logs) / n
     weights = coeffs.weights_row(n)
+    if 1 << (n - 1) <= TABLE_ROW_LIMIT:
+        lw = f.log_weights(sft)
+        top = float(lw.max())
+        w = np.exp(lw - top)
+        logs = np.log(product_table(n, w, lambda g: sft.reach(g) * w[:, None]))
+        c = np.asarray(weights)
+        mean_size = sum(math.comb(n, k) * c[k] * k for k in range(n + 1))
+        return float(c @ size_sums(logs, n)[0]) / n + top * mean_size / n
     total = 0.0
     for m in range(1, 1 << n):
         spec = SubsetSpec(n, m)

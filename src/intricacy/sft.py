@@ -98,21 +98,46 @@ class SubsetSpec:
         return iter(self.elements)
 
 
+def _max_plus_scaling(L: np.ndarray) -> tuple[float, np.ndarray]:
+    """(lam, x) for a max-plus matrix L (-inf where there is no edge): lam
+    is the maximum cycle mean, by Karp's formula over walks from every
+    vertex, and x are potentials with L[a, b] + x[b] - x[a] <= lam.
+    lam is -inf when the graph has no cycle."""
+    d = L.shape[0]
+    # Y[k, a] = heaviest walk of k edges starting at a
+    Y = np.zeros((d + 1, d))
+    for k in range(1, d + 1):
+        Y[k] = np.max(L + Y[k - 1][None, :], axis=1)
+    cyclic = Y[d] > -np.inf
+    if not cyclic.any():
+        return -math.inf, np.zeros(d)
+    steps = (d - np.arange(d))[:, None]
+    lam = float(np.max(np.min((Y[d, cyclic] - Y[:d, cyclic]) / steps, axis=0)))
+    # x = max over walks of fewer than d edges of the weight less lam per edge
+    x = np.max(Y[:d] - lam * np.arange(d)[:, None], axis=0)
+    return lam, x
+
+
 def log_spectral_radius(A, log_weights=None) -> float:
-    """log of the spectral radius of A * diag(exp(log_weights)), from the
-    eigenvalues of the matrix.  The weights are shifted by their maximum
-    before exponentiating and the shift is added back, so large or very
-    negative potentials do not overflow.  A spread of log weights beyond
-    about 708 still underflows the smallest ones, which is exact only
-    while the heaviest cycle avoids them.  Raises ValueError when the
-    radius rounds to 0 instead of returning -inf."""
+    """log of the spectral radius of A * diag(exp(log_weights)) for a
+    nonnegative A, from the eigenvalues of the matrix.
+
+    Before the eigen-solve the log entries are scaled by a diagonal
+    similarity and shifted by the maximum cycle mean lam (max-plus, Karp):
+    the heaviest cycle then has entries 1 and no entry exceeds 1, so the
+    radius left is between 1 and the dimension and lam carries the rest.
+    Potentials of any size or spread neither overflow nor lose the
+    heaviest cycle to underflow.  Raises ValueError when no cycle exists
+    (radius 0) instead of returning -inf."""
     A = np.asarray(A, dtype=float)
     lw = np.zeros(A.shape[0]) if log_weights is None else np.asarray(log_weights, dtype=float)
-    top = float(lw.max())
-    rho = float(np.max(np.abs(np.linalg.eigvals(A * np.exp(lw - top)[None, :]))))
-    if not rho > 0.0:
-        raise ValueError("spectral radius rounds to 0: no weighted cycle survives")
-    return top + math.log(rho)
+    edge = A > 0
+    L = np.where(edge, np.log(A, out=np.zeros_like(A), where=edge) + lw[None, :], -np.inf)
+    lam, x = _max_plus_scaling(L)
+    if lam == -math.inf:
+        raise ValueError("spectral radius is 0: the matrix has no cycle")
+    scaled = np.exp(np.where(edge, L + x[None, :] - x[:, None] - lam, -np.inf))
+    return lam + math.log(float(np.max(np.abs(np.linalg.eigvals(scaled)))))
 
 
 def _as_subset(S, n: int | None = None) -> SubsetSpec:

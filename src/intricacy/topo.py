@@ -10,7 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import dilate_masks, popcounts, product_table
+from ._masks import (
+    TABLE_ROW_LIMIT,
+    complement_sum,
+    dilate_masks,
+    popcounts,
+    product_table,
+    size_sums,
+)
 from .coeffs import CoefficientSystem
 from .errors import CapExceeded
 from .sft import Sft, SubsetSpec
@@ -27,9 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_N_CAP = 24
-
-# widest mask table the vectorized path will allocate (2^22 doubles)
-_VECTOR_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,9 @@ class RecursionReport:
     passed: bool
 
 
-def _count_tables(sft: Sft, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, log counts) over every mask of n_bits positions."""
-    init = np.ones(sft.alphabet_size)
-    counts = product_table(n_bits, init, lambda g: sft.reach(g))
-    return counts, np.log(counts)
+def _count_table(sft: Sft, n_bits: int) -> np.ndarray:
+    """Pattern counts over the canonical masks of n_bits positions."""
+    return product_table(n_bits, np.ones(sft.alphabet_size), sft.reach)
 
 
 def _check_window(n: int, block_k: int, n_cap: int) -> int:
@@ -98,23 +100,24 @@ def finite_profile(
     both mean plain single positions.
     """
     n_ext = _check_window(n, block_k, n_cap)
-    if n_ext > _VECTOR_LIMIT:
+    if 1 << (n_ext - 1) > TABLE_ROW_LIMIT:
         return _finite_profile_slow(sft, coeffs, n, block_k)
 
-    counts, logs = _count_tables(sft, n_ext)
-    masks = np.arange(1 << n, dtype=np.int64)
-    d = dilate_masks(masks, max(block_k, 1))
-    logs_d = logs[d]
-    counts_d = counts[d]
-    full = (1 << n) - 1
+    counts = _count_table(sft, n_ext)
+    if block_k >= 2:
+        # row of the dilated canonical mask d = dilate(2i+1) is d >> 1
+        rows = dilate_masks(2 * np.arange(1 << (n - 1), dtype=np.int64) + 1, block_k) >> 1
+        counts = counts[rows]
+    logs = np.log(counts)
+    every, with_zero = size_sums(logs, n)
+    log_full = float(logs[-1])
 
-    c = np.asarray(coeffs.weights_row(n))[popcounts(n)]
-    h = float(logs_d[full]) / n
-    asc = float(c @ logs_d) / n
-    intr = float(c @ (logs_d + logs_d[::-1] - logs_d[full])) / n
-    odd = masks & 1 == 1
-    acc = float(c[odd] @ logs_d[odd]) / n
-    alt = float(counts_d.mean()) if coeffs.kind == "uniform" else None
+    c = np.asarray(coeffs.weights_row(n))
+    h = log_full / n
+    asc = float(c @ every) / n
+    intr = complement_sum(c, every, log_full) / n
+    acc = float(c @ with_zero) / n
+    alt = float(c[0] + c @ size_sums(counts, n)[0]) if coeffs.kind == "uniform" else None
     return ComplexityProfile(n, block_k, h, asc, intr, acc, alt, coeffs.spec)
 
 
@@ -211,11 +214,14 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     if not sft.is_square_positive():
         raise ValueError("recursion requires a strictly positive squared adjacency matrix")
     lam = {k: math.log(sft.complexity_count(k)) for k in range(1, n + 1)}
-    direct = float(np.log(_count_tables(sft, n)[0]).sum())
+    # a_n and a_{n-1} from one table: the first 2^(n-2) rows are the
+    # canonical masks of the narrower window
+    logs = np.log(_count_table(sft, n))
+    direct = float(size_sums(logs, n)[0].sum())
     if n == 1:
         recursed = lam[1]
     else:
-        a_prev = float(np.log(_count_tables(sft, n - 1)[0]).sum())
+        a_prev = float(size_sums(logs[: 1 << (n - 2)], n - 1)[0].sum())
         recursed = lam[n] + 2.0 * a_prev + 2.0 ** (n - 2) * sum(
             lam[k] / 2.0**k for k in range(1, n - 1)
         )

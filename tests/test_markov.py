@@ -245,6 +245,30 @@ class TestAscFinite:
         ) / (n * 2**n)
         assert res.asc == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "make", [gms_one_step, lambda: full2(0.3, 0.8), lambda: gms_two_step(0.3, 0.8)],
+        ids=["gms-1step", "full2", "gms-2step"],
+    )
+    def test_canonical_sums_match_every_mask(self, make):
+        # brute force over all 2^n masks, each with its own complement
+        m = make()
+        asym = CoefficientSystem.from_table(
+            {(n, k): (k + 1) / (n + 2) ** 3 for n in range(1, 9) for k in range(n + 1)}
+        )
+        for coeffs in (UNIFORM, CoefficientSystem.neural(), asym):
+            for n in (1, 2, 5, 8):
+                row = coeffs.weights_row(n)
+                full = (1 << n) - 1
+                H = [sampled_joint_entropy(m, SubsetSpec(n, mask)) for mask in range(1 << n)]
+                asc = sum(row[bin(s).count("1")] * H[s] for s in range(1 << n)) / n
+                intr = sum(
+                    row[bin(s).count("1")] * (H[s] + H[full ^ s] - H[full]) for s in range(1 << n)
+                ) / n
+                res = asc_finite(m, coeffs, n, with_series=False)
+                assert res.h == pytest.approx(H[full] / n, abs=1e-13)
+                assert res.asc == pytest.approx(asc, abs=1e-13)
+                assert res.intricacy == pytest.approx(intr, abs=1e-13)
+
     def test_finite_approaches_series_from_above(self):
         for m, n_max in [(gms_one_step(), 14), (full2(0.216, 0.0), 14), (gms_two_step(0.618, 0.618), 8)]:
             series = asc_series_markov(m, 20)

@@ -147,3 +147,16 @@ class TestExtremePotentials:
         got = self.pressure_without_warning(GOLDEN_PAIR_I, [-800.0] * 3)
         h = Sft(GOLDEN_PAIR_I).topological_entropy()
         assert got == pytest.approx(h - 800.0, abs=1e-9)
+
+    @pytest.mark.parametrize("const", [100.0, -800.0])
+    def test_constant_potential_shifts_asp_exactly(self, const):
+        # a constant c adds c E|S| / n = c / 2 under uniform weights; the
+        # table is built from f - max f, so e^(100 n) never forms and
+        # e^(-800) never underflows
+        s = Sft.full_shift(2)
+        f = Potential.from_values({0: const, 1: const})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = asp_profile(s, f, UNIFORM, 20)
+        asc = finite_profile(s, UNIFORM, 20).asc
+        assert got == pytest.approx(asc + const / 2, rel=1e-12)

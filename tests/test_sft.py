@@ -178,10 +178,28 @@ class TestEntropy:
             h = Sft([[0, 1, 1], [0, 1, 0], [1, 0, 0]]).topological_entropy()
         assert h == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "A, f, want",
+        [
+            # the 2-cycle 0 <-> 1 (mean -400) outweighs the loop at 2 (-500)
+            ([[0, 1, 0], [1, 0, 1], [0, 0, 1]], [0.0, -800.0, -500.0], -400.0),
+            # e^-745 is subnormal; the 2-cycle has mean -372.5
+            ([[1, 1], [1, 0]], [-745.0, 0.0], -372.5),
+            ([[0, 1], [1, 0]], [0.0, -800.0], -400.0),
+        ],
+        ids=["mixed-cycle", "golden-subnormal", "two-cycle"],
+    )
+    def test_wide_log_weight_spread_is_exact(self, A, f, want):
+        # spreads beyond ~708 underflow plain exp(f - max f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_spectral_radius(A, f)
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_zero_radius_is_refused(self):
-        # nilpotent after the potential scaling: no weighted cycle survives
+        # nilpotent: no cycle, so the radius is exactly 0
         with pytest.raises(ValueError):
-            log_spectral_radius([[0, 1], [1, 0]], [0.0, -800.0])
+            log_spectral_radius([[0, 1], [0, 0]], [0.0, -800.0])
 
 
 class TestOracle:

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from intricacy._masks import product_table
 from intricacy.coeffs import CoefficientSystem
 from intricacy.errors import CapExceeded
 from intricacy.sft import Sft, SubsetSpec
@@ -62,6 +64,12 @@ class TestFiniteProfile:
         direct = sum(s.count_words_at(SubsetSpec(n, m)) for m in range(1 << n)) / 2**n
         assert finite_profile(s, UNIFORM, n).alt == pytest.approx(direct, rel=1e-12)
 
+    def test_widest_vectorized_window(self):
+        # n = 23 fills the largest table (2^22 rows) instead of the per-mask path
+        s = Sft(SFT_I)
+        prof = finite_profile(s, UNIFORM, 23)
+        assert prof.h == pytest.approx(math.log(s.complexity_count(23)) / 23, rel=1e-14)
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             finite_profile(Sft.full_shift(2), UNIFORM, 25)
@@ -87,14 +95,43 @@ class TestEnumerationAgreement:
                 assert _asc_reduced(s, coeffs, n, block_k) == pytest.approx(full, abs=1e-12)
 
     def test_slow_path_matches_vectorized(self):
+        # the per-mask route sums every mask with its complement; the table
+        # route sums canonical masks by size, so an asymmetric table
+        # system checks the intricacy reduction beyond weight symmetry
         s = Sft(SFT_I)
-        for block_k in (0, 1, 3):
-            fast = finite_profile(s, UNIFORM, 8, block_k=block_k)
-            slow = _finite_profile_slow(s, UNIFORM, 8, block_k)
-            assert slow.asc == pytest.approx(fast.asc, abs=1e-12)
-            assert slow.intricacy == pytest.approx(fast.intricacy, abs=1e-12)
-            assert slow.acc == pytest.approx(fast.acc, abs=1e-12)
-            assert slow.alt == pytest.approx(fast.alt, rel=1e-12)
+        asym = CoefficientSystem.from_table(
+            {(n, k): (k + 1) / (n + 2) ** 3 for n in range(1, 11) for k in range(n + 1)}
+        )
+        systems = [UNIFORM, CoefficientSystem.neural(), CoefficientSystem.p_symmetric(0.3),
+                   CoefficientSystem.from_measure([(0.2, 0.25)], lebesgue_mass=0.5), asym]
+        for coeffs in systems:
+            for n in (1, 2, 3, 6, 10):
+                for block_k in (0, 1, 2, 3):
+                    fast = finite_profile(s, coeffs, n, block_k=block_k)
+                    slow = _finite_profile_slow(s, coeffs, n, block_k)
+                    assert slow.h == pytest.approx(fast.h, abs=1e-12)
+                    assert slow.asc == pytest.approx(fast.asc, abs=1e-12)
+                    assert slow.intricacy == pytest.approx(fast.intricacy, abs=1e-12)
+                    assert slow.acc == pytest.approx(fast.acc, abs=1e-12)
+                    assert (slow.alt is None) == (fast.alt is None)
+                    if fast.alt is not None:
+                        assert slow.alt == pytest.approx(fast.alt, rel=1e-12)
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Sft(SFT_I), Sft.golden_mean, lambda: Sft.full_shift(3),
+         lambda: Sft.from_forbidden_words(3, ["00", "121"])],
+        ids=["golden-pair-I", "gms", "full3", "forbidden"],
+    )
+    def test_rows_are_exact_canonical_counts(self, make):
+        s = make()
+        for n_bits in range(1, 11):
+            table = product_table(n_bits, np.ones(s.alphabet_size), s.reach)
+            assert table.shape == (1 << (n_bits - 1),)
+            want = [s.count_words_at(SubsetSpec(n_bits, 2 * i + 1)) for i in range(len(table))]
+            assert table.tolist() == want
 
 
 class TestBlockCover:
