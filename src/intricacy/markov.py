@@ -40,6 +40,8 @@ __all__ = [
 
 DEFAULT_TERMS = 20
 ENUMERATION_CAP = 10**7
+# rows of symbol tuples a block-chain joint entropy holds per level
+_ROW_BLOCK = 1 << 15
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
@@ -168,6 +170,9 @@ class MarkovMeasure:
             np.array([j for j, v in enumerate(states) if v[-1] == z], dtype=np.intp)
             for z in range(self.alphabet_size)
         )
+        # _start[a, j] = 1 when state j begins with base symbol a
+        first = np.array([v[0] for v in states])
+        self._start = (first == np.arange(self.alphabet_size)[:, None]).astype(float)
 
     @classmethod
     def one_step(cls, P, p=None, support: Sft | None = None) -> "MarkovMeasure":
@@ -283,9 +288,15 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None,
     """Joint entropy of the base symbols read at the places of S.
 
     For a plain chain the sampled process is itself Markov, so the exact
-    chain rule H(p) + sum over gaps applies.  For block chains the
-    symbol distribution is computed by dynamic programming over hidden
-    block states, enumerating symbol tuples (budget r^|S| <= cap)."""
+    chain rule H(p) + sum over gaps applies.  For block chains a forward
+    pass goes level by level: a matrix holds one row per symbol tuple
+    read so far (weights over the hidden block states, tuples in
+    lexicographic order), and each gap g maps it through P^g and splits
+    every row by the first symbol of the next state.  The pass costs
+    about r^|S| * d^2 flops for d states (budget r^|S| <= cap).  Past
+    _ROW_BLOCK rows it continues block by block, depth-first, holding at
+    most one _ROW_BLOCK x d array per further level, never all r^|S|
+    rows at once."""
     spec = _as_subset(S, n)
     if spec.mask == 0:
         return 0.0
@@ -294,33 +305,23 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None,
 
     if m.alphabet_size ** spec.size > cap:
         raise CapExceeded(f"r^|S| exceeds the enumeration cap {cap}")
-    gaps = spec.gaps
-    starts = tuple(
-        np.array([j for j, v in enumerate(m.states) if v[0] == a], dtype=np.intp)
-        for a in range(m.alphabet_size)
-    )
-    total = 0.0
+    return _tuple_entropy(m, m._start * m.p, spec.gaps)
 
-    def walk(level: int, w: np.ndarray) -> None:
-        nonlocal total
-        if level == len(gaps):
-            q = w.sum()
-            if q > 0:
-                total -= q * math.log(q)
-            return
-        w2 = w @ m.power(gaps[level])
-        for a in range(m.alphabet_size):
-            masked = np.zeros_like(w2)
-            masked[starts[a]] = w2[starts[a]]
-            if masked.any():
-                walk(level + 1, masked)
 
-    for a in range(m.alphabet_size):
-        w0 = np.zeros(len(m.states))
-        w0[starts[a]] = m.p[starts[a]]
-        if w0.any():
-            walk(0, w0)
-    return total
+def _tuple_entropy(m: MarkovMeasure, W: np.ndarray, gaps: tuple[int, ...]) -> float:
+    """-sum q log q over the symbol tuples that extend the rows of W
+    (row = weights over hidden states of one tuple read so far) through
+    the remaining gaps.  Once a level would pass _ROW_BLOCK rows, the
+    rows go on in blocks, depth-first."""
+    r, d = m._start.shape
+    for level, g in enumerate(gaps):
+        if len(W) * r > _ROW_BLOCK:
+            step = _ROW_BLOCK // r
+            return sum(_tuple_entropy(m, W[lo : lo + step], gaps[level:])
+                       for lo in range(0, len(W), step))
+        W = ((W @ m.power(g))[:, None, :] * m._start).reshape(-1, d)
+        W = W[W.any(axis=1)]
+    return _entropy(W.sum(axis=1))
 
 
 def cylinder_measure(m: MarkovMeasure, word) -> float:
@@ -422,14 +423,17 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
     rng = np.random.Generator(np.random.PCG64(seed))
     bits = rng.integers(0, 2, size=(samples, width), dtype=np.int64)
     bits[:, 0] = 1
-    values = np.empty(samples)
     if m.block_len == 1:
-        hs = {g: gap_conditional_entropy(m, g) for g in range(1, width)}
-        hp = _entropy(m.p)
-        for i in range(samples):
-            elems = np.flatnonzero(bits[i])
-            values[i] = (hp + sum(hs[g] for g in np.diff(elems))) / width
+        # chain rule per row: H(p) plus the gap entropies between
+        # consecutive set bits, summed in row order as a loop would
+        hs = np.array([0.0] + [gap_conditional_entropy(m, g) for g in range(1, width)])
+        rows, cols = np.nonzero(bits)
+        inner = rows[1:] == rows[:-1]
+        gap_sums = np.bincount(rows[1:][inner], weights=hs[np.diff(cols)[inner]],
+                               minlength=samples)
+        values = (_entropy(m.p) + gap_sums) / width
     else:
+        values = np.empty(samples)
         for i in range(samples):
             spec = SubsetSpec.from_elements(width, np.flatnonzero(bits[i]))
             values[i] = sampled_joint_entropy(m, spec) / width

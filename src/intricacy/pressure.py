@@ -88,10 +88,21 @@ def asp_profile(
         lw = f.log_weights(sft)
         top = float(lw.max())
         w = np.exp(lw - top)
-        logs = np.log(product_table(n, w, lambda g: sft.reach(g) * w[:, None]))
+        table = product_table(n, w, lambda g: sft.reach(g) * w[:, None])
+        # every S has a pattern, so a zero entry is an underflowed weight
+        with np.errstate(divide="ignore"):
+            logs = np.log(table)
         c = np.asarray(weights)
         mean_size = sum(math.comb(n, k) * c[k] * k for k in range(n + 1))
-        return float(c @ size_sums(logs, n)[0]) / n + top * mean_size / n
+        value = float(c @ size_sums(logs, n)[0]) / n + top * mean_size / n
+        if not math.isfinite(value):
+            spread = top - float(lw.min())
+            raise ValueError(
+                f"asp underflows at n={n}: with potential spread {spread:.6g}, the "
+                "weighted pattern count of some subset falls below float64's range "
+                "(about e^-708) once f is shifted by its max"
+            )
+        return value
     total = 0.0
     for m in range(1, 1 << n):
         spec = SubsetSpec(n, m)

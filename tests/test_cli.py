@@ -118,6 +118,16 @@ class TestPressure:
         assert row["Asp_n_rounded"] == "0.722"
         assert float(row["P_classical"]) > float(row["Asp_n"])
 
+    def test_spread_underflow_is_bad_input(self, capsys, tmp_path, gms_file):
+        pot = tmp_path / "p.json"
+        pot.write_text(json.dumps({"values": {"0": -800.0, "1": 0.0}}))
+        code, out, err = run_cli(
+            capsys, "pressure", "--input", gms_file, "--potential", str(pot), "--n", "10"
+        )
+        assert code == 1
+        assert out == ""
+        assert "underflows" in err and "spread 800" in err
+
     def test_missing_symbol_is_bad_input(self, capsys, tmp_path, gms_file):
         pot = tmp_path / "p.json"
         pot.write_text(json.dumps({"values": {"0": 0.0}}))

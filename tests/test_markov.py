@@ -7,6 +7,7 @@ import pytest
 from intricacy.coeffs import CoefficientSystem, SymmetricMeasure
 from intricacy.errors import CapExceeded
 from intricacy.markov import (
+    _ROW_BLOCK,
     MarkovMeasure,
     asc_finite,
     asc_lambda,
@@ -40,6 +41,24 @@ def full2(p00, p11):
 def gms_two_step(p000, p100):
     P = [[p000, 1 - p000, 0.0], [0.0, 0.0, 1.0], [p100, 1 - p100, 0.0]]
     return MarkovMeasure(P, states=((0, 0), (0, 1), (1, 0)), block_len=2, alphabet_size=2)
+
+
+def full2_two_block(p00, p11):
+    # the 1-step full2 chain in its 2-block presentation (4 states)
+    cond = {u + v: {"0": q0, "1": 1 - q0}
+            for u in "01" for v, q0 in (("0", p00), ("1", 1 - p11))}
+    return recode_higher_block(cond, Sft.full_shift(2))
+
+
+def full3_two_step():
+    # a genuine 2-step chain on three symbols: the next symbol depends on
+    # both symbols of the block, and some transitions are zero (9 states)
+    rows = [(0.2, 0.5, 0.3), (0.0, 0.6, 0.4), (0.7, 0.0, 0.3),
+            (0.1, 0.1, 0.8), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0),
+            (0.3, 0.3, 0.4), (0.9, 0.0, 0.1), (0.25, 0.25, 0.5)]
+    blocks = [u + v for u in "012" for v in "012"]
+    cond = {b: {str(a): q for a, q in enumerate(row)} for b, row in zip(blocks, rows)}
+    return recode_higher_block(cond, Sft.full_shift(3))
 
 
 class TestStationary:
@@ -176,12 +195,31 @@ class TestSampledJointEntropy:
     def test_exhaustive_oracle_small_windows(self):
         one = gms_one_step(0.37)
         two = gms_two_step(0.7, 0.25)
-        for m in (one, two):
+        for m in (one, two, full2_two_block(0.3, 0.8), full3_two_step()):
             for mask in range(1, 1 << 6):
                 spec = SubsetSpec(6, mask)
                 a = sampled_joint_entropy(m, spec)
                 b = sampled_joint_entropy_oracle(m, spec)
-                assert a == pytest.approx(b, abs=1e-10)
+                assert a == pytest.approx(b, abs=1e-12)
+
+    def test_row_blocks_match_chain_rule(self):
+        # 2^18 symbol tuples, more than one row block: the 2-block
+        # presentation of a 1-step chain must give the chain-rule value
+        assert 2**18 > _ROW_BLOCK
+        spec = SubsetSpec.from_elements(
+            40, [0, 1, 3, 4, 6, 9, 10, 12, 15, 17, 18, 21, 25, 26, 29, 33, 35, 39]
+        )
+        one = full2(0.3, 0.8)
+        two = full2_two_block(0.3, 0.8)
+        assert sampled_joint_entropy(two, spec) == pytest.approx(
+            sampled_joint_entropy(one, spec), abs=1e-12
+        )
+
+    def test_tuple_cap(self):
+        m = full3_two_step()
+        assert sampled_joint_entropy(m, [0, 2, 5], cap=27) > 0
+        with pytest.raises(CapExceeded):
+            sampled_joint_entropy(m, [0, 2, 5, 6], cap=80)
 
     def test_entropy_below_log_count(self):
         sft = Sft.golden_mean()
@@ -332,11 +370,29 @@ class TestMonteCarlo:
         assert abs(est.mean - series.asc) <= 3 * est.stderr + 0.01
 
     def test_deterministic_for_fixed_seed(self):
-        a = monte_carlo_asc(gms_one_step(), n=8, samples=50, seed=7)
-        b = monte_carlo_asc(gms_one_step(), n=8, samples=50, seed=7)
-        assert (a.mean, a.stderr) == (b.mean, b.stderr)
-        c = monte_carlo_asc(gms_one_step(), n=8, samples=50, seed=8)
-        assert c.mean != a.mean
+        for make in (gms_one_step, lambda: gms_two_step(0.618, 0.618)):
+            a = monte_carlo_asc(make(), n=8, samples=50, seed=7)
+            b = monte_carlo_asc(make(), n=8, samples=50, seed=7)
+            assert (a.mean, a.stderr) == (b.mean, b.stderr)
+            c = monte_carlo_asc(make(), n=8, samples=50, seed=8)
+            assert c.mean != a.mean
+
+    @pytest.mark.parametrize("n", [8, 20])
+    @pytest.mark.parametrize("make", [gms_one_step, lambda: full2(0.3, 0.8)], ids=["gms", "full2"])
+    def test_one_step_matches_per_sample_loop(self, make, n):
+        # the same PCG64 draws, summed sample by sample in Python
+        m, samples, seed = make(), 300, 11
+        rng = np.random.Generator(np.random.PCG64(seed))
+        bits = rng.integers(0, 2, size=(samples, 2 * n), dtype=np.int64)
+        bits[:, 0] = 1
+        hs = {g: gap_conditional_entropy(m, g) for g in range(1, 2 * n)}
+        hp = -sum(q * math.log(q) for q in m.p if q > 0)
+        values = np.array([
+            (hp + sum(hs[g] for g in np.diff(np.flatnonzero(row)))) / (2 * n) for row in bits
+        ])
+        est = monte_carlo_asc(m, n, samples, seed)
+        assert est.mean == float(values.mean())
+        assert est.stderr == float(values.std(ddof=1) / math.sqrt(samples))
 
     def test_single_sample_reproducible(self):
         a = monte_carlo_asc(gms_one_step(), n=8, samples=1, seed=123)

@@ -160,3 +160,12 @@ class TestExtremePotentials:
             got = asp_profile(s, f, UNIFORM, 20)
         asc = finite_profile(s, UNIFORM, 20).asc
         assert got == pytest.approx(asc + const / 2, rel=1e-12)
+
+    def test_spread_underflow_is_refused(self):
+        # the golden mean cannot repeat 1, so every pattern on a long
+        # enough S uses 0 several times: e^(-800 k) underflows to 0
+        f = Potential.from_values({0: -800.0, 1: 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spread 800"):
+                asp_profile(Sft.golden_mean(), f, UNIFORM, 10)
