@@ -21,6 +21,11 @@ A whole table costs O(2^(n_bits-1) r^2) flops.  ``size_sums`` then folds
 a table into per-size sums over all subsets of the window, weighting
 each canonical mask by its number of translates, so every average over
 the 2^n subsets is a dot product with the weights row.
+
+A table always spans the n sampled positions, whatever each place
+reads: a cover that reads a block at every place changes the start
+vector and the gap matrices (``topo``), never the number of rows.
+Windows wider than ``MAX_TABLE_BITS`` positions are refused.
 """
 
 from __future__ import annotations
@@ -29,19 +34,28 @@ import math
 
 import numpy as np
 
+from .errors import CapExceeded
+
 __all__ = [
     "TABLE_ROW_LIMIT",
+    "MAX_TABLE_BITS",
+    "check_table_window",
     "popcounts",
-    "dilate_masks",
     "product_table",
     "additive_gap_table",
     "size_sums",
     "complement_sum",
 ]
 
-# most rows a vectorized table may hold (2^22 rows, i.e. 23 positions);
-# wider windows take the per-mask paths
+# most rows a table may hold: 2^22 rows, the canonical masks of 23 positions
 TABLE_ROW_LIMIT = 1 << 22
+MAX_TABLE_BITS = TABLE_ROW_LIMIT.bit_length()
+
+
+def check_table_window(n: int) -> None:
+    """Refuse a window of n positions that no table covers."""
+    if not 1 <= n <= MAX_TABLE_BITS:
+        raise CapExceeded(f"n={n} outside [1, {MAX_TABLE_BITS}]")
 
 
 def popcounts(n_bits: int) -> np.ndarray:
@@ -50,14 +64,6 @@ def popcounts(n_bits: int) -> np.ndarray:
     for _ in range(n_bits):
         pc = np.concatenate([pc, pc + 1])
     return pc
-
-
-def dilate_masks(masks: np.ndarray, k: int) -> np.ndarray:
-    """Replace each set bit s by the run {s..s+k-1} (k >= 1)."""
-    d = masks.astype(np.int64).copy()
-    for j in range(1, k):
-        d |= masks << j
-    return d
 
 
 def _gap_steps(n_bits: int):

@@ -15,7 +15,6 @@ two-point p-symmetric weights.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -133,8 +132,7 @@ class SymmetricMeasure:
 class CoefficientSystem:
     """A rule assigning weight(n, k) to every subset of {0..n-1} of size k.
 
-    Immutable after construction; the (n, k) cache is guarded by a lock so
-    instances are safe to share between threads.
+    Immutable after construction; each weight is computed on every call.
     """
 
     def __init__(
@@ -160,8 +158,6 @@ class CoefficientSystem:
         self.measure = measure
         self.horizon = horizon
         self._table = dict(table) if table else None
-        self._cache: dict[tuple[int, int], float] = {}
-        self._lock = threading.Lock()
 
     # -- constructors ---------------------------------------------------
 
@@ -207,19 +203,12 @@ class CoefficientSystem:
             raise CapExceeded(f"n={n} outside [1, horizon={self.horizon}]")
         if k < 0 or k > n:
             raise ValueError(f"k={k} outside [0, {n}]")
-        key = (n, k)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         value = self._compute(n, k)
         # every non-table kind is mathematically positive, so a value this
         # small can only be floating-point underflow
         if self.kind != "table" and value < _UNDERFLOW:
             warnings.warn(f"weight({n},{k}) underflowed to 0", RuntimeWarning)
             value = 0.0
-        with self._lock:
-            self._cache[key] = value
         return value
 
     def _compute(self, n: int, k: int) -> float:

@@ -56,9 +56,9 @@ def _entropy(dist: np.ndarray) -> float:
 
 def stationary(P, warn_condition: float = 1e12) -> np.ndarray:
     """Probability vector p with p P = p, by direct linear solve with one
-    equation replaced by normalization.  Raises for chains whose
-    stationary vector is not unique; warns when the solve is badly
-    conditioned."""
+    equation replaced by normalization.  Raises ValueError for chains
+    whose stationary vector is not unique and for a singular solve; warns
+    when the solve is badly conditioned."""
     P = np.asarray(P, dtype=float)
     d = P.shape[0]
     if P.shape != (d, d):
@@ -81,13 +81,9 @@ def stationary(P, warn_condition: float = 1e12) -> np.ndarray:
     b[-1] = 1.0
     try:
         p = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        p = np.full(d, 1.0 / d)
-        for _ in range(100000):
-            q = p @ P
-            if np.max(np.abs(q - p)) < 1e-14:
-                break
-            p = q
+    except np.linalg.LinAlgError as exc:
+        # unreachable once the nullity is 1: A is then nonsingular
+        raise ValueError(f"stationary solve failed: singular matrix ({exc})") from exc
     p = np.clip(p, 0.0, None)
     return p / p.sum()
 
@@ -272,6 +268,8 @@ def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSer
     1-step (or 2-block) chain: half of sum_i 2^-i H(symbol | symbol at
     gap i), truncated at ``terms`` with a geometric tail bound; the
     intricacy follows as twice that minus the entropy rate."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
     if m.block_len not in (1, 2):
         raise ValueError("series supports block_len 1 and 2; recode higher blocks")
     asc = 0.0
@@ -404,6 +402,8 @@ def asc_lambda(m: MarkovMeasure, lam: SymmetricMeasure, terms: int = 40) -> floa
     """General-weight series: sum_i (integral of p^2 (1-p)^(i-1) dlam)
     times the gap-i conditional entropy.  The point mass at 1/2
     reproduces the plain series coefficients 2^-(i+1) exactly."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
     if m.block_len != 1:
         raise ValueError("general-weight series supports block_len 1 only")
     return sum(
@@ -417,6 +417,8 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
     coin flips (PCG64 stream from ``seed``), average
     H(symbols at set bits) / (2n).  The standard error is the sample
     standard deviation over sqrt(samples)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     width = 2 * n

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import TABLE_ROW_LIMIT, product_table, size_sums
+from ._masks import check_table_window, product_table, size_sums
 from .coeffs import CoefficientSystem
-from .errors import CapExceeded
-from .sft import Sft, SubsetSpec, _as_subset, log_spectral_radius
-from .topo import DEFAULT_N_CAP
+from .sft import Sft, _as_subset, log_spectral_radius
 
 __all__ = ["Potential", "weighted_count", "asp_profile", "classical_pressure"]
 
@@ -67,47 +65,34 @@ def weighted_count(sft: Sft, f: Potential, S, n: int | None = None) -> float:
     return float(v.sum())
 
 
-def asp_profile(
-    sft: Sft,
-    f: Potential,
-    coeffs: CoefficientSystem,
-    n: int,
-    n_cap: int = DEFAULT_N_CAP,
-) -> float:
+def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> float:
     """Average over all 2^n subsets of the log weighted pattern count,
     divided by n.  With f identically 0 this equals the asc column of
-    finite_profile bit for bit.
+    finite_profile bit for bit.  n is at most ``_masks.MAX_TABLE_BITS``
+    (23); wider windows raise CapExceeded.
 
     The table is built from f - max f, so every symbol weight is at most
     1 and no product overflows; since each pattern at S carries |S|
     symbols, the shift adds back max f * E|S| / n exactly."""
-    if n < 1 or n > n_cap:
-        raise CapExceeded(f"n={n} outside [1, {n_cap}]")
-    weights = coeffs.weights_row(n)
-    if 1 << (n - 1) <= TABLE_ROW_LIMIT:
-        lw = f.log_weights(sft)
-        top = float(lw.max())
-        w = np.exp(lw - top)
-        table = product_table(n, w, lambda g: sft.reach(g) * w[:, None])
-        # every S has a pattern, so a zero entry is an underflowed weight
-        with np.errstate(divide="ignore"):
-            logs = np.log(table)
-        c = np.asarray(weights)
-        mean_size = sum(math.comb(n, k) * c[k] * k for k in range(n + 1))
-        value = float(c @ size_sums(logs, n)[0]) / n + top * mean_size / n
-        if not math.isfinite(value):
-            spread = top - float(lw.min())
-            raise ValueError(
-                f"asp underflows at n={n}: with potential spread {spread:.6g}, the "
-                "weighted pattern count of some subset falls below float64's range "
-                "(about e^-708) once f is shifted by its max"
-            )
-        return value
-    total = 0.0
-    for m in range(1, 1 << n):
-        spec = SubsetSpec(n, m)
-        total += weights[spec.size] * math.log(weighted_count(sft, f, spec.canonical()))
-    return total / n
+    check_table_window(n)
+    lw = f.log_weights(sft)
+    top = float(lw.max())
+    w = np.exp(lw - top)
+    table = product_table(n, w, lambda g: sft.reach(g) * w[:, None])
+    # every S has a pattern, so a zero entry is an underflowed weight
+    with np.errstate(divide="ignore"):
+        logs = np.log(table)
+    c = np.asarray(coeffs.weights_row(n))
+    mean_size = sum(math.comb(n, k) * c[k] * k for k in range(n + 1))
+    value = float(c @ size_sums(logs, n)[0]) / n + top * mean_size / n
+    if not math.isfinite(value):
+        spread = top - float(lw.min())
+        raise ValueError(
+            f"asp underflows at n={n}: with potential spread {spread:.6g}, the "
+            "weighted pattern count of some subset falls below float64's range "
+            "(about e^-708) once f is shifted by its max"
+        )
+    return value
 
 
 def classical_pressure(sft: Sft, f: Potential) -> float:

@@ -10,14 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import (
-    TABLE_ROW_LIMIT,
-    complement_sum,
-    dilate_masks,
-    popcounts,
-    product_table,
-    size_sums,
-)
+from ._masks import check_table_window, complement_sum, popcounts, product_table, size_sums
 from .coeffs import CoefficientSystem
 from .errors import CapExceeded
 from .sft import Sft, SubsetSpec
@@ -30,10 +23,7 @@ __all__ = [
     "asc_series",
     "int_series",
     "recursion_check",
-    "DEFAULT_N_CAP",
 ]
-
-DEFAULT_N_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -70,19 +60,34 @@ class RecursionReport:
     passed: bool
 
 
-def _count_table(sft: Sft, n_bits: int) -> np.ndarray:
-    """Pattern counts over the canonical masks of n_bits positions."""
-    return product_table(n_bits, np.ones(sft.alphabet_size), sft.reach)
+def _count_table(sft: Sft, n: int, block_k: int = 0) -> np.ndarray:
+    """Pattern counts over the canonical masks of n positions, each place
+    read as the block of block_k positions starting there (k <= 1: the
+    place alone).  Entry i is the count at dilate(2i+1, k).
+
+    Each block reads a path of k - 1 steps, so the table starts from
+    A^(k-1) 1.  Two places g < k apart touch, and every step between them
+    is read (A^g); a wider gap reads the first block out and then only
+    reaches the next place (A^(k-1) reach(g-k+1))."""
+    if block_k <= 1:
+        return product_table(n, np.ones(sft.alphabet_size), sft.reach)
+    paths = [np.eye(sft.alphabet_size)]
+    for _ in range(block_k - 1):
+        paths.append(paths[-1] @ sft.adjacency)
+    head = paths[-1]
+
+    def gap_matrix(g: int) -> np.ndarray:
+        return paths[g] if g < block_k else head @ sft.reach(g - block_k + 1)
+
+    return product_table(n, head.sum(axis=1), gap_matrix)
 
 
-def _check_window(n: int, block_k: int, n_cap: int) -> int:
-    if n < 1 or n > n_cap:
-        raise CapExceeded(f"n={n} outside [1, {n_cap}]")
+def _check_window(n: int, block_k: int) -> None:
+    check_table_window(n)
     if block_k < 0:
         raise ValueError("block_k must be >= 0")
     if n + block_k > 64:
         raise CapExceeded(f"n + block_k = {n + block_k} exceeds the subset horizon 64")
-    return n + max(block_k - 1, 0)
 
 
 def finite_profile(
@@ -90,24 +95,18 @@ def finite_profile(
     coeffs: CoefficientSystem,
     n: int,
     block_k: int = 0,
-    n_cap: int = DEFAULT_N_CAP,
 ) -> ComplexityProfile:
     """Averages of log pattern counts over all 2^n subsets of {0..n-1}.
 
     With ``block_k`` = k >= 1 each sampled position s is widened to the
     block {s..s+k-1} before counting (the k-block cover refinement);
     positions past n-1 are counted without truncation.  k = 0 and k = 1
-    both mean plain single positions.
+    both mean plain single positions.  The table has 2^(n-1) rows for
+    every k: a block widens the gap matrices, not the window.  n is at
+    most ``_masks.MAX_TABLE_BITS`` (23); wider windows raise CapExceeded.
     """
-    n_ext = _check_window(n, block_k, n_cap)
-    if 1 << (n_ext - 1) > TABLE_ROW_LIMIT:
-        return _finite_profile_slow(sft, coeffs, n, block_k)
-
-    counts = _count_table(sft, n_ext)
-    if block_k >= 2:
-        # row of the dilated canonical mask d = dilate(2i+1) is d >> 1
-        rows = dilate_masks(2 * np.arange(1 << (n - 1), dtype=np.int64) + 1, block_k) >> 1
-        counts = counts[rows]
+    _check_window(n, block_k)
+    counts = _count_table(sft, n, block_k)
     logs = np.log(counts)
     every, with_zero = size_sums(logs, n)
     log_full = float(logs[-1])
@@ -122,40 +121,33 @@ def finite_profile(
 
 
 def _finite_profile_slow(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int) -> ComplexityProfile:
-    # per-mask path for windows too wide for the vectorized table; the
-    # count of each dilated subset is memoized on its shift-canonical form
+    # reference route for the tests: every mask and its complement one by
+    # one, each count exact and memoized on its shift-canonical form
     memo: dict[int, float] = {}
     weights = coeffs.weights_row(n)
     pc = popcounts(n)
     k = max(block_k, 1)
-    n_ext = n + k - 1
 
     def log_count(mask: int) -> float:
         if mask == 0:
             return 0.0
-        spec = SubsetSpec(n_ext, mask).canonical()
+        spec = SubsetSpec(n, mask).dilate(k).canonical()
         hit = memo.get(spec.mask)
         if hit is None:
             hit = math.log(sft.count_words_at(spec))
             memo[spec.mask] = hit
         return hit
 
-    def dil(mask: int) -> int:
-        d = mask
-        for j in range(1, k):
-            d |= mask << j
-        return d
-
     full = (1 << n) - 1
-    log_full = log_count(dil(full))
+    log_full = log_count(full)
     asc = intr = acc = 0.0
     alt = 0.0
     uniform = coeffs.kind == "uniform"
     for m in range(1 << n):
         c = weights[pc[m]]
-        lm = log_count(dil(m))
+        lm = log_count(m)
         asc += c * lm
-        intr += c * (lm + log_count(dil(full ^ m)) - log_full)
+        intr += c * (lm + log_count(full ^ m) - log_full)
         if m & 1:
             acc += c * lm
         if uniform:
@@ -170,7 +162,7 @@ def _asc_reduced(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int = 0) 
     """Same average as finite_profile().asc, computed the other way:
     enumerate only subsets containing 0 and weight each by the number of
     its translates inside the window.  Used to cross-check enumeration."""
-    _check_window(n, block_k, DEFAULT_N_CAP)
+    _check_window(n, block_k)
     weights = coeffs.weights_row(n)
     k = max(block_k, 1)
     total = 0.0

@@ -96,6 +96,9 @@ class TestTopo:
 
     def test_cap_exit_code(self, capsys, gms_file):
         assert main(["topo", "--input", gms_file, "--n", "30"]) == 2
+        code, out, err = run_cli(capsys, "topo", "--input", gms_file, "--n", "24")
+        assert (code, out) == (2, "")
+        assert "n=24" in err
 
     def test_usage_error_exits_one(self, capsys, gms_file):
         with pytest.raises(SystemExit) as exc:
@@ -128,6 +131,15 @@ class TestPressure:
         assert out == ""
         assert "underflows" in err and "spread 800" in err
 
+    def test_window_past_widest_table_exits_two(self, capsys, tmp_path, gms_file):
+        pot = tmp_path / "p.json"
+        pot.write_text(json.dumps({"values": {"0": 0.0, "1": 1.0}}))
+        code, out, err = run_cli(
+            capsys, "pressure", "--input", gms_file, "--potential", str(pot), "--n", "24"
+        )
+        assert (code, out) == (2, "")
+        assert "n=24" in err
+
     def test_missing_symbol_is_bad_input(self, capsys, tmp_path, gms_file):
         pot = tmp_path / "p.json"
         pot.write_text(json.dumps({"values": {"0": 0.0}}))
@@ -157,6 +169,14 @@ class TestMarkov:
         rows = parse_csv(out)
         assert [r["method"] for r in rows] == ["series", "finite", "mc"]
         assert rows[2]["stderr"] != ""
+
+    @pytest.mark.parametrize("terms", ["0", "-2"])
+    def test_terms_below_one_is_bad_input(self, capsys, terms):
+        code, out, err = run_cli(
+            capsys, "markov", "--family", "gms-1step", "--param", "0.5", "--terms", terms
+        )
+        assert (code, out) == (1, "")
+        assert "terms must be >= 1" in err
 
     def test_seed_required_with_samples(self, capsys):
         assert main(["markov", "--family", "gms-1step", "--param", "0.5", "--samples", "10"]) == 1

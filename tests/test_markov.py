@@ -94,6 +94,14 @@ class TestStationary:
         with pytest.raises(ValueError):
             stationary([[0.9, 0.2], [0.5, 0.5]])
 
+    def test_singular_solve_is_refused(self, monkeypatch):
+        def singular(A, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ValueError, match="singular"):
+            stationary([[0.5, 0.5], [0.5, 0.5]])
+
 
 class TestEntropyRate:
     def test_bernoulli(self):
@@ -165,6 +173,11 @@ class TestSeries:
         a2 = asc_series_markov(two, 20)
         assert a2.asc == pytest.approx(a1.asc, abs=1e-12)
         assert a2.h == pytest.approx(a1.h, abs=1e-12)
+
+    @pytest.mark.parametrize("terms", [0, -2])
+    def test_terms_below_one_refused(self, terms):
+        with pytest.raises(ValueError, match="terms"):
+            asc_series_markov(gms_one_step(), terms)
 
 
 class TestSampledJointEntropy:
@@ -356,6 +369,12 @@ class TestAscLambda:
         with pytest.raises(ValueError):
             asc_lambda(gms_two_step(0.5, 0.5), lam, 10)
 
+    @pytest.mark.parametrize("terms", [0, -2])
+    def test_terms_below_one_refused(self, terms):
+        lam = SymmetricMeasure.from_one_sided([(0.5, 1.0)])
+        with pytest.raises(ValueError, match="terms"):
+            asc_lambda(gms_one_step(), lam, terms)
+
 
 class TestMonteCarlo:
     def test_bernoulli_bias_is_exact_half_bit(self):
@@ -393,6 +412,11 @@ class TestMonteCarlo:
         est = monte_carlo_asc(m, n, samples, seed)
         assert est.mean == float(values.mean())
         assert est.stderr == float(values.std(ddof=1) / math.sqrt(samples))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_window_below_one_refused(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            monte_carlo_asc(gms_one_step(), n=n, samples=10, seed=1)
 
     def test_single_sample_reproducible(self):
         a = monte_carlo_asc(gms_one_step(), n=8, samples=1, seed=123)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from intricacy.coeffs import CoefficientSystem
+from intricacy.errors import CapExceeded
 from intricacy.pressure import Potential, asp_profile, classical_pressure, weighted_count
 from intricacy.sft import Sft, SubsetSpec
 from intricacy.topo import finite_profile
@@ -99,6 +100,26 @@ class TestAspProfile:
     def test_below_classical_pressure(self):
         s = Sft(PAIR_B)
         assert asp_profile(s, F1, UNIFORM, 10) <= classical_pressure(s, F1)
+
+    def test_matches_per_subset_sum(self):
+        s = Sft(PAIR_B)
+        n = 7
+        for coeffs in (UNIFORM, CoefficientSystem.neural()):
+            w = coeffs.weights_row(n)
+            direct = sum(
+                w[spec.size] * math.log(weighted_count(s, F2, spec))
+                for spec in (SubsetSpec(n, m) for m in range(1, 1 << n))
+            ) / n
+            assert asp_profile(s, F2, coeffs, n) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 24])
+    def test_window_without_table_is_refused(self, n, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr("intricacy.pressure.product_table", no_table)
+        with pytest.raises(CapExceeded, match=f"n={n}"):
+            asp_profile(Sft(PAIR_B), F1, UNIFORM, n)
 
 
 class TestClassicalPressure:

@@ -9,6 +9,7 @@ from intricacy.errors import CapExceeded
 from intricacy.sft import Sft, SubsetSpec
 from intricacy.topo import (
     _asc_reduced,
+    _count_table,
     _finite_profile_slow,
     asc_series,
     finite_profile,
@@ -70,11 +71,20 @@ class TestFiniteProfile:
         prof = finite_profile(s, UNIFORM, 23)
         assert prof.h == pytest.approx(math.log(s.complexity_count(23)) / 23, rel=1e-14)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(CapExceeded):
             finite_profile(Sft.full_shift(2), UNIFORM, 25)
         with pytest.raises(CapExceeded):
             finite_profile(Sft.full_shift(2), UNIFORM, 10, block_k=60)
+
+        # n = 24 would need 2^23 rows; it is refused before any table is built
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr("intricacy.topo.product_table", no_table)
+        for block_k in (0, 3):
+            with pytest.raises(CapExceeded, match="n=24"):
+                finite_profile(Sft.full_shift(2), UNIFORM, 24, block_k=block_k)
 
     def test_bounds_sample(self):
         for coeffs in (UNIFORM, CoefficientSystem.p_symmetric(0.3)):
@@ -106,7 +116,7 @@ class TestEnumerationAgreement:
                    CoefficientSystem.from_measure([(0.2, 0.25)], lebesgue_mass=0.5), asym]
         for coeffs in systems:
             for n in (1, 2, 3, 6, 10):
-                for block_k in (0, 1, 2, 3):
+                for block_k in (0, 1, 2, 3, 5, 12, 20):
                     fast = finite_profile(s, coeffs, n, block_k=block_k)
                     slow = _finite_profile_slow(s, coeffs, n, block_k)
                     assert slow.h == pytest.approx(fast.h, abs=1e-12)
@@ -132,6 +142,12 @@ class TestMaskTable:
             assert table.shape == (1 << (n_bits - 1),)
             want = [s.count_words_at(SubsetSpec(n_bits, 2 * i + 1)) for i in range(len(table))]
             assert table.tolist() == want
+            # a k-block cover keeps the 2^(n-1) rows and widens the gap matrices
+            for k in (2, 4, 7):
+                table = _count_table(s, n_bits, k)
+                want = [s.count_words_at(SubsetSpec(n_bits, 2 * i + 1).dilate(k))
+                        for i in range(len(table))]
+                assert table.tolist() == want
 
 
 class TestBlockCover:
