@@ -10,7 +10,7 @@ from .markov import (
     asc_lambda,
     asc_series_markov,
     entropy_rate,
-    gap_conditional_entropy,
+    gap_entropies,
     monte_carlo_asc,
     recode_higher_block,
     sampled_joint_entropy,
@@ -41,7 +41,7 @@ __all__ = [
     "asc_lambda",
     "asc_series_markov",
     "entropy_rate",
-    "gap_conditional_entropy",
+    "gap_entropies",
     "monte_carlo_asc",
     "recode_higher_block",
     "sampled_joint_entropy",

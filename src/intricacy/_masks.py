@@ -53,8 +53,11 @@ MAX_TABLE_BITS = TABLE_ROW_LIMIT.bit_length()
 
 
 def check_table_window(n: int) -> None:
-    """Refuse a window of n positions that no table covers."""
-    if not 1 <= n <= MAX_TABLE_BITS:
+    """Refuse a window of n positions that no table covers: n < 1 is bad
+    input, n > MAX_TABLE_BITS a cap."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+    if n > MAX_TABLE_BITS:
         raise CapExceeded(f"n={n} outside [1, {MAX_TABLE_BITS}]")
 
 
@@ -77,30 +80,32 @@ def _gap_steps(n_bits: int):
             yield slice(top + (1 << (g - 1)), 1 << j, 1 << g), src, g
 
 
-def product_table(n_bits: int, init: np.ndarray, gap_matrix) -> np.ndarray:
+def product_table(n_bits: int, init: np.ndarray, gap_mats) -> np.ndarray:
     """table[i] = sum over symbol tuples at the places of the canonical
-    mask 2i+1 of init[a_last] * prod_i gap_matrix(g_i)[a_i, a_{i+1}].
+    mask 2i+1 of init[a_last] * prod_i gap_mats[g_i - 1][a_i, a_{i+1}].
 
-    With init = ones and 0/1 reachability matrices this is the pattern
-    count N(2i+1); with exponential symbol weights it is the weighted
-    count used by the pressure profile.  The table has 2^(n_bits-1) rows.
+    gap_mats stacks the matrices of the gaps 1..n_bits-1.  With init =
+    ones and 0/1 reachability matrices this is the pattern count
+    N(2i+1); with exponential symbol weights it is the weighted count
+    used by the pressure profile.  The table has 2^(n_bits-1) rows.
     """
     V = np.empty((len(init), 1 << (n_bits - 1)), dtype=np.float64)
     V[:, 0] = init
-    mats = {g: np.asarray(gap_matrix(g), dtype=np.float64) for g in range(1, n_bits)}
+    mats = np.asarray(gap_mats, dtype=np.float64)
     for dest, src, g in _gap_steps(n_bits):
-        V[:, dest] = mats[g] @ V[:, src]
+        V[:, dest] = mats[g - 1] @ V[:, src]
     return V.sum(axis=0)
 
 
-def additive_gap_table(n_bits: int, gap_value) -> np.ndarray:
-    """table[i] = sum of gap_value(g_i) over the consecutive gaps of the
-    canonical mask 2i+1 (0 for the singleton {0})."""
+def additive_gap_table(n_bits: int, gap_values) -> np.ndarray:
+    """table[i] = sum of gap_values[g_i - 1] over the consecutive gaps of
+    the canonical mask 2i+1 (0 for the singleton {0}); gap_values holds
+    the values of the gaps 1..n_bits-1."""
     G = np.empty(1 << (n_bits - 1), dtype=np.float64)
     G[0] = 0.0
-    values = {g: float(gap_value(g)) for g in range(1, n_bits)}
+    values = np.asarray(gap_values, dtype=np.float64)
     for dest, src, g in _gap_steps(n_bits):
-        G[dest] = G[src] + values[g]
+        G[dest] = G[src] + values[g - 1]
     return G
 
 

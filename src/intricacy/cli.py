@@ -235,7 +235,7 @@ def _cmd_markov(args) -> int:
         }
     )
     for n in args.n or ():
-        fin = asc_finite(measure, coeffs, n, with_series=False)
+        fin = asc_finite(measure, coeffs, n)
         rows.append(
             {
                 **base,

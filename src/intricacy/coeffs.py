@@ -18,16 +18,19 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .errors import CapExceeded
+
 __all__ = [
     "SymmetricMeasure",
     "CoefficientSystem",
     "ValidationReport",
     "validate",
     "parse_coeffs",
-    "DEFAULT_HORIZON",
+    "HORIZON",
 ]
 
-DEFAULT_HORIZON = 64
+# largest window n any system weighs
+HORIZON = 64
 
 # Below this magnitude a weight is treated as having underflowed.
 _UNDERFLOW = 1e-300
@@ -142,7 +145,6 @@ class CoefficientSystem:
         p: float | None = None,
         measure: SymmetricMeasure | None = None,
         table: dict[tuple[int, int], float] | None = None,
-        horizon: int = DEFAULT_HORIZON,
     ):
         if kind not in ("uniform", "neural", "psym", "measure", "table"):
             raise ValueError(f"unknown kind {kind!r}")
@@ -156,51 +158,45 @@ class CoefficientSystem:
         self.kind = kind
         self.p = p
         self.measure = measure
-        self.horizon = horizon
         self._table = dict(table) if table else None
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def uniform(cls, horizon: int = DEFAULT_HORIZON) -> "CoefficientSystem":
-        return cls("uniform", horizon=horizon)
+    def uniform(cls) -> "CoefficientSystem":
+        return cls("uniform")
 
     @classmethod
-    def neural(cls, horizon: int = DEFAULT_HORIZON) -> "CoefficientSystem":
-        return cls("neural", horizon=horizon)
+    def neural(cls) -> "CoefficientSystem":
+        return cls("neural")
 
     @classmethod
-    def p_symmetric(cls, p: float, horizon: int = DEFAULT_HORIZON) -> "CoefficientSystem":
-        return cls("psym", p=p, horizon=horizon)
+    def p_symmetric(cls, p: float) -> "CoefficientSystem":
+        return cls("psym", p=p)
 
     @classmethod
     def from_measure(
         cls,
         atoms: list[tuple[float, float]] | tuple[tuple[float, float], ...] = (),
         lebesgue_mass: float = 0.0,
-        horizon: int = DEFAULT_HORIZON,
     ) -> "CoefficientSystem":
         """Measure-backed system from a one-sided atom list (auto-mirrored)
         plus an optional Lebesgue component."""
         m = SymmetricMeasure.from_one_sided(atoms, lebesgue_mass)
-        return cls("measure", measure=m, horizon=horizon)
+        return cls("measure", measure=m)
 
     @classmethod
-    def from_table(
-        cls, table: dict[tuple[int, int], float], horizon: int = DEFAULT_HORIZON
-    ) -> "CoefficientSystem":
+    def from_table(cls, table: dict[tuple[int, int], float]) -> "CoefficientSystem":
         """Explicit (n, k) -> weight table.  No axioms are enforced here;
         run validate() to check them."""
-        return cls("table", table=table, horizon=horizon)
+        return cls("table", table=table)
 
     # -- evaluation ------------------------------------------------------
 
     def weight(self, n: int, k: int) -> float:
         """Weight of any subset of {0..n-1} with k elements."""
-        if n < 1 or n > self.horizon:
-            from .errors import CapExceeded
-
-            raise CapExceeded(f"n={n} outside [1, horizon={self.horizon}]")
+        if n < 1 or n > HORIZON:
+            raise CapExceeded(f"n={n} outside [1, horizon={HORIZON}]")
         if k < 0 or k > n:
             raise ValueError(f"k={k} outside [0, {n}]")
         value = self._compute(n, k)
@@ -278,10 +274,8 @@ def validate(system: CoefficientSystem, n_max: int) -> ValidationReport:
     """Check the three axioms (nonnegativity, sum over all subsets = 1,
     complement symmetry) for every n <= n_max.  Failures are carried in
     the report, not raised."""
-    if n_max > system.horizon:
-        from .errors import CapExceeded
-
-        raise CapExceeded(f"n_max={n_max} exceeds horizon {system.horizon}")
+    if n_max > HORIZON:
+        raise CapExceeded(f"n_max={n_max} exceeds horizon {HORIZON}")
     report = ValidationReport()
     for n in range(1, n_max + 1):
         row = system.weights_row(n)
@@ -291,7 +285,7 @@ def validate(system: CoefficientSystem, n_max: int) -> ValidationReport:
     return report
 
 
-def parse_coeffs(spec: str, horizon: int = DEFAULT_HORIZON) -> CoefficientSystem:
+def parse_coeffs(spec: str) -> CoefficientSystem:
     """Parse a CLI coefficient spec.
 
     Grammar: ``uniform`` | ``neural`` | ``psym:<p>`` |
@@ -300,11 +294,11 @@ def parse_coeffs(spec: str, horizon: int = DEFAULT_HORIZON) -> CoefficientSystem
     """
     spec = spec.strip()
     if spec == "uniform":
-        return CoefficientSystem.uniform(horizon)
+        return CoefficientSystem.uniform()
     if spec == "neural":
-        return CoefficientSystem.neural(horizon)
+        return CoefficientSystem.neural()
     if spec.startswith("psym:"):
-        return CoefficientSystem.p_symmetric(float(spec[5:]), horizon)
+        return CoefficientSystem.p_symmetric(float(spec[5:]))
     if spec.startswith("measure:"):
         body = spec[len("measure:") :]
         lebesgue = 0.0
@@ -319,5 +313,5 @@ def parse_coeffs(spec: str, horizon: int = DEFAULT_HORIZON) -> CoefficientSystem
             for item in body.split(","):
                 x, _, m = item.partition("=")
                 atoms.append((float(x), float(m)))
-        return CoefficientSystem.from_measure(atoms, lebesgue, horizon)
+        return CoefficientSystem.from_measure(atoms, lebesgue)
     raise ValueError(f"cannot parse coefficient spec {spec!r}")

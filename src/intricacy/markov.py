@@ -9,7 +9,6 @@ bit-reproducible across platforms for a fixed seed.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ __all__ = [
     "SampledEntropyResult",
     "stationary",
     "entropy_rate",
-    "gap_conditional_entropy",
+    "gap_entropies",
     "asc_series_markov",
     "sampled_joint_entropy",
     "sampled_joint_entropy_oracle",
@@ -40,6 +39,8 @@ __all__ = [
 
 DEFAULT_TERMS = 20
 ENUMERATION_CAP = 10**7
+# a stationary solve above this condition number warns
+_WARN_CONDITION = 1e12
 # rows of symbol tuples a block-chain joint entropy holds per level
 _ROW_BLOCK = 1 << 15
 
@@ -54,7 +55,7 @@ def _entropy(dist: np.ndarray) -> float:
     return float(-_xlogx(dist).sum())
 
 
-def stationary(P, warn_condition: float = 1e12) -> np.ndarray:
+def stationary(P) -> np.ndarray:
     """Probability vector p with p P = p, by direct linear solve with one
     equation replaced by normalization.  Raises ValueError for chains
     whose stationary vector is not unique and for a singular solve; warns
@@ -75,7 +76,7 @@ def stationary(P, warn_condition: float = 1e12) -> np.ndarray:
         )
     A = np.vstack([(P.T - np.eye(d))[:-1], np.ones(d)])
     cond = np.linalg.cond(A)
-    if cond > warn_condition:
+    if cond > _WARN_CONDITION:
         warnings.warn(f"stationary solve condition {cond:.2e}", RuntimeWarning)
     b = np.zeros(d)
     b[-1] = 1.0
@@ -159,16 +160,13 @@ class MarkovMeasure:
         self.p = p
         self.P.setflags(write=False)
         self.p.setflags(write=False)
-        self._powers: dict[int, np.ndarray] = {1: P}
-        self._lock = threading.Lock()
-        # columns of P grouped by the final base symbol of the target state
-        self._end_groups = tuple(
-            np.array([j for j, v in enumerate(states) if v[-1] == z], dtype=np.intp)
-            for z in range(self.alphabet_size)
-        )
+        symbols = np.arange(self.alphabet_size)
         # _start[a, j] = 1 when state j begins with base symbol a
         first = np.array([v[0] for v in states])
-        self._start = (first == np.arange(self.alphabet_size)[:, None]).astype(float)
+        self._start = (first == symbols[:, None]).astype(float)
+        # _end[j, z] = 1 when state j ends with base symbol z (I for a 1-step chain)
+        last = np.array([v[-1] for v in states])
+        self._end = (last[:, None] == symbols).astype(float)
 
     @classmethod
     def one_step(cls, P, p=None, support: Sft | None = None) -> "MarkovMeasure":
@@ -186,18 +184,12 @@ class MarkovMeasure:
         states = [tuple(int(c) for c in s) for s in d["states"]]
         return cls(P, p, states=states, block_len=k, support=support)
 
-    def power(self, i: int) -> np.ndarray:
-        if i < 1:
-            raise ValueError("power must be >= 1")
-        with self._lock:
-            if i in self._powers:
-                return self._powers[i]
-            best = max(j for j in self._powers if j <= i)
-            Q = self._powers[best]
-            for j in range(best + 1, i + 1):
-                Q = Q @ self.P
-                self._powers[j] = Q
-            return Q
+    def powers(self, count: int) -> np.ndarray:
+        """Stack of P^1..P^count, each the previous one times P."""
+        Q = np.empty((count, *self.P.shape))
+        for i in range(count):
+            Q[i] = self.P if i == 0 else Q[i - 1] @ self.P
+        return Q
 
     def __repr__(self) -> str:
         return f"MarkovMeasure(block_len={self.block_len}, states={len(self.states)})"
@@ -228,9 +220,6 @@ class SampledEntropyResult:
     asc: float
     intricacy: float
     h: float
-    series_value: float | None = None
-    series_tail: float | None = None
-    mc: McEstimate | None = None
 
 
 def entropy_rate(m: MarkovMeasure) -> float:
@@ -239,28 +228,15 @@ def entropy_rate(m: MarkovMeasure) -> float:
     return float(-(m.p[:, None] * _xlogx(m.P)).sum())
 
 
-def _symbol_margin(m: MarkovMeasure, Q: np.ndarray) -> np.ndarray:
-    """Collapse an i-step transition matrix onto the final base symbol of
-    the target state: out[j, z] = sum over states v ending in z of Q[j,v]."""
-    out = np.empty((Q.shape[0], m.alphabet_size))
-    for z, cols in enumerate(m._end_groups):
-        out[:, z] = Q[:, cols].sum(axis=1) if cols.size else 0.0
-    return out
-
-
-def gap_conditional_entropy(m: MarkovMeasure, i: int) -> float:
-    """Conditional entropy of the time-0 symbol given the symbol i steps
-    away, in nats.  For a plain chain this is
-    -sum_{j,k} p_j (P^i)_jk log (P^i)_jk; for 2-block chains the i-step
+def gap_entropies(m: MarkovMeasure, count: int) -> np.ndarray:
+    """Conditional entropies of the base symbol at gap i given the state
+    at time 0, in nats, for i = 1..count: for a plain chain
+    -sum_{j,k} p_j (P^i)_jk log (P^i)_jk; for 2-block chains each i-step
     matrix is first collapsed onto the final symbol of the target block."""
-    if i < 1:
-        raise ValueError("gap must be >= 1")
-    Q = m.power(i)
-    if m.block_len == 1:
-        return float(-(m.p[:, None] * _xlogx(Q)).sum())
-    if m.block_len == 2:
-        return float(-(m.p[:, None] * _xlogx(_symbol_margin(m, Q))).sum())
-    raise ValueError("gap conditional entropy supports block_len 1 and 2")
+    if m.block_len > 2:
+        raise ValueError("gap entropies support block_len 1 and 2")
+    X = _xlogx(m.powers(count) @ m._end)
+    return np.array([-(m.p[:, None] * x).sum() for x in X])
 
 
 def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSeries:
@@ -273,8 +249,8 @@ def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSer
     if m.block_len not in (1, 2):
         raise ValueError("series supports block_len 1 and 2; recode higher blocks")
     asc = 0.0
-    for i in range(1, terms + 1):
-        asc += gap_conditional_entropy(m, i) / 2.0**i
+    for i, h_i in enumerate(gap_entropies(m, terms).tolist(), 1):
+        asc += h_i / 2.0**i
     asc /= 2.0
     h = entropy_rate(m)
     tail = math.log(m.alphabet_size) / 2.0**terms
@@ -298,26 +274,33 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None,
     spec = _as_subset(S, n)
     if spec.mask == 0:
         return 0.0
+    count = max(spec.gaps, default=0)
     if m.block_len == 1:
-        return _entropy(m.p) + sum(gap_conditional_entropy(m, g) for g in spec.gaps)
+        hs = gap_entropies(m, count).tolist()
+        return _entropy(m.p) + sum(hs[g - 1] for g in spec.gaps)
+    return _block_entropy(m, m.powers(count), spec, cap)
 
+
+def _block_entropy(m: MarkovMeasure, powers: np.ndarray, spec: SubsetSpec, cap: int) -> float:
+    # sampled_joint_entropy of a block chain, with P^1.. given as ``powers``
     if m.alphabet_size ** spec.size > cap:
         raise CapExceeded(f"r^|S| exceeds the enumeration cap {cap}")
-    return _tuple_entropy(m, m._start * m.p, spec.gaps)
+    return _tuple_entropy(m, powers, m._start * m.p, spec.gaps)
 
 
-def _tuple_entropy(m: MarkovMeasure, W: np.ndarray, gaps: tuple[int, ...]) -> float:
+def _tuple_entropy(m: MarkovMeasure, powers: np.ndarray, W: np.ndarray,
+                   gaps: tuple[int, ...]) -> float:
     """-sum q log q over the symbol tuples that extend the rows of W
     (row = weights over hidden states of one tuple read so far) through
-    the remaining gaps.  Once a level would pass _ROW_BLOCK rows, the
-    rows go on in blocks, depth-first."""
+    the remaining gaps, powers[g-1] = P^g.  Once a level would pass
+    _ROW_BLOCK rows, the rows go on in blocks, depth-first."""
     r, d = m._start.shape
     for level, g in enumerate(gaps):
         if len(W) * r > _ROW_BLOCK:
             step = _ROW_BLOCK // r
-            return sum(_tuple_entropy(m, W[lo : lo + step], gaps[level:])
+            return sum(_tuple_entropy(m, powers, W[lo : lo + step], gaps[level:])
                        for lo in range(0, len(W), step))
-        W = ((W @ m.power(g))[:, None, :] * m._start).reshape(-1, d)
+        W = ((W @ powers[g - 1])[:, None, :] * m._start).reshape(-1, d)
         W = W[W.any(axis=1)]
     return _entropy(W.sum(axis=1))
 
@@ -363,39 +346,29 @@ def sampled_joint_entropy_oracle(m: MarkovMeasure, S, n: int | None = None) -> f
     return _entropy(np.array(list(out.values())))
 
 
-def asc_finite(
-    m: MarkovMeasure,
-    coeffs: CoefficientSystem,
-    n: int,
-    with_series: bool = True,
-) -> SampledEntropyResult:
+def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEntropyResult:
     """Average of the sampled joint entropies over all 2^n subsets of the
-    window, divided by n; the finite-horizon counterpart of the series.
-    Capped at n = 20 for plain chains and n = 12 for block chains."""
+    window, divided by n.  Capped at n = 20 for plain chains and n = 12
+    for block chains."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
     cap = 20 if m.block_len == 1 else 12
-    if n < 1 or n > cap:
+    if n > cap:
         raise CapExceeded(f"n={n} outside [1, {cap}] for block_len={m.block_len}")
     # H over the canonical masks 2i+1: every joint entropy is that of a
     # translate containing 0
     if m.block_len == 1:
-        H = additive_gap_table(n, lambda g: gap_conditional_entropy(m, g)) + _entropy(m.p)
+        H = additive_gap_table(n, gap_entropies(m, n - 1)) + _entropy(m.p)
     else:
-        H = np.array([sampled_joint_entropy(m, SubsetSpec(n, 2 * i + 1))
+        Q = m.powers(n - 1)
+        H = np.array([_block_entropy(m, Q, SubsetSpec(n, 2 * i + 1), ENUMERATION_CAP)
                       for i in range(1 << (n - 1))])
     c = np.asarray(coeffs.weights_row(n))
     h_full = float(H[-1])
     every = size_sums(H, n)[0]
     asc = float(c @ every) / n
     intr = complement_sum(c, every, h_full) / n
-    series = asc_series_markov(m) if (with_series and m.block_len <= 2) else None
-    return SampledEntropyResult(
-        n,
-        asc,
-        intr,
-        h_full / n,
-        series.asc if series else None,
-        series.tail_bound if series else None,
-    )
+    return SampledEntropyResult(n, asc, intr, h_full / n)
 
 
 def asc_lambda(m: MarkovMeasure, lam: SymmetricMeasure, terms: int = 40) -> float:
@@ -406,9 +379,8 @@ def asc_lambda(m: MarkovMeasure, lam: SymmetricMeasure, terms: int = 40) -> floa
         raise ValueError("terms must be >= 1")
     if m.block_len != 1:
         raise ValueError("general-weight series supports block_len 1 only")
-    return sum(
-        lam.falling_moment(i) * gap_conditional_entropy(m, i) for i in range(1, terms + 1)
-    )
+    hs = gap_entropies(m, terms).tolist()
+    return sum(lam.falling_moment(i) * h_i for i, h_i in enumerate(hs, 1))
 
 
 def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEstimate:
@@ -428,17 +400,18 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
     if m.block_len == 1:
         # chain rule per row: H(p) plus the gap entropies between
         # consecutive set bits, summed in row order as a loop would
-        hs = np.array([0.0] + [gap_conditional_entropy(m, g) for g in range(1, width)])
+        hs = np.concatenate([[0.0], gap_entropies(m, width - 1)])
         rows, cols = np.nonzero(bits)
         inner = rows[1:] == rows[:-1]
         gap_sums = np.bincount(rows[1:][inner], weights=hs[np.diff(cols)[inner]],
                                minlength=samples)
         values = (_entropy(m.p) + gap_sums) / width
     else:
+        Q = m.powers(width - 1)
         values = np.empty(samples)
         for i in range(samples):
             spec = SubsetSpec.from_elements(width, np.flatnonzero(bits[i]))
-            values[i] = sampled_joint_entropy(m, spec) / width
+            values[i] = _block_entropy(m, Q, spec, ENUMERATION_CAP) / width
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return McEstimate(mean, stderr, samples, seed)

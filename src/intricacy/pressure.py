@@ -59,9 +59,10 @@ def weighted_count(sft: Sft, f: Potential, S, n: int | None = None) -> float:
     if spec.mask == 0:
         return 1.0
     w = f.weight_vector(sft)
+    R = sft.reach_powers(max(spec.gaps, default=0))
     v = w.copy()
     for g in reversed(spec.gaps):
-        v = (sft.reach(g) * w[:, None]) @ v
+        v = (R[g - 1] * w[:, None]) @ v
     return float(v.sum())
 
 
@@ -78,7 +79,7 @@ def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> fl
     lw = f.log_weights(sft)
     top = float(lw.max())
     w = np.exp(lw - top)
-    table = product_table(n, w, lambda g: sft.reach(g) * w[:, None])
+    table = product_table(n, w, sft.reach_powers(n - 1) * w[:, None])
     # every S has a pattern, so a zero entry is an underflowed weight
     with np.errstate(divide="ignore"):
         logs = np.log(table)

@@ -301,7 +301,8 @@ def check_spectral() -> PropertyReport:
             got = classical_pressure(sft, Potential.from_values({a: v + c for a, v in f.items()}))
             rep.check(close(got, p + c), f"{name}: P(f{c:+g}) = {got} != P(f){c:+g}")
         r = sft.alphabet_size
-        if sft.reach((r - 1) ** 2 + 1).all():  # Wielandt: primitive iff this power is positive
+        # Wielandt: primitive iff this power is positive
+        if sft.reach_powers((r - 1) ** 2 + 1)[-1].all():
             h = sft.topological_entropy()
             rate = math.log(sft.complexity_count(n + 1)) - math.log(sft.complexity_count(n))
             rep.check(close(rate, h), f"{name}: word growth {rate} != entropy {h}")

@@ -11,7 +11,6 @@ A brute-force enumeration oracle is provided for cross-checking.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +169,7 @@ class Sft:
     For shifts built from forbidden words, ``symbol_labels`` maps each
     vertex back to the symbol of the original alphabet it reads out.
 
-    Immutable after construction; the per-gap reachability cache is
-    populated lazily under a lock, so instances are safe to share.
+    Immutable after construction, so instances are safe to share.
     """
 
     def __init__(self, adjacency, symbol_labels=None):
@@ -198,10 +196,6 @@ class Sft:
         self.adjacency.setflags(write=False)
         self.alphabet_size = M.shape[0]
         self.symbol_labels = tuple(labels[i] for i in keep)
-        self._reach: dict[int, np.ndarray] = {1: (M > 0).astype(np.int64)}
-        self._reach[1].setflags(write=False)
-        self._lock = threading.Lock()
-        self._entropy: float | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -274,24 +268,14 @@ class Sft:
 
     # -- reachability ----------------------------------------------------
 
-    def reach(self, gap: int) -> np.ndarray:
-        """0/1 matrix: reach(g)[a, b] == 1 iff a path of length g runs from
-        a to b.  Computed in the boolean semiring, so exact for any gap."""
-        if gap < 1:
-            raise ValueError("gap must be >= 1")
-        with self._lock:
-            cached = self._reach.get(gap)
-        if cached is not None:
-            return cached
-        best = max(g for g in self._reach if g <= gap)
-        R = self._reach[best].astype(bool)
-        A = self._reach[1].astype(bool)
-        for _ in range(gap - best):
-            R = (R.astype(np.int64) @ A) > 0
-        R = R.astype(np.int64)
-        R.setflags(write=False)
-        with self._lock:
-            self._reach.setdefault(gap, R)
+    def reach_powers(self, count: int) -> np.ndarray:
+        """Stack of 0/1 matrices for the gaps g = 1..count: R[g-1][a, b] == 1
+        iff a path of length g runs from a to b.  Computed in the boolean
+        semiring, so exact for any gap."""
+        A = self.adjacency
+        R = np.empty((count, *A.shape), dtype=np.int64)
+        for g in range(count):
+            R[g] = A if g == 0 else (R[g - 1] @ A) > 0
         return R
 
     def is_square_positive(self) -> bool:
@@ -304,15 +288,16 @@ class Sft:
         """|distinct patterns at the places of S| as an exact integer.
 
         The count is the number of symbol tuples (a_0, ..., a_{m-1}) with
-        reach(g_i)[a_i, a_{i+1}] == 1 along consecutive gaps g_i.  The
-        empty set counts 1 (its log contributes 0).
+        reach_powers(.)[g_i - 1][a_i, a_{i+1}] == 1 along consecutive gaps
+        g_i.  The empty set counts 1 (its log contributes 0).
         """
         spec = _as_subset(S, n)
         if spec.mask == 0:
             return 1
+        R = self.reach_powers(max(spec.gaps, default=0))
         v = [1] * self.alphabet_size
         for g in reversed(spec.gaps):
-            v = [sum(x * y for x, y in zip(row, v)) for row in self.reach(g).tolist()]
+            v = [sum(x * y for x, y in zip(row, v)) for row in R[g - 1].tolist()]
         return sum(v)
 
     def complexity_count(self, n: int) -> int:
@@ -327,9 +312,7 @@ class Sft:
 
     def topological_entropy(self) -> float:
         """log of the Perron eigenvalue of the adjacency matrix."""
-        if self._entropy is None:
-            self._entropy = log_spectral_radius(self.adjacency)
-        return self._entropy
+        return log_spectral_radius(self.adjacency)
 
     # -- brute-force oracles ---------------------------------------------
 

@@ -244,13 +244,11 @@ def maximize(
     objective: str,
     start,
     terms: int = 20,
-    diameter_tol: float = 1e-5,
-    max_iter: int = 500,
 ) -> MaximizeResult:
     """Derivative-free simplex refinement clamped to the box, seeded at
-    ``start``.  Stops when the simplex diameter falls below
-    ``diameter_tol`` or after ``max_iter`` iterations (then the best
-    point so far is returned with converged=False)."""
+    ``start``.  Stops when the simplex diameter falls below 1e-5 or after
+    500 iterations (then the best point so far is returned with
+    converged=False)."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     theta0 = np.atleast_1d(np.asarray(start, dtype=float))
@@ -271,12 +269,7 @@ def maximize(
         theta0,
         method="Nelder-Mead",
         bounds=family.box,
-        options={
-            "xatol": diameter_tol,
-            "fatol": 1e-12,
-            "maxiter": max_iter,
-            "initial_simplex": None,
-        },
+        options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 500},
     )
     return MaximizeResult(
         tuple(float(t) for t in out.x), -float(out.fun), bool(out.success), int(out.nit)

@@ -68,18 +68,16 @@ def _count_table(sft: Sft, n: int, block_k: int = 0) -> np.ndarray:
     Each block reads a path of k - 1 steps, so the table starts from
     A^(k-1) 1.  Two places g < k apart touch, and every step between them
     is read (A^g); a wider gap reads the first block out and then only
-    reaches the next place (A^(k-1) reach(g-k+1))."""
+    reaches the next place (A^(k-1) times the reach of gap g-k+1)."""
+    R = sft.reach_powers(n - 1)
     if block_k <= 1:
-        return product_table(n, np.ones(sft.alphabet_size), sft.reach)
+        return product_table(n, np.ones(sft.alphabet_size), R)
     paths = [np.eye(sft.alphabet_size)]
     for _ in range(block_k - 1):
         paths.append(paths[-1] @ sft.adjacency)
     head = paths[-1]
-
-    def gap_matrix(g: int) -> np.ndarray:
-        return paths[g] if g < block_k else head @ sft.reach(g - block_k + 1)
-
-    return product_table(n, head.sum(axis=1), gap_matrix)
+    gap_mats = [paths[g] if g < block_k else head @ R[g - block_k] for g in range(1, n)]
+    return product_table(n, head.sum(axis=1), gap_mats)
 
 
 def _check_window(n: int, block_k: int) -> None:

@@ -196,6 +196,20 @@ class TestMarkov:
         assert main(["markov", "--family", "gms-2step", "--param", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("cmd", ["topo", "pressure", "markov"])
+def test_window_below_one_is_bad_input(capsys, tmp_path, gms_file, cmd):
+    pot = tmp_path / "p.json"
+    pot.write_text(json.dumps({"values": {"0": 0.0, "1": 1.0}}))
+    source = {
+        "topo": ["--input", gms_file],
+        "pressure": ["--input", gms_file, "--potential", str(pot)],
+        "markov": ["--family", "gms-1step", "--param", "0.618"],
+    }[cmd]
+    code, out, err = run_cli(capsys, cmd, *source, "--n", "0")
+    assert (code, out) == (1, "")
+    assert "bad input" in err and "n=0" in err
+
+
 class TestSweep:
     def test_surface_and_summary(self, capsys, tmp_path):
         out = tmp_path / "surface.csv"

@@ -38,9 +38,9 @@ class TestWeightValues:
         assert got == pytest.approx(0.29, abs=1e-12)
 
     def test_horizon_and_range_errors(self):
-        system = CoefficientSystem.uniform(horizon=16)
+        system = CoefficientSystem.uniform()
         with pytest.raises(CapExceeded):
-            system.weight(17, 3)
+            system.weight(65, 3)
         with pytest.raises(ValueError):
             system.weight(4, 5)
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from intricacy.markov import (
     asc_series_markov,
     cylinder_measure,
     entropy_rate,
-    gap_conditional_entropy,
+    gap_entropies,
     monte_carlo_asc,
     recode_higher_block,
     sampled_joint_entropy,
@@ -121,12 +121,13 @@ class TestEntropyRate:
 class TestGapConditionalEntropy:
     def test_bernoulli_any_gap(self):
         m = bernoulli_half()
+        hs = gap_entropies(m, 9)
         for i in (1, 2, 5, 9):
-            assert gap_conditional_entropy(m, i) == pytest.approx(math.log(2), abs=1e-13)
+            assert hs[i - 1] == pytest.approx(math.log(2), abs=1e-13)
 
     def test_gap_one_is_entropy_rate(self):
         m = gms_one_step()
-        assert gap_conditional_entropy(m, 1) == pytest.approx(entropy_rate(m), abs=1e-12)
+        assert gap_entropies(m, 1)[0] == pytest.approx(entropy_rate(m), abs=1e-12)
 
     def test_series_reproduces_published_value(self):
         assert asc_series_markov(gms_one_step(), 20).asc == pytest.approx(0.266, abs=1e-3)
@@ -137,7 +138,23 @@ class TestGapConditionalEntropy:
              "100": {"0": 0.5, "1": 0.5}, "101": {"0": 1.0}}, Sft.golden_mean()
         )
         with pytest.raises(ValueError):
-            gap_conditional_entropy(m, 1)
+            gap_entropies(m, 1)
+
+    @pytest.mark.parametrize("make", [gms_one_step, lambda: gms_two_step(0.3, 0.8)],
+                             ids=["1-step", "2-block"])
+    def test_matches_step_by_step_powers(self, make):
+        # P^g by repeated Q @ P; a block chain sums the columns of the
+        # target states that end in each symbol
+        m = make()
+        want, Q = [], m.P
+        for _ in range(12):
+            X = Q if m.block_len == 1 else np.stack(
+                [Q[:, [j for j, v in enumerate(m.states) if v[-1] == z]].sum(axis=1)
+                 for z in range(m.alphabet_size)], axis=1)
+            xlogx = np.where(X > 0, X * np.log(np.where(X > 0, X, 1.0)), 0.0)
+            want.append(float(-(m.p[:, None] * xlogx).sum()))
+            Q = Q @ m.P
+        assert gap_entropies(m, 12).tolist() == want
 
 
 class TestSeries:
@@ -271,9 +288,9 @@ class TestAscFinite:
             assert res.asc == pytest.approx(math.log(2) / 2, abs=1e-12)
 
     def test_gms_close_to_series(self):
-        res = asc_finite(gms_one_step(), UNIFORM, 6)
-        assert res.asc == pytest.approx(0.266, abs=0.02)
-        assert res.series_value == pytest.approx(0.266, abs=1e-3)
+        m = gms_one_step()
+        assert asc_finite(m, UNIFORM, 6).asc == pytest.approx(0.266, abs=0.02)
+        assert asc_series_markov(m).asc == pytest.approx(0.266, abs=1e-3)
 
     def test_boundary_family_row(self):
         # the window average converges to the published series value like
@@ -315,7 +332,7 @@ class TestAscFinite:
                 intr = sum(
                     row[bin(s).count("1")] * (H[s] + H[full ^ s] - H[full]) for s in range(1 << n)
                 ) / n
-                res = asc_finite(m, coeffs, n, with_series=False)
+                res = asc_finite(m, coeffs, n)
                 assert res.h == pytest.approx(H[full] / n, abs=1e-13)
                 assert res.asc == pytest.approx(asc, abs=1e-13)
                 assert res.intricacy == pytest.approx(intr, abs=1e-13)
@@ -325,7 +342,7 @@ class TestAscFinite:
             series = asc_series_markov(m, 20)
             gaps = []
             for n in range(4, n_max + 1):
-                res = asc_finite(m, UNIFORM, n, with_series=False)
+                res = asc_finite(m, UNIFORM, n)
                 gaps.append(res.asc - series.asc)
             assert all(g >= -series.tail_bound for g in gaps)
             assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -358,8 +375,7 @@ class TestAscLambda:
         lam = SymmetricMeasure.from_one_sided([(0.3, 0.5)])
         K = 40
         expected = 0.0
-        for i in range(1, K + 1):
-            h_i = gap_conditional_entropy(m, i)
+        for i, h_i in enumerate(gap_entropies(m, K).tolist(), 1):
             for p in (0.3, 0.7):
                 expected += 0.5 * p**2 * (1 - p) ** (i - 1) * h_i
         assert asc_lambda(m, lam, K) == pytest.approx(expected, abs=1e-12)
@@ -404,7 +420,7 @@ class TestMonteCarlo:
         rng = np.random.Generator(np.random.PCG64(seed))
         bits = rng.integers(0, 2, size=(samples, 2 * n), dtype=np.int64)
         bits[:, 0] = 1
-        hs = {g: gap_conditional_entropy(m, g) for g in range(1, 2 * n)}
+        hs = dict(enumerate(gap_entropies(m, 2 * n - 1).tolist(), 1))
         hp = -sum(q * math.log(q) for q in m.p if q > 0)
         values = np.array([
             (hp + sum(hs[g] for g in np.diff(np.flatnonzero(row)))) / (2 * n) for row in bits

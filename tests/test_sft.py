@@ -267,9 +267,18 @@ class TestCountProperties:
             expected = math.prod(s.complexity_count(t) for t in spec.runs)
             assert s.count_words_at(spec) == expected
 
-    def test_reach_cache_identity(self):
-        s = Sft(SFT_I)
-        assert np.array_equal(s.reach(1), np.asarray(SFT_I))
-        # boolean semiring: reach(5) = sign(M^5)
-        M5 = np.linalg.matrix_power(np.asarray(SFT_I), 5)
-        assert np.array_equal(s.reach(5), (M5 > 0).astype(int))
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Sft(SFT_I), Sft.golden_mean, lambda: Sft.full_shift(3),
+         lambda: Sft.from_forbidden_words(3, ["00", "121"])],
+        ids=["golden-pair-I", "gms", "full3", "forbidden"],
+    )
+    def test_reach_powers_are_sign_of_matrix_powers(self, make):
+        # boolean semiring: R[g-1] = sign(A^g), computed in integers
+        s = make()
+        R = s.reach_powers(8)
+        assert R.shape == (8, s.alphabet_size, s.alphabet_size)
+        for g in range(1, 9):
+            Ag = np.linalg.matrix_power(s.adjacency, g)
+            assert np.array_equal(R[g - 1], (Ag > 0).astype(int))
+        assert s.reach_powers(0).shape == (0, s.alphabet_size, s.alphabet_size)

@@ -138,7 +138,7 @@ class TestMaskTable:
     def test_rows_are_exact_canonical_counts(self, make):
         s = make()
         for n_bits in range(1, 11):
-            table = product_table(n_bits, np.ones(s.alphabet_size), s.reach)
+            table = product_table(n_bits, np.ones(s.alphabet_size), s.reach_powers(n_bits - 1))
             assert table.shape == (1 << (n_bits - 1),)
             want = [s.count_words_at(SubsetSpec(n_bits, 2 * i + 1)) for i in range(len(table))]
             assert table.tolist() == want
