@@ -26,6 +26,18 @@ A table always spans the n sampled positions, whatever each place
 reads: a cover that reads a block at every place changes the start
 vector and the gap matrices (``topo``), never the number of rows.
 Windows wider than ``MAX_TABLE_BITS`` positions are refused.
+
+Two kinds of value need no table, because they are sums of local terms
+whose per-size sums count in closed form:
+
+- ``cluster_size_sums``: v(S) = sum over the clusters of S (maximal
+  groups whose consecutive gaps are all <= kappa) of a weight that
+  depends on the cluster's span.  A log pattern count of a shift whose
+  adjacency matrix has a positive square is of this form.  O(n^3).
+  ``cluster_product_sum`` gives the plain sum over S of the product of
+  the exponentiated weights.
+- ``gap_size_sums``: v(S) = a constant plus a term per consecutive gap,
+  the joint entropy of a 1-step Markov chain.  O(n^2).
 """
 
 from __future__ import annotations
@@ -42,9 +54,11 @@ __all__ = [
     "check_table_window",
     "popcounts",
     "product_table",
-    "additive_gap_table",
     "size_sums",
     "complement_sum",
+    "cluster_size_sums",
+    "cluster_product_sum",
+    "gap_size_sums",
 ]
 
 # most rows a table may hold: 2^22 rows, the canonical masks of 23 positions
@@ -97,18 +111,6 @@ def product_table(n_bits: int, init: np.ndarray, gap_mats) -> np.ndarray:
     return V.sum(axis=0)
 
 
-def additive_gap_table(n_bits: int, gap_values) -> np.ndarray:
-    """table[i] = sum of gap_values[g_i - 1] over the consecutive gaps of
-    the canonical mask 2i+1 (0 for the singleton {0}); gap_values holds
-    the values of the gaps 1..n_bits-1."""
-    G = np.empty(1 << (n_bits - 1), dtype=np.float64)
-    G[0] = 0.0
-    values = np.asarray(gap_values, dtype=np.float64)
-    for dest, src, g in _gap_steps(n_bits):
-        G[dest] = G[src] + values[g - 1]
-    return G
-
-
 def size_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-size sums over the subsets of {0..n-1} of a shift-invariant
     value given on the canonical masks (values[i] at mask 2i+1, i <
@@ -136,5 +138,100 @@ def complement_sum(c: np.ndarray, every: np.ndarray, full: float) -> float:
     through the weight of the complement's size, so c need not be
     symmetric."""
     n = len(c) - 1
-    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
-    return float((c + c[::-1]) @ every) - float(binom @ c) * full
+    return float((c + c[::-1]) @ every) - float(_BINOMIALS[n, : n + 1] @ c) * full
+
+
+def _pascal(n: int) -> np.ndarray:
+    B = np.zeros((n + 1, n + 1))
+    B[:, 0] = 1.0
+    for f in range(1, n + 1):
+        B[f, 1:] = B[f - 1, 1:] + B[f - 1, :-1]
+    return B
+
+
+# _BINOMIALS[f, i] = C(f, i) for f, i <= MAX_TABLE_BITS, exact integers in
+# float64 (every entry is below 2^53)
+_BINOMIALS = _pascal(MAX_TABLE_BITS)
+_BINOMIALS.setflags(write=False)
+
+
+def _cluster_shapes(n: int, kappa: int) -> np.ndarray:
+    # comp[s, j] = clusters of span s with j elements: the compositions of
+    # s into j - 1 gaps of 1..kappa
+    if kappa == 1:
+        # a run of span s has s + 1 elements
+        return np.eye(n, n + 1, 1)
+    comp = np.zeros((n, n + 1))
+    comp[0, 1] = 1.0
+    for s in range(1, n):
+        comp[s, 1:] = comp[max(0, s - kappa) : s, :-1].sum(axis=0)
+    return comp
+
+
+def cluster_size_sums(span_values, n: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-size sums (every, with_zero), as ``size_sums`` returns them, of
+    v(S) = sum over the clusters of S of span_values[span], for
+    n <= MAX_TABLE_BITS.
+
+    The clusters of S are its maximal groups of elements whose
+    consecutive gaps are all <= kappa; a cluster's span is its last
+    element minus its first, so span_values holds the spans 0..n-1.
+
+    By linearity every[k] sums span_values[s] times the number of
+    (S, cluster) pairs with |S| = k and a cluster of span s.  A cluster
+    of span s with j elements comes in comp[s, j] shapes, and in a window
+    with d = n - 1 - s positions outside its span it has d + 1 places; at
+    place a the other k - j elements avoid the kappa positions next to
+    each end, so they are chosen from d - min(a, kappa) - min(d - a, kappa)
+    positions.  The subsets that miss 0 are the translates of those of a
+    window one shorter, so with_zero takes the placements of d less those
+    of d - 1."""
+    values = np.asarray(span_values, dtype=float)
+    a = np.arange(n)
+    d = a[:, None]
+    free = d - np.minimum(a, kappa) - np.minimum(d - a, kappa)
+    # G[d + 1, i] = sum over the places a <= d of C(free, i), and G[0] = 0;
+    # every takes G[d + 1], with_zero G[d + 1] - G[d]
+    G = np.zeros((n + 1, n + 1))
+    G[1:] = (_BINOMIALS[free, : n + 1] * (a <= d)[..., None]).sum(axis=1)
+    placements = np.concatenate([G[:0:-1], (G[1:] - G[:-1])[::-1]], axis=1)
+    # M[j, i] (every) and M[j, n+1+i] (with_zero) sum over the spans s of
+    # values[s] comp[s, j] placements of d = n - 1 - s; a k-subset has j + i = k
+    M = (values[:, None] * _cluster_shapes(n, kappa)).T @ placements
+    k = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    sums = np.bincount(np.concatenate([k, k + 2 * n + 1], axis=1).ravel(),
+                       weights=M.ravel(), minlength=4 * n + 2)
+    return sums[: n + 1], sums[2 * n + 1 : 3 * n + 2]
+
+
+def cluster_product_sum(span_values, n: int, kappa: int) -> float:
+    """Sum over all subsets S of {0..n-1}, the empty set included (it adds
+    1), of the product over the clusters of S of exp(span_values[span]);
+    clusters as in ``cluster_size_sums``.  O(n^2)."""
+    # shapes[s] = clusters of span s of any size
+    shapes = [1.0]
+    for s in range(1, n):
+        shapes.append(sum(shapes[max(0, s - kappa) : s]))
+    weight = [count * math.exp(v) for count, v in zip(shapes, span_values)]
+    # C[t + kappa + 1] = sum over the subsets of {0..t}; C[t] = 1 for t <= kappa.
+    # A subset whose last cluster runs from e - s to e extends one that ends
+    # before e - s - kappa.
+    C = [1.0] * (kappa + 1)
+    for e in range(n):
+        C.append(C[-1] + sum(weight[s] * C[e - s] for s in range(e + 1)))
+    return C[-1]
+
+
+def gap_size_sums(first: float, gap_values, n: int) -> np.ndarray:
+    """every[k] = sum over the k-subsets S of {0..n-1} (k >= 1) of
+    first + the sum of gap_values[g - 1] over the consecutive gaps g of S;
+    every[0] = 0.  gap_values holds the gaps 1..n-1, n <= MAX_TABLE_BITS.
+    A gap g joins two elements i and i + g of S with none between them:
+    n - g places, and the other k - 2 elements come from the n - g - 1
+    positions outside [i, i + g].  O(n^2)."""
+    B = _BINOMIALS
+    every = first * B[n, : n + 1]
+    every[0] = 0.0
+    g = np.arange(1, n)
+    every[2:] += (np.asarray(gap_values, dtype=float) * (n - g)) @ B[n - g - 1, : n - 1]
+    return every

@@ -331,9 +331,12 @@ _COMMANDS = {
 }
 
 
+# built once at import; every main() call parses with it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
     except CapExceeded as exc:

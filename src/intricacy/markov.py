@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import additive_gap_table, complement_sum, size_sums
+from ._masks import complement_sum, gap_size_sums, size_sums
 from .coeffs import CoefficientSystem, SymmetricMeasure
 from .errors import CapExceeded
 from .sft import Sft, SubsetSpec, _as_subset
@@ -349,23 +349,29 @@ def sampled_joint_entropy_oracle(m: MarkovMeasure, S, n: int | None = None) -> f
 def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEntropyResult:
     """Average of the sampled joint entropies over all 2^n subsets of the
     window, divided by n.  Capped at n = 20 for plain chains and n = 12
-    for block chains."""
+    for block chains.
+
+    For a plain chain the joint entropy at S is H(p) plus one gap entropy
+    h_g per consecutive gap of S, so the k-subsets sum to
+    C(n, k) H(p) + sum_g h_g (n - g) C(n - g - 1, k - 2) (``gap_size_sums``),
+    O(n^2) with no table.  A block chain fills a table of the joint
+    entropies at the 2^(n-1) canonical masks 2i+1 (every joint entropy is
+    that of a translate containing 0) and sums it by subset size."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     cap = 20 if m.block_len == 1 else 12
     if n > cap:
         raise CapExceeded(f"n={n} outside [1, {cap}] for block_len={m.block_len}")
-    # H over the canonical masks 2i+1: every joint entropy is that of a
-    # translate containing 0
     if m.block_len == 1:
-        H = additive_gap_table(n, gap_entropies(m, n - 1)) + _entropy(m.p)
+        every = gap_size_sums(_entropy(m.p), gap_entropies(m, n - 1), n)
     else:
         Q = m.powers(n - 1)
         H = np.array([_block_entropy(m, Q, SubsetSpec(n, 2 * i + 1), ENUMERATION_CAP)
                       for i in range(1 << (n - 1))])
+        every = size_sums(H, n)[0]
     c = np.asarray(coeffs.weights_row(n))
-    h_full = float(H[-1])
-    every = size_sums(H, n)[0]
+    # the full window is the one n-subset
+    h_full = float(every[n])
     asc = float(c @ every) / n
     intr = complement_sum(c, every, h_full) / n
     return SampledEntropyResult(n, asc, intr, h_full / n)

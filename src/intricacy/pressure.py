@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import check_table_window, product_table, size_sums
+from ._masks import check_table_window, cluster_size_sums, product_table, size_sums
 from .coeffs import CoefficientSystem
 from .sft import Sft, _as_subset, log_spectral_radius
 
@@ -72,18 +72,36 @@ def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> fl
     finite_profile bit for bit.  n is at most ``_masks.MAX_TABLE_BITS``
     (23); wider windows raise CapExceeded.
 
-    The table is built from f - max f, so every symbol weight is at most
-    1 and no product overflows; since each pattern at S carries |S|
-    symbols, the shift adds back max f * E|S| / n exactly."""
+    When the adjacency matrix has a positive square, the weighted count
+    factors over the runs of S like the pattern count (``topo._run_sums``
+    with k = 1): a run of length L weighs the sum over the words of
+    length L of exp(sum of f), taken from one log-domain walk
+    (``Sft.log_word_weights``), so potentials of any size or spread are
+    exact.  Other shifts fill a table (``_asp_table``)."""
     check_table_window(n)
     lw = f.log_weights(sft)
+    c = np.asarray(coeffs.weights_row(n))
+    if sft.is_square_positive():
+        every = cluster_size_sums(sft.log_word_weights(n, lw), n, 1)[0]
+        return float(c @ every) / n
+    return _asp_table(sft, lw, c, n)
+
+
+def _asp_table(sft: Sft, lw: np.ndarray, c: np.ndarray, n: int) -> float:
+    """asp_profile from a table of weighted counts at the canonical masks,
+    with log weights lw and weights row c.
+
+    The table is built from f - max f, so every symbol weight is at most
+    1 and no product overflows; since each pattern at S carries |S|
+    symbols, the shift adds back max f * E|S| / n exactly.  A potential
+    spread past about 708 can still underflow a subset's shifted count
+    to 0; that is refused as a ValueError naming the spread."""
     top = float(lw.max())
     w = np.exp(lw - top)
     table = product_table(n, w, sft.reach_powers(n - 1) * w[:, None])
     # every S has a pattern, so a zero entry is an underflowed weight
     with np.errstate(divide="ignore"):
         logs = np.log(table)
-    c = np.asarray(coeffs.weights_row(n))
     mean_size = sum(math.comb(n, k) * c[k] * k for k in range(n + 1))
     value = float(c @ size_sums(logs, n)[0]) / n + top * mean_size / n
     if not math.isfinite(value):

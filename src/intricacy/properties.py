@@ -18,14 +18,15 @@ from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
 from .markov import (
     MarkovMeasure,
+    asc_finite,
     asc_lambda,
     asc_series_markov,
     sampled_joint_entropy,
     sampled_joint_entropy_oracle,
 )
-from .pressure import Potential, classical_pressure
+from .pressure import Potential, _asp_table, asp_profile, classical_pressure
 from .sft import Sft, SubsetSpec
-from .topo import finite_profile
+from .topo import _run_sums, _table_sums, finite_profile
 
 __all__ = ["PropertyReport", "SUITES", "run_suites"]
 
@@ -309,6 +310,65 @@ def check_spectral() -> PropertyReport:
     return rep
 
 
+def check_run_kernels(n_max: int = 16) -> PropertyReport:
+    """The table-free kernels against the tables they replace, to 1e-12
+    relative (absolute below 1), at n = min(n_max, 20): on every published
+    shift with a positive square, the per-size sums behind finite_profile
+    (all sizes, with and without 0, the full window and the uniform alt)
+    with block_k 0, 2 and 5; on the two pressure pairs, asp_profile with
+    their PRESSURE_F1 potential.  Wider tables add up to 2^22 logs per
+    size, and their own rounding passes 1e-12 (up to 3e-12 at n = 21..23;
+    on rho2-pair/1 at n = 21 the table is 1.1e-13 off a math.fsum
+    reference where the cluster sums are 3e-16 off).  Then the O(n^2)
+    1-step asc_finite on the golden-mean chain against a per-mask sum of
+    sampled_joint_entropy over every subset and its complement, at
+    n = min(n_max, 12) so the 2^n masks stay cheap."""
+    rep = PropertyReport("runs")
+
+    def close(a, b) -> bool:
+        return bool(np.all(np.abs(np.subtract(a, b)) <= 1e-12 * np.maximum(1.0, np.abs(b))))
+
+    n = min(n_max, 20)
+    uniform = CoefficientSystem.uniform()
+    c = np.asarray(uniform.weights_row(n))
+    # one entry per matrix; the pressure pairs come last and keep their tags
+    for bench in {b.adjacency: b for b in SFT_BENCHMARKS}.values():
+        sft = Sft(np.asarray(bench.adjacency))
+        if not sft.is_square_positive():
+            continue
+        for block_k in (0, 2, 5):
+            # every, with_zero, log N(window) and alt in one vector per route
+            a, b = (np.hstack(sums(sft, n, block_k, c)) for sums in (_run_sums, _table_sums))
+            ok = close(a, b)
+            rep.check(ok, "" if ok else f"{bench.tag}, n={n}, block_k={block_k}: {a} != table {b}")
+        if bench.asp10_f1 is not None:
+            f = Potential.from_values(PRESSURE_F1)
+            a, b = asp_profile(sft, f, uniform, n), _asp_table(sft, f.log_weights(sft), c, n)
+            rep.check(close(a, b), f"{bench.tag}, n={n}: asp {a} != table {b}")
+
+    n = min(n_max, 12)
+    full = (1 << n) - 1
+    m = MarkovMeasure.one_step([[0.618, 0.382], [1.0, 0.0]], p=np.array([1.0, 0.382]) / 1.382)
+    # each subset has the joint entropy of its translate to 0
+    memo = {0: 0.0}
+    H = []
+    for mask in range(full + 1):
+        key = mask >> ((mask & -mask).bit_length() - 1) if mask else 0
+        if key not in memo:
+            memo[key] = sampled_joint_entropy(m, SubsetSpec(n, key))
+        H.append(memo[key])
+    size = [bin(mask).count("1") for mask in range(full + 1)]
+    for system in (uniform, CoefficientSystem.neural()):
+        w = system.weights_row(n)
+        asc = sum(w[size[s]] * H[s] for s in range(full + 1)) / n
+        intr = sum(w[size[s]] * (H[s] + H[full ^ s] - H[full]) for s in range(full + 1)) / n
+        got = asc_finite(m, system, n)
+        for what, a, b in (("h", got.h, H[full] / n), ("asc", got.asc, asc),
+                           ("intricacy", got.intricacy, intr)):
+            rep.check(close(a, b), f"gms chain/{system.spec}, n={n}: {what} {a} != per-mask {b}")
+    return rep
+
+
 SUITES = {
     "coeffs": check_coefficient_axioms,
     "measure-forms": check_measure_agreement,
@@ -321,6 +381,7 @@ SUITES = {
     "bounds": check_bounds,
     "lambda": check_lambda_delta,
     "spectral": check_spectral,
+    "runs": check_run_kernels,
 }
 
 _SIZE_ARG = {
@@ -333,6 +394,7 @@ _SIZE_ARG = {
     "oracle-entropy": "size_max",
     "acc": "n_max",
     "bounds": "n_max",
+    "runs": "n_max",
 }
 
 

@@ -282,6 +282,24 @@ class Sft:
         M = self.adjacency
         return bool(np.all(M @ M > 0))
 
+    def log_word_weights(self, count: int, log_weights=None) -> np.ndarray:
+        """out[m-1] = log of the sum over the words of length m of
+        exp(sum of log_weights over the word's vertices), for m = 1..count;
+        without weights, log complexity_count(m).
+
+        One walk in the log domain (a log-sum-exp over the successors of
+        each vertex), so weights of any size or spread neither overflow
+        nor underflow."""
+        f = np.zeros(self.alphabet_size) if log_weights is None else np.asarray(log_weights, float)
+        # step[a, b] = f(a) on an edge a -> b, -inf off the edges
+        step = np.where(self.adjacency > 0, f[:, None], -np.inf)
+        # V[m-1, a] = log weight of the words of length m that start at a
+        V = np.empty((count, self.alphabet_size))
+        V[0] = f
+        for m in range(1, count):
+            np.logaddexp.reduce(step + V[m - 1], axis=1, out=V[m])
+        return np.logaddexp.reduce(V, axis=1)
+
     # -- counting ----------------------------------------------------------
 
     def count_words_at(self, S, n: int | None = None) -> int:

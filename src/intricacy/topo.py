@@ -1,6 +1,15 @@
 """Topological complexity profiles: averaged pattern counts over all
 subsets of a time window, the intricacy balance, and the closed-form
 series available when the adjacency matrix has a positive square.
+
+Two exact kernels give the per-size sums of the log pattern counts.
+When the adjacency matrix has a positive square, every gap of 2 or more
+reaches every symbol, so the count at S factors over the clusters of S
+and the sums take O(n^3) steps (``_masks.cluster_size_sums``).  Every
+other shift fills a table with one count per canonical subset
+(``_masks.product_table``), 2^(n-1) rows; that table is also the
+independent route the ``runs`` check suite compares the cluster sums
+against.
 """
 
 from __future__ import annotations
@@ -10,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import check_table_window, complement_sum, popcounts, product_table, size_sums
+from ._masks import (
+    check_table_window,
+    cluster_product_sum,
+    cluster_size_sums,
+    complement_sum,
+    popcounts,
+    product_table,
+    size_sums,
+)
 from .coeffs import CoefficientSystem
 from .errors import CapExceeded
 from .sft import Sft, SubsetSpec
@@ -99,23 +116,56 @@ def finite_profile(
     With ``block_k`` = k >= 1 each sampled position s is widened to the
     block {s..s+k-1} before counting (the k-block cover refinement);
     positions past n-1 are counted without truncation.  k = 0 and k = 1
-    both mean plain single positions.  The table has 2^(n-1) rows for
-    every k: a block widens the gap matrices, not the window.  n is at
-    most ``_masks.MAX_TABLE_BITS`` (23); wider windows raise CapExceeded.
+    both mean plain single positions.  n is at most
+    ``_masks.MAX_TABLE_BITS`` (23) for every shift and every k; wider
+    windows raise CapExceeded.
+
+    The kernel follows from the shift.  With a positive square, the
+    cluster sums of ``_run_sums`` take O(n^3) steps; otherwise a table of
+    2^(n-1) rows is filled (``_table_sums``).
     """
     _check_window(n, block_k)
-    counts = _count_table(sft, n, block_k)
-    logs = np.log(counts)
-    every, with_zero = size_sums(logs, n)
-    log_full = float(logs[-1])
+    sums = _run_sums if sft.is_square_positive() else _table_sums
+    return _profile(sums, sft, coeffs, n, block_k)
 
+
+def _profile(sums, sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int) -> ComplexityProfile:
     c = np.asarray(coeffs.weights_row(n))
+    every, with_zero, log_full, alt = sums(sft, n, block_k, c if coeffs.kind == "uniform" else None)
     h = log_full / n
     asc = float(c @ every) / n
     intr = complement_sum(c, every, log_full) / n
     acc = float(c @ with_zero) / n
-    alt = float(c[0] + c @ size_sums(counts, n)[0]) if coeffs.kind == "uniform" else None
     return ComplexityProfile(n, block_k, h, asc, intr, acc, alt, coeffs.spec)
+
+
+def _table_sums(sft: Sft, n: int, block_k: int, alt_weights):
+    """(every, with_zero, log N(window), alt) from the table of counts at
+    the canonical masks; alt only when alt_weights (uniform) is given."""
+    counts = _count_table(sft, n, block_k)
+    logs = np.log(counts)
+    every, with_zero = size_sums(logs, n)
+    alt = None
+    if alt_weights is not None:
+        alt = float(alt_weights[0] + alt_weights @ size_sums(counts, n)[0])
+    return every, with_zero, float(logs[-1]), alt
+
+
+def _run_sums(sft: Sft, n: int, block_k: int, alt_weights):
+    """The same as ``_table_sums`` for a shift whose adjacency matrix has a
+    positive square.  With k = max(block_k, 1), two places of S less than
+    k + 1 apart read blocks that touch or overlap; wider gaps leave at
+    least 2 steps between the blocks, which reach every symbol.  So the
+    count at S is the product over the clusters of S (maximal groups with
+    gaps <= k) of the number of words of length span + k."""
+    k = max(block_k, 1)
+    logs = sft.log_word_weights(n - 1 + k)[k - 1 :]
+    every, with_zero = cluster_size_sums(logs, n, k)
+    alt = None
+    if alt_weights is not None:
+        # uniform weights: every subset, the empty one included, weighs 2^-n
+        alt = float(alt_weights[0] * cluster_product_sum(logs, n, k))
+    return every, with_zero, float(logs[-1]), alt
 
 
 def _finite_profile_slow(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int) -> ComplexityProfile:
@@ -199,6 +249,8 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     where a_n sums log N(S) over all S in the window and lam_k is the
     log count of full length-k words.  Both sides are evaluated
     independently (direct enumeration vs. the recursion)."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
     if n > 20:
         raise CapExceeded("recursion check capped at n = 20")
     if not sft.is_square_positive():

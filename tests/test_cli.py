@@ -121,11 +121,16 @@ class TestPressure:
         assert row["Asp_n_rounded"] == "0.722"
         assert float(row["P_classical"]) > float(row["Asp_n"])
 
-    def test_spread_underflow_is_bad_input(self, capsys, tmp_path, gms_file):
+    def test_spread_underflow_is_bad_input(self, capsys, tmp_path):
+        # golden-pair/II has no positive square, so its table can underflow
+        sft = tmp_path / "pairII.json"
+        sft.write_text(
+            json.dumps({"alphabet_size": 3, "adjacency": [[0, 1, 1], [1, 0, 1], [1, 0, 0]]})
+        )
         pot = tmp_path / "p.json"
-        pot.write_text(json.dumps({"values": {"0": -800.0, "1": 0.0}}))
+        pot.write_text(json.dumps({"values": {"0": -800.0, "1": 0.0, "2": 0.0}}))
         code, out, err = run_cli(
-            capsys, "pressure", "--input", gms_file, "--potential", str(pot), "--n", "10"
+            capsys, "pressure", "--input", str(sft), "--potential", str(pot), "--n", "10"
         )
         assert code == 1
         assert out == ""

@@ -12,6 +12,7 @@ from intricacy.topo import finite_profile
 
 UNIFORM = CoefficientSystem.uniform()
 GOLDEN_PAIR_I = [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
+GOLDEN_PAIR_II = [[0, 1, 1], [1, 0, 1], [1, 0, 0]]
 PAIR_A = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 PAIR_B = [[1, 1, 0], [0, 0, 1], [1, 1, 1]]
 F1 = Potential.from_values({0: 0.0, 1: 0.0, 2: 1.0})
@@ -102,15 +103,16 @@ class TestAspProfile:
         assert asp_profile(s, F1, UNIFORM, 10) <= classical_pressure(s, F1)
 
     def test_matches_per_subset_sum(self):
-        s = Sft(PAIR_B)
+        # PAIR_B has a positive square (run kernel), golden-pair/II not (table)
         n = 7
-        for coeffs in (UNIFORM, CoefficientSystem.neural()):
-            w = coeffs.weights_row(n)
-            direct = sum(
-                w[spec.size] * math.log(weighted_count(s, F2, spec))
-                for spec in (SubsetSpec(n, m) for m in range(1, 1 << n))
-            ) / n
-            assert asp_profile(s, F2, coeffs, n) == pytest.approx(direct, abs=1e-12)
+        for s in (Sft(PAIR_B), Sft(GOLDEN_PAIR_II)):
+            for coeffs in (UNIFORM, CoefficientSystem.neural()):
+                w = coeffs.weights_row(n)
+                direct = sum(
+                    w[spec.size] * math.log(weighted_count(s, F2, spec))
+                    for spec in (SubsetSpec(n, m) for m in range(1, 1 << n))
+                ) / n
+                assert asp_profile(s, F2, coeffs, n) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("n", [0, 24])
     def test_window_without_table_is_refused(self, n, monkeypatch):
@@ -184,10 +186,32 @@ class TestExtremePotentials:
         assert got == pytest.approx(asc + const / 2, rel=1e-12)
 
     def test_spread_underflow_is_refused(self):
-        # the golden mean cannot repeat 1, so every pattern on a long
-        # enough S uses 0 several times: e^(-800 k) underflows to 0
-        f = Potential.from_values({0: -800.0, 1: 0.0})
+        # golden-pair/II has no positive square, so asp fills a table from
+        # f - max f; every path returns to symbol 0 within three steps
+        # (2 -> 0, 1 -> 2 -> 0), so every pattern on a long enough S uses 0
+        # several times: e^(-800 k) underflows to 0
+        f = Potential.from_values({0: -800.0, 1: 0.0, 2: 0.0})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="spread 800"):
-                asp_profile(Sft.golden_mean(), f, UNIFORM, 10)
+                asp_profile(Sft(GOLDEN_PAIR_II), f, UNIFORM, 10)
+
+    def test_spread_past_underflow_is_exact_on_square_positive_shift(self):
+        # the golden mean has a positive square: its run weights come from
+        # a log-domain walk, so the spread that underflows a table is exact.
+        # Reference: log-sum-exp over the distinct patterns of every subset
+        s = Sft.golden_mean()
+        f = {0: -800.0, 1: 0.0}
+        n = 10
+        words = s.enumerate_words(n)
+        direct = 0.0
+        for mask in range(1, 1 << n):
+            elems = SubsetSpec(n, mask).elements
+            sums = [sum(f[a] for a in p) for p in {tuple(w[i] for i in elems) for w in words}]
+            top = max(sums)
+            direct += top + math.log(sum(math.exp(x - top) for x in sums))
+        direct /= 2**n * n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = asp_profile(s, Potential.from_values(f), UNIFORM, n)
+        assert got == pytest.approx(direct, rel=1e-13)

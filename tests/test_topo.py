@@ -71,6 +71,20 @@ class TestFiniteProfile:
         prof = finite_profile(s, UNIFORM, 23)
         assert prof.h == pytest.approx(math.log(s.complexity_count(23)) / 23, rel=1e-14)
 
+    def test_square_positive_shift_fills_no_table(self, monkeypatch):
+        # the run-length kernel takes these shifts for every block_k; the
+        # full window is one cluster of span n - 1, read as a word of
+        # length n - 1 + max(block_k, 1)
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr("intricacy.topo.product_table", no_table)
+        s = Sft(SFT_2028_2)
+        for block_k in (0, 3):
+            prof = finite_profile(s, UNIFORM, 23, block_k=block_k)
+            words = s.complexity_count(22 + max(block_k, 1))
+            assert prof.h == pytest.approx(math.log(words) / 23, rel=1e-14)
+
     def test_cap(self, monkeypatch):
         with pytest.raises(CapExceeded):
             finite_profile(Sft.full_shift(2), UNIFORM, 25)
@@ -106,26 +120,27 @@ class TestEnumerationAgreement:
 
     def test_slow_path_matches_vectorized(self):
         # the per-mask route sums every mask with its complement; the table
-        # route sums canonical masks by size, so an asymmetric table
-        # system checks the intricacy reduction beyond weight symmetry
-        s = Sft(SFT_I)
+        # route (SFT_I) and the cluster route (SFT_2028_2, positive square)
+        # sum by size, so an asymmetric table system checks the intricacy
+        # reduction beyond weight symmetry
         asym = CoefficientSystem.from_table(
             {(n, k): (k + 1) / (n + 2) ** 3 for n in range(1, 11) for k in range(n + 1)}
         )
         systems = [UNIFORM, CoefficientSystem.neural(), CoefficientSystem.p_symmetric(0.3),
                    CoefficientSystem.from_measure([(0.2, 0.25)], lebesgue_mass=0.5), asym]
-        for coeffs in systems:
-            for n in (1, 2, 3, 6, 10):
-                for block_k in (0, 1, 2, 3, 5, 12, 20):
-                    fast = finite_profile(s, coeffs, n, block_k=block_k)
-                    slow = _finite_profile_slow(s, coeffs, n, block_k)
-                    assert slow.h == pytest.approx(fast.h, abs=1e-12)
-                    assert slow.asc == pytest.approx(fast.asc, abs=1e-12)
-                    assert slow.intricacy == pytest.approx(fast.intricacy, abs=1e-12)
-                    assert slow.acc == pytest.approx(fast.acc, abs=1e-12)
-                    assert (slow.alt is None) == (fast.alt is None)
-                    if fast.alt is not None:
-                        assert slow.alt == pytest.approx(fast.alt, rel=1e-12)
+        for s in (Sft(SFT_I), Sft(SFT_2028_2)):
+            for coeffs in systems:
+                for n in (1, 2, 3, 6, 10):
+                    for block_k in (0, 1, 2, 3, 5, 12, 20):
+                        fast = finite_profile(s, coeffs, n, block_k=block_k)
+                        slow = _finite_profile_slow(s, coeffs, n, block_k)
+                        assert slow.h == pytest.approx(fast.h, abs=1e-12)
+                        assert slow.asc == pytest.approx(fast.asc, abs=1e-12)
+                        assert slow.intricacy == pytest.approx(fast.intricacy, abs=1e-12)
+                        assert slow.acc == pytest.approx(fast.acc, abs=1e-12)
+                        assert (slow.alt is None) == (fast.alt is None)
+                        if fast.alt is not None:
+                            assert slow.alt == pytest.approx(fast.alt, rel=1e-12)
 
 
 class TestMaskTable:
@@ -222,6 +237,11 @@ class TestRecursion:
 
     def test_base_case(self):
         assert recursion_check(Sft.golden_mean(), 1).passed
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_window_below_one_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            recursion_check(Sft.golden_mean(), n)
 
     def test_hypothesis_failure(self):
         with pytest.raises(ValueError):
