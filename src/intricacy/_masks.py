@@ -7,20 +7,24 @@ only those canonical masks: row i is the mask 2i+1, so a table over
 n_bits positions has 2^(n_bits-1) rows, and rows [2^(j-1), 2^j) are the
 masks whose top element is j.
 
-The table is stored as columns, V[:, i] holding the vector of mask 2i+1,
-and filled in order of the top element j, then of the second element g.
-Dropping the element 0 from a mask {0, g, ..., j} and shifting by g
-gives the canonical mask {0, ..., j-g}, so each (j, g) step is one
-strided slice of columns computed from one contiguous block of earlier
-columns, with no index arrays:
+A table is filled as row vectors, F[i] holding the product of the gap
+matrices of mask 2i+1 from its lowest element up, in order of the top
+element j, then of the second-highest element s.  Dropping the top
+element of a mask leaves a canonical mask with top s, so each (j, s)
+step is one contiguous block of rows computed from one contiguous block
+of earlier rows, with no index arrays:
 
-    g < j:   V[:, 2^(j-1) + 2^(g-1) : 2^j : 2^g] = R(g) @ V[:, 2^(j-1-g) : 2^(j-g)]
-    g == j:  V[:, 2^(j-1)] = R(j) @ V[:, 0]
+    F[2^(j-1) + 2^(s-1) : 2^(j-1) + 2^s] = F[2^(s-1) : 2^s] @ R(j - s)
+    F[2^(j-1)] = F[0] @ R(j)
 
 A whole table costs O(2^(n_bits-1) r^2) flops.  ``size_sums`` then folds
 a table into per-size sums over all subsets of the window, weighting
 each canonical mask by its number of translates, so every average over
 the 2^n subsets is a dot product with the weights row.
+``table_size_sums`` gives the same sums of log entries for windows of
+any width while holding only the rows below ``LEFT_BITS`` positions: a
+wider mask is the product of a row below that width, one gap matrix and
+a column vector of the masks above it.
 
 A table always spans the n sampled positions, whatever each place
 reads: a cover that reads a block at every place changes the start
@@ -54,6 +58,7 @@ __all__ = [
     "check_table_window",
     "popcounts",
     "product_table",
+    "table_size_sums",
     "size_sums",
     "complement_sum",
     "cluster_size_sums",
@@ -64,6 +69,10 @@ __all__ = [
 # most rows a table may hold: 2^22 rows, the canonical masks of 23 positions
 TABLE_ROW_LIMIT = 1 << 22
 MAX_TABLE_BITS = TABLE_ROW_LIMIT.bit_length()
+# table_size_sums keeps the row vectors of the masks below this many
+# positions, and reduces the entries of the wider ones this many at a time
+LEFT_BITS = 12
+BLOCK_ENTRIES = 1 << 16
 
 
 def check_table_window(n: int) -> None:
@@ -83,15 +92,21 @@ def popcounts(n_bits: int) -> np.ndarray:
     return pc
 
 
-def _gap_steps(n_bits: int):
-    # (dest slice, source slice, gap) for every mask with >= 2 elements,
-    # in an order where each source entry is filled before it is read
+def _row_vectors(n_bits: int, start: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """F[i] = start @ mats[g_1 - 1] @ ... @ mats[g_m - 1] over the gaps of
+    the canonical mask 2i+1, from its lowest element up, for i <
+    2^(n_bits-1).  A mask with top j and second-highest element s is one
+    with top s plus the place j, so rows [2^(j-1) + 2^(s-1), 2^(j-1) + 2^s)
+    are rows [2^(s-1), 2^s) times mats[j - s - 1] (row 2^(j-1) is row 0
+    times mats[j - 1]): one contiguous block per (j, s)."""
+    F = np.empty((1 << (n_bits - 1), len(start)))
+    F[0] = start
     for j in range(1, n_bits):
         top = 1 << (j - 1)
-        yield slice(top, top + 1), slice(0, 1), j
-        for g in range(1, j):
-            src = slice(1 << (j - 1 - g), 1 << (j - g))
-            yield slice(top + (1 << (g - 1)), 1 << j, 1 << g), src, g
+        F[top] = F[0] @ mats[j - 1]
+        for s in range(1, j):
+            F[top + (1 << (s - 1)) : top + (1 << s)] = F[1 << (s - 1) : 1 << s] @ mats[j - s - 1]
+    return F
 
 
 def product_table(n_bits: int, init: np.ndarray, gap_mats) -> np.ndarray:
@@ -101,30 +116,88 @@ def product_table(n_bits: int, init: np.ndarray, gap_mats) -> np.ndarray:
     gap_mats stacks the matrices of the gaps 1..n_bits-1.  With init =
     ones and 0/1 reachability matrices this is the pattern count
     N(2i+1); with exponential symbol weights it is the weighted count
-    used by the pressure profile.  The table has 2^(n_bits-1) rows.
+    used by the pressure profile.  The table has 2^(n_bits-1) rows;
+    ``table_size_sums`` reduces the same entries without holding them.
     """
-    V = np.empty((len(init), 1 << (n_bits - 1)), dtype=np.float64)
-    V[:, 0] = init
     mats = np.asarray(gap_mats, dtype=np.float64)
-    for dest, src, g in _gap_steps(n_bits):
-        V[:, dest] = mats[g - 1] @ V[:, src]
-    return V.sum(axis=0)
+    return _row_vectors(n_bits, np.ones(len(init)), mats) @ np.asarray(init, dtype=np.float64)
+
+
+def table_size_sums(n: int, init: np.ndarray, gap_mats, with_counts: bool = False):
+    """Per-size sums of log T(S) over the subsets of {0..n-1}, where T(S)
+    is the ``product_table(n, init, gap_mats)`` entry of the canonical
+    mask of S, without holding that table.  Returns (every, with_zero,
+    log T(window), count_every): the first two as ``size_sums`` gives
+    them for the logs, count_every the same ``every`` for T itself when
+    with_counts is set, else None.  A zero entry gives -inf sums.
+
+    Masks whose top element is below ``left = min(n, LEFT_BITS)`` are the
+    row vectors W of ``_row_vectors`` times init.  Any other mask is A
+    (its canonical part below left), its first place b >= left, and a
+    canonical mask B from b on: T = W[A] @ M(b - top A) @ V[B], with V[B]
+    the column vector of B.  V[B] is the row vector of B's mirror image
+    (same top, same size) under the transposed matrices, so one table of
+    the 2^(n-left-1) masks of n - left positions holds every V[B].  Per b
+    the entries are reduced in blocks of ``BLOCK_ENTRIES``: a pass holds
+    O(2^LEFT_BITS r) floats whatever n is, where the table held 2^(n-1) r.
+    """
+    mats = np.asarray(gap_mats, dtype=np.float64)
+    init = np.asarray(init, dtype=np.float64)
+    left = min(n, LEFT_BITS)
+    W = _row_vectors(left, np.ones(len(init)), mats)
+    counts = W @ init
+    every, with_zero = size_sums(np.log(counts), n)
+    count_every = size_sums(counts, n)[0] if with_counts else None
+    if left == n:
+        return every, with_zero, float(np.log(counts[-1])), count_every
+    V = _row_vectors(n - left, init, mats.transpose(0, 2, 1))
+    log_full = float(np.log(W[-1] @ mats[0] @ V[-1]))
+    # rows of A grouped by size, so one reduceat sums each size's rows
+    size_a = popcounts(left - 1) + 1
+    order = np.argsort(size_a, kind="stable")
+    starts = np.cumsum(np.bincount(size_a))[:left]
+    size_b = popcounts(n - left - 1) + 1
+    width = max(1, BLOCK_ENTRIES >> (left - 1))
+    U = np.empty_like(W)
+    for b in range(left, n):
+        U[0] = W[0] @ mats[b - 1]
+        for t in range(1, left):
+            U[1 << (t - 1) : 1 << t] = W[1 << (t - 1) : 1 << t] @ mats[b - t - 1]
+        U_sorted = U[order]
+        # B with top j: rows [2^(j-1), 2^j) of V (row 0 for j = 0); S has
+        # top b + j and n - b - j translates
+        for j in range(n - b):
+            lo, hi = (0, 1) if j == 0 else (1 << (j - 1), 1 << j)
+            for c in range(lo, hi, width):
+                cols = slice(c, min(c + width, hi))
+                block = U_sorted @ V[cols].T
+                sizes = (np.arange(1, left + 1)[:, None] + size_b[None, cols]).ravel()
+                if with_counts:
+                    part = np.bincount(sizes, np.add.reduceat(block, starts).ravel(), n + 1)
+                    count_every += (n - b - j) * part
+                np.log(block, out=block)
+                part = np.bincount(sizes, np.add.reduceat(block, starts).ravel(), n + 1)
+                every += (n - b - j) * part
+                with_zero += part
+    return every, with_zero, log_full, count_every
 
 
 def size_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-size sums over the subsets of {0..n-1} of a shift-invariant
-    value given on the canonical masks (values[i] at mask 2i+1, i <
-    2^(n-1)).  Returns (every, with_zero): every[k] sums over all k-subsets,
+    value given on the canonical masks whose top element is below m <= n
+    (values[i] at mask 2i+1, i < 2^(m-1)); with m = n that is every
+    subset.  Returns (every, with_zero): every[k] sums over the k-subsets,
     with_zero[k] over the k-subsets that contain 0.  The empty set adds
     nothing to either."""
+    m = len(values).bit_length()
     every = np.zeros(n + 1)
     with_zero = np.zeros(n + 1)
     with_zero[1] = values[0]
     every[1] = n * values[0]
     # rows [2^(j-1), 2^j) are the masks 1 + 2^j + 2t, t < 2^(j-1), of size
     # popcount(t) + 2; each has n - j translates in the window
-    pc = popcounts(max(n - 2, 0))
-    for j in range(1, n):
+    pc = popcounts(max(m - 2, 0))
+    for j in range(1, m):
         half = 1 << (j - 1)
         part = np.bincount(pc[:half], weights=values[half : 2 * half], minlength=j)
         with_zero[2 : j + 2] += part

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import check_table_window, cluster_size_sums, product_table, size_sums
+from ._masks import check_table_window, cluster_size_sums, table_size_sums
 from .coeffs import CoefficientSystem
 from .sft import Sft, _as_subset, log_spectral_radius
 
@@ -88,8 +88,8 @@ def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> fl
 
 
 def _asp_table(sft: Sft, lw: np.ndarray, c: np.ndarray, n: int) -> float:
-    """asp_profile from a table of weighted counts at the canonical masks,
-    with log weights lw and weights row c.
+    """asp_profile from the weighted counts at the canonical masks
+    (``_masks.table_size_sums``), with log weights lw and weights row c.
 
     The table is built from f - max f, so every symbol weight is at most
     1 and no product overflows; since each pattern at S carries |S|
@@ -98,12 +98,11 @@ def _asp_table(sft: Sft, lw: np.ndarray, c: np.ndarray, n: int) -> float:
     to 0; that is refused as a ValueError naming the spread."""
     top = float(lw.max())
     w = np.exp(lw - top)
-    table = product_table(n, w, sft.reach_powers(n - 1) * w[:, None])
-    # every S has a pattern, so a zero entry is an underflowed weight
+    # every S has a pattern, so a zero entry (a -inf sum) is an underflowed weight
     with np.errstate(divide="ignore"):
-        logs = np.log(table)
+        every = table_size_sums(n, w, sft.reach_powers(n - 1) * w[:, None])[0]
     mean_size = sum(math.comb(n, k) * c[k] * k for k in range(n + 1))
-    value = float(c @ size_sums(logs, n)[0]) / n + top * mean_size / n
+    value = float(c @ every) / n + top * mean_size / n
     if not math.isfinite(value):
         spread = top - float(lw.min())
         raise ValueError(

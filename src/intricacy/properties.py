@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._masks import MAX_TABLE_BITS
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
 from .markov import (
@@ -26,7 +27,7 @@ from .markov import (
 )
 from .pressure import Potential, _asp_table, asp_profile, classical_pressure
 from .sft import Sft, SubsetSpec
-from .topo import _run_sums, _table_sums, finite_profile
+from .topo import _run_sums, _table_sums, finite_profile, finite_profiles
 
 __all__ = ["PropertyReport", "SUITES", "run_suites"]
 
@@ -114,8 +115,9 @@ def check_subadditivity(nm_max: int = 6) -> PropertyReport:
     shifts = [("golden-mean", Sft.golden_mean()),
               ("golden-pair/II", Sft(np.asarray(SFT_BENCHMARKS[1].adjacency)))]
     for name, sft in shifts:
-        for system in systems:
-            b = {n: n * finite_profile(sft, system, n).asc for n in range(1, 2 * nm_max + 1)}
+        profiles = {n: finite_profiles(sft, systems, n) for n in range(1, 2 * nm_max + 1)}
+        for i, system in enumerate(systems):
+            b = {n: n * prof[i].asc for n, prof in profiles.items()}
             for n in range(1, nm_max + 1):
                 for m_ in range(1, nm_max + 1):
                     rep.check(
@@ -128,41 +130,43 @@ def check_subadditivity(nm_max: int = 6) -> PropertyReport:
 def check_product_formula(n_max: int = 10) -> PropertyReport:
     """For shifts with strictly positive squared adjacency matrix the
     count at S factors over the runs of S: N(S) = prod N(run length),
-    exactly, for every subset of every window up to n_max."""
+    exactly, for every nonempty subset S of {0..n_max-1} (the subsets of
+    every narrower window among them)."""
     rep = PropertyReport("product-formula")
     for name, sft in _dedup_sfts():
         if not sft.is_square_positive():
             continue
         counts = {t: sft.complexity_count(t) for t in range(1, n_max + 1)}
-        for n in range(1, n_max + 1):
-            for mask in range(1, 1 << n):
-                spec = SubsetSpec(n, mask)
-                expected = math.prod(counts[t] for t in spec.runs)
-                rep.check(
-                    sft.count_words_at(spec) == expected,
-                    f"{name}: N({spec.elements}) != {expected}",
-                )
+        for mask in range(1, 1 << n_max):
+            spec = SubsetSpec(n_max, mask)
+            expected = math.prod(counts[t] for t in spec.runs)
+            ok = sft.count_words_at(spec) == expected
+            rep.check(ok, "" if ok else f"{name}: N({spec.elements}) != {expected}")
     return rep
 
 
 def check_count_oracle(n_max: int = 8) -> PropertyReport:
     """Transfer-matrix counts equal brute-force projection counts for
-    every subset of every window up to n_max, on every benchmark shift."""
+    every nonempty subset of {0..n_max-1} (the subsets of every narrower
+    window among them), on every benchmark shift."""
     rep = PropertyReport("count-oracle")
+    places = np.arange(n_max)
     for name, sft in _dedup_sfts():
         words = np.array(sft.enumerate_words(n_max), dtype=np.int64)
-        # radix-encode each projection to one integer (fits easily in int64
-        # for these alphabets and windows)
-        encode = sft.alphabet_size ** np.arange(n_max, dtype=np.int64)
-        for n in range(1, n_max + 1):
-            for mask in range(1, 1 << n):
-                spec = SubsetSpec(n, mask)
-                cols = list(spec.elements)
-                seen = len(np.unique(words[:, cols] @ encode[: len(cols)]))
-                rep.check(
-                    sft.count_words_at(spec) == seen,
-                    f"{name}: count mismatch at {spec.elements}",
-                )
+        # radix-encode each word's projection onto a mask to one integer
+        # (fits easily in int64 for these alphabets and windows); a column
+        # of codes per mask, sorted, has one step per further distinct
+        # projection.  Blocks of masks keep the code matrix near 2^21 entries.
+        encode = sft.alphabet_size ** places
+        step = max(1, (1 << 21) // len(words))
+        for lo in range(1, 1 << n_max, step):
+            masks = np.arange(lo, min(lo + step, 1 << n_max))
+            codes = np.sort(words @ ((masks >> places[:, None] & 1) * encode[:, None]), axis=0)
+            seen = 1 + np.count_nonzero(np.diff(codes, axis=0), axis=0)
+            for mask, distinct in zip(masks.tolist(), seen.tolist()):
+                spec = SubsetSpec(n_max, mask)
+                ok = sft.count_words_at(spec) == distinct
+                rep.check(ok, "" if ok else f"{name}: count mismatch at {spec.elements}")
     return rep
 
 
@@ -246,12 +250,11 @@ def check_bounds(n_max: int = 12) -> PropertyReport:
         (CoefficientSystem.p_symmetric(0.3), min(8, n_max)),
     ]
     for name, sft in _dedup_sfts():
-        for system, cap in systems:
-            for n in range(1, cap + 1):
-                prof = finite_profile(sft, system, n)
-                rep.check(prof.intricacy >= -1e-12, f"{name}/{system.spec}: Int_{n} < 0")
+        for n in range(1, n_max + 1):
+            for prof in finite_profiles(sft, [s for s, cap in systems if n <= cap], n):
+                rep.check(prof.intricacy >= -1e-12, f"{name}/{prof.coeffs_spec}: Int_{n} < 0")
                 rep.check(
-                    prof.asc <= prof.h + 1e-12, f"{name}/{system.spec}: Asc_{n} > H_{n}"
+                    prof.asc <= prof.h + 1e-12, f"{name}/{prof.coeffs_spec}: Asc_{n} > H_{n}"
                 )
     return rep
 
@@ -312,23 +315,21 @@ def check_spectral() -> PropertyReport:
 
 def check_run_kernels(n_max: int = 16) -> PropertyReport:
     """The table-free kernels against the tables they replace, to 1e-12
-    relative (absolute below 1), at n = min(n_max, 20): on every published
+    relative (absolute below 1), at n = min(n_max, 23): on every published
     shift with a positive square, the per-size sums behind finite_profile
     (all sizes, with and without 0, the full window and the uniform alt)
     with block_k 0, 2 and 5; on the two pressure pairs, asp_profile with
-    their PRESSURE_F1 potential.  Wider tables add up to 2^22 logs per
-    size, and their own rounding passes 1e-12 (up to 3e-12 at n = 21..23;
-    on rho2-pair/1 at n = 21 the table is 1.1e-13 off a math.fsum
-    reference where the cluster sums are 3e-16 off).  Then the O(n^2)
-    1-step asc_finite on the golden-mean chain against a per-mask sum of
-    sampled_joint_entropy over every subset and its complement, at
-    n = min(n_max, 12) so the 2^n masks stay cheap."""
+    their PRESSURE_F1 potential.  The table route sums its logs in blocks
+    of at most 2^16, so the two agree to about 5e-15 up to n = 23.  Then
+    the O(n^2) 1-step asc_finite on the golden-mean chain against a
+    per-mask sum of sampled_joint_entropy over every subset and its
+    complement, at n = min(n_max, 12) so the 2^n masks stay cheap."""
     rep = PropertyReport("runs")
 
     def close(a, b) -> bool:
         return bool(np.all(np.abs(np.subtract(a, b)) <= 1e-12 * np.maximum(1.0, np.abs(b))))
 
-    n = min(n_max, 20)
+    n = min(n_max, MAX_TABLE_BITS)
     uniform = CoefficientSystem.uniform()
     c = np.asarray(uniform.weights_row(n))
     # one entry per matrix; the pressure pairs come last and keep their tags

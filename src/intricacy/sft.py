@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -312,10 +313,11 @@ class Sft:
         spec = _as_subset(S, n)
         if spec.mask == 0:
             return 1
-        R = self.reach_powers(max(spec.gaps, default=0))
+        gaps = spec.gaps
+        R = self.reach_powers(max(gaps, default=0)).tolist()
         v = [1] * self.alphabet_size
-        for g in reversed(spec.gaps):
-            v = [sum(x * y for x, y in zip(row, v)) for row in R[g - 1].tolist()]
+        for g in reversed(gaps):
+            v = [sum(compress(v, row)) for row in R[g - 1]]
         return sum(v)
 
     def complexity_count(self, n: int) -> int:

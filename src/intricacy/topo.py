@@ -6,10 +6,10 @@ Two exact kernels give the per-size sums of the log pattern counts.
 When the adjacency matrix has a positive square, every gap of 2 or more
 reaches every symbol, so the count at S factors over the clusters of S
 and the sums take O(n^3) steps (``_masks.cluster_size_sums``).  Every
-other shift fills a table with one count per canonical subset
-(``_masks.product_table``), 2^(n-1) rows; that table is also the
-independent route the ``runs`` check suite compares the cluster sums
-against.
+other shift reduces one count per canonical subset, 2^(n-1) of them,
+holding at most 2^(LEFT_BITS-1) row vectors at a time
+(``_masks.table_size_sums``); that table route is also the independent
+route the ``runs`` check suite compares the cluster sums against.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from ._masks import (
     popcounts,
     product_table,
     size_sums,
+    table_size_sums,
 )
 from .coeffs import CoefficientSystem
 from .errors import CapExceeded
@@ -37,6 +38,7 @@ __all__ = [
     "SeriesEstimate",
     "RecursionReport",
     "finite_profile",
+    "finite_profiles",
     "asc_series",
     "int_series",
     "recursion_check",
@@ -77,10 +79,11 @@ class RecursionReport:
     passed: bool
 
 
-def _count_table(sft: Sft, n: int, block_k: int = 0) -> np.ndarray:
-    """Pattern counts over the canonical masks of n positions, each place
-    read as the block of block_k positions starting there (k <= 1: the
-    place alone).  Entry i is the count at dilate(2i+1, k).
+def _count_mats(sft: Sft, n: int, block_k: int = 0):
+    """(init, gap_mats) of the pattern counts over the canonical masks of
+    n positions, each place read as the block of block_k positions
+    starting there (k <= 1: the place alone): the table entry of mask
+    2i+1 is the count at dilate(2i+1, k).
 
     Each block reads a path of k - 1 steps, so the table starts from
     A^(k-1) 1.  Two places g < k apart touch, and every step between them
@@ -88,13 +91,18 @@ def _count_table(sft: Sft, n: int, block_k: int = 0) -> np.ndarray:
     reaches the next place (A^(k-1) times the reach of gap g-k+1)."""
     R = sft.reach_powers(n - 1)
     if block_k <= 1:
-        return product_table(n, np.ones(sft.alphabet_size), R)
+        return np.ones(sft.alphabet_size), R
     paths = [np.eye(sft.alphabet_size)]
     for _ in range(block_k - 1):
         paths.append(paths[-1] @ sft.adjacency)
     head = paths[-1]
     gap_mats = [paths[g] if g < block_k else head @ R[g - block_k] for g in range(1, n)]
-    return product_table(n, head.sum(axis=1), gap_mats)
+    return head.sum(axis=1), gap_mats
+
+
+def _count_table(sft: Sft, n: int, block_k: int = 0) -> np.ndarray:
+    """The table of ``_count_mats``, one count per canonical mask."""
+    return product_table(n, *_count_mats(sft, n, block_k))
 
 
 def _check_window(n: int, block_k: int) -> None:
@@ -121,34 +129,46 @@ def finite_profile(
     windows raise CapExceeded.
 
     The kernel follows from the shift.  With a positive square, the
-    cluster sums of ``_run_sums`` take O(n^3) steps; otherwise a table of
-    2^(n-1) rows is filled (``_table_sums``).
+    cluster sums of ``_run_sums`` take O(n^3) steps; otherwise the 2^(n-1)
+    counts of a table are reduced in blocks (``_table_sums``).
     """
+    return finite_profiles(sft, [coeffs], n, block_k)[0]
+
+
+def finite_profiles(
+    sft: Sft,
+    systems: list[CoefficientSystem],
+    n: int,
+    block_k: int = 0,
+) -> list[ComplexityProfile]:
+    """``finite_profile`` under each of several weighting systems, in
+    order, from one set of per-size sums: the sums do not depend on the
+    weights, which only enter the dot products at the end."""
     _check_window(n, block_k)
     sums = _run_sums if sft.is_square_positive() else _table_sums
-    return _profile(sums, sft, coeffs, n, block_k)
-
-
-def _profile(sums, sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int) -> ComplexityProfile:
-    c = np.asarray(coeffs.weights_row(n))
-    every, with_zero, log_full, alt = sums(sft, n, block_k, c if coeffs.kind == "uniform" else None)
+    rows = [np.asarray(coeffs.weights_row(n)) for coeffs in systems]
+    uniform = next((c for coeffs, c in zip(systems, rows) if coeffs.kind == "uniform"), None)
+    every, with_zero, log_full, alt = sums(sft, n, block_k, uniform)
     h = log_full / n
-    asc = float(c @ every) / n
-    intr = complement_sum(c, every, log_full) / n
-    acc = float(c @ with_zero) / n
-    return ComplexityProfile(n, block_k, h, asc, intr, acc, alt, coeffs.spec)
+    return [
+        ComplexityProfile(n, block_k, h, float(c @ every) / n,
+                          complement_sum(c, every, log_full) / n, float(c @ with_zero) / n,
+                          alt if coeffs.kind == "uniform" else None, coeffs.spec)
+        for coeffs, c in zip(systems, rows)
+    ]
 
 
 def _table_sums(sft: Sft, n: int, block_k: int, alt_weights):
-    """(every, with_zero, log N(window), alt) from the table of counts at
-    the canonical masks; alt only when alt_weights (uniform) is given."""
-    counts = _count_table(sft, n, block_k)
-    logs = np.log(counts)
-    every, with_zero = size_sums(logs, n)
+    """(every, with_zero, log N(window), alt) from the counts at the
+    canonical masks (``_masks.table_size_sums``, which holds at most
+    BLOCK_ENTRIES of them at a time); alt only when alt_weights (uniform)
+    is given."""
+    every, with_zero, log_full, count_every = table_size_sums(
+        n, *_count_mats(sft, n, block_k), with_counts=alt_weights is not None)
     alt = None
     if alt_weights is not None:
-        alt = float(alt_weights[0] + alt_weights @ size_sums(counts, n)[0])
-    return every, with_zero, float(logs[-1]), alt
+        alt = float(alt_weights[0] + alt_weights @ count_every)
+    return every, with_zero, log_full, alt
 
 
 def _run_sums(sft: Sft, n: int, block_k: int, alt_weights):

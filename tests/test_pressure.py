@@ -119,7 +119,7 @@ class TestAspProfile:
         def no_table(*args):
             raise AssertionError("table built")
 
-        monkeypatch.setattr("intricacy.pressure.product_table", no_table)
+        monkeypatch.setattr("intricacy.pressure.table_size_sums", no_table)
         # a window below 1 is bad input; one past the widest table is a cap
         with pytest.raises(ValueError if n < 1 else CapExceeded, match=f"n={n}"):
             asp_profile(Sft(PAIR_B), F1, UNIFORM, n)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intricacy.errors import CapExceeded
+from intricacy.properties import _dedup_sfts, check_count_oracle, check_product_formula
 from intricacy.sft import Sft, SubsetSpec, log_spectral_radius
 
 SFT_I = [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
@@ -226,6 +227,23 @@ class TestOracle:
 
     def test_spot_check(self):
         assert Sft(SFT_II).count_words_at_oracle([0, 1, 3]) == 11
+
+    @pytest.mark.parametrize("suite", [check_count_oracle, check_product_formula])
+    def test_suites_check_each_subset_once_and_flag_a_wrong_count(self, suite, monkeypatch):
+        shifts = [s for _, s in _dedup_sfts()]
+        if suite is check_product_formula:
+            shifts = [s for s in shifts if s.is_square_positive()]
+        rep = suite(5)
+        assert rep.passed and rep.cases == len(shifts) * 31
+        exact = Sft.count_words_at
+
+        def off_at_0_2(self, S, n=None):
+            return exact(self, S, n) + (S.mask == 0b101)
+
+        monkeypatch.setattr(Sft, "count_words_at", off_at_0_2)
+        rep = suite(5)
+        assert len(rep.failures) == len(shifts)
+        assert all("(0, 2)" in msg for msg in rep.failures)
 
 
 class TestCountProperties:

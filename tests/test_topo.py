@@ -1,18 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from intricacy._masks import product_table
+from intricacy import _masks
+from intricacy._masks import product_table, size_sums, table_size_sums
 from intricacy.coeffs import CoefficientSystem
 from intricacy.errors import CapExceeded
 from intricacy.sft import Sft, SubsetSpec
 from intricacy.topo import (
     _asc_reduced,
+    _count_mats,
     _count_table,
     _finite_profile_slow,
     asc_series,
     finite_profile,
+    finite_profiles,
     int_series,
     recursion_check,
 )
@@ -75,10 +79,10 @@ class TestFiniteProfile:
         # the run-length kernel takes these shifts for every block_k; the
         # full window is one cluster of span n - 1, read as a word of
         # length n - 1 + max(block_k, 1)
-        def no_table(*args):
+        def no_table(*args, **kwargs):
             raise AssertionError("table built")
 
-        monkeypatch.setattr("intricacy.topo.product_table", no_table)
+        monkeypatch.setattr("intricacy.topo.table_size_sums", no_table)
         s = Sft(SFT_2028_2)
         for block_k in (0, 3):
             prof = finite_profile(s, UNIFORM, 23, block_k=block_k)
@@ -92,10 +96,10 @@ class TestFiniteProfile:
             finite_profile(Sft.full_shift(2), UNIFORM, 10, block_k=60)
 
         # n = 24 would need 2^23 rows; it is refused before any table is built
-        def no_table(*args):
+        def no_table(*args, **kwargs):
             raise AssertionError("table built")
 
-        monkeypatch.setattr("intricacy.topo.product_table", no_table)
+        monkeypatch.setattr("intricacy.topo.table_size_sums", no_table)
         for block_k in (0, 3):
             with pytest.raises(CapExceeded, match="n=24"):
                 finite_profile(Sft.full_shift(2), UNIFORM, 24, block_k=block_k)
@@ -106,6 +110,16 @@ class TestFiniteProfile:
                 prof = finite_profile(Sft(SFT_I), coeffs, n)
                 assert prof.intricacy >= -1e-12
                 assert prof.asc <= prof.h + 1e-12
+
+
+    @pytest.mark.parametrize("A", [SFT_I, SFT_2028_2])
+    @pytest.mark.parametrize("n,block_k", [(1, 0), (5, 0), (9, 2)])
+    def test_several_systems_match_one_at_a_time(self, A, n, block_k):
+        s = Sft(A)
+        systems = [CoefficientSystem.neural(), UNIFORM, CoefficientSystem.p_symmetric(0.3)]
+        together = finite_profiles(s, systems, n, block_k=block_k)
+        assert together == [finite_profile(s, c, n, block_k=block_k) for c in systems]
+        assert [p.alt is None for p in together] == [True, False, True]
 
 
 class TestEnumerationAgreement:
@@ -163,6 +177,54 @@ class TestMaskTable:
                 want = [s.count_words_at(SubsetSpec(n_bits, 2 * i + 1).dilate(k))
                         for i in range(len(table))]
                 assert table.tolist() == want
+
+
+class TestTableSizeSums:
+    @staticmethod
+    def from_table(n, init, mats):
+        table = product_table(n, init, mats)
+        every, with_zero = size_sums(np.log(table), n)
+        return every, with_zero, math.log(table[-1]), size_sums(table, n)[0]
+
+    @pytest.mark.parametrize("left_bits,block", [(1, 1), (3, 5), (4, 1 << 17), (16, 1 << 17)])
+    def test_matches_the_table(self, left_bits, block, monkeypatch):
+        # narrow left tables and small blocks take every split of the masks
+        monkeypatch.setattr(_masks, "LEFT_BITS", left_bits)
+        monkeypatch.setattr(_masks, "BLOCK_ENTRIES", block)
+        s = Sft(SFT_I)
+        w = np.array([0.3, 1.0, 2.5])
+        for n in range(1, 11):
+            R = s.reach_powers(n - 1)
+            cases = [(np.ones(3), R), (w, R * w[:, None])] + [
+                _count_mats(s, n, k) for k in (2, 4)]
+            for init, mats in cases:
+                got = table_size_sums(n, init, mats, with_counts=True)
+                want = self.from_table(n, init, mats)
+                for a, b in zip(got, want):
+                    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
+
+    def test_zero_entry_gives_minus_inf(self, monkeypatch):
+        monkeypatch.setattr(_masks, "LEFT_BITS", 3)
+        # every gap leads to symbol 0, which init weighs 0: each mask of two
+        # or more places has entry 0, below and past the left table alike
+        mats = np.array([[[1.0, 0.0], [1.0, 0.0]]] * 5)
+        with np.errstate(divide="ignore"):
+            every, with_zero, log_full, _ = table_size_sums(6, np.array([0.0, 1.0]), mats)
+        assert every[1] == with_zero[1] == 0.0
+        assert (every[2:] == -math.inf).all() and (with_zero[2:] == -math.inf).all()
+        assert log_full == -math.inf
+
+    def test_holds_no_full_table(self):
+        # n = 20 on a 3-symbol shift: the table would be 2^19 x 3 floats, 12.6 MB
+        s = Sft(SFT_I)
+        init, mats = _count_mats(s, 20)
+        tracemalloc.start()
+        try:
+            table_size_sums(20, init, mats, with_counts=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestBlockCover:
