@@ -123,13 +123,15 @@ def product_table(n_bits: int, init: np.ndarray, gap_mats) -> np.ndarray:
     return _row_vectors(n_bits, np.ones(len(init)), mats) @ np.asarray(init, dtype=np.float64)
 
 
+@np.errstate(divide="ignore")
 def table_size_sums(n: int, init: np.ndarray, gap_mats, with_counts: bool = False):
     """Per-size sums of log T(S) over the subsets of {0..n-1}, where T(S)
     is the ``product_table(n, init, gap_mats)`` entry of the canonical
     mask of S, without holding that table.  Returns (every, with_zero,
     log T(window), count_every): the first two as ``size_sums`` gives
     them for the logs, count_every the same ``every`` for T itself when
-    with_counts is set, else None.  A zero entry gives -inf sums.
+    with_counts is set, else None.  A zero entry gives -inf sums, with no
+    divide-by-zero warning.
 
     Masks whose top element is below ``left = min(n, LEFT_BITS)`` are the
     row vectors W of ``_row_vectors`` times init.  Any other mask is A

@@ -34,6 +34,8 @@ HORIZON = 64
 
 # Below this magnitude a weight is treated as having underflowed.
 _UNDERFLOW = 1e-300
+# largest axiom deviation ``validate`` accepts
+_AXIOM_TOLERANCE = 1e-12
 
 
 def _exact_beta(n: int, k: int) -> float:
@@ -64,19 +66,19 @@ class SymmetricMeasure:
         """Build from one-sided atoms; each atom (x, m) with x != 1/2 is
         mirrored to (1-x, m).  The total after mirroring plus
         ``lebesgue_mass`` must be 1 within 1e-9; it is then renormalized
-        exactly.
+        exactly.  Every position and mass must be finite.
         """
-        if lebesgue_mass < 0:
-            raise ValueError("negative lebesgue mass")
+        if not (math.isfinite(lebesgue_mass) and lebesgue_mass >= 0):
+            raise ValueError(f"lebesgue mass {lebesgue_mass} is not finite and nonnegative")
         pairs: dict[float, float] = {}
         center = 0.0
         for x, m in atoms:
-            if m < 0:
-                raise ValueError(f"negative mass {m} at {x}")
-            if x <= 0.0 or x >= 1.0:
+            if not (math.isfinite(m) and m >= 0):
+                raise ValueError(f"atom at {x}: mass {m} is not finite and nonnegative")
+            if not 0.0 < x < 1.0:
                 raise ValueError(
-                    f"atom at {x}: point masses at 0 or 1 contribute nothing "
-                    "to any weight and are rejected"
+                    f"atom position {x} is not in (0, 1): point masses at 0 or 1 "
+                    "contribute nothing to any weight and are rejected"
                 )
             if x == 0.5:
                 center += m
@@ -254,10 +256,9 @@ class ValidationReport:
 
     rows: list[dict] = field(default_factory=list)
     passed: bool = True
-    tolerance: float = 1e-12
 
     def add(self, n: int, sum_dev: float, asym: float, min_weight: float) -> None:
-        ok = sum_dev <= self.tolerance and asym <= self.tolerance and min_weight >= 0.0
+        ok = sum_dev <= _AXIOM_TOLERANCE and asym <= _AXIOM_TOLERANCE and min_weight >= 0.0
         self.rows.append(
             {
                 "n": n,

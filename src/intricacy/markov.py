@@ -55,19 +55,28 @@ def _entropy(dist: np.ndarray) -> float:
     return float(-_xlogx(dist).sum())
 
 
+def _check_transitions(P: np.ndarray) -> None:
+    """Refuse a P that is not a square row-stochastic matrix.  NaN passes
+    every comparison, so finiteness is tested first."""
+    d = P.shape[0]
+    if P.shape != (d, d):
+        raise ValueError("P must be square")
+    if not np.isfinite(P).all():
+        raise ValueError("P has non-finite entries")
+    if np.any(P < 0):
+        raise ValueError("P has negative entries")
+    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
+        raise ValueError("P rows must sum to 1 within 1e-12")
+
+
 def stationary(P) -> np.ndarray:
     """Probability vector p with p P = p, by direct linear solve with one
     equation replaced by normalization.  Raises ValueError for chains
     whose stationary vector is not unique and for a singular solve; warns
     when the solve is badly conditioned."""
     P = np.asarray(P, dtype=float)
+    _check_transitions(P)
     d = P.shape[0]
-    if P.shape != (d, d):
-        raise ValueError("P must be square")
-    if np.any(P < -1e-15):
-        raise ValueError("P has negative entries")
-    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-        raise ValueError("P rows must sum to 1")
     sv = np.linalg.svd(P.T - np.eye(d), compute_uv=False)
     nullity = int(np.sum(sv < 1e-10 * max(1.0, sv[0])))
     if nullity != 1:
@@ -109,13 +118,8 @@ class MarkovMeasure:
         support: Sft | None = None,
     ):
         P = np.asarray(P, dtype=float)
+        _check_transitions(P)
         d = P.shape[0]
-        if P.shape != (d, d):
-            raise ValueError("P must be square")
-        if np.any(P < 0):
-            raise ValueError("P has negative entries")
-        if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("P rows must sum to 1 within 1e-12")
 
         if states is None:
             if block_len != 1:
@@ -154,6 +158,8 @@ class MarkovMeasure:
             p = stationary(P)
         else:
             p = np.asarray(p, dtype=float)
+            if not np.isfinite(p).all():
+                raise ValueError("p has non-finite entries")
             if abs(p.sum() - 1.0) > 1e-10 or np.max(np.abs(p @ P - p)) > 1e-10:
                 raise ValueError("supplied p is not stationary within 1e-10")
         self.P = P
@@ -257,8 +263,7 @@ def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSer
     return MarkovSeries(asc, 2.0 * asc - h, tail, terms, h)
 
 
-def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None,
-                          cap: int = ENUMERATION_CAP) -> float:
+def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None) -> float:
     """Joint entropy of the base symbols read at the places of S.
 
     For a plain chain the sampled process is itself Markov, so the exact
@@ -267,10 +272,10 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None,
     read so far (weights over the hidden block states, tuples in
     lexicographic order), and each gap g maps it through P^g and splits
     every row by the first symbol of the next state.  The pass costs
-    about r^|S| * d^2 flops for d states (budget r^|S| <= cap).  Past
-    _ROW_BLOCK rows it continues block by block, depth-first, holding at
-    most one _ROW_BLOCK x d array per further level, never all r^|S|
-    rows at once."""
+    about r^|S| * d^2 flops for d states (budget r^|S| <=
+    ENUMERATION_CAP).  Past _ROW_BLOCK rows it continues block by block,
+    depth-first, holding at most one _ROW_BLOCK x d array per further
+    level, never all r^|S| rows at once."""
     spec = _as_subset(S, n)
     if spec.mask == 0:
         return 0.0
@@ -278,13 +283,13 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None,
     if m.block_len == 1:
         hs = gap_entropies(m, count).tolist()
         return _entropy(m.p) + sum(hs[g - 1] for g in spec.gaps)
-    return _block_entropy(m, m.powers(count), spec, cap)
+    return _block_entropy(m, m.powers(count), spec)
 
 
-def _block_entropy(m: MarkovMeasure, powers: np.ndarray, spec: SubsetSpec, cap: int) -> float:
+def _block_entropy(m: MarkovMeasure, powers: np.ndarray, spec: SubsetSpec) -> float:
     # sampled_joint_entropy of a block chain, with P^1.. given as ``powers``
-    if m.alphabet_size ** spec.size > cap:
-        raise CapExceeded(f"r^|S| exceeds the enumeration cap {cap}")
+    if m.alphabet_size ** spec.size > ENUMERATION_CAP:
+        raise CapExceeded(f"r^|S| exceeds the enumeration cap {ENUMERATION_CAP}")
     return _tuple_entropy(m, powers, m._start * m.p, spec.gaps)
 
 
@@ -366,7 +371,7 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
         every = gap_size_sums(_entropy(m.p), gap_entropies(m, n - 1), n)
     else:
         Q = m.powers(n - 1)
-        H = np.array([_block_entropy(m, Q, SubsetSpec(n, 2 * i + 1), ENUMERATION_CAP)
+        H = np.array([_block_entropy(m, Q, SubsetSpec(n, 2 * i + 1))
                       for i in range(1 << (n - 1))])
         every = size_sums(H, n)[0]
     c = np.asarray(coeffs.weights_row(n))
@@ -417,7 +422,7 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
         values = np.empty(samples)
         for i in range(samples):
             spec = SubsetSpec.from_elements(width, np.flatnonzero(bits[i]))
-            values[i] = _block_entropy(m, Q, spec, ENUMERATION_CAP) / width
+            values[i] = _block_entropy(m, Q, spec) / width
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return McEstimate(mean, stderr, samples, seed)

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import check_table_window, cluster_size_sums, table_size_sums
+from ._masks import _BINOMIALS, check_table_window
 from .coeffs import CoefficientSystem
 from .sft import Sft, _as_subset, log_spectral_radius
+from .topo import _count_sums
 
 __all__ = ["Potential", "weighted_count", "asp_profile", "classical_pressure"]
 
@@ -22,6 +23,11 @@ class Potential:
     """Real value per symbol of the original alphabet (nats)."""
 
     values: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        for symbol, value in self.values:
+            if not math.isfinite(value):
+                raise ValueError(f"potential value {value} at symbol {symbol} is not finite")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Potential":
@@ -72,37 +78,22 @@ def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> fl
     finite_profile bit for bit.  n is at most ``_masks.MAX_TABLE_BITS``
     (23); wider windows raise CapExceeded.
 
-    When the adjacency matrix has a positive square, the weighted count
-    factors over the runs of S like the pattern count (``topo._run_sums``
-    with k = 1): a run of length L weighs the sum over the words of
-    length L of exp(sum of f), taken from one log-domain walk
+    The per-size sums come from ``topo._count_sums``, the kernel choice
+    of the pattern counts, with the symbol weights exp(f - max f): every
+    weight is at most 1, so no product overflows, and since each pattern
+    at S carries |S| symbols, max f * E|S| / n is added back exactly.  On
+    a shift with a positive square the sums come from one log-domain walk
     (``Sft.log_word_weights``), so potentials of any size or spread are
-    exact.  Other shifts fill a table (``_asp_table``)."""
+    exact.  Other shifts reduce a table of weighted counts, where a spread
+    past about 708 can underflow a subset's shifted count to 0; that is
+    refused as a ValueError naming the spread."""
     check_table_window(n)
     lw = f.log_weights(sft)
     c = np.asarray(coeffs.weights_row(n))
-    if sft.is_square_positive():
-        every = cluster_size_sums(sft.log_word_weights(n, lw), n, 1)[0]
-        return float(c @ every) / n
-    return _asp_table(sft, lw, c, n)
-
-
-def _asp_table(sft: Sft, lw: np.ndarray, c: np.ndarray, n: int) -> float:
-    """asp_profile from the weighted counts at the canonical masks
-    (``_masks.table_size_sums``), with log weights lw and weights row c.
-
-    The table is built from f - max f, so every symbol weight is at most
-    1 and no product overflows; since each pattern at S carries |S|
-    symbols, the shift adds back max f * E|S| / n exactly.  A potential
-    spread past about 708 can still underflow a subset's shifted count
-    to 0; that is refused as a ValueError naming the spread."""
     top = float(lw.max())
-    w = np.exp(lw - top)
-    # every S has a pattern, so a zero entry (a -inf sum) is an underflowed weight
-    with np.errstate(divide="ignore"):
-        every = table_size_sums(n, w, sft.reach_powers(n - 1) * w[:, None])[0]
-    mean_size = sum(math.comb(n, k) * c[k] * k for k in range(n + 1))
-    value = float(c @ every) / n + top * mean_size / n
+    every = _count_sums(sft, n, 0, log_weights=lw - top)[0]
+    # E|S| = sum_k k C(n, k) c_k = n sum_k C(n - 1, k - 1) c_k
+    value = float(c @ every) / n + top * float(_BINOMIALS[n - 1, :n] @ c[1:])
     if not math.isfinite(value):
         spread = top - float(lw.min())
         raise ValueError(

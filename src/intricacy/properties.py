@@ -25,7 +25,7 @@ from .markov import (
     sampled_joint_entropy,
     sampled_joint_entropy_oracle,
 )
-from .pressure import Potential, _asp_table, asp_profile, classical_pressure
+from .pressure import Potential, classical_pressure
 from .sft import Sft, SubsetSpec
 from .topo import _run_sums, _table_sums, finite_profile, finite_profiles
 
@@ -103,7 +103,7 @@ def check_measure_agreement(n_max: int = 20) -> PropertyReport:
     return rep
 
 
-def check_subadditivity(nm_max: int = 6) -> PropertyReport:
+def check_subadditivity(n_max: int = 6) -> PropertyReport:
     """b_n = sum_S c_S^n log N(S) satisfies b_{n+m} <= b_n + b_m for the
     uniform, neural and p-symmetric systems."""
     rep = PropertyReport("subadditivity")
@@ -115,11 +115,11 @@ def check_subadditivity(nm_max: int = 6) -> PropertyReport:
     shifts = [("golden-mean", Sft.golden_mean()),
               ("golden-pair/II", Sft(np.asarray(SFT_BENCHMARKS[1].adjacency)))]
     for name, sft in shifts:
-        profiles = {n: finite_profiles(sft, systems, n) for n in range(1, 2 * nm_max + 1)}
+        profiles = {n: finite_profiles(sft, systems, n) for n in range(1, 2 * n_max + 1)}
         for i, system in enumerate(systems):
             b = {n: n * prof[i].asc for n, prof in profiles.items()}
-            for n in range(1, nm_max + 1):
-                for m_ in range(1, nm_max + 1):
+            for n in range(1, n_max + 1):
+                for m_ in range(1, n_max + 1):
                     rep.check(
                         b[n + m_] <= b[n] + b[m_] + 1e-12,
                         f"{name}/{system.spec}: b_{n + m_} > b_{n} + b_{m_}",
@@ -196,7 +196,7 @@ def check_count_invariances(n_max: int = 8) -> PropertyReport:
     return rep
 
 
-def check_entropy_oracle(size_max: int = 8, points: int = 5, seed: int = 7) -> PropertyReport:
+def check_entropy_oracle(n_max: int = 8, points: int = 5, seed: int = 7) -> PropertyReport:
     """Chain-rule / hidden-state joint entropies equal brute-force
     cylinder-measure enumeration to 1e-10, for 1-step and 2-step
     families at seeded random parameter points, over all subsets of the
@@ -215,8 +215,8 @@ def check_entropy_oracle(size_max: int = 8, points: int = 5, seed: int = 7) -> P
             alphabet_size=2,
         )
         for m in (one_step, two_step):
-            for mask in range(1, 1 << size_max):
-                spec = SubsetSpec(size_max, mask)
+            for mask in range(1, 1 << n_max):
+                spec = SubsetSpec(n_max, mask)
                 a = sampled_joint_entropy(m, spec)
                 b = sampled_joint_entropy_oracle(m, spec)
                 rep.check(
@@ -317,13 +317,14 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
     """The table-free kernels against the tables they replace, to 1e-12
     relative (absolute below 1), at n = min(n_max, 23): on every published
     shift with a positive square, the per-size sums behind finite_profile
-    (all sizes, with and without 0, the full window and the uniform alt)
-    with block_k 0, 2 and 5; on the two pressure pairs, asp_profile with
-    their PRESSURE_F1 potential.  The table route sums its logs in blocks
-    of at most 2^16, so the two agree to about 5e-15 up to n = 23.  Then
-    the O(n^2) 1-step asc_finite on the golden-mean chain against a
-    per-mask sum of sampled_joint_entropy over every subset and its
-    complement, at n = min(n_max, 12) so the 2^n masks stay cheap."""
+    and asp_profile (all sizes, with and without 0, the full window and
+    the uniform alt) with block_k 0, 2 and 5, and on the two pressure
+    pairs also weighted by their PRESSURE_F1 potential.  The table route
+    sums its logs in blocks of at most 2^16, so the two agree to about
+    5e-15 up to n = 23.  Then the O(n^2) 1-step asc_finite on the
+    golden-mean chain against a per-mask sum of sampled_joint_entropy over
+    every subset and its complement, at n = min(n_max, 12) so the 2^n
+    masks stay cheap."""
     rep = PropertyReport("runs")
 
     def close(a, b) -> bool:
@@ -337,15 +338,15 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
         sft = Sft(np.asarray(bench.adjacency))
         if not sft.is_square_positive():
             continue
-        for block_k in (0, 2, 5):
-            # every, with_zero, log N(window) and alt in one vector per route
-            a, b = (np.hstack(sums(sft, n, block_k, c)) for sums in (_run_sums, _table_sums))
-            ok = close(a, b)
-            rep.check(ok, "" if ok else f"{bench.tag}, n={n}, block_k={block_k}: {a} != table {b}")
+        cases = [(0, None), (2, None), (5, None)]
         if bench.asp10_f1 is not None:
-            f = Potential.from_values(PRESSURE_F1)
-            a, b = asp_profile(sft, f, uniform, n), _asp_table(sft, f.log_weights(sft), c, n)
-            rep.check(close(a, b), f"{bench.tag}, n={n}: asp {a} != table {b}")
+            cases.append((0, Potential.from_values(PRESSURE_F1).log_weights(sft)))
+        for block_k, lw in cases:
+            # every, with_zero, log N(window) and alt in one vector per route
+            a, b = (np.hstack(sums(sft, n, block_k, c, lw)) for sums in (_run_sums, _table_sums))
+            ok = close(a, b)
+            what = f"block_k={block_k}" + ("" if lw is None else ", weighted")
+            rep.check(ok, "" if ok else f"{bench.tag}, n={n}, {what}: {a} != table {b}")
 
     n = min(n_max, 12)
     full = (1 << n) - 1
@@ -385,18 +386,8 @@ SUITES = {
     "runs": check_run_kernels,
 }
 
-_SIZE_ARG = {
-    "coeffs": "n_max",
-    "measure-forms": "n_max",
-    "subadd": "nm_max",
-    "product": "n_max",
-    "oracle-counts": "n_max",
-    "invariances": "n_max",
-    "oracle-entropy": "size_max",
-    "acc": "n_max",
-    "bounds": "n_max",
-    "runs": "n_max",
-}
+# the suites that take no window size
+_UNSIZED = {"lambda", "spectral"}
 
 
 def run_suites(suite: str = "all", max_n: int | None = None) -> list[PropertyReport]:
@@ -410,8 +401,5 @@ def run_suites(suite: str = "all", max_n: int | None = None) -> list[PropertyRep
     reports = []
     for name in names:
         fn = SUITES[name]
-        if max_n is not None and name in _SIZE_ARG:
-            reports.append(fn(**{_SIZE_ARG[name]: max_n}))
-        else:
-            reports.append(fn())
+        reports.append(fn() if max_n is None or name in _UNSIZED else fn(n_max=max_n))
     return reports

@@ -280,8 +280,9 @@ class Sft:
         return R
 
     def is_square_positive(self) -> bool:
+        # path counts are nonnegative, so nonzero means positive
         M = self.adjacency
-        return bool(np.all(M @ M > 0))
+        return bool((M @ M).all())
 
     def log_word_weights(self, count: int, log_weights=None) -> np.ndarray:
         """out[m-1] = log of the sum over the words of length m of
@@ -336,20 +337,21 @@ class Sft:
 
     # -- brute-force oracles ---------------------------------------------
 
-    def enumerate_words(self, n: int, cap: int = DEFAULT_ORACLE_CAP) -> list[tuple[int, ...]]:
+    def enumerate_words(self, n: int) -> list[tuple[int, ...]]:
         """All words of length n, by path enumeration.  Guarded by the
-        r^n <= cap budget of the oracle."""
+        r^n <= DEFAULT_ORACLE_CAP budget of the oracle."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.alphabet_size**n > cap:
-            raise CapExceeded(f"r^n = {self.alphabet_size}^{n} exceeds oracle cap {cap}")
+        if self.alphabet_size**n > DEFAULT_ORACLE_CAP:
+            raise CapExceeded(
+                f"r^n = {self.alphabet_size}^{n} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
         M = self.adjacency
         words = [(a,) for a in range(self.alphabet_size)]
         for _ in range(n - 1):
             words = [w + (b,) for w in words for b in range(self.alphabet_size) if M[w[-1], b]]
         return words
 
-    def count_words_at_oracle(self, S, n: int | None = None, cap: int = DEFAULT_ORACLE_CAP) -> int:
+    def count_words_at_oracle(self, S, n: int | None = None) -> int:
         """Independent oracle: enumerate every word covering S, project
         onto the places of S, count distinct projections."""
         spec = _as_subset(S, n)
@@ -357,7 +359,7 @@ class Sft:
             return 1
         elems = spec.elements
         length = elems[-1] + 1
-        words = self.enumerate_words(length, cap)
+        words = self.enumerate_words(length)
         return len({tuple(w[i] for i in elems) for w in words})
 
     def __repr__(self) -> str:

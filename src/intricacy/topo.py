@@ -2,14 +2,14 @@
 subsets of a time window, the intricacy balance, and the closed-form
 series available when the adjacency matrix has a positive square.
 
-Two exact kernels give the per-size sums of the log pattern counts.
-When the adjacency matrix has a positive square, every gap of 2 or more
-reaches every symbol, so the count at S factors over the clusters of S
-and the sums take O(n^3) steps (``_masks.cluster_size_sums``).  Every
-other shift reduces one count per canonical subset, 2^(n-1) of them,
-holding at most 2^(LEFT_BITS-1) row vectors at a time
-(``_masks.table_size_sums``); that table route is also the independent
-route the ``runs`` check suite compares the cluster sums against.
+Two exact kernels give the per-size sums of the log pattern counts and
+log weighted counts; ``_count_sums`` picks one from the shift.  With a
+positive square, every gap of 2 or more reaches every symbol, so the
+count at S factors over the clusters of S and the sums take O(n^3)
+steps (``_masks.cluster_size_sums``).  Every other shift reduces one
+count per canonical subset, 2^(n-1) of them, holding at most
+2^(LEFT_BITS-1) row vectors at a time (``_masks.table_size_sums``); the
+``runs`` check suite compares the cluster sums against that table route.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from ._masks import (
     cluster_size_sums,
     complement_sum,
     popcounts,
-    product_table,
-    size_sums,
     table_size_sums,
 )
 from .coeffs import CoefficientSystem
@@ -79,11 +77,12 @@ class RecursionReport:
     passed: bool
 
 
-def _count_mats(sft: Sft, n: int, block_k: int = 0):
+def _count_mats(sft: Sft, n: int, block_k: int = 0, log_weights=None):
     """(init, gap_mats) of the pattern counts over the canonical masks of
     n positions, each place read as the block of block_k positions
     starting there (k <= 1: the place alone): the table entry of mask
-    2i+1 is the count at dilate(2i+1, k).
+    2i+1 is the count at dilate(2i+1, k), weighted by exp(log_weights)
+    per symbol when they are given (k <= 1 only).
 
     Each block reads a path of k - 1 steps, so the table starts from
     A^(k-1) 1.  Two places g < k apart touch, and every step between them
@@ -91,18 +90,16 @@ def _count_mats(sft: Sft, n: int, block_k: int = 0):
     reaches the next place (A^(k-1) times the reach of gap g-k+1)."""
     R = sft.reach_powers(n - 1)
     if block_k <= 1:
-        return np.ones(sft.alphabet_size), R
+        if log_weights is None:
+            return np.ones(sft.alphabet_size), R
+        w = np.exp(log_weights)
+        return w, R * w[:, None]
     paths = [np.eye(sft.alphabet_size)]
     for _ in range(block_k - 1):
         paths.append(paths[-1] @ sft.adjacency)
     head = paths[-1]
     gap_mats = [paths[g] if g < block_k else head @ R[g - block_k] for g in range(1, n)]
     return head.sum(axis=1), gap_mats
-
-
-def _count_table(sft: Sft, n: int, block_k: int = 0) -> np.ndarray:
-    """The table of ``_count_mats``, one count per canonical mask."""
-    return product_table(n, *_count_mats(sft, n, block_k))
 
 
 def _check_window(n: int, block_k: int) -> None:
@@ -128,9 +125,7 @@ def finite_profile(
     ``_masks.MAX_TABLE_BITS`` (23) for every shift and every k; wider
     windows raise CapExceeded.
 
-    The kernel follows from the shift.  With a positive square, the
-    cluster sums of ``_run_sums`` take O(n^3) steps; otherwise the 2^(n-1)
-    counts of a table are reduced in blocks (``_table_sums``).
+    The kernel follows from the shift (``_count_sums``).
     """
     return finite_profiles(sft, [coeffs], n, block_k)[0]
 
@@ -145,10 +140,9 @@ def finite_profiles(
     order, from one set of per-size sums: the sums do not depend on the
     weights, which only enter the dot products at the end."""
     _check_window(n, block_k)
-    sums = _run_sums if sft.is_square_positive() else _table_sums
     rows = [np.asarray(coeffs.weights_row(n)) for coeffs in systems]
     uniform = next((c for coeffs, c in zip(systems, rows) if coeffs.kind == "uniform"), None)
-    every, with_zero, log_full, alt = sums(sft, n, block_k, uniform)
+    every, with_zero, log_full, alt = _count_sums(sft, n, block_k, uniform)
     h = log_full / n
     return [
         ComplexityProfile(n, block_k, h, float(c @ every) / n,
@@ -158,28 +152,38 @@ def finite_profiles(
     ]
 
 
-def _table_sums(sft: Sft, n: int, block_k: int, alt_weights):
-    """(every, with_zero, log N(window), alt) from the counts at the
-    canonical masks (``_masks.table_size_sums``, which holds at most
-    BLOCK_ENTRIES of them at a time); alt only when alt_weights (uniform)
-    is given."""
+def _count_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None):
+    """(every, with_zero, log N(window), alt): the ``size_sums`` of log N(S)
+    over the subsets of {0..n-1}, and alt = the sum of N(S) under the
+    uniform alt_weights when they are given.  With log_weights (block_k
+    <= 1 only) a pattern weighs exp of the sum of its symbols' weights.
+    The one choice of kernel: ``_run_sums`` (O(n^3)) for a shift with a
+    positive square, else ``_table_sums``."""
+    sums = _run_sums if sft.is_square_positive() else _table_sums
+    return sums(sft, n, block_k, alt_weights, log_weights)
+
+
+def _table_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None):
+    """``_count_sums`` from the counts at the canonical masks
+    (``_masks.table_size_sums``, which holds at most BLOCK_ENTRIES of them
+    at a time).  A weighted count that underflows to 0 gives -inf sums."""
     every, with_zero, log_full, count_every = table_size_sums(
-        n, *_count_mats(sft, n, block_k), with_counts=alt_weights is not None)
+        n, *_count_mats(sft, n, block_k, log_weights), with_counts=alt_weights is not None)
     alt = None
     if alt_weights is not None:
         alt = float(alt_weights[0] + alt_weights @ count_every)
     return every, with_zero, log_full, alt
 
 
-def _run_sums(sft: Sft, n: int, block_k: int, alt_weights):
-    """The same as ``_table_sums`` for a shift whose adjacency matrix has a
-    positive square.  With k = max(block_k, 1), two places of S less than
-    k + 1 apart read blocks that touch or overlap; wider gaps leave at
-    least 2 steps between the blocks, which reach every symbol.  So the
-    count at S is the product over the clusters of S (maximal groups with
-    gaps <= k) of the number of words of length span + k."""
+def _run_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None):
+    """``_count_sums`` for a shift whose adjacency matrix has a positive
+    square.  With k = max(block_k, 1), two places of S less than k + 1
+    apart read blocks that touch or overlap; wider gaps leave at least 2
+    steps between the blocks, which reach every symbol.  So N(S) is the
+    product over the clusters of S (maximal groups with gaps <= k) of the
+    weight of the words of length span + k, from one log-domain walk."""
     k = max(block_k, 1)
-    logs = sft.log_word_weights(n - 1 + k)[k - 1 :]
+    logs = sft.log_word_weights(n - 1 + k, log_weights)[k - 1 :]
     every, with_zero = cluster_size_sums(logs, n, k)
     alt = None
     if alt_weights is not None:
@@ -268,7 +272,9 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     a_n = lam_n + 2 a_{n-1} + 2^{n-2} sum_{k<=n-2} lam_k / 2^k,
     where a_n sums log N(S) over all S in the window and lam_k is the
     log count of full length-k words.  Both sides are evaluated
-    independently (direct enumeration vs. the recursion)."""
+    independently: a_n and a_{n-1} come from the per-size sums of the
+    table route (``_table_sums``, which holds no whole table), not from
+    the cluster factorization the recursion is derived from."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     if n > 20:
@@ -276,15 +282,15 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     if not sft.is_square_positive():
         raise ValueError("recursion requires a strictly positive squared adjacency matrix")
     lam = {k: math.log(sft.complexity_count(k)) for k in range(1, n + 1)}
-    # a_n and a_{n-1} from one table: the first 2^(n-2) rows are the
-    # canonical masks of the narrower window
-    logs = np.log(_count_table(sft, n))
-    direct = float(size_sums(logs, n)[0].sum())
+
+    def a(m: int) -> float:
+        return float(_table_sums(sft, m, 0)[0].sum())
+
+    direct = a(n)
     if n == 1:
         recursed = lam[1]
     else:
-        a_prev = float(size_sums(logs[: 1 << (n - 2)], n - 1)[0].sum())
-        recursed = lam[n] + 2.0 * a_prev + 2.0 ** (n - 2) * sum(
+        recursed = lam[n] + 2.0 * a(n - 1) + 2.0 ** (n - 2) * sum(
             lam[k] / 2.0**k for k in range(1, n - 1)
         )
     rel = abs(direct - recursed) / max(1.0, abs(direct))

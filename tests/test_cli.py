@@ -100,6 +100,17 @@ class TestTopo:
         assert (code, out) == (2, "")
         assert "n=24" in err
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [("measure:0.3=nan", "mass nan is not finite"),
+         ("measure:nan=0.5", "atom position nan is not in (0, 1)"),
+         ("measure:0.3=0.25;lebesgue=nan", "lebesgue mass nan is not finite")],
+    )
+    def test_non_finite_coeffs_is_bad_input(self, capsys, gms_file, spec, message):
+        code, out, err = run_cli(capsys, "topo", "--input", gms_file, "--n", "5", "--coeffs", spec)
+        assert (code, out) == (1, "")
+        assert message in err
+
     def test_usage_error_exits_one(self, capsys, gms_file):
         with pytest.raises(SystemExit) as exc:
             main(["topo", "--input", gms_file])
@@ -144,6 +155,17 @@ class TestPressure:
         )
         assert (code, out) == (2, "")
         assert "n=24" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_potential_is_bad_input(self, capsys, tmp_path, gms_file, value):
+        # json reads NaN and Infinity as floats
+        pot = tmp_path / "p.json"
+        pot.write_text('{"values": {"0": %s, "1": 0.0}}' % value)
+        code, out, err = run_cli(
+            capsys, "pressure", "--input", gms_file, "--potential", str(pot), "--n", "6"
+        )
+        assert (code, out) == (1, "")
+        assert "potential value" in err and "at symbol 0 is not finite" in err
 
     def test_missing_symbol_is_bad_input(self, capsys, tmp_path, gms_file):
         pot = tmp_path / "p.json"
@@ -192,6 +214,20 @@ class TestMarkov:
         code, out, _ = run_cli(capsys, "markov", "--input", str(path))
         assert code == 0
         assert parse_csv(out)[0]["h_mu_rounded"] == "0.693"
+
+    @pytest.mark.parametrize(
+        "chain,field",
+        [({"P": [[float("nan"), 1.0], [0.5, 0.5]]}, "P"),
+         ({"P": [[float("nan"), 1.0], [0.5, 0.5]], "p": [0.5, 0.5]}, "P"),
+         ({"P": [[0.5, 0.5], [0.5, 0.5]], "p": [float("nan"), 0.5]}, "p")],
+        ids=["P", "P-with-p", "p"],
+    )
+    def test_non_finite_input_is_bad_input(self, capsys, tmp_path, chain, field):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"block_len": 1, **chain}))
+        code, out, err = run_cli(capsys, "markov", "--input", str(path), "--n", "4")
+        assert (code, out) == (1, "")
+        assert f"{field} has non-finite entries" in err
 
     def test_exactly_one_source(self, capsys):
         assert main(["markov", "--family", "gms-1step", "--param", "0.5", "--input", "x.json"]) == 1

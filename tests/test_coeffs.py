@@ -82,6 +82,18 @@ class TestFromMeasure:
         with pytest.raises(ValueError):
             SymmetricMeasure.from_one_sided([(0.3, 0.2)])  # total 0.4
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [("measure:0.3=nan", "mass nan is not finite"),
+         ("measure:nan=0.5", "atom position nan is not in"),
+         ("measure:0.3=0.25;lebesgue=nan", "lebesgue mass nan is not finite"),
+         ("measure:0.3=inf", "mass inf is not finite")],
+    )
+    def test_rejects_non_finite(self, spec, message):
+        # NaN passes the sign and total-mass comparisons
+        with pytest.raises(ValueError, match=message):
+            parse_coeffs(spec)
+
     def test_normalizes_within_tolerance(self):
         m = SymmetricMeasure.from_one_sided([(0.5, 1.0 + 5e-10)])
         assert m.total_mass() == pytest.approx(1.0, abs=1e-15)

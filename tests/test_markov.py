@@ -94,6 +94,22 @@ class TestStationary:
         with pytest.raises(ValueError):
             stationary([[0.9, 0.2], [0.5, 0.5]])
 
+    @pytest.mark.parametrize(
+        "P,p,field",
+        [([[math.nan, 1.0], [0.5, 0.5]], None, "P"),
+         ([[math.nan, 1.0], [0.5, 0.5]], [1 / 3, 2 / 3], "P"),
+         ([[0.5, 0.5], [0.5, 0.5]], [math.nan, 0.5], "p"),
+         ([[math.inf, 0.0], [0.5, 0.5]], None, "P")],
+        ids=["P", "P-with-p", "p", "P-inf"],
+    )
+    def test_non_finite_input_is_refused(self, P, p, field):
+        # NaN passes every comparison of the other checks
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries"):
+            MarkovMeasure.one_step(P, p)
+        if p is None:
+            with pytest.raises(ValueError, match="^P has non-finite entries"):
+                stationary(P)
+
     def test_singular_solve_is_refused(self, monkeypatch):
         def singular(A, b):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -245,11 +261,13 @@ class TestSampledJointEntropy:
             sampled_joint_entropy(one, spec), abs=1e-12
         )
 
-    def test_tuple_cap(self):
+    def test_tuple_cap(self, monkeypatch):
         m = full3_two_step()
-        assert sampled_joint_entropy(m, [0, 2, 5], cap=27) > 0
+        monkeypatch.setattr("intricacy.markov.ENUMERATION_CAP", 27)
+        assert sampled_joint_entropy(m, [0, 2, 5]) > 0
+        monkeypatch.setattr("intricacy.markov.ENUMERATION_CAP", 80)
         with pytest.raises(CapExceeded):
-            sampled_joint_entropy(m, [0, 2, 5, 6], cap=80)
+            sampled_joint_entropy(m, [0, 2, 5, 6])
 
     def test_entropy_below_log_count(self):
         sft = Sft.golden_mean()

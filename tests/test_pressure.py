@@ -78,7 +78,8 @@ class TestAspProfile:
         assert got == pytest.approx(target, abs=1e-9)
 
     def test_zero_potential_equals_asc_bit_for_bit(self):
-        for M in (PAIR_A, PAIR_B):
+        # PAIR_A and PAIR_B take the run kernel, golden-pair/II the table
+        for M in (PAIR_A, PAIR_B, GOLDEN_PAIR_II):
             s = Sft(M)
             for n in (4, 10):
                 asc = finite_profile(s, UNIFORM, n).asc
@@ -116,13 +117,23 @@ class TestAspProfile:
 
     @pytest.mark.parametrize("n", [0, 24])
     def test_window_without_table_is_refused(self, n, monkeypatch):
-        def no_table(*args):
+        def no_table(*args, **kwargs):
             raise AssertionError("table built")
 
-        monkeypatch.setattr("intricacy.pressure.table_size_sums", no_table)
+        monkeypatch.setattr("intricacy.topo.table_size_sums", no_table)
         # a window below 1 is bad input; one past the widest table is a cap
         with pytest.raises(ValueError if n < 1 else CapExceeded, match=f"n={n}"):
             asp_profile(Sft(PAIR_B), F1, UNIFORM, n)
+
+
+class TestPotential:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused(self, value):
+        # refused when built, before any kernel sees it
+        with pytest.raises(ValueError, match="potential value .* at symbol 0 is not finite"):
+            Potential.from_values({0: value, 1: 0.0})
+        with pytest.raises(ValueError, match="at symbol 0 is not finite"):
+            Potential.from_dict({"values": {"0": value, "1": 0.0}})
 
 
 class TestClassicalPressure:
