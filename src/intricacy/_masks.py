@@ -20,7 +20,9 @@ of earlier rows, with no index arrays:
 A whole table costs O(2^(n_bits-1) r^2) flops.  ``size_sums`` then folds
 a table into per-size sums over all subsets of the window, weighting
 each canonical mask by its number of translates, so every average over
-the 2^n subsets is a dot product with the weights row.
+the 2^n subsets is a dot product with the weights row.  The intricacy
+needs no sum over complements: every weighting system is a symmetric
+probability measure (``coeffs``), which makes it 2 asc - h.
 ``table_size_sums`` gives the same sums of log entries for windows of
 any width while holding only the rows below ``LEFT_BITS`` positions: a
 wider mask is the product of a row below that width, one gap matrix and
@@ -60,7 +62,6 @@ __all__ = [
     "product_table",
     "table_size_sums",
     "size_sums",
-    "complement_sum",
     "cluster_size_sums",
     "cluster_product_sum",
     "gap_size_sums",
@@ -205,15 +206,6 @@ def size_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         with_zero[2 : j + 2] += part
         every[2 : j + 2] += (n - j) * part
     return every, with_zero
-
-
-def complement_sum(c: np.ndarray, every: np.ndarray, full: float) -> float:
-    """sum over the subsets S of {0..n-1} of c[|S|] (v(S) + v(S^c) - full),
-    where every = size_sums(v, n)[0] and full = v({0..n-1}).  v(S^c) enters
-    through the weight of the complement's size, so c need not be
-    symmetric."""
-    n = len(c) - 1
-    return float((c + c[::-1]) @ every) - float(_BINOMIALS[n, : n + 1] @ c) * full
 
 
 def _pascal(n: int) -> np.ndarray:

@@ -163,32 +163,31 @@ MARKOV_BENCHMARKS: tuple[MarkovBenchmark, ...] = (
 # same parameters as the entropy maximum (0.5, 0.5).
 
 
+# registry tags by adjacency matrix, in registry order
+_TAGS_BY_ADJACENCY = {
+    bench.adjacency: [b.tag for b in SFT_BENCHMARKS if b.adjacency == bench.adjacency]
+    for bench in SFT_BENCHMARKS
+}
+
+# largest per-parameter distance at which a point is the published one
+_THETA_ATOL = 1e-9
+
+
 def provenance_for_adjacency(adjacency, prefer: str | None = None) -> str | None:
     """Benchmark tag whose adjacency matrix equals the given one, if any.
     A matrix can appear in more than one published table; ``prefer`` picks
     the tag with that prefix when present."""
-    M = np.asarray(adjacency)
-    hits = [
-        bench.tag
-        for bench in SFT_BENCHMARKS
-        if M.shape == (len(bench.adjacency), len(bench.adjacency))
-        and np.array_equal(M, np.asarray(bench.adjacency))
-    ]
-    if not hits:
-        return None
-    if prefer:
-        preferred = [tag for tag in hits if tag.startswith(prefer)]
-        if preferred:
-            return preferred[0]
-    return hits[0]
+    hits = _TAGS_BY_ADJACENCY.get(tuple(map(tuple, np.asarray(adjacency).tolist())), [])
+    preferred = [tag for tag in hits if prefer and tag.startswith(prefer)]
+    return (preferred or hits or [None])[0]
 
 
-def provenance_for_markov(family: str, theta, atol: float = 1e-9) -> str | None:
-    """Benchmark tag for a family evaluated at (approximately) a published
-    parameter point, if any."""
+def provenance_for_markov(family: str, theta) -> str | None:
+    """Benchmark tag for a family evaluated at (within ``_THETA_ATOL``) a
+    published parameter point, if any."""
     theta = tuple(float(t) for t in theta)
     for bench in MARKOV_BENCHMARKS:
         if bench.family == family and len(bench.theta) == len(theta):
-            if all(abs(a - b) <= atol for a, b in zip(bench.theta, theta)):
+            if all(abs(a - b) <= _THETA_ATOL for a, b in zip(bench.theta, theta)):
                 return bench.tag
     return None

@@ -115,7 +115,8 @@ def _emit(rows: list[dict], float_fields: list[str], args) -> None:
                     rendered[key + "_rounded"] = ""
                 else:
                     rendered[key] = _fmt(value)
-                    rendered[key + "_rounded"] = f"{value:.3f}"
+                    # + 0.0 turns a -0.0 into 0.0, so nothing reads -0.000
+                    rendered[key + "_rounded"] = f"{round(value, 3) + 0.0:.3f}"
             else:
                 rendered[key] = "" if value is None else value
         out_rows.append(rendered)

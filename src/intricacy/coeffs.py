@@ -7,9 +7,12 @@ moment families
     weight(n, k) = integral of x^k (1-x)^(n-k) over a symmetric
                    probability measure on [0, 1],
 
-which includes the uniform weights 2^-n (point mass at 1/2), the
-neural-complexity weights 1/((n+1) C(n,k)) (Lebesgue measure), and the
-two-point p-symmetric weights.
+and every ``CoefficientSystem`` is one: the uniform weights 2^-n (point
+mass at 1/2), the neural-complexity weights 1/((n+1) C(n,k)) (Lebesgue
+measure), the two-point p-symmetric weights, and any symmetric measure
+given by its atoms and Lebesgue part.  So the weights of the 2^n
+subsets sum to 1 and a subset weighs what its complement weighs, which
+makes the intricacy 2 asc - h for every system.
 """
 
 from __future__ import annotations
@@ -38,19 +41,15 @@ _UNDERFLOW = 1e-300
 _AXIOM_TOLERANCE = 1e-12
 
 
-def _exact_beta(n: int, k: int) -> float:
-    # B(k+1, n-k+1) = k! (n-k)! / (n+1)! = 1 / ((n+1) C(n,k)), exact integers
-    return 1.0 / ((n + 1) * math.comb(n, k))
-
-
 @dataclass(frozen=True)
 class SymmetricMeasure:
     """Probability measure on [0,1] invariant under x -> 1-x.
 
-    Stored one-sided: ``pairs`` holds (x, mass) with x < 1/2, each standing
-    for the mirrored pair {x, 1-x} with the given mass at *each* point;
+    Stored one-sided: ``pairs`` holds (x, mass), each standing for the
+    mirrored pair {x, 1-x} with the given mass at *each* point;
     ``center_mass`` sits at 1/2 and ``lebesgue_mass`` is the absolutely
-    continuous part.  Masses are normalized to total 1 at construction.
+    continuous part.  ``from_one_sided`` keeps x < 1/2 and normalizes the
+    masses to total 1; ``validate`` checks a measure built otherwise.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -116,65 +115,45 @@ class SymmetricMeasure:
         if self.center_mass > 0:
             out += self.center_mass * (0.5**k * 0.5 ** (n - k))
         if self.lebesgue_mass > 0:
-            out += self.lebesgue_mass * _exact_beta(n, k)
-        return out
-
-    def falling_moment(self, i: int) -> float:
-        """integral of p^2 (1-p)^(i-1); the weight of gap i in the
-        general-weight conditional-entropy series."""
-        out = 0.0
-        for x, m in self.pairs:
-            y = 1.0 - x
-            out += m * (x**2 * y ** (i - 1) + y**2 * x ** (i - 1))
-        if self.center_mass > 0:
-            out += self.center_mass * (0.25 * 0.5 ** (i - 1))
-        if self.lebesgue_mass > 0:
-            # exact: B(3, i) = 2 / (i (i+1) (i+2))
-            out += self.lebesgue_mass * (2.0 / (i * (i + 1) * (i + 2)))
+            # B(k+1, n-k+1) = k! (n-k)! / (n+1)! = 1 / ((n+1) C(n,k)), exact integers
+            out += self.lebesgue_mass * (1.0 / ((n + 1) * math.comb(n, k)))
         return out
 
 
 class CoefficientSystem:
-    """A rule assigning weight(n, k) to every subset of {0..n-1} of size k.
+    """A rule assigning weight(n, k) to every subset of {0..n-1} of size k:
+    the moment of x^k (1-x)^(n-k) of a symmetric probability measure.
 
-    Immutable after construction; each weight is computed on every call.
+    ``kind`` names the constructor (``alt`` is defined for the uniform
+    kind only) and ``spec`` is the canonical CLI spec string.  Immutable
+    after construction; each weight is computed on every call.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        *,
-        p: float | None = None,
-        measure: SymmetricMeasure | None = None,
-        table: dict[tuple[int, int], float] | None = None,
-    ):
-        if kind not in ("uniform", "neural", "psym", "measure", "table"):
-            raise ValueError(f"unknown kind {kind!r}")
-        if kind == "psym":
-            if p is None or not 0.0 < p < 1.0:
-                raise ValueError("psym requires a probability 0 < p < 1")
-        if kind == "measure" and measure is None:
-            raise ValueError("measure kind requires a SymmetricMeasure")
-        if kind == "table" and table is None:
-            raise ValueError("table kind requires an explicit table")
+    def __init__(self, kind: str, measure: SymmetricMeasure, spec: str):
         self.kind = kind
-        self.p = p
         self.measure = measure
-        self._table = dict(table) if table else None
+        self.spec = spec
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def uniform(cls) -> "CoefficientSystem":
-        return cls("uniform")
+        """2^-n: mass 1 at 1/2."""
+        return cls("uniform", SymmetricMeasure((), 1.0, 0.0), "uniform")
 
     @classmethod
     def neural(cls) -> "CoefficientSystem":
-        return cls("neural")
+        """1/((n+1) C(n,k)): Lebesgue measure."""
+        return cls("neural", SymmetricMeasure((), 0.0, 1.0), "neural")
 
     @classmethod
     def p_symmetric(cls, p: float) -> "CoefficientSystem":
-        return cls("psym", p=p)
+        """1/2 (p^k q^(n-k) + q^k p^(n-k)), q = 1 - p: mass 1/2 at p and at
+        1 - p.  p is stored as given, not folded below 1/2, so each weight
+        is that formula term for term."""
+        if not 0.0 < p < 1.0:
+            raise ValueError("psym requires a probability 0 < p < 1")
+        return cls("psym", SymmetricMeasure(((p, 0.5),), 0.0, 0.0), f"psym:{p:g}")
 
     @classmethod
     def from_measure(
@@ -185,13 +164,13 @@ class CoefficientSystem:
         """Measure-backed system from a one-sided atom list (auto-mirrored)
         plus an optional Lebesgue component."""
         m = SymmetricMeasure.from_one_sided(atoms, lebesgue_mass)
-        return cls("measure", measure=m)
-
-    @classmethod
-    def from_table(cls, table: dict[tuple[int, int], float]) -> "CoefficientSystem":
-        """Explicit (n, k) -> weight table.  No axioms are enforced here;
-        run validate() to check them."""
-        return cls("table", table=table)
+        parts = [f"{x:g}={w:g}" for x, w in m.pairs]
+        if m.center_mass > 0:
+            parts.append(f"0.5={m.center_mass:g}")
+        spec = "measure:" + ",".join(parts)
+        if m.lebesgue_mass > 0:
+            spec += f";lebesgue={m.lebesgue_mass:g}"
+        return cls("measure", m, spec)
 
     # -- evaluation ------------------------------------------------------
 
@@ -201,50 +180,17 @@ class CoefficientSystem:
             raise CapExceeded(f"n={n} outside [1, horizon={HORIZON}]")
         if k < 0 or k > n:
             raise ValueError(f"k={k} outside [0, {n}]")
-        value = self._compute(n, k)
-        # every non-table kind is mathematically positive, so a value this
-        # small can only be floating-point underflow
-        if self.kind != "table" and value < _UNDERFLOW:
+        value = self.measure.moment(n, k)
+        # a moment of a measure with no mass at 0 or 1 is positive, so a
+        # value this small can only be floating-point underflow
+        if value < _UNDERFLOW:
             warnings.warn(f"weight({n},{k}) underflowed to 0", RuntimeWarning)
             value = 0.0
         return value
 
-    def _compute(self, n: int, k: int) -> float:
-        if self.kind == "uniform":
-            return 0.5**n
-        if self.kind == "neural":
-            return 1.0 / ((n + 1) * math.comb(n, k))
-        if self.kind == "psym":
-            p = self.p
-            q = 1.0 - p
-            # symmetric under k <-> n-k because the two summands swap
-            return 0.5 * (p**k * q ** (n - k) + q**k * p ** (n - k))
-        if self.kind == "measure":
-            return self.measure.moment(n, k)
-        return self._table.get((n, k), 0.0)
-
     def weights_row(self, n: int) -> list[float]:
         """weight(n, k) for k = 0..n."""
         return [self.weight(n, k) for k in range(n + 1)]
-
-    @property
-    def spec(self) -> str:
-        """Canonical CLI spec string for this system."""
-        if self.kind == "uniform":
-            return "uniform"
-        if self.kind == "neural":
-            return "neural"
-        if self.kind == "psym":
-            return f"psym:{self.p:g}"
-        if self.kind == "measure":
-            parts = [f"{x:g}={m:g}" for x, m in self.measure.pairs]
-            if self.measure.center_mass > 0:
-                parts.append(f"0.5={self.measure.center_mass:g}")
-            s = "measure:" + ",".join(parts)
-            if self.measure.lebesgue_mass > 0:
-                s += f";lebesgue={self.measure.lebesgue_mass:g}"
-            return s
-        return "table"
 
     def __repr__(self) -> str:
         return f"CoefficientSystem({self.spec!r})"

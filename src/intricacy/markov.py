@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import complement_sum, gap_size_sums, size_sums
+from ._masks import gap_size_sums, size_sums
 from .coeffs import CoefficientSystem, SymmetricMeasure
 from .errors import CapExceeded
 from .sft import Sft, SubsetSpec, _as_subset
@@ -374,12 +374,10 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
         H = np.array([_block_entropy(m, Q, SubsetSpec(n, 2 * i + 1))
                       for i in range(1 << (n - 1))])
         every = size_sums(H, n)[0]
-    c = np.asarray(coeffs.weights_row(n))
-    # the full window is the one n-subset
+    total = float(np.asarray(coeffs.weights_row(n)) @ every)
+    # the full window is the one n-subset; intricacy = 2 asc - h
     h_full = float(every[n])
-    asc = float(c @ every) / n
-    intr = complement_sum(c, every, h_full) / n
-    return SampledEntropyResult(n, asc, intr, h_full / n)
+    return SampledEntropyResult(n, total / n, (2.0 * total - h_full) / n, h_full / n)
 
 
 def asc_lambda(m: MarkovMeasure, lam: SymmetricMeasure, terms: int = 40) -> float:
@@ -391,7 +389,7 @@ def asc_lambda(m: MarkovMeasure, lam: SymmetricMeasure, terms: int = 40) -> floa
     if m.block_len != 1:
         raise ValueError("general-weight series supports block_len 1 only")
     hs = gap_entropies(m, terms).tolist()
-    return sum(lam.falling_moment(i) * h_i for i, h_i in enumerate(hs, 1))
+    return sum(lam.moment(i + 1, 2) * h_i for i, h_i in enumerate(hs, 1))
 
 
 def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEstimate:

@@ -8,6 +8,7 @@ refines a start point with a box-clamped simplex search.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -115,6 +116,16 @@ def builtin_family(name: str) -> MarkovFamily:
         raise ValueError(f"unknown family {name!r}; built-ins: {sorted(_BUILTINS)}") from None
 
 
+def _box_entry(name: str, entry) -> tuple[float, float]:
+    """(lo, hi) of one parameter of a custom family's box: two numbers with
+    0 <= lo <= hi <= 1, since template cells are transition probabilities
+    (which also bounds the grid a scan builds).  NaN fails every comparison."""
+    lo, hi = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (None, None)
+    if not all(isinstance(x, numbers.Real) for x in (lo, hi)) or not 0.0 <= lo <= hi <= 1.0:
+        raise ValueError(f"box of {name!r} must be two numbers 0 <= lo <= hi <= 1, got {entry!r}")
+    return float(lo), float(hi)
+
+
 def family_from_dict(d: dict) -> MarkovFamily:
     """Custom family schema: a template matrix whose cells are numbers,
     parameter names, or the per-row marker "rest" (one per row, set to
@@ -126,7 +137,7 @@ def family_from_dict(d: dict) -> MarkovFamily:
     """
     name = d.get("name", "custom")
     params = tuple(d["params"])
-    box = tuple(tuple(float(x) for x in d["box"][p]) for p in params)
+    box = tuple(_box_entry(p, d["box"][p]) for p in params)
     template = d["template"]
     block_len = int(d.get("block_len", 1))
     states = d.get("states")

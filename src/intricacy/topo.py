@@ -23,7 +23,6 @@ from ._masks import (
     check_table_window,
     cluster_product_sum,
     cluster_size_sums,
-    complement_sum,
     popcounts,
     table_size_sums,
 )
@@ -138,18 +137,20 @@ def finite_profiles(
 ) -> list[ComplexityProfile]:
     """``finite_profile`` under each of several weighting systems, in
     order, from one set of per-size sums: the sums do not depend on the
-    weights, which only enter the dot products at the end."""
+    weights, which only enter the dot products at the end.  Every system
+    weighs a subset as its complement and sums to 1 over the subsets, so
+    the intricacy is 2 asc - h."""
     _check_window(n, block_k)
     rows = [np.asarray(coeffs.weights_row(n)) for coeffs in systems]
     uniform = next((c for coeffs, c in zip(systems, rows) if coeffs.kind == "uniform"), None)
     every, with_zero, log_full, alt = _count_sums(sft, n, block_k, uniform)
-    h = log_full / n
-    return [
-        ComplexityProfile(n, block_k, h, float(c @ every) / n,
-                          complement_sum(c, every, log_full) / n, float(c @ with_zero) / n,
-                          alt if coeffs.kind == "uniform" else None, coeffs.spec)
-        for coeffs, c in zip(systems, rows)
-    ]
+    profiles = []
+    for coeffs, c in zip(systems, rows):
+        total = float(c @ every)
+        profiles.append(ComplexityProfile(
+            n, block_k, log_full / n, total / n, (2.0 * total - log_full) / n,
+            float(c @ with_zero) / n, alt if coeffs.kind == "uniform" else None, coeffs.spec))
+    return profiles
 
 
 def _count_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None):
@@ -274,11 +275,9 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     log count of full length-k words.  Both sides are evaluated
     independently: a_n and a_{n-1} come from the per-size sums of the
     table route (``_table_sums``, which holds no whole table), not from
-    the cluster factorization the recursion is derived from."""
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    if n > 20:
-        raise CapExceeded("recursion check capped at n = 20")
+    the cluster factorization the recursion is derived from.  n takes
+    the table's window, 1..``_masks.MAX_TABLE_BITS``."""
+    check_table_window(n)
     if not sft.is_square_positive():
         raise ValueError("recursion requires a strictly positive squared adjacency matrix")
     lam = {k: math.log(sft.complexity_count(k)) for k in range(1, n + 1)}

@@ -2,12 +2,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from intricacy.cli import build_parser, main
+from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
+from intricacy.cli import _emit, build_parser, main
 
 
 @pytest.fixture
@@ -115,6 +118,25 @@ class TestTopo:
         with pytest.raises(SystemExit) as exc:
             main(["topo", "--input", gms_file])
         assert exc.value.code == 1
+
+    def test_exact_zero_intricacy_rounds_to_zero(self, capsys, tmp_path):
+        # the full 2-shift has intricacy exactly 0; its sum comes out within
+        # 1e-15 of 0 on either side
+        path = tmp_path / "full2.json"
+        path.write_text(json.dumps({"alphabet_size": 2, "adjacency": [[1, 1], [1, 1]]}))
+        code, out, _ = run_cli(capsys, "topo", "--input", str(path), "--n", "9")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert abs(float(row["Int_n"])) < 1e-15
+        assert row["Int_n_rounded"] == "0.000"
+
+
+@pytest.mark.parametrize(
+    "fmt,want", [("csv", "x,x_rounded\n-1e-16,0.000\n"),
+                 ("json", '[\n  {\n    "x": -1e-16,\n    "x_rounded": 0.0\n  }\n]\n')])
+def test_rounded_column_has_no_negative_zero(capsys, fmt, want):
+    _emit([{"x": -1e-16}], ["x"], argparse.Namespace(format=fmt, output=None))
+    assert capsys.readouterr().out == want
 
 
 class TestPressure:
@@ -288,6 +310,20 @@ class TestSweep:
         assert abs(float(summary["best_a"]) - 0.618) < 5e-3
         assert summary["value_rounded"] == "0.481"
 
+    @pytest.mark.parametrize(
+        "box", [[0, math.nan], [0.8, 0.2], [0, math.inf], [-0.5, 0.5], [0, 2], [0.5], "01"],
+        ids=["nan", "reversed", "inf", "below-0", "above-1", "one-number", "string"])
+    def test_bad_box_is_bad_input(self, capsys, tmp_path, box):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"name": "gms-custom", "params": ["a"], "box": {"a": box},
+                                   "template": [["a", "rest"], [1, 0]]}))
+        out = tmp_path / "surface.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--input", str(fam), "--step", "0.05",
+                                    "--output", str(out))
+        assert (code, stdout) == (1, "")
+        assert "box of 'a'" in err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_all_suites_pass_quick(self, capsys):
@@ -314,6 +350,24 @@ class TestCheck:
             main(["check", "--suite", "lambda", *flag])
         assert exc.value.code == 1
         assert not (tmp_path / "report.txt").exists()
+
+
+def test_provenance_lookup_matches_registry_scan():
+    def scan(M, prefer=None):
+        hits = [b.tag for b in SFT_BENCHMARKS if np.array_equal(M, np.asarray(b.adjacency))]
+        preferred = [tag for tag in hits if prefer and tag.startswith(prefer)]
+        return (preferred or hits or [None])[0]
+
+    for bench in SFT_BENCHMARKS:
+        M = np.asarray(bench.adjacency)
+        for prefer in (None, "pressure-pair"):
+            assert provenance_for_adjacency(M, prefer) == scan(M, prefer)
+    # pressure-pair/A is log2-family/2's matrix, first in registry order
+    A = SFT_BENCHMARKS[-2].adjacency
+    assert provenance_for_adjacency(A) == "log2-family/2"
+    assert provenance_for_adjacency(A, prefer="pressure-pair") == "pressure-pair/A"
+    assert provenance_for_adjacency([[1, 1], [1, 1]]) is None
+    assert provenance_for_adjacency(np.ones((3, 3), dtype=int)) is None
 
 
 def test_readme_flags_line_names_every_option():

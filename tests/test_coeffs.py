@@ -19,6 +19,22 @@ ALL_SYSTEMS = [
     CoefficientSystem.from_measure([(0.25, 0.25)], lebesgue_mass=0.5),
 ]
 
+PSYM_GRID = (0.05, 0.3, 0.5, 0.7, 0.95)
+
+
+# the weights in closed form, apart from the moment code they are checked against
+def uniform_form(n, k):
+    return 2.0**-n
+
+
+def neural_form(n, k):
+    return 1.0 / ((n + 1) * math.comb(n, k))
+
+
+def psym_form(p, n, k):
+    q = 1.0 - p
+    return 0.5 * (p**k * q ** (n - k) + q**k * p ** (n - k))
+
 
 class TestWeightValues:
     def test_uniform(self):
@@ -36,6 +52,16 @@ class TestWeightValues:
         got = CoefficientSystem.p_symmetric(0.3).weight(2, 0)
         assert got == pytest.approx(0.5 * (0.7**2 + 0.3**2), abs=1e-15)
         assert got == pytest.approx(0.29, abs=1e-12)
+
+    def test_closed_forms_to_the_horizon(self):
+        uniform, neural = CoefficientSystem.uniform(), CoefficientSystem.neural()
+        psyms = {p: CoefficientSystem.p_symmetric(p) for p in PSYM_GRID}
+        for n in range(1, 65):
+            for k in range(n + 1):
+                assert uniform.weight(n, k) == uniform_form(n, k)
+                assert neural.weight(n, k) == neural_form(n, k)
+                for p, system in psyms.items():
+                    assert system.weight(n, k) == psym_form(p, n, k)
 
     def test_horizon_and_range_errors(self):
         system = CoefficientSystem.uniform()
@@ -56,18 +82,21 @@ class TestFromMeasure:
 
     def test_pure_lebesgue_is_neural(self):
         system = CoefficientSystem.from_measure([], lebesgue_mass=1.0)
-        neural = CoefficientSystem.neural()
-        for n in range(1, 21):
+        for n in range(1, 65):
             for k in range(n + 1):
-                assert abs(system.weight(n, k) - neural.weight(n, k)) <= 1e-12
+                assert system.weight(n, k) == neural_form(n, k)
 
     def test_mirrored_pair_matches_p_symmetric(self):
         system = CoefficientSystem.from_measure([(0.3, 0.5)])
         assert {x for x, _ in system.measure.atoms} == {0.3, 0.7}
-        psym = CoefficientSystem.p_symmetric(0.3)
-        for n in range(1, 21):
+        for n in range(1, 65):
             for k in range(n + 1):
-                assert abs(system.weight(n, k) - psym.weight(n, k)) <= 1e-12
+                assert system.weight(n, k) == psym_form(0.3, n, k)
+        # an atom above 1/2 is stored as 1 - x, and 1 - (1 - x) == x there
+        folded = CoefficientSystem.from_measure([(0.7, 0.5)])
+        for n in range(1, 65):
+            for k in range(n + 1):
+                assert folded.weight(n, k) == psym_form(0.7, n, k)
         assert system.weight(2, 0) == pytest.approx(0.29, abs=1e-12)
 
     def test_rejects_boundary_atoms(self):
@@ -115,12 +144,14 @@ class TestValidate:
         report = validate(CoefficientSystem.uniform(), 10)
         assert max(row["sum_deviation"] for row in report.rows) == 0.0
 
-    def test_asymmetric_table_fails(self):
-        table = {(3, 0): 0.05, (3, 1): 0.2, (3, 2): 0.1, (3, 3): 0.05}
-        report = validate(CoefficientSystem.from_table(table), 3)
+    def test_unnormalized_measure_fails(self):
+        # built directly, so nothing normalized its total mass 0.5
+        measure = SymmetricMeasure(((0.3, 0.25),), 0.0, 0.0)
+        report = validate(CoefficientSystem("measure", measure, "measure:0.3=0.25"), 3)
         assert not report.passed
-        bad = [row for row in report.rows if row["n"] == 3][0]
-        assert bad["max_asymmetry"] > 1e-12
+        for row in report.rows:
+            assert row["sum_deviation"] == pytest.approx(0.5, abs=1e-15)
+            assert row["max_asymmetry"] == 0.0
 
 
 class TestAxiomsProperty:

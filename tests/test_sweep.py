@@ -133,3 +133,18 @@ class TestCustomFamily:
         }
         with pytest.raises(ValueError):
             family_from_dict(bad).builder((0.5,))
+
+    @pytest.mark.parametrize(
+        "box", [[0, math.nan], [0.8, 0.2], [0, math.inf], [-0.5, 0.5], [0, 2], [0.5], [0, 0.5, 1],
+                "01", 0.5],
+        ids=["nan", "reversed", "inf", "below-0", "above-1", "one-number", "three-numbers",
+             "string", "scalar"])
+    def test_bad_box_is_refused(self, box):
+        bad = dict(self.GMS_JSON, box={"a": box})
+        with pytest.raises(ValueError, match="box of 'a'"):
+            family_from_dict(bad)
+
+    def test_degenerate_box_is_one_point(self):
+        fam = family_from_dict(dict(self.GMS_JSON, box={"a": [0.5, 0.5]}))
+        assert fam.box == ((0.5, 0.5),)
+        assert [p.theta for p in scan(fam, step=0.05).grid] == [(0.5,)]

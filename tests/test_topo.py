@@ -134,13 +134,9 @@ class TestEnumerationAgreement:
     def test_slow_path_matches_vectorized(self):
         # the per-mask route sums every mask with its complement; the table
         # route (SFT_I) and the cluster route (SFT_2028_2, positive square)
-        # sum by size, so an asymmetric table system checks the intricacy
-        # reduction beyond weight symmetry
-        asym = CoefficientSystem.from_table(
-            {(n, k): (k + 1) / (n + 2) ** 3 for n in range(1, 11) for k in range(n + 1)}
-        )
+        # sum by size and take the intricacy as 2 asc - h
         systems = [UNIFORM, CoefficientSystem.neural(), CoefficientSystem.p_symmetric(0.3),
-                   CoefficientSystem.from_measure([(0.2, 0.25)], lebesgue_mass=0.5), asym]
+                   CoefficientSystem.from_measure([(0.2, 0.25)], lebesgue_mass=0.5)]
         for s in (Sft(SFT_I), Sft(SFT_2028_2)):
             for coeffs in systems:
                 for n in (1, 2, 3, 6, 10):
@@ -303,6 +299,11 @@ class TestRecursion:
     def test_window_below_one_is_refused(self, n):
         with pytest.raises(ValueError, match=f"n={n}"):
             recursion_check(Sft.golden_mean(), n)
+
+    def test_window_is_the_tables(self):
+        assert recursion_check(Sft.golden_mean(), 23).passed
+        with pytest.raises(CapExceeded, match="n=24"):
+            recursion_check(Sft.golden_mean(), 24)
 
     def test_hypothesis_failure(self):
         with pytest.raises(ValueError):
