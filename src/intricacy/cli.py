@@ -102,8 +102,9 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(rows: list[dict], float_fields: list[str], args) -> None:
-    """Render rows to CSV or JSON.  Floats get 12 significant digits and a
+def _emit(rows: list[dict], float_fields: list[str], fmt: str, path: str | None) -> None:
+    """Render rows to CSV or JSON (``fmt``) and write them to ``path``, or to
+    stdout when it is None.  Floats get 12 significant digits and a
     3-decimal *_rounded sibling column."""
     out_rows = []
     for row in rows:
@@ -121,7 +122,7 @@ def _emit(rows: list[dict], float_fields: list[str], args) -> None:
                 rendered[key] = "" if value is None else value
         out_rows.append(rendered)
 
-    if args.format == "json":
+    if fmt == "json":
         def relax(v):
             if isinstance(v, str):
                 try:
@@ -141,8 +142,8 @@ def _emit(rows: list[dict], float_fields: list[str], args) -> None:
             writer.writerows(out_rows)
         text = buf.getvalue()
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -168,7 +169,7 @@ def _cmd_topo(args) -> int:
                 "provenance": tag,
             }
         )
-    _emit(rows, ["H_n", "Asc_n", "Int_n", "Acc_n", "Alt_n"], args)
+    _emit(rows, ["H_n", "Asc_n", "Int_n", "Acc_n", "Alt_n"], args.format, args.output)
     return EXIT_OK
 
 
@@ -190,7 +191,7 @@ def _cmd_pressure(args) -> int:
                 "provenance": tag,
             }
         )
-    _emit(rows, ["Asp_n", "P_classical"], args)
+    _emit(rows, ["Asp_n", "P_classical"], args.format, args.output)
     return EXIT_OK
 
 
@@ -266,7 +267,7 @@ def _cmd_markov(args) -> int:
                 "provenance": tag,
             }
         )
-    _emit(rows, ["h_mu", "asc_mu", "int_mu", "tail_bound", "stderr"], args)
+    _emit(rows, ["h_mu", "asc_mu", "int_mu", "tail_bound", "stderr"], args.format, args.output)
     return EXIT_OK
 
 
@@ -290,8 +291,7 @@ def _cmd_sweep(args) -> int:
         }
         for pt in result.grid
     ]
-    surface_args = argparse.Namespace(output=args.output, format=args.format)
-    _emit(surface, ["h_mu", "asc_mu", "int_mu"], surface_args)
+    _emit(surface, ["h_mu", "asc_mu", "int_mu"], args.format, args.output)
 
     summary = [
         {
@@ -306,8 +306,7 @@ def _cmd_sweep(args) -> int:
             "skipped": len(result.skipped),
         }
     ]
-    summary_args = argparse.Namespace(output=None, format=args.format)
-    _emit(summary, ["value"], summary_args)
+    _emit(summary, ["value"], args.format, None)
     return EXIT_OK
 
 

@@ -48,15 +48,13 @@ class PropertyReport:
             self.failures.append(message)
 
 
-def _dedup_sfts(include_pairs: bool = True) -> list[tuple[str, Sft]]:
+def _dedup_sfts() -> list[tuple[str, Sft]]:
     out = [("full-2-shift", Sft.full_shift(2)), ("golden-mean", Sft.golden_mean())]
     seen = set()
     for bench in SFT_BENCHMARKS:
-        key = bench.adjacency
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((bench.tag, Sft(np.asarray(bench.adjacency))))
+        if bench.adjacency not in seen:
+            seen.add(bench.adjacency)
+            out.append((bench.tag, Sft(np.asarray(bench.adjacency))))
     return out
 
 

@@ -3,7 +3,8 @@
 A family maps a parameter vector inside a box to a Markov measure; the
 scan evaluates the conditional-entropy series on a regular grid and
 collects boundary/interior maxima per objective, and ``maximize``
-refines a start point with a box-clamped simplex search.
+refines a start point with a compass search clamped to the box.  Both
+evaluate points through ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .markov import MarkovMeasure, asc_series_markov
 from .sft import Sft
@@ -176,6 +176,23 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _check_request(objective: str, terms: int) -> None:
+    if terms < 10:
+        raise ValueError("terms must be >= 10")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
+
+
+def _compass(theta, step, box):
+    """The points theta +- step along each axis, clamped to the box, less
+    those the clamp puts back on theta."""
+    for d, (lo, hi) in enumerate(box):
+        for sign in (1, -1):
+            t = min(max(theta[d] + sign * step, lo), hi)
+            if t != theta[d]:
+                yield theta[:d] + (t,) + theta[d + 1:]
+
+
 def _evaluate(family: MarkovFamily, theta: tuple[float, ...], terms: int):
     try:
         m = family.builder(theta)
@@ -198,44 +215,30 @@ def scan(
     and reported."""
     if not 0.0 < step <= 0.1:
         raise ValueError("step must be in (0, 0.1]")
-    if terms < 10:
-        raise ValueError("terms must be >= 10")
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    _check_request(objective, terms)
 
     axes = [_axis(lo, hi, step) for lo, hi in family.box]
     shape = tuple(len(a) for a in axes)
-    thetas = [
-        tuple(float(axes[d][i]) for d, i in enumerate(idx)) for idx in np.ndindex(*shape)
-    ]
-    results = [_evaluate(family, t, terms) for t in thetas]
-
-    grid: list[GridPoint] = []
     skipped: list[tuple[tuple[float, ...], str]] = []
     by_index: dict[tuple[int, ...], GridPoint] = {}
-    for idx, res in zip(np.ndindex(*shape), results):
+    for idx in np.ndindex(*shape):
+        res = _evaluate(family, tuple(float(axes[d][i]) for d, i in enumerate(idx)), terms)
         if isinstance(res, GridPoint):
-            grid.append(res)
             by_index[idx] = res
         else:
             skipped.append(res)
-    if not grid:
+    if not by_index:
         raise ValueError("every grid point failed to build")
 
     values = {idx: pt.value(objective) for idx, pt in by_index.items()}
     best_idx = max(values, key=lambda idx: values[idx])
     best = by_index[best_idx]
 
+    # grid neighbors are the compass points of an index at step 1
+    index_box = [(0, n - 1) for n in shape]
     local_maxima = []
     for idx, val in values.items():
-        neighbors = []
-        for d in range(len(shape)):
-            for delta in (-1, 1):
-                j = list(idx)
-                j[d] += delta
-                j = tuple(j)
-                if j in values:
-                    neighbors.append(values[j])
+        neighbors = [values[j] for j in _compass(idx, 1, index_box) if j in values]
         if neighbors and all(val > v for v in neighbors):
             local_maxima.append((by_index[idx].theta, val))
     local_maxima.sort(key=lambda tv: -tv[1])
@@ -245,9 +248,8 @@ def scan(
         t <= lo + step + eps or t >= hi - step - eps
         for t, (lo, hi) in zip(best.theta, family.box)
     )
-    return SweepResult(
-        objective, grid, best.theta, values[best_idx], boundary, local_maxima, skipped, step
-    )
+    return SweepResult(objective, list(by_index.values()), best.theta, values[best_idx],
+                       boundary, local_maxima, skipped, step)
 
 
 def maximize(
@@ -256,12 +258,12 @@ def maximize(
     start,
     terms: int = 20,
 ) -> MaximizeResult:
-    """Derivative-free simplex refinement clamped to the box, seeded at
-    ``start``.  Stops when the simplex diameter falls below 1e-5 or after
-    500 iterations (then the best point so far is returned with
-    converged=False)."""
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    """Compass search from ``start``: move to the first of the ``_compass``
+    points that strictly improves the objective, or halve the step (from
+    0.01) when none does.  Converged once the step is below 1e-5; after 500
+    polls the best point so far comes back with converged=False.  A start
+    where the family does not build raises ``ValueError``."""
+    _check_request(objective, terms)
     theta0 = np.atleast_1d(np.asarray(start, dtype=float))
     if theta0.shape != (family.dimension,):
         raise ValueError("start has the wrong dimension")
@@ -269,19 +271,19 @@ def maximize(
         if not lo <= t <= hi:
             raise ValueError("start outside the box")
 
-    def negated(theta: np.ndarray) -> float:
-        res = _evaluate(family, tuple(float(t) for t in theta), terms)
-        if isinstance(res, GridPoint):
-            return -res.value(objective)
-        return np.inf
-
-    out = minimize(
-        negated,
-        theta0,
-        method="Nelder-Mead",
-        bounds=family.box,
-        options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 500},
-    )
-    return MaximizeResult(
-        tuple(float(t) for t in out.x), -float(out.fun), bool(out.success), int(out.nit)
-    )
+    best = _evaluate(family, tuple(float(t) for t in theta0), terms)
+    if not isinstance(best, GridPoint):
+        raise ValueError(f"start {best[0]} does not build: {best[1]}")
+    step, polls = 0.01, 0
+    while step >= 1e-5 and polls < 500:
+        for theta in _compass(best.theta, step, family.box):
+            if polls == 500:
+                break
+            polls += 1
+            res = _evaluate(family, theta, terms)
+            if isinstance(res, GridPoint) and res.value(objective) > best.value(objective):
+                best = res
+                break
+        else:
+            step /= 2
+    return MaximizeResult(best.theta, best.value(objective), step < 1e-5, polls)

@@ -3,7 +3,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -135,7 +138,7 @@ class TestTopo:
     "fmt,want", [("csv", "x,x_rounded\n-1e-16,0.000\n"),
                  ("json", '[\n  {\n    "x": -1e-16,\n    "x_rounded": 0.0\n  }\n]\n')])
 def test_rounded_column_has_no_negative_zero(capsys, fmt, want):
-    _emit([{"x": -1e-16}], ["x"], argparse.Namespace(format=fmt, output=None))
+    _emit([{"x": -1e-16}], ["x"], fmt, None)
     assert capsys.readouterr().out == want
 
 
@@ -383,3 +386,12 @@ def test_readme_flags_line_names_every_option():
         if opt.startswith("--") and opt != "--help"
     }
     assert documented == registered
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, intricacy.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "[]\n"

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from intricacy.markov import asc_series_markov
-from intricacy.sweep import builtin_family, family_from_dict, maximize, scan
+from intricacy.sweep import _evaluate, builtin_family, family_from_dict, maximize, scan
 
 
 class TestScan:
@@ -89,6 +89,29 @@ class TestMaximize:
             maximize(builtin_family("gms-1step"), "asc", [1.5])
         with pytest.raises(ValueError):
             maximize(builtin_family("gms-2step"), "asc", [0.5])
+
+    def test_refuses_what_it_cannot_compute(self):
+        gms1 = builtin_family("gms-1step")
+        with pytest.raises(ValueError, match="terms must be >= 10"):
+            maximize(gms1, "asc", [0.5], terms=0)
+        with pytest.raises(ValueError, match="objective must be one of"):
+            maximize(gms1, "entropy", [0.5])
+
+    def test_start_that_does_not_build_is_refused(self):
+        # full2-1step at (1, 1) is the identity chain: no unique stationary vector
+        with pytest.raises(ValueError, match="does not build: stationary vector is not unique"):
+            maximize(builtin_family("full2-1step"), "h", [1.0, 1.0])
+
+    @pytest.mark.parametrize("family,objective,start", [
+        ("gms-1step", "int", [0.2]), ("gms-1step", "asc", [1.0]), ("gms-2step", "int", [0.0, 0.4]),
+    ])
+    def test_refined_value_is_the_scan_value_and_no_worse_than_start(
+            self, family, objective, start):
+        fam = builtin_family(family)
+        res = maximize(fam, objective, start)
+        assert res.converged and res.iterations <= 500
+        assert res.value >= _evaluate(fam, tuple(start), 20).value(objective)
+        assert res.value == _evaluate(fam, res.theta, 20).value(objective)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
