@@ -55,47 +55,96 @@ def _entropy(dist: np.ndarray) -> float:
     return float(-_xlogx(dist).sum())
 
 
-def _check_transitions(P: np.ndarray) -> None:
-    """Refuse a P that is not a square row-stochastic matrix.  NaN passes
-    every comparison, so finiteness is tested first."""
-    d = P.shape[0]
-    if P.shape != (d, d):
+def _chain_states(states, block_len: int, d: int) -> tuple[tuple[int, ...], ...]:
+    # one block_len-block of base symbols per state; a plain chain's are its symbols
+    if states is None and block_len != 1:
+        raise ValueError("block_len >= 2 requires explicit states")
+    states = tuple((a,) for a in range(d)) if states is None else tuple(
+        tuple(int(x) for x in s) for s in states)
+    if len(states) != d:
+        raise ValueError("one state per row required")
+    if any(len(s) != block_len for s in states):
+        raise ValueError(f"every state must be a {block_len}-block")
+    return states
+
+
+def _transition_codes(states, block_len: int, support: Sft | None = None) -> np.ndarray | None:
+    """Per transition between ``states``: 2 where the blocks do not overlap,
+    else 1 where the support forbids it, else 0 (it may carry mass); None if all 0."""
+    if block_len == 1 and support is None:
+        return None
+    at = {} if support is None else {lab: i for i, lab in enumerate(support.symbol_labels)}
+    return np.array([[2 if block_len >= 2 and u[1:] != v[:-1] else int(
+        support is not None and not support.adjacency[at[u[-1]], at[v[-1]]])
+        for v in states] for u in states], dtype=np.int8)
+
+
+def _end_matrix(states, alphabet_size: int) -> np.ndarray:
+    # [j, z] = 1 when state j ends with base symbol z (I for a 1-step chain)
+    return np.eye(alphabet_size)[[s[-1] for s in states]]
+
+
+def _refusals(P: np.ndarray, codes: np.ndarray | None = None, states=None) -> list[str | None]:
+    """Why each matrix of a (G, d, d) stack is no transition matrix of a
+    chain on ``states``, None where it is one: finite (NaN passes every
+    other test), nonnegative, rows summing to 1 within 1e-12, positive only
+    at ``codes`` 0 (overlap before support); the first test failed counts."""
+    if P.ndim != 3 or P.shape[1] != P.shape[2]:
         raise ValueError("P must be square")
-    if not np.isfinite(P).all():
-        raise ValueError("P has non-finite entries")
-    if np.any(P < 0):
-        raise ValueError("P has negative entries")
-    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-        raise ValueError("P rows must sum to 1 within 1e-12")
+    flat = P.reshape(len(P), -1)
+    used = (flat > 0) * (0 if codes is None else codes.reshape(-1))
+    failed = np.array([~np.isfinite(flat).all(axis=1), (flat < 0).any(axis=1),
+                       np.abs(P.sum(axis=2) - 1.0).max(axis=1) > 1e-12, used.any(axis=1)])
+    texts = ("P has non-finite entries", "P has negative entries",
+             "P rows must sum to 1 within 1e-12")
+    why = (None, "is not admissible in the support shift", "violates the block overlap condition")
+    reasons: list[str | None] = [None] * len(P)
+    for test, g in zip(*np.nonzero(failed)):
+        if reasons[g] is None:
+            i, j = divmod(int(used[g].argmax()), len(P[g]))  # first of the top code
+            reasons[g] = texts[test] if test < 3 else (
+                f"transition {states[i]} -> {states[j]} {why[used[g].max()]}")
+    return reasons
+
+
+def _stationary_stack(P: np.ndarray, reasons: list[str | None]) -> np.ndarray:
+    """``stationary`` of each matrix of a (G, d, d) stack whose reason is still
+    None, by one batched SVD, cond and solve; a reducible one gets its reason."""
+    G, d = P.shape[:2]
+    idx = np.flatnonzero([r is None for r in reasons])
+    A = P[idx].transpose(0, 2, 1) - np.eye(d)
+    sv = np.linalg.svd(A, compute_uv=False)
+    unique = (sv < 1e-10 * np.maximum(1.0, sv[:, :1])).sum(axis=1) == 1
+    for g in idx[~unique]:
+        reasons[g] = "stationary vector is not unique (reducible chain); supply p explicitly"
+    idx, A = idx[unique], A[unique]
+    A[:, -1] = 1.0  # one equation replaced by normalization
+    for cond in np.linalg.cond(A).tolist():
+        if cond > _WARN_CONDITION:
+            warnings.warn(f"stationary solve condition {cond:.2e}", RuntimeWarning)
+    b = np.zeros((len(A), d, 1))
+    b[:, -1] = 1.0
+    try:
+        x = np.clip(np.linalg.solve(A, b)[..., 0], 0.0, None)
+    except np.linalg.LinAlgError as exc:
+        # unreachable once the nullity is 1: A is then nonsingular
+        raise ValueError(f"stationary solve failed: singular matrix ({exc})") from exc
+    p = np.zeros((G, d))
+    p[idx] = x / x.sum(axis=1, keepdims=True)
+    return p
 
 
 def stationary(P) -> np.ndarray:
     """Probability vector p with p P = p, by direct linear solve with one
-    equation replaced by normalization.  Raises ValueError for chains
-    whose stationary vector is not unique and for a singular solve; warns
-    when the solve is badly conditioned."""
-    P = np.asarray(P, dtype=float)
-    _check_transitions(P)
-    d = P.shape[0]
-    sv = np.linalg.svd(P.T - np.eye(d), compute_uv=False)
-    nullity = int(np.sum(sv < 1e-10 * max(1.0, sv[0])))
-    if nullity != 1:
-        raise ValueError(
-            "stationary vector is not unique (reducible chain); supply p explicitly"
-        )
-    A = np.vstack([(P.T - np.eye(d))[:-1], np.ones(d)])
-    cond = np.linalg.cond(A)
-    if cond > _WARN_CONDITION:
-        warnings.warn(f"stationary solve condition {cond:.2e}", RuntimeWarning)
-    b = np.zeros(d)
-    b[-1] = 1.0
-    try:
-        p = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        # unreachable once the nullity is 1: A is then nonsingular
-        raise ValueError(f"stationary solve failed: singular matrix ({exc})") from exc
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    equation replaced by normalization (``_stationary_stack`` of one P).
+    Raises ValueError for chains whose stationary vector is not unique and
+    for a singular solve; warns when the solve is badly conditioned."""
+    P = np.asarray(P, dtype=float)[None]
+    reasons = _refusals(P)
+    p = _stationary_stack(P, reasons)
+    if reasons[0] is not None:
+        raise ValueError(reasons[0])
+    return p[0]
 
 
 class MarkovMeasure:
@@ -118,44 +167,19 @@ class MarkovMeasure:
         support: Sft | None = None,
     ):
         P = np.asarray(P, dtype=float)
-        _check_transitions(P)
-        d = P.shape[0]
-
-        if states is None:
-            if block_len != 1:
-                raise ValueError("block_len >= 2 requires explicit states")
-            states = tuple((a,) for a in range(d))
-        else:
-            states = tuple(tuple(int(x) for x in s) for s in states)
-        if len(states) != d:
-            raise ValueError("one state per row required")
-        if any(len(s) != block_len for s in states):
-            raise ValueError(f"every state must be a {block_len}-block")
+        states = _chain_states(states, block_len, len(np.atleast_1d(P)))
+        reasons = _refusals(P[None], _transition_codes(states, block_len, support), states)
+        solved = None if p is not None else _stationary_stack(P[None], reasons)[0]
+        if reasons[0] is not None:
+            raise ValueError(reasons[0])
         self.block_len = block_len
         self.states = states
         if alphabet_size is None:
             alphabet_size = max(max(s) for s in states) + 1
         self.alphabet_size = alphabet_size
 
-        if block_len >= 2:
-            for i, u in enumerate(states):
-                for j, v in enumerate(states):
-                    if P[i, j] > 0 and u[1:] != v[:-1]:
-                        raise ValueError(
-                            f"transition {u} -> {v} violates the block overlap condition"
-                        )
-        if support is not None:
-            A = support.adjacency
-            labels = {lab: idx for idx, lab in enumerate(support.symbol_labels)}
-            for i, u in enumerate(states):
-                for j, v in enumerate(states):
-                    if P[i, j] > 0 and not A[labels[u[-1]], labels[v[-1]]]:
-                        raise ValueError(
-                            f"transition {u} -> {v} is not admissible in the support shift"
-                        )
-
         if p is None:
-            p = stationary(P)
+            p = solved
         else:
             p = np.asarray(p, dtype=float)
             if not np.isfinite(p).all():
@@ -166,13 +190,9 @@ class MarkovMeasure:
         self.p = p
         self.P.setflags(write=False)
         self.p.setflags(write=False)
-        symbols = np.arange(self.alphabet_size)
         # _start[a, j] = 1 when state j begins with base symbol a
-        first = np.array([v[0] for v in states])
-        self._start = (first == symbols[:, None]).astype(float)
-        # _end[j, z] = 1 when state j ends with base symbol z (I for a 1-step chain)
-        last = np.array([v[-1] for v in states])
-        self._end = (last[:, None] == symbols).astype(float)
+        self._start = np.eye(self.alphabet_size)[[v[0] for v in states]].T.copy()
+        self._end = _end_matrix(states, self.alphabet_size)
 
     @classmethod
     def one_step(cls, P, p=None, support: Sft | None = None) -> "MarkovMeasure":
@@ -183,19 +203,12 @@ class MarkovMeasure:
         """Input schema: {"block_len": 1, "P": [[...]], "p": optional} or
         {"block_len": k, "states": ["00", "01", ...], "P": [[...]]}."""
         k = int(d.get("block_len", 1))
-        P = d["P"]
-        p = d.get("p")
-        if k == 1:
-            return cls(P, p, block_len=1, support=support)
-        states = [tuple(int(c) for c in s) for s in d["states"]]
-        return cls(P, p, states=states, block_len=k, support=support)
+        states = None if k == 1 else d.get("states")
+        return cls(d["P"], d.get("p"), states=states, block_len=k, support=support)
 
     def powers(self, count: int) -> np.ndarray:
         """Stack of P^1..P^count, each the previous one times P."""
-        Q = np.empty((count, *self.P.shape))
-        for i in range(count):
-            Q[i] = self.P if i == 0 else Q[i - 1] @ self.P
-        return Q
+        return _powers(self.P[None], count)[0]
 
     def __repr__(self) -> str:
         return f"MarkovMeasure(block_len={self.block_len}, states={len(self.states)})"
@@ -228,6 +241,27 @@ class SampledEntropyResult:
     h: float
 
 
+def _powers(P: np.ndarray, count: int) -> np.ndarray:
+    # (G, count, d, d): P^1..P^count of each matrix of a stack, each the last times P
+    Q = np.empty((len(P), count, *P.shape[1:]))
+    for i in range(count):
+        Q[:, i] = P if i == 0 else Q[:, i - 1] @ P
+    return Q
+
+
+def _gap_entropy_stack(P: np.ndarray, p: np.ndarray, end: np.ndarray, count: int) -> np.ndarray:
+    # (G, count): gap_entropies of each chain of a stack
+    return -(p[:, None, :, None] * _xlogx(_powers(P, count) @ end)).sum(axis=(2, 3))
+
+
+def _series_stack(P, p, end, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy rates and series asc (``asc_series_markov``, summed in the
+    same order) of a stack of chains with stationary vectors p."""
+    # running sums in gap order; + 0.0 turns the -0.0 of an all-zero sum to 0.0
+    asc = (_gap_entropy_stack(P, p, end, terms) / 2.0 ** np.arange(1, terms + 1)).cumsum(axis=1)
+    return -(p[:, :, None] * _xlogx(P)).sum(axis=(1, 2)), (asc[:, -1] + 0.0) / 2.0
+
+
 def entropy_rate(m: MarkovMeasure) -> float:
     """h = -sum_j p_j sum_k P_jk log P_jk (nats).  For block chains this
     equals the entropy rate of the underlying base process."""
@@ -241,8 +275,7 @@ def gap_entropies(m: MarkovMeasure, count: int) -> np.ndarray:
     matrix is first collapsed onto the final symbol of the target block."""
     if m.block_len > 2:
         raise ValueError("gap entropies support block_len 1 and 2")
-    X = _xlogx(m.powers(count) @ m._end)
-    return np.array([-(m.p[:, None] * x).sum() for x in X])
+    return _gap_entropy_stack(m.P[None], m.p[None], m._end, count)[0]
 
 
 def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSeries:
@@ -254,11 +287,7 @@ def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSer
         raise ValueError("terms must be >= 1")
     if m.block_len not in (1, 2):
         raise ValueError("series supports block_len 1 and 2; recode higher blocks")
-    asc = 0.0
-    for i, h_i in enumerate(gap_entropies(m, terms).tolist(), 1):
-        asc += h_i / 2.0**i
-    asc /= 2.0
-    h = entropy_rate(m)
+    h, asc = (float(x[0]) for x in _series_stack(m.P[None], m.p[None], m._end, terms))
     tail = math.log(m.alphabet_size) / 2.0**terms
     return MarkovSeries(asc, 2.0 * asc - h, tail, terms, h)
 

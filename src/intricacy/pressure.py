@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import _BINOMIALS, check_table_window
+from ._masks import check_table_window
 from .coeffs import CoefficientSystem
 from .sft import Sft, _as_subset, log_spectral_radius
 from .topo import _count_sums
@@ -81,8 +81,8 @@ def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> fl
     The per-size sums come from ``topo._count_sums``, the kernel choice
     of the pattern counts, with the symbol weights exp(f - max f): every
     weight is at most 1, so no product overflows, and since each pattern
-    at S carries |S| symbols, max f * E|S| / n is added back exactly.  On
-    a shift with a positive square the sums come from one log-domain walk
+    at S carries |S| symbols, max f * E|S| / n = max f / 2 is added back.
+    On a shift with a positive square the sums come from one log-domain walk
     (``Sft.log_word_weights``), so potentials of any size or spread are
     exact.  Other shifts reduce a table of weighted counts, where a spread
     past about 708 can underflow a subset's shifted count to 0; that is
@@ -92,8 +92,8 @@ def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> fl
     c = np.asarray(coeffs.weights_row(n))
     top = float(lw.max())
     every = _count_sums(sft, n, 0, log_weights=lw - top)[0]
-    # E|S| = sum_k k C(n, k) c_k = n sum_k C(n - 1, k - 1) c_k
-    value = float(c @ every) / n + top * float(_BINOMIALS[n - 1, :n] @ c[1:])
+    # E|S| / n = 1/2 exactly: every weighting system is symmetric
+    value = float(c @ every) / n + top / 2
     if not math.isfinite(value):
         spread = top - float(lw.min())
         raise ValueError(

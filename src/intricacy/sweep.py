@@ -1,22 +1,25 @@
 """Parameter scans and maximizer searches over Markov families.
 
-A family maps a parameter vector inside a box to a Markov measure; the
-scan evaluates the conditional-entropy series on a regular grid and
-collects boundary/interior maxima per objective, and ``maximize``
-refines a start point with a compass search clamped to the box.  Both
-evaluate points through ``_evaluate``.
+A family maps a stack of parameter vectors in a box to the stack of
+their transition matrices.  ``scan`` evaluates the series on a regular
+grid, a block at a time, and collects boundary/interior maxima per
+objective; ``maximize`` refines a start point with a compass search
+clamped to the box, a round of polls at a time, both by ``_evaluate``.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .markov import MarkovMeasure, asc_series_markov
-from .sft import Sft
+from .markov import (
+    MarkovMeasure, _chain_states, _end_matrix, _refusals, _series_stack, _stationary_stack,
+    _transition_codes,
+)
 
 __all__ = [
     "MarkovFamily",
@@ -31,18 +34,40 @@ __all__ = [
 ]
 
 OBJECTIVES = ("h", "asc", "int")
+# grid points per stacked evaluation: bounds the memory a scan holds
+_BLOCK = 1024
+# compass polls a maximize takes at most
+_POLL_BUDGET = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovFamily:
+    """``stack`` maps a (G, dimension) array of parameter points to their
+    (G, d, d) transition matrices on ``states``."""
+
     name: str
     param_names: tuple[str, ...]
     box: tuple[tuple[float, float], ...]
-    builder: Callable[[tuple[float, ...]], MarkovMeasure]
+    stack: Callable[[np.ndarray], np.ndarray]
+    states: tuple[tuple[int, ...], ...]
+    block_len: int = 1
 
     @property
     def dimension(self) -> int:
         return len(self.param_names)
+
+    @cached_property
+    def codes(self) -> np.ndarray | None:  # the transitions that may carry mass
+        return _transition_codes(self.states, self.block_len)
+
+    @cached_property
+    def end(self) -> np.ndarray:  # collapses a state onto its last base symbol
+        return _end_matrix(self.states, max(max(s) for s in self.states) + 1)
+
+    def builder(self, theta) -> MarkovMeasure:
+        """The measure at one parameter point, the one-point case of ``stack``."""
+        P = self.stack(np.array([theta], dtype=float))[0]
+        return MarkovMeasure(P, states=self.states, block_len=self.block_len)
 
 
 @dataclass(frozen=True)
@@ -76,46 +101,6 @@ class MaximizeResult:
     iterations: int
 
 
-def _full2_builder(theta):
-    p00, p11 = theta
-    P = [[p00, 1.0 - p00], [1.0 - p11, p11]]
-    return MarkovMeasure.one_step(P)
-
-
-def _gms1_builder(theta):
-    (p00,) = theta
-    P = [[p00, 1.0 - p00], [1.0, 0.0]]
-    return MarkovMeasure.one_step(P, support=Sft.golden_mean())
-
-
-def _gms2_builder(theta):
-    p000, p100 = theta
-    P = [
-        [p000, 1.0 - p000, 0.0],
-        [0.0, 0.0, 1.0],
-        [p100, 1.0 - p100, 0.0],
-    ]
-    return MarkovMeasure(P, states=((0, 0), (0, 1), (1, 0)), block_len=2, alphabet_size=2)
-
-
-_BUILTINS = {
-    "full2-1step": MarkovFamily(
-        "full2-1step", ("p00", "p11"), ((0.0, 1.0), (0.0, 1.0)), _full2_builder
-    ),
-    "gms-1step": MarkovFamily("gms-1step", ("p00",), ((0.0, 1.0),), _gms1_builder),
-    "gms-2step": MarkovFamily(
-        "gms-2step", ("p000", "p100"), ((0.0, 1.0), (0.0, 1.0)), _gms2_builder
-    ),
-}
-
-
-def builtin_family(name: str) -> MarkovFamily:
-    try:
-        return _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; built-ins: {sorted(_BUILTINS)}") from None
-
-
 def _box_entry(name: str, entry) -> tuple[float, float]:
     """(lo, hi) of one parameter of a custom family's box: two numbers with
     0 <= lo <= hi <= 1, since template cells are transition probabilities
@@ -126,49 +111,72 @@ def _box_entry(name: str, entry) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _compile(template, params: tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The stack builder of a template (see ``family_from_dict``); any
+    other template is a ValueError naming the row or cell."""
+    if not isinstance(template, list) or not template:
+        raise ValueError("template must be a non-empty square matrix")
+    d = len(template)
+    for i, row in enumerate(template):
+        if not isinstance(row, list) or len(row) != d:
+            raise ValueError(f"template row {i} must hold {d} cells: the template is square")
+        if row.count("rest") > 1:
+            raise ValueError(f"template row {i} has more than one 'rest' marker")
+        for j, cell in enumerate(row):
+            if not (cell == "rest" or cell in params or isinstance(cell, numbers.Real)):
+                raise ValueError(f"template cell ({i}, {j}) {cell!r} is neither a number, "
+                                 f"'rest' nor a declared parameter {list(params)}")
+    const = np.array([[float(c) if isinstance(c, numbers.Real) else 0.0 for c in row]
+                      for row in template])
+    pi, pj, pk = np.array([(i, j, params.index(c)) for i, row in enumerate(template) for j, c
+                           in enumerate(row) if c in params], dtype=np.intp).reshape(-1, 3).T
+    ri, rj = np.array([(i, row.index("rest")) for i, row in enumerate(template) if "rest" in row],
+                      dtype=np.intp).reshape(-1, 2).T
+
+    def stack(thetas: np.ndarray) -> np.ndarray:
+        P = np.repeat(const[None], len(thetas), axis=0)
+        P[:, pi, pj] = thetas[:, pk]
+        # each "rest" cell, 0 so far, takes 1 less its row summed left to right
+        P[:, ri, rj] = 1.0 - P[:, ri].cumsum(axis=2)[..., -1]
+        return P
+
+    return stack
+
+
 def family_from_dict(d: dict) -> MarkovFamily:
-    """Custom family schema: a template matrix whose cells are numbers,
-    parameter names, or the per-row marker "rest" (one per row, set to
-    whatever makes the row sum to 1)::
+    """Custom family schema, checked on load: a square template matrix whose
+    cells are numbers, parameter names, or the per-row marker "rest" (at
+    most one per row, set to whatever makes the row sum to 1)::
 
         {"name": ..., "params": ["a"], "box": {"a": [0, 1]},
          "template": [["a", "rest"], [1, 0]],
          "block_len": 1, "states": optional [...]}
     """
-    name = d.get("name", "custom")
     params = tuple(d["params"])
     box = tuple(_box_entry(p, d["box"][p]) for p in params)
-    template = d["template"]
+    stack = _compile(d["template"], params)
     block_len = int(d.get("block_len", 1))
-    states = d.get("states")
-    state_tuples = (
-        tuple(tuple(int(c) for c in s) for s in states) if states is not None else None
-    )
+    if block_len not in (1, 2):
+        raise ValueError("series supports block_len 1 and 2; recode higher blocks")
+    states = _chain_states(d.get("states"), block_len, len(d["template"]))
+    return MarkovFamily(d.get("name", "custom"), params, box, stack, states, block_len)
 
-    def build(theta: tuple[float, ...]) -> MarkovMeasure:
-        env = dict(zip(params, theta))
-        P = []
-        for row in template:
-            vals = []
-            rest_at = None
-            for j, cell in enumerate(row):
-                if cell == "rest":
-                    if rest_at is not None:
-                        raise ValueError("one 'rest' marker per row")
-                    rest_at = j
-                    vals.append(0.0)
-                elif isinstance(cell, str):
-                    vals.append(float(env[cell]))
-                else:
-                    vals.append(float(cell))
-            if rest_at is not None:
-                vals[rest_at] = 1.0 - sum(vals)
-            P.append(vals)
-        if state_tuples is not None:
-            return MarkovMeasure(P, states=state_tuples, block_len=block_len)
-        return MarkovMeasure.one_step(P)
 
-    return MarkovFamily(name, params, box, build)
+# the built-ins are custom families over the whole unit box
+_BUILTINS = {d["name"]: family_from_dict(dict(d, box={p: [0, 1] for p in d["params"]})) for d in (
+    {"name": "full2-1step", "params": ["p00", "p11"],
+     "template": [["p00", "rest"], ["rest", "p11"]]},
+    {"name": "gms-1step", "params": ["p00"], "template": [["p00", "rest"], [1, 0]]},
+    {"name": "gms-2step", "params": ["p000", "p100"], "block_len": 2, "states": ["00", "01", "10"],
+     "template": [["p000", "rest", 0], [0, 0, 1], ["p100", "rest", 0]]},
+)}
+
+
+def builtin_family(name: str) -> MarkovFamily:
+    try:
+        return _BUILTINS[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}; built-ins: {sorted(_BUILTINS)}") from None
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -193,13 +201,17 @@ def _compass(theta, step, box):
                 yield theta[:d] + (t,) + theta[d + 1:]
 
 
-def _evaluate(family: MarkovFamily, theta: tuple[float, ...], terms: int):
-    try:
-        m = family.builder(theta)
-        s = asc_series_markov(m, terms)
-        return GridPoint(theta, s.h, s.asc, s.intricacy)
-    except ValueError as exc:
-        return (theta, str(exc))
+def _evaluate(family: MarkovFamily, thetas: np.ndarray, terms: int) -> list:
+    """A GridPoint per row of ``thetas``, from one stacked pass, or (theta,
+    reason) where the family does not build: what ``MarkovMeasure`` raises."""
+    P = family.stack(thetas)
+    reasons = _refusals(P, family.codes, family.states)
+    p = _stationary_stack(P, reasons)
+    built = np.array([r is None for r in reasons], dtype=bool)
+    h, asc = _series_stack(P[built], p[built], family.end, terms)
+    values = zip(h.tolist(), asc.tolist(), (2.0 * asc - h).tolist())
+    return [GridPoint(theta, *next(values)) if r is None else (theta, r)
+            for theta, r in zip(map(tuple, thetas.tolist()), reasons)]
 
 
 def scan(
@@ -219,14 +231,12 @@ def scan(
 
     axes = [_axis(lo, hi, step) for lo, hi in family.box]
     shape = tuple(len(a) for a in axes)
-    skipped: list[tuple[tuple[float, ...], str]] = []
-    by_index: dict[tuple[int, ...], GridPoint] = {}
-    for idx in np.ndindex(*shape):
-        res = _evaluate(family, tuple(float(axes[d][i]) for d, i in enumerate(idx)), terms)
-        if isinstance(res, GridPoint):
-            by_index[idx] = res
-        else:
-            skipped.append(res)
+    thetas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    results = [res for lo in range(0, len(thetas), _BLOCK)
+               for res in _evaluate(family, thetas[lo:lo + _BLOCK], terms)]
+    by_index = {idx: res for idx, res in zip(np.ndindex(*shape), results)
+                if isinstance(res, GridPoint)}
+    skipped = [res for res in results if not isinstance(res, GridPoint)]
     if not by_index:
         raise ValueError("every grid point failed to build")
 
@@ -260,9 +270,10 @@ def maximize(
 ) -> MaximizeResult:
     """Compass search from ``start``: move to the first of the ``_compass``
     points that strictly improves the objective, or halve the step (from
-    0.01) when none does.  Converged once the step is below 1e-5; after 500
-    polls the best point so far comes back with converged=False.  A start
-    where the family does not build raises ``ValueError``."""
+    0.01) when none does.  Converged once the step is below 1e-5; after
+    500 polls the best point so far comes back with converged=False.  Each
+    round is one stacked evaluation that counts its polls up to the first
+    improving one.  A start that does not build raises ``ValueError``."""
     _check_request(objective, terms)
     theta0 = np.atleast_1d(np.asarray(start, dtype=float))
     if theta0.shape != (family.dimension,):
@@ -271,19 +282,19 @@ def maximize(
         if not lo <= t <= hi:
             raise ValueError("start outside the box")
 
-    best = _evaluate(family, tuple(float(t) for t in theta0), terms)
+    (best,) = _evaluate(family, theta0[None], terms)
     if not isinstance(best, GridPoint):
         raise ValueError(f"start {best[0]} does not build: {best[1]}")
     step, polls = 0.01, 0
-    while step >= 1e-5 and polls < 500:
-        for theta in _compass(best.theta, step, family.box):
-            if polls == 500:
-                break
-            polls += 1
-            res = _evaluate(family, theta, terms)
-            if isinstance(res, GridPoint) and res.value(objective) > best.value(objective):
-                best = res
-                break
-        else:
+    while step >= 1e-5 and polls < _POLL_BUDGET:
+        compass = list(_compass(best.theta, step, family.box))
+        polled = compass[:_POLL_BUDGET - polls]
+        results = _evaluate(family, np.array(polled), terms) if polled else []
+        hit = next((i for i, res in enumerate(results) if isinstance(res, GridPoint)
+                    and res.value(objective) > best.value(objective)), None)
+        polls += len(polled) if hit is None else hit + 1
+        if hit is not None:
+            best = results[hit]
+        elif len(polled) == len(compass):
             step /= 2
     return MaximizeResult(best.theta, best.value(objective), step < 1e-5, polls)

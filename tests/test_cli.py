@@ -327,6 +327,22 @@ class TestSweep:
         assert "box of 'a'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("template,where", [
+        ([["a", "rest"], [1, 0, 0]], "template row 1"),
+        ([["rest", "rest"], [1, 0]], "template row 0"),
+        ([["a", "rest"], ["b", "rest"]], "template cell (1, 0) 'b'"),
+    ], ids=["not-square", "two-rest", "undeclared"])
+    def test_malformed_template_is_bad_input(self, capsys, tmp_path, template, where):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"name": "gms-custom", "params": ["a"], "box": {"a": [0, 1]},
+                                   "template": template}))
+        out = tmp_path / "surface.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--input", str(fam), "--step", "0.05",
+                                    "--output", str(out))
+        assert (code, stdout) == (1, "")
+        assert where in err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_all_suites_pass_quick(self, capsys):

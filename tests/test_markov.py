@@ -172,6 +172,16 @@ class TestGapConditionalEntropy:
             Q = Q @ m.P
         assert gap_entropies(m, 12).tolist() == want
 
+    @pytest.mark.parametrize("make", [gms_one_step, lambda: gms_two_step(0.3, 0.8)],
+                             ids=["1-step", "2-block"])
+    def test_no_gaps(self, make):
+        # a one-place subset has no gaps: no powers, and H(p) alone
+        m = make()
+        assert gap_entropies(m, 0).shape == (0,)
+        assert m.powers(0).shape == (0, *m.P.shape)
+        assert sampled_joint_entropy(m, [0], 1) == pytest.approx(
+            sampled_joint_entropy_oracle(m, [0], 1), abs=1e-13)
+
 
 class TestSeries:
     def test_bernoulli_row(self):

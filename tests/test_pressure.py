@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from intricacy.coeffs import CoefficientSystem
+from intricacy.coeffs import CoefficientSystem, parse_coeffs
 from intricacy.errors import CapExceeded
 from intricacy.pressure import Potential, asp_profile, classical_pressure, weighted_count
 from intricacy.sft import Sft, SubsetSpec
@@ -84,6 +84,16 @@ class TestAspProfile:
             for n in (4, 10):
                 asc = finite_profile(s, UNIFORM, n).asc
                 assert asp_profile(s, zero_potential(3), UNIFORM, n) == asc
+
+    def test_constant_potential_adds_half_of_it_bit_for_bit(self):
+        # E|S| / n = 1/2 under every symmetric weighting, so asp(c) = asc + c / 2;
+        # the golden mean takes the run kernel, golden-pair/II the table
+        psym = parse_coeffs("psym:0.3")
+        c = 0.7
+        for s in (Sft.golden_mean(), Sft(GOLDEN_PAIR_II)):
+            f = Potential.from_values({a: c for a in range(3)})
+            for n in range(1, 24):
+                assert asp_profile(s, f, psym, n) == finite_profile(s, psym, n).asc + c / 2, n
 
     def test_monotone_in_potential(self):
         s = Sft(PAIR_B)

@@ -1,9 +1,16 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from intricacy.markov import asc_series_markov
-from intricacy.sweep import _evaluate, builtin_family, family_from_dict, maximize, scan
+from intricacy import sweep
+from intricacy.markov import MarkovMeasure, asc_series_markov, stationary
+from intricacy.sft import Sft
+from intricacy.sweep import (
+    GridPoint, MaximizeResult, _compass, _evaluate, builtin_family, family_from_dict, maximize,
+    scan,
+)
 
 
 class TestScan:
@@ -110,8 +117,9 @@ class TestMaximize:
         fam = builtin_family(family)
         res = maximize(fam, objective, start)
         assert res.converged and res.iterations <= 500
-        assert res.value >= _evaluate(fam, tuple(start), 20).value(objective)
-        assert res.value == _evaluate(fam, res.theta, 20).value(objective)
+        at_start, at_end = _evaluate(fam, np.array([start, res.theta]), 20)
+        assert res.value >= at_start.value(objective)
+        assert res.value == at_end.value(objective)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -171,3 +179,123 @@ class TestCustomFamily:
         fam = family_from_dict(dict(self.GMS_JSON, box={"a": [0.5, 0.5]}))
         assert fam.box == ((0.5, 0.5),)
         assert [p.theta for p in scan(fam, step=0.05).grid] == [(0.5,)]
+
+    @pytest.mark.parametrize("change,where", [
+        ({"template": [["a", "rest"], [1, 0, 0]]}, "row 1"),
+        ({"template": [["a", "rest", 0], [1, 0, 0]]}, "row 0"),
+        ({"template": [["a", "rest"], ["rest", 0.5, "rest"]]}, "row 1"),
+        ({"template": [[0, 1], ["rest", "rest"]]}, "row 1 has more than one 'rest' marker"),
+        ({"template": [["a", "rest"], ["b", "rest"]]}, r"cell \(1, 0\) 'b'"),
+        ({"block_len": 2}, "requires explicit states"),
+    ], ids=["short-row", "long-rows", "ragged", "two-rest", "undeclared", "block2-no-states"])
+    def test_malformed_template_is_refused_at_load(self, change, where):
+        with pytest.raises(ValueError, match=where):
+            family_from_dict(dict(self.GMS_JSON, **change))
+
+
+# Per-point references, each chain built by hand as a caller of markov would.
+GMS2_STATES = ((0, 0), (0, 1), (1, 0))
+BLOCK2_STATES = ["00", "01", "10", "11"]
+BLOCK2_JSON = {
+    "name": "full2-blocks", "params": ["x", "y"], "box": {"x": [0, 1], "y": [0, 1]},
+    "block_len": 2, "states": BLOCK2_STATES,
+    "template": [["x", "rest", 0, 0], [0, 0, "y", "rest"],
+                 ["rest", "x", 0, 0], [0, 0, "rest", "y"]],
+}
+REFERENCES = {
+    "full2-1step": lambda a, b: MarkovMeasure([[a, 1 - a], [1 - b, b]]),
+    "gms-1step": lambda a: MarkovMeasure([[a, 1 - a], [1, 0]], support=Sft.golden_mean()),
+    "gms-2step": lambda a, c: MarkovMeasure([[a, 1 - a, 0], [0, 0, 1], [c, 1 - c, 0]],
+                                            states=GMS2_STATES, block_len=2),
+    "full2-blocks": lambda x, y: MarkovMeasure(
+        [[x, 1 - x, 0, 0], [0, 0, y, 1 - y], [1 - x, x, 0, 0], [0, 0, 1 - y, y]],
+        states=BLOCK2_STATES, block_len=2),
+}
+
+
+def _family(name):
+    return family_from_dict(BLOCK2_JSON) if name == "full2-blocks" else builtin_family(name)
+
+
+def _per_point(name, theta):
+    s = asc_series_markov(REFERENCES[name](*theta), 20)
+    return s.h, s.asc, s.intricacy
+
+
+def _sequential_compass(fam, objective, start):
+    # maximize with one evaluation per poll
+    def point(theta):
+        return _evaluate(fam, np.array([theta]), 20)[0]
+
+    best = point(tuple(start))
+    step, polls = 0.01, 0
+    while step >= 1e-5 and polls < sweep._POLL_BUDGET:
+        for theta in _compass(best.theta, step, fam.box):
+            if polls == sweep._POLL_BUDGET:
+                break
+            polls += 1
+            res = point(theta)
+            if isinstance(res, GridPoint) and res.value(objective) > best.value(objective):
+                best = res
+                break
+        else:
+            step /= 2
+    return MaximizeResult(best.theta, best.value(objective), step < 1e-5, polls)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_stacked_values_match_a_per_point_loop(self, name):
+        fam = _family(name)
+        thetas = np.random.default_rng(2024).random((300, fam.dimension))
+        for theta, got in zip(thetas.tolist(), _evaluate(fam, thetas, 20)):
+            assert isinstance(got, GridPoint), (theta, got)
+            want = _per_point(name, theta)
+            assert max(abs(g - w) for g, w in zip((got.h, got.asc, got.intricacy), want)) <= 1e-13
+
+    def test_results_do_not_depend_on_the_block(self, monkeypatch):
+        fams = [builtin_family(n) for n in ("full2-1step", "gms-1step", "gms-2step")]
+        want = [scan(fam, step=0.05, objective="int") for fam in fams]
+        for block in (1, 7, sweep._BLOCK):
+            monkeypatch.setattr(sweep, "_BLOCK", block)
+            assert [scan(fam, step=0.05, objective="int") for fam in fams] == want
+
+    def test_skipped_points_carry_the_per_point_reasons(self):
+        res = scan(builtin_family("full2-1step"), step=0.05, objective="h")
+        with pytest.raises(ValueError) as exc:
+            stationary(np.eye(2))
+        assert res.skipped == [((1.0, 1.0), str(exc.value))]
+        # per family: points refused for each reason in turn, then one that builds
+        stacks = {
+            "full2-1step": [[[math.nan, 1], [0, 1]], [[1.5, -0.5], [0, 1]], [[0.5, 0.6], [0, 1]],
+                            [[1, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]],
+            "gms-2step": [[[0.5, 0.25, 0.25], [0, 0, 1], [1, 0, 0]],
+                          [[0.5, 0.5, 0], [0, 0, 1], [1, 0, 0]]],
+        }
+        for name, Ps in stacks.items():
+            fam = builtin_family(name)
+            given = replace(fam, stack=lambda thetas: np.array(Ps, dtype=float))
+            got = _evaluate(given, np.zeros((len(Ps), fam.dimension)), 20)
+            reasons = [None if isinstance(res, GridPoint) else res[1] for res in got]
+            want = []
+            for P in Ps:
+                try:
+                    MarkovMeasure(P, states=fam.states, block_len=fam.block_len)
+                    want.append(None)
+                except ValueError as exc:
+                    want.append(str(exc))
+            assert reasons == want
+            assert want[-1] is None and all(want[:-1])
+
+    @pytest.mark.parametrize("family,objective,start", [
+        ("gms-1step", "int", [0.2]), ("gms-1step", "h", [0.0]), ("gms-2step", "asc", [0.5, 0.5]),
+        ("gms-2step", "int", [0.0, 0.4]), ("full2-1step", "int", [0.1, 0.05]),
+        ("full2-1step", "h", [1.0, 0.97]),
+    ])
+    @pytest.mark.parametrize("budget", [3, 10, 500])
+    def test_maximize_equals_a_sequential_compass(self, monkeypatch, family, objective, start,
+                                                 budget):
+        # the small budgets end the search part way through a round
+        monkeypatch.setattr(sweep, "_POLL_BUDGET", budget)
+        fam = builtin_family(family)
+        assert maximize(fam, objective, start) == _sequential_compass(fam, objective, start)
