@@ -17,7 +17,7 @@ import numpy as np
 from ._masks import gap_size_sums, size_sums
 from .coeffs import CoefficientSystem, SymmetricMeasure
 from .errors import CapExceeded
-from .sft import Sft, SubsetSpec, _as_subset
+from .sft import Sft, _as_subset
 
 __all__ = [
     "MarkovMeasure",
@@ -41,7 +41,7 @@ DEFAULT_TERMS = 20
 ENUMERATION_CAP = 10**7
 # a stationary solve above this condition number warns
 _WARN_CONDITION = 1e12
-# rows of symbol tuples a block-chain joint entropy holds per level
+# rows of symbol tuples the block-chain pass holds per level, depth first
 _ROW_BLOCK = 1 << 15
 
 
@@ -296,15 +296,9 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None) -> float:
     """Joint entropy of the base symbols read at the places of S.
 
     For a plain chain the sampled process is itself Markov, so the exact
-    chain rule H(p) + sum over gaps applies.  For block chains a forward
-    pass goes level by level: a matrix holds one row per symbol tuple
-    read so far (weights over the hidden block states, tuples in
-    lexicographic order), and each gap g maps it through P^g and splits
-    every row by the first symbol of the next state.  The pass costs
-    about r^|S| * d^2 flops for d states (budget r^|S| <=
-    ENUMERATION_CAP).  Past _ROW_BLOCK rows it continues block by block,
-    depth-first, holding at most one _ROW_BLOCK x d array per further
-    level, never all r^|S| rows at once."""
+    chain rule H(p) + sum over gaps applies.  A block chain takes the
+    forward pass of ``_block_entropies`` on this one subset: about
+    r^|S| * d^2 flops for d states, refused past r^|S| = ENUMERATION_CAP."""
     spec = _as_subset(S, n)
     if spec.mask == 0:
         return 0.0
@@ -312,31 +306,71 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None) -> float:
     if m.block_len == 1:
         hs = gap_entropies(m, count).tolist()
         return _entropy(m.p) + sum(hs[g - 1] for g in spec.gaps)
-    return _block_entropy(m, m.powers(count), spec)
+    places = [[spec.mask >> i & 1 for i in range(spec.n)]]
+    return float(_block_entropies(m, m.powers(count), places)[0])
 
 
-def _block_entropy(m: MarkovMeasure, powers: np.ndarray, spec: SubsetSpec) -> float:
-    # sampled_joint_entropy of a block chain, with P^1.. given as ``powers``
-    if m.alphabet_size ** spec.size > ENUMERATION_CAP:
+def _block_entropies(m: MarkovMeasure, powers: np.ndarray, places) -> np.ndarray:
+    """Joint entropies at the places of each nonempty row of ``places``
+    ((N, width) 0/1; only its gaps matter), powers[g-1] = P^g.  Each
+    distinct prefix of the subsets is extended once, level by level: its
+    rows (hidden-state weights per symbol tuple read) are gathered once per
+    child by gap, times P^g, and split by the next state's first symbol;
+    zero rows drop.  r^|S| > ENUMERATION_CAP is refused first."""
+    rows, cols = np.nonzero(np.asarray(places, dtype=bool))
+    sizes = np.bincount(rows, minlength=len(places))
+    if m.alphabet_size ** int(sizes.max()) > ENUMERATION_CAP:
         raise CapExceeded(f"r^|S| exceeds the enumeration cap {ENUMERATION_CAP}")
-    return _tuple_entropy(m, powers, m._start * m.p, spec.gaps)
-
-
-def _tuple_entropy(m: MarkovMeasure, powers: np.ndarray, W: np.ndarray,
-                   gaps: tuple[int, ...]) -> float:
-    """-sum q log q over the symbol tuples that extend the rows of W
-    (row = weights over hidden states of one tuple read so far) through
-    the remaining gaps, powers[g-1] = P^g.  Once a level would pass
-    _ROW_BLOCK rows, the rows go on in blocks, depth-first."""
+    # G[i, j] = gap j of subset i, 0 past its last; sorted, a prefix's subsets are adjacent
+    rank = np.arange(len(cols)) - (np.cumsum(sizes) - sizes)[rows]
+    G = np.zeros((len(sizes), int(sizes.max())), dtype=np.int64)
+    G[rows[rank > 0], rank[rank > 0] - 1] = np.diff(cols, prepend=0)[rank > 0]
+    order = np.lexsort(G.T[::-1])
+    G, gaps, span = G[order], sizes[order] - 1, np.shape(places)[1]
+    # per level, (parent's place, gap) of the prefixes one gap longer, placed in gap order
     r, d = m._start.shape
-    for level, g in enumerate(gaps):
-        if len(W) * r > _ROW_BLOCK:
-            step = _ROW_BLOCK // r
-            return sum(_tuple_entropy(m, powers, W[lo : lo + step], gaps[level:])
-                       for lo in range(0, len(W), step))
-        W = ((W @ powers[g - 1])[:, None, :] * m._start).reshape(-1, d)
-        W = W[W.any(axis=1)]
-    return _entropy(W.sum(axis=1))
+    pos, kids, H = np.zeros(len(G), dtype=np.intp), [], [np.zeros(1)]
+    for level in range(int(gaps.max())):
+        alive = np.flatnonzero(gaps > level)
+        key = pos[alive] * span + G[alive, level]
+        new = np.concatenate(([True], key[1:] != key[:-1]))
+        by_gap = np.lexsort(divmod(key[new], span))
+        pos[alive] = np.argsort(by_gap)[np.cumsum(new) - 1]
+        parent, gap = divmod(key[new][by_gap], span)
+        runs = np.flatnonzero(np.concatenate(([True], gap[1:] != gap[:-1], [True])))
+        kids.append((parent, gap, runs, np.bincount(parent, minlength=len(H[-1])) * r))
+        H.append(np.zeros(len(gap)))
+
+    # depth first: (level, rows W, sums q or None once counted, prefixes at, ascending)
+    W = m._start * m.p
+    stack = [(0, W, W @ np.ones(d), np.zeros(r, dtype=np.intp))]
+    while stack:
+        level, W, q, at = stack.pop()
+        if q is not None and len(q):  # -q log q, pairwise per prefix
+            starts = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+            H[level][at[starts]] += np.add.reduceat(_xlogx(q), starts)
+        if level == len(kids) or not len(W):
+            continue
+        parent, gap, runs, fan = kids[level]
+        cum = np.cumsum(fan[at])
+        if cum[-1] > _ROW_BLOCK and len(W) > 1:  # blocks extending to at most _ROW_BLOCK rows
+            block = (cum - 1) // max(_ROW_BLOCK - int(fan.max()) + 1, 1)
+            cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(W)]
+            stack += [(level, W[lo:hi], None, at[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+            continue
+        first = np.searchsorted(at, parent)
+        counts = np.searchsorted(at, parent, side="right") - first  # rows per child
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        X = W[np.arange(ends[-1]) + np.repeat(first - ends[:-1], counts)]
+        W = at = None  # free this level's rows before the next level's are built
+        for a, b, g in zip(ends[runs[:-1]], ends[runs[1:]], gap[runs[:-1]]):
+            X[a:b] = X[a:b] @ powers[g - 1]
+        X = (X[:, None, :] * m._start).reshape(-1, d)
+        q = X @ np.ones(d)
+        keep = q > 0  # weights are >= 0: a row is zero where its sum is
+        X, q = X[keep], q[keep]
+        stack.append((level + 1, X, q, np.arange(len(gap)).repeat(counts * r)[keep]))
+    return -np.concatenate(H)[np.cumsum([0] + [len(h) for h in H])[gaps] + pos][np.argsort(order)]
 
 
 def cylinder_measure(m: MarkovMeasure, word) -> float:
@@ -358,26 +392,41 @@ def cylinder_measure(m: MarkovMeasure, word) -> float:
 
 
 def sampled_joint_entropy_oracle(m: MarkovMeasure, S, n: int | None = None) -> float:
-    """Brute-force cross-check: enumerate every word covering S, weight it
-    by its cylinder measure, aggregate onto the projection, then take the
-    entropy of the projected distribution."""
+    """Brute-force cross-check (``_projected_entropies``): enumerate every
+    word covering S, weight it by its cylinder measure, aggregate onto the
+    projection, then take the entropy of the projected distribution."""
     spec = _as_subset(S, n)
     if spec.mask == 0:
         return 0.0
-    elems = spec.elements
-    length = elems[-1] + 1
-    if m.alphabet_size**length > ENUMERATION_CAP:
+    places = np.array([[spec.mask >> i & 1 for i in range(spec.elements[-1] + 1)]])
+    return float(_projected_entropies(m, places)[0])
+
+
+def _projected_entropies(m: MarkovMeasure, places) -> np.ndarray:
+    """Joint entropies at the rows of ``places`` ((N, width) 0/1), never by P^g:
+    every word over the window (a block at least) weighs p of its first block
+    times P along it, 0 past a non-state block; a ``bincount`` projects them."""
+    r, d, k = m.alphabet_size, len(m.states), m.block_len
+    places = np.pad(places, ((0, 0), (0, max(k - places.shape[1], 0))))
+    width = places.shape[1]
+    if r**width > ENUMERATION_CAP:
         raise CapExceeded("oracle budget exceeded")
-    out: dict[tuple[int, ...], float] = {}
-    words = [()]
-    for _ in range(length):
-        words = [w + (a,) for w in words for a in range(m.alphabet_size)]
-    for w in words:
-        mu = cylinder_measure(m, w)
-        if mu > 0:
-            key = tuple(w[i] for i in elems)
-            out[key] = out.get(key, 0.0) + mu
-    return _entropy(np.array(list(out.values())))
+    words = np.arange(r**width)[:, None] // r ** np.arange(width - 1, -1, -1) % r
+    radix = r ** np.arange(k - 1, -1, -1)
+    state = np.full(r**k, d)  # index d: no state, of measure 0
+    state[np.array(m.states) @ radix] = np.arange(d)
+    at = state[np.lib.stride_tricks.sliding_window_view(words, k, axis=1) @ radix]
+    P, mu = np.pad(m.P, ((0, 1), (0, 1))), np.append(m.p, 0.0)[at[:, 0]]
+    for i in range(1, at.shape[1]):
+        mu = mu * P[at[:, i - 1], at[:, i]]
+    out, bins = [], r**width
+    step = max(1, (1 << 20) // bins)
+    for lo in range(0, len(places), step):
+        codes = words @ (places[lo : lo + step] * r ** np.arange(width)).T
+        codes += bins * np.arange(codes.shape[1])  # a range of bins per row
+        q = np.bincount(codes.ravel(), np.repeat(mu, codes.shape[1]), codes.shape[1] * bins)
+        out.extend((-_xlogx(q.reshape(-1, bins)).sum(axis=1)).tolist())
+    return np.array(out)
 
 
 def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEntropyResult:
@@ -388,9 +437,9 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
     For a plain chain the joint entropy at S is H(p) plus one gap entropy
     h_g per consecutive gap of S, so the k-subsets sum to
     C(n, k) H(p) + sum_g h_g (n - g) C(n - g - 1, k - 2) (``gap_size_sums``),
-    O(n^2) with no table.  A block chain fills a table of the joint
+    O(n^2) with no table.  A block chain sums by subset size the joint
     entropies at the 2^(n-1) canonical masks 2i+1 (every joint entropy is
-    that of a translate containing 0) and sums it by subset size."""
+    that of a translate containing 0), one ``_block_entropies`` pass."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     cap = 20 if m.block_len == 1 else 12
@@ -399,10 +448,8 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
     if m.block_len == 1:
         every = gap_size_sums(_entropy(m.p), gap_entropies(m, n - 1), n)
     else:
-        Q = m.powers(n - 1)
-        H = np.array([_block_entropy(m, Q, SubsetSpec(n, 2 * i + 1))
-                      for i in range(1 << (n - 1))])
-        every = size_sums(H, n)[0]
+        canonical = (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
+        every = size_sums(_block_entropies(m, m.powers(n - 1), canonical), n)[0]
     total = float(np.asarray(coeffs.weights_row(n)) @ every)
     # the full window is the one n-subset; intricacy = 2 asc - h
     h_full = float(every[n])
@@ -426,7 +473,8 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
     bit strings of length 2n with the first bit set and the rest fair
     coin flips (PCG64 stream from ``seed``), average
     H(symbols at set bits) / (2n).  The standard error is the sample
-    standard deviation over sqrt(samples)."""
+    standard deviation over sqrt(samples).  A block chain takes all
+    samples in one ``_block_entropies`` pass."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 1:
@@ -445,11 +493,7 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
                                minlength=samples)
         values = (_entropy(m.p) + gap_sums) / width
     else:
-        Q = m.powers(width - 1)
-        values = np.empty(samples)
-        for i in range(samples):
-            spec = SubsetSpec.from_elements(width, np.flatnonzero(bits[i]))
-            values[i] = _block_entropy(m, Q, spec) / width
+        values = _block_entropies(m, m.powers(width - 1), bits) / width
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return McEstimate(mean, stderr, samples, seed)

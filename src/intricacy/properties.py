@@ -14,20 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._masks import MAX_TABLE_BITS
+from ._masks import MAX_TABLE_BITS, popcounts
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
-from .markov import (
-    MarkovMeasure,
-    asc_finite,
-    asc_lambda,
-    asc_series_markov,
-    sampled_joint_entropy,
-    sampled_joint_entropy_oracle,
-)
+from .markov import (MarkovMeasure, _block_entropies, _projected_entropies, asc_finite,
+                     asc_lambda, asc_series_markov, sampled_joint_entropy)
 from .pressure import Potential, classical_pressure
 from .sft import Sft, SubsetSpec
-from .topo import _run_sums, _table_sums, finite_profile, finite_profiles
+from .topo import (ComplexityProfile, _check_window, _run_sums, _table_sums, finite_profile,
+                   finite_profiles)
 
 __all__ = ["PropertyReport", "SUITES", "run_suites"]
 
@@ -206,31 +201,31 @@ _ORACLE_SEED = 7
 
 
 def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
-    """Chain-rule / hidden-state joint entropies equal brute-force
-    cylinder-measure enumeration to 1e-10, for 1-step and 2-step
-    families at seeded random parameter points, over all subsets of the
-    window."""
+    """Joint entropies equal brute-force cylinder-measure enumeration
+    (``_projected_entropies``, the window once per chain) to 1e-10 at every
+    subset of the window, for 1-step and 2-step families at seeded random
+    parameter points.  The chain rule or ``_block_entropies`` takes the
+    canonical masks 2i+1 at once, as ``asc_finite`` does; each mask is
+    held to its translate's value."""
     rep = PropertyReport("entropy-oracle")
     rng = np.random.Generator(np.random.PCG64(_ORACLE_SEED))
-    for _ in range(_ORACLE_POINTS):
+    masks = np.arange(1, 1 << n_max)
+    places = masks[:, None] >> np.arange(n_max) & 1
+    for _ in range(_ORACLE_POINTS if n_max >= 1 else 0):
         p00, p11 = rng.uniform(0.05, 0.95, size=2)
         one_step = MarkovMeasure.one_step([[p00, 1 - p00], [1 - p11, p11]])
         p000, p100 = rng.uniform(0.05, 0.95, size=2)
-        two_step = MarkovMeasure(
-            [[p000, 1 - p000, 0.0], [0.0, 0.0, 1.0], [p100, 1 - p100, 0.0]],
-            states=((0, 0), (0, 1), (1, 0)),
-            block_len=2,
-            alphabet_size=2,
-        )
+        two_step = MarkovMeasure([[p000, 1 - p000, 0.0], [0.0, 0.0, 1.0], [p100, 1 - p100, 0.0]],
+                                 states=((0, 0), (0, 1), (1, 0)), block_len=2, alphabet_size=2)
         for m in (one_step, two_step):
-            for mask in range(1, 1 << n_max):
-                spec = SubsetSpec(n_max, mask)
-                a = sampled_joint_entropy(m, spec)
-                b = sampled_joint_entropy_oracle(m, spec)
-                rep.check(
-                    abs(a - b) <= 1e-10,
-                    f"block_len={m.block_len}: joint entropy mismatch at {spec.elements}",
-                )
+            H = ([sampled_joint_entropy(m, SubsetSpec(n_max, s)) for s in masks[::2].tolist()]
+                 if m.block_len == 1 else _block_entropies(m, m.powers(n_max - 1), places[::2]))
+            oracle = _projected_entropies(m, places)
+            for mask, b in zip(masks.tolist(), oracle.tolist()):
+                a = H[(mask >> (mask & -mask).bit_length() - 1) // 2]
+                ok = abs(a - b) <= 1e-10
+                rep.check(ok, "" if ok else f"block_len={m.block_len}: joint entropy "
+                          f"mismatch at {SubsetSpec(n_max, mask).elements}")
     return rep
 
 
@@ -377,6 +372,59 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
                            ("intricacy", got.intricacy, intr)):
             rep.check(close(a, b), f"gms chain/{system.spec}, n={n}: {what} {a} != per-mask {b}")
     return rep
+
+
+def _finite_profile_slow(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int) -> ComplexityProfile:
+    # reference route for the tests: every mask and its complement one by
+    # one, each count exact and memoized on its shift-canonical form
+    memo: dict[int, float] = {}
+    weights = coeffs.weights_row(n)
+    pc = popcounts(n)
+    k = max(block_k, 1)
+
+    def log_count(mask: int) -> float:
+        if mask == 0:
+            return 0.0
+        spec = SubsetSpec(n, mask).dilate(k).canonical()
+        hit = memo.get(spec.mask)
+        if hit is None:
+            hit = math.log(sft.count_words_at(spec))
+            memo[spec.mask] = hit
+        return hit
+
+    full = (1 << n) - 1
+    log_full = log_count(full)
+    asc = intr = acc = alt = 0.0
+    uniform = coeffs.kind == "uniform"
+    for m in range(1 << n):
+        c = weights[pc[m]]
+        lm = log_count(m)
+        asc += c * lm
+        intr += c * (lm + log_count(full ^ m) - log_full)
+        if m & 1:
+            acc += c * lm
+        if uniform:
+            alt += math.exp(lm)
+    return ComplexityProfile(
+        n, block_k, log_full / n, asc / n, intr / n, acc / n,
+        alt / 2.0**n if uniform else None, coeffs.spec,
+    )
+
+
+def _asc_reduced(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int = 0) -> float:
+    """Same average as finite_profile().asc, computed the other way:
+    enumerate only subsets containing 0 and weight each by the number of
+    its translates inside the window.  Used to cross-check enumeration."""
+    _check_window(n, block_k)
+    weights = coeffs.weights_row(n)
+    k = max(block_k, 1)
+    total = 0.0
+    for m in range(1, 1 << n, 2):
+        spec = SubsetSpec(n, m)
+        multiplicity = n - spec.elements[-1]
+        lm = math.log(sft.count_words_at(spec.dilate(k)))
+        total += multiplicity * weights[spec.size] * lm
+    return total / n
 
 
 SUITES = {

@@ -10,6 +10,7 @@ clamped to the box, a round of polls at a time, both by ``_evaluate``.
 from __future__ import annotations
 
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -238,7 +239,9 @@ def scan(
                 if isinstance(res, GridPoint)}
     skipped = [res for res in results if not isinstance(res, GridPoint)]
     if not by_index:
-        raise ValueError("every grid point failed to build")
+        (reason, count), = Counter(reason for _, reason in skipped).most_common(1)
+        raise ValueError(
+            f"every grid point failed to build; {count} of {len(skipped)} points: {reason}")
 
     values = {idx: pt.value(objective) for idx, pt in by_index.items()}
     best_idx = max(values, key=lambda idx: values[idx])

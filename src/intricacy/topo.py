@@ -23,12 +23,11 @@ from ._masks import (
     check_table_window,
     cluster_product_sum,
     cluster_size_sums,
-    popcounts,
     table_size_sums,
 )
 from .coeffs import CoefficientSystem
 from .errors import CapExceeded
-from .sft import Sft, SubsetSpec
+from .sft import Sft
 
 __all__ = [
     "ComplexityProfile",
@@ -191,60 +190,6 @@ def _run_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None
         # uniform weights: every subset, the empty one included, weighs 2^-n
         alt = float(alt_weights[0] * cluster_product_sum(logs, n, k))
     return every, with_zero, float(logs[-1]), alt
-
-
-def _finite_profile_slow(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int) -> ComplexityProfile:
-    # reference route for the tests: every mask and its complement one by
-    # one, each count exact and memoized on its shift-canonical form
-    memo: dict[int, float] = {}
-    weights = coeffs.weights_row(n)
-    pc = popcounts(n)
-    k = max(block_k, 1)
-
-    def log_count(mask: int) -> float:
-        if mask == 0:
-            return 0.0
-        spec = SubsetSpec(n, mask).dilate(k).canonical()
-        hit = memo.get(spec.mask)
-        if hit is None:
-            hit = math.log(sft.count_words_at(spec))
-            memo[spec.mask] = hit
-        return hit
-
-    full = (1 << n) - 1
-    log_full = log_count(full)
-    asc = intr = acc = 0.0
-    alt = 0.0
-    uniform = coeffs.kind == "uniform"
-    for m in range(1 << n):
-        c = weights[pc[m]]
-        lm = log_count(m)
-        asc += c * lm
-        intr += c * (lm + log_count(full ^ m) - log_full)
-        if m & 1:
-            acc += c * lm
-        if uniform:
-            alt += math.exp(lm)
-    return ComplexityProfile(
-        n, block_k, log_full / n, asc / n, intr / n, acc / n,
-        alt / 2.0**n if uniform else None, coeffs.spec,
-    )
-
-
-def _asc_reduced(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: int = 0) -> float:
-    """Same average as finite_profile().asc, computed the other way:
-    enumerate only subsets containing 0 and weight each by the number of
-    its translates inside the window.  Used to cross-check enumeration."""
-    _check_window(n, block_k)
-    weights = coeffs.weights_row(n)
-    k = max(block_k, 1)
-    total = 0.0
-    for m in range(1, 1 << n, 2):
-        spec = SubsetSpec(n, m)
-        multiplicity = n - spec.elements[-1]
-        lm = math.log(sft.count_words_at(spec.dilate(k)))
-        total += multiplicity * weights[spec.size] * lm
-    return total / n
 
 
 def asc_series(sft: Sft, terms: int = 20) -> SeriesEstimate:

@@ -343,6 +343,17 @@ class TestSweep:
         assert where in err
         assert not out.exists()
 
+    def test_family_that_never_builds_is_bad_input_with_its_reason(self, capsys, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"name": "never", "params": ["a"], "box": {"a": [0, 0.3]},
+                                   "template": [["a", 0.6], [1, 0]]}))
+        out = tmp_path / "surface.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--input", str(fam), "--step", "0.1",
+                                    "--output", str(out))
+        assert (code, stdout) == (1, "")
+        assert "4 of 4 points: P rows must sum to 1 within 1e-12" in err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_all_suites_pass_quick(self, capsys):
@@ -357,6 +368,12 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--suite", "lambda")
         assert code == 0
         assert out.startswith("lambda-delta-half:")
+
+    @pytest.mark.parametrize("max_n,cases", [(0, 0), (1, 10), (2, 30)])
+    def test_entropy_oracle_windows_narrower_than_a_block(self, capsys, max_n, cases):
+        # the 2-block chain's oracle enumerates a whole block past a 1-place window
+        code, out, _ = run_cli(capsys, "check", "--suite", "oracle-entropy", "--max-n", str(max_n))
+        assert (code, out) == (0, f"entropy-oracle: {cases} cases, 0 failures [PASS]\n")
 
     def test_unknown_suite(self, capsys):
         assert main(["check", "--suite", "nope"]) == 1

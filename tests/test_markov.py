@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from intricacy import markov
 from intricacy.coeffs import CoefficientSystem, SymmetricMeasure
 from intricacy.errors import CapExceeded
 from intricacy.markov import (
     _ROW_BLOCK,
     MarkovMeasure,
+    _block_entropies,
     asc_finite,
     asc_lambda,
     asc_series_markov,
@@ -285,6 +287,84 @@ class TestSampledJointEntropy:
         for mask in range(1, 1 << 10):
             spec = SubsetSpec(10, mask)
             assert sampled_joint_entropy(m, spec) <= math.log(sft.count_words_at(spec)) + 1e-12
+
+
+def canonical_places(n):
+    # row i marks the places of the canonical mask 2i+1, as asc_finite takes them
+    return (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
+
+
+BLOCK_CHAINS = [lambda: gms_two_step(0.7, 0.25), lambda: full2_two_block(0.3, 0.8), full3_two_step]
+BLOCK_IDS = ["gms-2step", "full2-2block", "full3-2step"]
+
+
+class TestBlockEntropies:
+    @pytest.mark.parametrize("make", BLOCK_CHAINS, ids=BLOCK_IDS)
+    def test_every_canonical_mask_matches_oracle(self, make):
+        # the canonical masks of n = 8 hold those of every narrower window
+        m, n = make(), 8
+        H = _block_entropies(m, m.powers(n - 1), canonical_places(n))
+        for i, h in enumerate(H):
+            assert h == pytest.approx(
+                sampled_joint_entropy_oracle(m, SubsetSpec(n, 2 * i + 1)), abs=1e-12)
+
+    def test_any_list_of_rows_matches_one_by_one(self):
+        # repeated, translated and unsorted rows of several widths in one call
+        m = full3_two_step()
+        rng = np.random.Generator(np.random.PCG64(3))
+        places = rng.integers(0, 2, size=(60, 9)).astype(bool)
+        places[:, 4] = True
+        places[40:] = places[:20]
+        H = _block_entropies(m, m.powers(8), places)
+        for row, h in zip(places, H):
+            elems = np.flatnonzero(row).tolist()
+            assert h == pytest.approx(sampled_joint_entropy_oracle(m, elems), abs=1e-12)
+        assert H[40:].tolist() == H[:20].tolist()
+
+    @pytest.mark.parametrize("make", BLOCK_CHAINS, ids=BLOCK_IDS)
+    def test_row_blocks_of_16_match_the_unsplit_pass(self, make, monkeypatch):
+        # 16 rows split every level: the root's rows alone extend to 14 or more
+        m = make()
+        spec = SubsetSpec.from_elements(12, [0, 1, 3, 4, 6, 9, 11])
+        unsplit = (asc_finite(m, CoefficientSystem.neural(), 8),
+                   monte_carlo_asc(m, 6, 20, 5), sampled_joint_entropy(m, spec))
+        monkeypatch.setattr(markov, "_ROW_BLOCK", 16)
+        split = (asc_finite(m, CoefficientSystem.neural(), 8),
+                 monte_carlo_asc(m, 6, 20, 5), sampled_joint_entropy(m, spec))
+        fin, mc, h = unsplit
+        for a, b in ((split[0].asc, fin.asc), (split[0].h, fin.h),
+                     (split[0].intricacy, fin.intricacy), (split[1].mean, mc.mean),
+                     (split[1].stderr, mc.stderr), (split[2], h)):
+            assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
+
+    def test_place_63_matches_chain_rule(self):
+        # the widest horizon: a mask over 64 places does not fit a signed int64
+        elems = [0, 2, 3, 7, 11, 12, 19, 24, 30, 31, 38, 45, 50, 51, 57, 63]
+        one, two = full2(0.3, 0.8), full2_two_block(0.3, 0.8)
+        spec = SubsetSpec.from_elements(64, elems)
+        assert sampled_joint_entropy(two, spec) == pytest.approx(
+            sampled_joint_entropy(one, spec), abs=1e-12)
+        places = np.zeros((2, 64), dtype=bool)
+        places[0, elems] = True
+        places[1, [0, 63]] = True
+        H = _block_entropies(two, two.powers(63), places)
+        assert H[0] == pytest.approx(sampled_joint_entropy(one, spec), abs=1e-12)
+        assert H[1] == pytest.approx(sampled_joint_entropy(one, [0, 63]), abs=1e-12)
+
+    def test_cap_refuses_before_any_row_is_built(self, monkeypatch):
+        m = full3_two_step()
+
+        def no_rows(a):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(markov, "ENUMERATION_CAP", 80)  # 3^4 = 81 tuples
+        monkeypatch.setattr(markov, "_xlogx", no_rows)
+        with pytest.raises(CapExceeded):
+            asc_finite(m, UNIFORM, 4)
+        with pytest.raises(CapExceeded):
+            monte_carlo_asc(m, 2, 50, 1)
+        with pytest.raises(CapExceeded):
+            sampled_joint_entropy(m, [0, 2, 5, 6])
 
 
 def _words(r, n):

@@ -192,6 +192,14 @@ class TestCustomFamily:
         with pytest.raises(ValueError, match=where):
             family_from_dict(dict(self.GMS_JSON, **change))
 
+    def test_family_that_never_builds_names_the_reason(self):
+        # rows of [[a, 0.6], [1, 0]] sum to 1 only at a = 0.4, outside the box
+        fam = family_from_dict(dict(self.GMS_JSON, box={"a": [0, 0.3]},
+                                    template=[["a", 0.6], [1, 0]]))
+        with pytest.raises(ValueError, match=r"every grid point failed to build; 7 of 7 "
+                                             r"points: P rows must sum to 1 within 1e-12"):
+            scan(fam, step=0.05)
+
 
 # Per-point references, each chain built by hand as a caller of markov would.
 GMS2_STATES = ((0, 0), (0, 1), (1, 0))

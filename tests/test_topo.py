@@ -8,11 +8,10 @@ from intricacy import _masks
 from intricacy._masks import product_table, size_sums, table_size_sums
 from intricacy.coeffs import CoefficientSystem
 from intricacy.errors import CapExceeded
+from intricacy.properties import _asc_reduced, _finite_profile_slow
 from intricacy.sft import Sft, SubsetSpec
 from intricacy.topo import (
-    _asc_reduced,
     _count_mats,
-    _finite_profile_slow,
     asc_series,
     finite_profile,
     finite_profiles,
