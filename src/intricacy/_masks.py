@@ -39,15 +39,22 @@ whose per-size sums count in closed form:
 - ``cluster_size_sums``: v(S) = sum over the clusters of S (maximal
   groups whose consecutive gaps are all <= kappa) of a weight that
   depends on the cluster's span.  A log pattern count of a shift whose
-  adjacency matrix has a positive square is of this form.  O(n^3).
+  adjacency matrix has a positive square is of this form.  O(n^2) per
+  call once the window's weights are built (O(n^3)).
   ``cluster_product_sum`` gives the plain sum over S of the product of
   the exponentiated weights.
 - ``gap_size_sums``: v(S) = a constant plus a term per consecutive gap,
   the joint entropy of a 1-step Markov chain.  O(n^2).
+
+What does not depend on the shift is built once per window size and
+kept read-only for the process: the cluster weights of each (n, kappa),
+at most 1.2 MB for all windows a table covers, and the sizes and top
+elements of the canonical masks below ``LEFT_BITS`` positions, 100 KB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -156,10 +163,8 @@ def table_size_sums(n: int, init: np.ndarray, gap_mats, with_counts: bool = Fals
     V = _row_vectors(n - left, init, mats.transpose(0, 2, 1))
     log_full = float(np.log(W[-1] @ mats[0] @ V[-1]))
     # rows of A grouped by size, so one reduceat sums each size's rows
-    size_a = popcounts(left - 1) + 1
-    order = np.argsort(size_a, kind="stable")
-    starts = np.cumsum(np.bincount(size_a))[:left]
-    size_b = popcounts(n - left - 1) + 1
+    _, _, order, starts = _mask_index(left)
+    size_b = _mask_index(n - left)[0]
     width = max(1, BLOCK_ENTRIES >> (left - 1))
     U = np.empty_like(W)
     for b in range(left, n):
@@ -185,27 +190,32 @@ def table_size_sums(n: int, init: np.ndarray, gap_mats, with_counts: bool = Fals
     return every, with_zero, log_full, count_every
 
 
+@functools.cache
+def _mask_index(m: int):
+    """(size, top, order, starts) of the canonical masks 2i+1, i <
+    2^(m-1): their sizes and top elements, the rows sorted stably by
+    size, and where each size 1..m starts in that order; read-only."""
+    size = popcounts(m - 1) + 1
+    top = np.repeat(np.arange(m), [1] + [1 << (j - 1) for j in range(1, m)])
+    order = np.argsort(size, kind="stable")
+    starts = np.cumsum(np.bincount(size))[:m]
+    for a in (size, top, order, starts):
+        a.setflags(write=False)
+    return size, top, order, starts
+
+
 def size_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-size sums over the subsets of {0..n-1} of a shift-invariant
     value given on the canonical masks whose top element is below m <= n
     (values[i] at mask 2i+1, i < 2^(m-1)); with m = n that is every
     subset.  Returns (every, with_zero): every[k] sums over the k-subsets,
     with_zero[k] over the k-subsets that contain 0.  The empty set adds
-    nothing to either."""
+    nothing to either.  A mask with top j has n - j translates."""
     m = len(values).bit_length()
-    every = np.zeros(n + 1)
-    with_zero = np.zeros(n + 1)
-    with_zero[1] = values[0]
-    every[1] = n * values[0]
-    # rows [2^(j-1), 2^j) are the masks 1 + 2^j + 2t, t < 2^(j-1), of size
-    # popcount(t) + 2; each has n - j translates in the window
-    pc = popcounts(max(m - 2, 0))
-    for j in range(1, m):
-        half = 1 << (j - 1)
-        part = np.bincount(pc[:half], weights=values[half : 2 * half], minlength=j)
-        with_zero[2 : j + 2] += part
-        every[2 : j + 2] += (n - j) * part
-    return every, with_zero
+    # kept for the widths table_size_sums and the block chains ask for
+    size, top = (_mask_index if m <= LEFT_BITS else _mask_index.__wrapped__)(m)[:2]
+    every = np.bincount(size, values * (n - top), n + 1)
+    return every, np.bincount(size, values, n + 1)
 
 
 def _pascal(n: int) -> np.ndarray:
@@ -235,6 +245,37 @@ def _cluster_shapes(n: int, kappa: int) -> np.ndarray:
     return comp
 
 
+@functools.cache
+def _cluster_weights(n: int, kappa: int) -> np.ndarray:
+    """W[s, k] (every) and W[s, n + 1 + k] (with_zero): the number of
+    (S, cluster) pairs with |S| = k and a cluster of span s, over all S
+    or those that contain 0; read-only.  A cluster of span s with j
+    elements comes in comp[s, j] shapes, and in a window with d = n - 1 - s
+    positions outside its span it has d + 1 places; at place a the other
+    k - j elements avoid the kappa positions next to each end, so they are
+    chosen from d - min(a, kappa) - min(d - a, kappa) positions.  The
+    subsets that miss 0 are the translates of those of a window one
+    shorter, so with_zero takes the placements of d less those of d - 1.
+    Every entry is an integer below 2^53, so exact."""
+    a = np.arange(n)
+    d = a[:, None]
+    free = d - np.minimum(a, kappa) - np.minimum(d - a, kappa)
+    # G[d + 1, i] = sum over the places a <= d of C(free, i), and G[0] = 0;
+    # every takes G[d + 1], with_zero G[d + 1] - G[d]
+    G = np.zeros((n + 1, n + 1))
+    G[1:] = (_BINOMIALS[free, : n + 1] * (a <= d)[..., None]).sum(axis=1)
+    # placements[s, 0, i] (every) and [s, 1, i] (with_zero) for the span s,
+    # d = n - 1 - s; a k-subset has j + i = k
+    placements = np.stack([G[:0:-1], (G[1:] - G[:-1])[::-1]], axis=1)
+    comp = _cluster_shapes(n, kappa)
+    W = np.zeros((n, 2, n + 1))
+    for j in range(1, n + 1):
+        W[:, :, j:] += comp[:, j, None, None] * placements[:, :, : n + 1 - j]
+    W = W.reshape(n, 2 * n + 2)
+    W.setflags(write=False)
+    return W
+
+
 def cluster_size_sums(span_values, n: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-size sums (every, with_zero), as ``size_sums`` returns them, of
     v(S) = sum over the clusters of S of span_values[span], for
@@ -245,30 +286,12 @@ def cluster_size_sums(span_values, n: int, kappa: int) -> tuple[np.ndarray, np.n
     element minus its first, so span_values holds the spans 0..n-1.
 
     By linearity every[k] sums span_values[s] times the number of
-    (S, cluster) pairs with |S| = k and a cluster of span s.  A cluster
-    of span s with j elements comes in comp[s, j] shapes, and in a window
-    with d = n - 1 - s positions outside its span it has d + 1 places; at
-    place a the other k - j elements avoid the kappa positions next to
-    each end, so they are chosen from d - min(a, kappa) - min(d - a, kappa)
-    positions.  The subsets that miss 0 are the translates of those of a
-    window one shorter, so with_zero takes the placements of d less those
-    of d - 1."""
-    values = np.asarray(span_values, dtype=float)
-    a = np.arange(n)
-    d = a[:, None]
-    free = d - np.minimum(a, kappa) - np.minimum(d - a, kappa)
-    # G[d + 1, i] = sum over the places a <= d of C(free, i), and G[0] = 0;
-    # every takes G[d + 1], with_zero G[d + 1] - G[d]
-    G = np.zeros((n + 1, n + 1))
-    G[1:] = (_BINOMIALS[free, : n + 1] * (a <= d)[..., None]).sum(axis=1)
-    placements = np.concatenate([G[:0:-1], (G[1:] - G[:-1])[::-1]], axis=1)
-    # M[j, i] (every) and M[j, n+1+i] (with_zero) sum over the spans s of
-    # values[s] comp[s, j] placements of d = n - 1 - s; a k-subset has j + i = k
-    M = (values[:, None] * _cluster_shapes(n, kappa)).T @ placements
-    k = np.add.outer(np.arange(n + 1), np.arange(n + 1))
-    sums = np.bincount(np.concatenate([k, k + 2 * n + 1], axis=1).ravel(),
-                       weights=M.ravel(), minlength=4 * n + 2)
-    return sums[: n + 1], sums[2 * n + 1 : 3 * n + 2]
+    (S, cluster) pairs with |S| = k and a cluster of span s: one product
+    with the table ``_cluster_weights(n, kappa)``.  No gap of a window
+    exceeds n - 1, so a kappa >= n - 1 makes every subset one cluster and
+    takes the table of kappa = n - 1."""
+    sums = np.asarray(span_values, dtype=float) @ _cluster_weights(n, min(kappa, n - 1))
+    return sums[: n + 1], sums[n + 1 :]
 
 
 def cluster_product_sum(span_values, n: int, kappa: int) -> float:

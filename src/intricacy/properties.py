@@ -9,6 +9,7 @@ tests run the same functions at their published sizes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,8 +20,8 @@ from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
 from .markov import (MarkovMeasure, _block_entropies, _projected_entropies, asc_finite,
                      asc_lambda, asc_series_markov, sampled_joint_entropy)
-from .pressure import Potential, classical_pressure
-from .sft import Sft, SubsetSpec
+from .pressure import Potential
+from .sft import Sft, SubsetSpec, log_spectral_radius
 from .topo import (ComplexityProfile, _check_window, _run_sums, _table_sums, finite_profile,
                    finite_profiles)
 
@@ -43,14 +44,16 @@ class PropertyReport:
             self.failures.append(message)
 
 
-def _dedup_sfts() -> list[tuple[str, Sft]]:
+@functools.cache
+def _dedup_sfts() -> tuple[tuple[str, Sft], ...]:
+    # built once per process: an Sft is immutable
     out = [("full-2-shift", Sft.full_shift(2)), ("golden-mean", Sft.golden_mean())]
     seen = set()
     for bench in SFT_BENCHMARKS:
         if bench.adjacency not in seen:
             seen.add(bench.adjacency)
             out.append((bench.tag, Sft(np.asarray(bench.adjacency))))
-    return out
+    return tuple(out)
 
 
 def _systems() -> list[CoefficientSystem]:
@@ -135,7 +138,7 @@ def check_product_formula(n_max: int = 10) -> PropertyReport:
     for name, sft in _dedup_sfts():
         if not sft.is_square_positive():
             continue
-        counts = {t: sft.complexity_count(t) for t in range(1, n_max + 1)}
+        counts = dict(enumerate(sft.word_counts(n_max), 1))
         for mask in range(1, 1 << n_max):
             spec = SubsetSpec(n_max, mask)
             expected = math.prod(counts[t] for t in spec.runs)
@@ -286,7 +289,8 @@ def check_spectral() -> PropertyReport:
     c = 60, -800 on the benchmark shifts, and the exact word-growth rate
     log(N(n+1)/N(n)) against the entropy on the primitive ones.  The
     growth rate is taken at n = 50, where it is already within 1e-14 of
-    the entropy on every benchmark shift, so the exact counts stay cheap."""
+    the entropy on every benchmark shift, so the exact counts stay cheap.
+    Each matrix takes its potentials as one stack."""
     rep = PropertyReport("spectral")
     n = 50
 
@@ -294,24 +298,23 @@ def check_spectral() -> PropertyReport:
         return abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     for r in range(2, 6):
-        full = Sft.full_shift(r)
-        for f in ([0.0] * r, [0.1 * a - 0.2 for a in range(r)], [60.0] + [0.0] * (r - 1),
-                  [100.0, -800.0] + [-60.0] * (r - 2)):
+        fs = [[0.0] * r, [0.1 * a - 0.2 for a in range(r)], [60.0] + [0.0] * (r - 1),
+              [100.0, -800.0] + [-60.0] * (r - 2)]
+        for f, got in zip(fs, log_spectral_radius(Sft.full_shift(r).adjacency, fs).tolist()):
             want = max(f) + math.log(sum(math.exp(v - max(f)) for v in f))
-            got = classical_pressure(full, Potential.from_values(dict(enumerate(f))))
             rep.check(close(got, want), f"full {r}-shift, f={f}: P={got} != {want}")
 
     for name, sft in _dedup_sfts():
-        f = {a: PRESSURE_F1.get(a, 0.0) for a in sft.symbol_labels}
-        p = classical_pressure(sft, Potential.from_values(f))
-        for c in (60.0, -800.0):
-            got = classical_pressure(sft, Potential.from_values({a: v + c for a, v in f.items()}))
+        f = np.array([PRESSURE_F1.get(a, 0.0) for a in sft.symbol_labels], dtype=float)
+        h, p, *shifted = log_spectral_radius(
+            sft.adjacency, [np.zeros_like(f), f, f + 60.0, f - 800.0]).tolist()
+        for c, got in zip((60.0, -800.0), shifted):
             rep.check(close(got, p + c), f"{name}: P(f{c:+g}) = {got} != P(f){c:+g}")
         r = sft.alphabet_size
         # Wielandt: primitive iff this power is positive
         if sft.reach_powers((r - 1) ** 2 + 1)[-1].all():
-            h = sft.topological_entropy()
-            rate = math.log(sft.complexity_count(n + 1)) - math.log(sft.complexity_count(n))
+            counts = sft.word_counts(n + 1)
+            rate = math.log(counts[n]) - math.log(counts[n - 1])
             rep.check(close(rate, h), f"{name}: word growth {rate} != entropy {h}")
     return rep
 
@@ -449,7 +452,10 @@ _UNSIZED = {"lambda", "spectral"}
 def run_suites(suite: str = "all", max_n: int | None = None) -> list[PropertyReport]:
     """Run one suite (or all) and return the reports.  ``max_n`` scales
     the window size of the suites that take one; suite-specific defaults
-    apply when it is None."""
+    apply when it is None, and a max_n below 1 is refused before any
+    suite runs."""
+    if max_n is not None and max_n < 1:
+        raise ValueError("max_n must be >= 1")
     names = list(SUITES) if suite == "all" else [suite]
     unknown = [n for n in names if n not in SUITES]
     if unknown:

@@ -98,29 +98,12 @@ class SubsetSpec:
         return iter(self.elements)
 
 
-def _max_plus_scaling(L: np.ndarray) -> tuple[float, np.ndarray]:
-    """(lam, x) for a max-plus matrix L (-inf where there is no edge): lam
-    is the maximum cycle mean, by Karp's formula over walks from every
-    vertex, and x are potentials with L[a, b] + x[b] - x[a] <= lam.
-    lam is -inf when the graph has no cycle."""
-    d = L.shape[0]
-    # Y[k, a] = heaviest walk of k edges starting at a
-    Y = np.zeros((d + 1, d))
-    for k in range(1, d + 1):
-        Y[k] = np.max(L + Y[k - 1][None, :], axis=1)
-    cyclic = Y[d] > -np.inf
-    if not cyclic.any():
-        return -math.inf, np.zeros(d)
-    steps = (d - np.arange(d))[:, None]
-    lam = float(np.max(np.min((Y[d, cyclic] - Y[:d, cyclic]) / steps, axis=0)))
-    # x = max over walks of fewer than d edges of the weight less lam per edge
-    x = np.max(Y[:d] - lam * np.arange(d)[:, None], axis=0)
-    return lam, x
-
-
-def log_spectral_radius(A, log_weights=None) -> float:
+def log_spectral_radius(A, log_weights=None):
     """log of the spectral radius of A * diag(exp(log_weights)) for a
-    nonnegative A, from the eigenvalues of the matrix.
+    nonnegative A, from the eigenvalues of the matrix.  log_weights holds
+    a finite weight per vertex (none: 0), or is a (G, d) stack of them for
+    G radii from one Karp recursion and one batched eigen-solve: an array,
+    each entry equal to its one-row call bit for bit.
 
     Before the eigen-solve the log entries are scaled by a diagonal
     similarity and shifted by the maximum cycle mean lam (max-plus, Karp):
@@ -131,13 +114,26 @@ def log_spectral_radius(A, log_weights=None) -> float:
     (radius 0) instead of returning -inf."""
     A = np.asarray(A, dtype=float)
     lw = np.zeros(A.shape[0]) if log_weights is None else np.asarray(log_weights, dtype=float)
+    d = A.shape[0]
     edge = A > 0
-    L = np.where(edge, np.log(A, out=np.zeros_like(A), where=edge) + lw[None, :], -np.inf)
-    lam, x = _max_plus_scaling(L)
-    if lam == -math.inf:
+    L = np.where(edge, np.log(A, out=np.zeros_like(A), where=edge) + lw.reshape(-1, 1, d), -np.inf)
+    # Y[k, g, a] = heaviest walk of k edges starting at a, for each row g
+    Y = np.zeros((d + 1, len(L), d))
+    for k in range(1, d + 1):
+        (L + Y[k - 1][:, None, :]).max(axis=2, out=Y[k])
+    # a walk of d edges from a exists whatever the finite weights are
+    cyclic = Y[d, 0] > -np.inf
+    if not cyclic.any():
         raise ValueError("spectral radius is 0: the matrix has no cycle")
-    scaled = np.exp(np.where(edge, L + x[None, :] - x[:, None] - lam, -np.inf))
-    return lam + math.log(float(np.max(np.abs(np.linalg.eigvals(scaled)))))
+    Yc = Y[:, :, cyclic]
+    lam = ((Yc[d] - Yc[:d]) / (d - np.arange(d))[:, None, None]).min(axis=0).max(axis=1)
+    # potentials x: the heaviest walk of fewer than d edges less lam per
+    # edge, so L[a, b] + x[b] - x[a] <= lam
+    x = (Y[:d] - lam[:, None] * np.arange(d)[:, None, None]).max(axis=0)
+    scaled = np.exp(np.where(edge, L + x[:, None, :] - x[:, :, None] - lam[:, None, None], -np.inf))
+    radius = np.abs(np.linalg.eigvals(scaled)).max(axis=1)
+    out = [c + math.log(r) for c, r in zip(lam.tolist(), radius.tolist())]
+    return out[0] if lw.ndim == 1 else np.array(out)
 
 
 def _as_subset(S, n: int | None = None) -> SubsetSpec:
@@ -321,15 +317,23 @@ class Sft:
             v = [sum(compress(v, row)) for row in R[g - 1]]
         return sum(v)
 
-    def complexity_count(self, n: int) -> int:
-        """Number of words of length n (exact integer)."""
-        if n < 1:
+    def word_counts(self, count: int) -> list[int]:
+        """Numbers of words of lengths 1..count as exact integers, from one
+        walk: the counts of the words of length m starting at each vertex
+        give those of length m + 1 by summing over successors."""
+        if count < 1:
             raise ValueError("n must be >= 1")
         successors = [np.flatnonzero(row).tolist() for row in self.adjacency]
         v = [1] * self.alphabet_size
-        for _ in range(n - 1):
+        out = [sum(v)]
+        for _ in range(count - 1):
             v = [sum(map(v.__getitem__, succ)) for succ in successors]
-        return sum(v)
+            out.append(sum(v))
+        return out
+
+    def complexity_count(self, n: int) -> int:
+        """Number of words of length n (exact integer)."""
+        return self.word_counts(n)[-1]
 
     def topological_entropy(self) -> float:
         """log of the Perron eigenvalue of the adjacency matrix."""

@@ -235,25 +235,30 @@ def scan(
     thetas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     results = [res for lo in range(0, len(thetas), _BLOCK)
                for res in _evaluate(family, thetas[lo:lo + _BLOCK], terms)]
-    by_index = {idx: res for idx, res in zip(np.ndindex(*shape), results)
-                if isinstance(res, GridPoint)}
+    grid = [res for res in results if isinstance(res, GridPoint)]
     skipped = [res for res in results if not isinstance(res, GridPoint)]
-    if not by_index:
+    if not grid:
         (reason, count), = Counter(reason for _, reason in skipped).most_common(1)
         raise ValueError(
             f"every grid point failed to build; {count} of {len(skipped)} points: {reason}")
 
-    values = {idx: pt.value(objective) for idx, pt in by_index.items()}
-    best_idx = max(values, key=lambda idx: values[idx])
-    best = by_index[best_idx]
+    best = max(grid, key=lambda pt: pt.value(objective))
 
-    # grid neighbors are the compass points of an index at step 1
-    index_box = [(0, n - 1) for n in shape]
-    local_maxima = []
-    for idx, val in values.items():
-        neighbors = [values[j] for j in _compass(idx, 1, index_box) if j in values]
-        if neighbors and all(val > v for v in neighbors):
-            local_maxima.append((by_index[idx].theta, val))
+    # strict local maxima on the grid graph: beat every built neighbour
+    # along each axis, and have at least one
+    built = np.array([isinstance(res, GridPoint) for res in results]).reshape(shape)
+    values = np.full(shape, -np.inf)
+    values[built] = [pt.value(objective) for pt in grid]
+    has_neighbor = np.zeros(shape, dtype=bool)
+    beats = built.copy()
+    for axis in range(len(shape)):
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        upper = (slice(None),) * axis + (slice(1, None),)
+        for here, there in ((lower, upper), (upper, lower)):
+            has_neighbor[here] |= built[there]
+            beats[here] &= ~built[there] | (values[here] > values[there])
+    maxima = np.flatnonzero(beats & has_neighbor).tolist()
+    local_maxima = [(results[i].theta, results[i].value(objective)) for i in maxima]
     local_maxima.sort(key=lambda tv: -tv[1])
 
     eps = 1e-12
@@ -261,7 +266,7 @@ def scan(
         t <= lo + step + eps or t >= hi - step - eps
         for t, (lo, hi) in zip(best.theta, family.box)
     )
-    return SweepResult(objective, list(by_index.values()), best.theta, values[best_idx],
+    return SweepResult(objective, grid, best.theta, best.value(objective),
                        boundary, local_maxima, skipped, step)
 
 

@@ -201,7 +201,7 @@ def asc_series(sft: Sft, terms: int = 20) -> SeriesEstimate:
         raise ValueError("terms must be >= 1")
     if not sft.is_square_positive():
         raise ValueError("the series requires a strictly positive squared adjacency matrix")
-    value = sum(math.log(sft.complexity_count(k)) / 2.0**k for k in range(1, terms + 1)) / 4.0
+    value = sum(math.log(c) / 2.0**k for k, c in enumerate(sft.word_counts(terms), 1)) / 4.0
     tail = math.log(sft.alphabet_size) * (terms + 2) / 2.0 ** (terms + 2)
     return SeriesEstimate(value, tail, terms)
 
@@ -225,7 +225,7 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     check_table_window(n)
     if not sft.is_square_positive():
         raise ValueError("recursion requires a strictly positive squared adjacency matrix")
-    lam = {k: math.log(sft.complexity_count(k)) for k in range(1, n + 1)}
+    lam = {k: math.log(c) for k, c in enumerate(sft.word_counts(n), 1)}
 
     def a(m: int) -> float:
         return float(_table_sums(sft, m, 0)[0].sum())

@@ -14,6 +14,7 @@ import pytest
 
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
 from intricacy.cli import _emit, build_parser, main
+from intricacy.properties import SUITES
 
 
 @pytest.fixture
@@ -369,11 +370,23 @@ class TestCheck:
         assert code == 0
         assert out.startswith("lambda-delta-half:")
 
-    @pytest.mark.parametrize("max_n,cases", [(0, 0), (1, 10), (2, 30)])
+    @pytest.mark.parametrize("max_n,cases", [(1, 10), (2, 30)])
     def test_entropy_oracle_windows_narrower_than_a_block(self, capsys, max_n, cases):
         # the 2-block chain's oracle enumerates a whole block past a 1-place window
         code, out, _ = run_cli(capsys, "check", "--suite", "oracle-entropy", "--max-n", str(max_n))
         assert (code, out) == (0, f"entropy-oracle: {cases} cases, 0 failures [PASS]\n")
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
+    def test_max_n_below_one_is_bad_input(self, capsys, monkeypatch, suite, max_n):
+        # refused before any suite runs, whichever suite is asked for
+        def ran(n_max=None):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr("intricacy.properties.SUITES", dict.fromkeys(SUITES, ran))
+        code, out, err = run_cli(capsys, "check", "--suite", suite, "--max-n", str(max_n))
+        assert (code, out) == (1, "")
+        assert "max_n must be >= 1" in err
 
     def test_unknown_suite(self, capsys):
         assert main(["check", "--suite", "nope"]) == 1

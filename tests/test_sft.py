@@ -143,6 +143,17 @@ class TestCounting:
         # beyond 64-bit territory
         assert Sft.full_shift(3).complexity_count(50) == 3**50
 
+    @pytest.mark.parametrize("make", [Sft.golden_mean, lambda: Sft(SFT_I), lambda: Sft(SFT_II),
+                                      lambda: Sft.from_forbidden_words(2, ["111"])],
+                             ids=["golden", "I", "II", "no-111"])
+    def test_word_counts_walk_once_for_every_length(self, make):
+        s = make()
+        counts = s.word_counts(8)
+        assert counts == [s.complexity_count(k) for k in range(1, 9)]
+        assert counts == [len(s.enumerate_words(k)) for k in range(1, 9)]
+        with pytest.raises(ValueError):
+            s.word_counts(0)
+
 
 class TestEntropy:
     def test_golden_mean(self):
@@ -198,9 +209,24 @@ class TestEntropy:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_zero_radius_is_refused(self):
-        # nilpotent: no cycle, so the radius is exactly 0
-        with pytest.raises(ValueError):
-            log_spectral_radius([[0, 1], [0, 0]], [0.0, -800.0])
+        # nilpotent: no cycle, so the radius is exactly 0, for one row or a stack
+        for f in ([0.0, -800.0], [[0.0, -800.0], [1.0, 2.0]]):
+            with pytest.raises(ValueError, match="no cycle"):
+                log_spectral_radius([[0, 1], [0, 0]], f)
+
+    def test_stack_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(5)
+        mats = [s.adjacency for _, s in _dedup_sfts()]
+        mats += [Sft.full_shift(r).adjacency for r in range(2, 6)]
+        mats += [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]]  # periodic: a 3-cycle
+        for A in mats:
+            d = len(A)
+            stack = np.vstack([np.zeros(d), rng.normal(0.0, 3.0, (4, d)),
+                               rng.uniform(-800.0, 800.0, (4, d)), np.full(d, -800.0)])
+            got = log_spectral_radius(A, stack)
+            assert got.shape == (len(stack),)
+            assert got.tolist() == [log_spectral_radius(A, f) for f in stack]
+            assert got[0] == log_spectral_radius(A)
 
 
 class TestOracle:

@@ -221,6 +221,65 @@ class TestTableSizeSums:
         assert peak < 5 * 2**20
 
 
+def loop_size_sums(values, n):
+    # the per-top-element loop that size_sums replaced, kept as its reference
+    m = len(values).bit_length()
+    every = np.zeros(n + 1)
+    with_zero = np.zeros(n + 1)
+    with_zero[1] = values[0]
+    every[1] = n * values[0]
+    pc = _masks.popcounts(max(m - 2, 0))
+    for j in range(1, m):
+        half = 1 << (j - 1)
+        part = np.bincount(pc[:half], weights=values[half : 2 * half], minlength=j)
+        with_zero[2 : j + 2] += part
+        every[2 : j + 2] += (n - j) * part
+    return every, with_zero
+
+
+def loop_cluster_size_sums(span_values, n, kappa):
+    # cluster_size_sums before its weights were kept per (n, kappa): shapes,
+    # placements and binomials rebuilt on every call, summed by size last
+    values = np.asarray(span_values, dtype=float)
+    a = np.arange(n)
+    d = a[:, None]
+    free = d - np.minimum(a, kappa) - np.minimum(d - a, kappa)
+    G = np.zeros((n + 1, n + 1))
+    G[1:] = (_masks._BINOMIALS[free, : n + 1] * (a <= d)[..., None]).sum(axis=1)
+    placements = np.concatenate([G[:0:-1], (G[1:] - G[:-1])[::-1]], axis=1)
+    M = (values[:, None] * _masks._cluster_shapes(n, kappa)).T @ placements
+    k = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    sums = np.bincount(np.concatenate([k, k + 2 * n + 1], axis=1).ravel(),
+                       weights=M.ravel(), minlength=4 * n + 2)
+    return sums[: n + 1], sums[2 * n + 1 : 3 * n + 2]
+
+
+class TestWindowTables:
+    @pytest.mark.parametrize("n", range(1, 24))
+    def test_cluster_sums_match_the_loop(self, n):
+        # log word counts grow with the span; every and with_zero alike
+        values = np.log(2.0) * np.arange(1, n + 1) + np.random.default_rng(n).uniform(0, 1, n)
+        for kappa in {1, 2, 5, n - 1, n + 3}:
+            got = _masks.cluster_size_sums(values, n, kappa)
+            for a, b in zip(got, loop_cluster_size_sums(values, n, kappa)):
+                np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", range(1, 24))
+    def test_size_sums_match_the_loop(self, n):
+        # values on the masks below m <= n positions, cached (m <= LEFT_BITS)
+        # and built per call (wider)
+        for m in {min(n, _masks.LEFT_BITS), min(n, 16)}:
+            values = np.random.default_rng(m).uniform(0.5, 9.0, 1 << (m - 1))
+            for a, b in zip(size_sums(values, n), loop_size_sums(values, n)):
+                np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = [_masks._cluster_weights(6, 2), *_masks._mask_index(5)]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
 class TestBlockCover:
     def test_full_shift_blocked_expectation(self):
         # every dilated pattern on the full shift counts 2^|dilation|, so
