@@ -26,7 +26,13 @@ probability measure (``coeffs``), which makes it 2 asc - h.
 ``table_size_sums`` gives the same sums of log entries for windows of
 any width while holding only the rows below ``LEFT_BITS`` positions: a
 wider mask is the product of a row below that width, one gap matrix and
-a column vector of the masks above it.
+a column vector of the masks above it.  Given a split gap D from which
+every gap matrix is rank one, init 1^T, an entry is the product of the
+entries of its clusters (maximal groups with gaps < D), so past
+``LEFT_BITS`` positions it reduces only the shapes, the canonical masks
+whose gaps are all < D, and places their per-(span, size) sums in the
+window with the placement counts of the cluster sums below.  With
+D = n every canonical mask is a shape, placed at its translates.
 
 A table always spans the n sampled positions, whatever each place
 reads: a cover that reads a block at every place changes the start
@@ -40,22 +46,27 @@ whose per-size sums count in closed form:
   groups whose consecutive gaps are all <= kappa) of a weight that
   depends on the cluster's span.  A log pattern count of a shift whose
   adjacency matrix has a positive square is of this form.  O(n^2) per
-  call once the window's weights are built (O(n^3)).
+  call once the window's weights are built (O(n^3)) from the placement
+  counts ``_placements``, which the split table shares.
   ``cluster_product_sum`` gives the plain sum over S of the product of
-  the exponentiated weights.
+  per-cluster weights, from their sums per span; both kernels take
+  their uniform alt from it.
 - ``gap_size_sums``: v(S) = a constant plus a term per consecutive gap,
   the joint entropy of a 1-step Markov chain.  O(n^2).
 
 What does not depend on the shift is built once per window size and
-kept read-only for the process: the cluster weights of each (n, kappa),
-at most 1.2 MB for all windows a table covers, and the sizes and top
-elements of the canonical masks below ``LEFT_BITS`` positions, 100 KB.
+kept read-only for the process: the cluster weights and the placement
+counts of each (n, kappa), at most 1.3 MB each for all windows a table
+covers; the sizes and top elements of the canonical masks below
+``LEFT_BITS`` positions, 100 KB; the shape indices of each split gap
+(``_shapes``), at most 1.9 MB over every gap and window; and the
+diagonal index of ``_placed_sums``, 70 KB: below 5 MB in all.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import operator
 
 import numpy as np
 
@@ -81,6 +92,8 @@ MAX_TABLE_BITS = TABLE_ROW_LIMIT.bit_length()
 # positions, and reduces the entries of the wider ones this many at a time
 LEFT_BITS = 12
 BLOCK_ENTRIES = 1 << 16
+# table_size_sums bins a shape of span s and size j at s * _STRIDE + j
+_STRIDE = MAX_TABLE_BITS + 1
 
 
 def check_table_window(n: int) -> None:
@@ -100,20 +113,33 @@ def popcounts(n_bits: int) -> np.ndarray:
     return pc
 
 
-def _row_vectors(n_bits: int, start: np.ndarray, mats: np.ndarray) -> np.ndarray:
+def _row_vectors(n_bits: int, start: np.ndarray, mats: np.ndarray, split: int | None = None):
     """F[i] = start @ mats[g_1 - 1] @ ... @ mats[g_m - 1] over the gaps of
-    the canonical mask 2i+1, from its lowest element up, for i <
-    2^(n_bits-1).  A mask with top j and second-highest element s is one
-    with top s plus the place j, so rows [2^(j-1) + 2^(s-1), 2^(j-1) + 2^s)
-    are rows [2^(s-1), 2^s) times mats[j - s - 1] (row 2^(j-1) is row 0
-    times mats[j - 1]): one contiguous block per (j, s)."""
-    F = np.empty((1 << (n_bits - 1), len(start)))
+    the i-th shape of n_bits positions, from its lowest element up: the
+    canonical masks whose gaps are all < split, in order of mask (every
+    canonical mask when split is None, so F[i] is the mask 2i+1).  A
+    shape with top j and second-highest element s is a shape with top s
+    plus the place j, j - s < split, so the shapes of top j are those of
+    each top s in (j - split, j) times mats[j - s - 1] in turn: one
+    contiguous block per (j, s).  With no split the shapes of top j are
+    rows [2^(j-1), 2^j)."""
+    split = n_bits if split is None else min(split, n_bits)
+    # first[t]: the number of shapes with top < t
+    first = [0, 1]
+    for j in range(1, n_bits):
+        first.append(2 * first[j] - first[max(0, j - split + 1)])
+    F = np.empty((first[-1], len(start)))
     F[0] = start
     for j in range(1, n_bits):
-        top = 1 << (j - 1)
-        F[top] = F[0] @ mats[j - 1]
-        for s in range(1, j):
-            F[top + (1 << (s - 1)) : top + (1 << s)] = F[1 << (s - 1) : 1 << s] @ mats[j - s - 1]
+        at = first[j]
+        if j < split:
+            # the shape {0, j}
+            F[at] = F[0] @ mats[j - 1]
+            at += 1
+        for s in range(max(1, j - split + 1), j):
+            lo, hi = first[s], first[s + 1]
+            F[at : at + hi - lo] = F[lo:hi] @ mats[j - s - 1]
+            at += hi - lo
     return F
 
 
@@ -132,14 +158,26 @@ def product_table(n_bits: int, init: np.ndarray, gap_mats) -> np.ndarray:
 
 
 @np.errstate(divide="ignore")
-def table_size_sums(n: int, init: np.ndarray, gap_mats, with_counts: bool = False):
+def table_size_sums(n: int, init: np.ndarray, gap_mats, split: int, with_counts: bool = False):
     """Per-size sums of log T(S) over the subsets of {0..n-1}, where T(S)
     is the ``product_table(n, init, gap_mats)`` entry of the canonical
     mask of S, without holding that table.  Returns (every, with_zero,
-    log T(window), count_every): the first two as ``size_sums`` gives
-    them for the logs, count_every the same ``every`` for T itself when
-    with_counts is set, else None.  A zero entry gives -inf sums, with no
-    divide-by-zero warning.
+    log T(window), total): the first two as ``size_sums`` gives them for
+    the logs, total the sum of T(S) over every subset, the empty one
+    included (it adds 1), when with_counts is set, else None.  A zero
+    entry gives -inf sums, never NaN, with no divide-by-zero warning.
+
+    ``split`` is a gap D, 2 <= D <= n, such that every gap matrix from D
+    on is outer(init, ones); D = n asks nothing of the matrices.  Then
+    1^T P1 (init 1^T) P2 init = (1^T P1 init)(1^T P2 init), so T(S) is the
+    product of T over the clusters of S, its maximal groups whose gaps
+    are all < D.  Only the shapes, canonical masks whose gaps are all
+    < D, are reduced: their logs binned by (span, size) are placed in the
+    window with ``_placements(n, D - 1)`` (``_placed_sums``), and total
+    is ``cluster_product_sum`` of their counts binned by span.  With
+    D = n every canonical mask is a shape, placed at its n - span
+    translates.  A window of n <= ``LEFT_BITS`` positions reduces every
+    canonical mask by ``size_sums``, whatever D is.
 
     Masks whose top element is below ``left = min(n, LEFT_BITS)`` are the
     row vectors W of ``_row_vectors`` times init.  Any other mask is A
@@ -147,47 +185,56 @@ def table_size_sums(n: int, init: np.ndarray, gap_mats, with_counts: bool = Fals
     canonical mask B from b on: T = W[A] @ M(b - top A) @ V[B], with V[B]
     the column vector of B.  V[B] is the row vector of B's mirror image
     (same top, same size) under the transposed matrices, so one table of
-    the 2^(n-left-1) masks of n - left positions holds every V[B].  Per b
-    the entries are reduced in blocks of ``BLOCK_ENTRIES``: a pass holds
+    the 2^(n-left-1) masks of n - left positions holds every V[B].  A
+    shape has b - top A < D, so only b < left + D - 1 and the rows A with
+    top > b - D take part, with the shape columns B.  Per b the entries
+    are reduced in blocks of ``BLOCK_ENTRIES``: a pass holds
     O(2^LEFT_BITS r) floats whatever n is, where the table held 2^(n-1) r.
     """
     mats = np.asarray(gap_mats, dtype=np.float64)
     init = np.asarray(init, dtype=np.float64)
     left = min(n, LEFT_BITS)
-    W = _row_vectors(left, np.ones(len(init)), mats)
-    counts = W @ init
-    every, with_zero = size_sums(np.log(counts), n)
-    count_every = size_sums(counts, n)[0] if with_counts else None
     if left == n:
-        return every, with_zero, float(np.log(counts[-1])), count_every
-    V = _row_vectors(n - left, init, mats.transpose(0, 2, 1))
-    log_full = float(np.log(W[-1] @ mats[0] @ V[-1]))
-    # rows of A grouped by size, so one reduceat sums each size's rows
-    _, _, order, starts = _mask_index(left)
-    size_b = _mask_index(n - left)[0]
-    width = max(1, BLOCK_ENTRIES >> (left - 1))
+        counts = _row_vectors(n, np.ones(len(init)), mats) @ init
+        every, with_zero = size_sums(np.log(counts), n)
+        spans = np.bincount(_mask_index(n)[1], counts, n) if with_counts else None
+        total = cluster_product_sum(spans, n, n - 1) if with_counts else None
+        return every, with_zero, float(np.log(counts[-1])), total
+    # W and V hold the shapes of left and of n - left positions
+    W = _row_vectors(left, np.ones(len(init)), mats, split)
+    V = _row_vectors(n - left, init, mats.transpose(0, 2, 1), split)
+    top, bins, first = _shapes(left, min(split, left))[:3]
+    col_top, col_bins, col_first = _shapes(n - left, min(split, n - left))[:3]
+    # phi[s, j]: the logs of the shapes of span s and size j, kept in rows
+    # of _STRIDE
+    counts = W @ init
+    phi = np.bincount(bins, np.log(counts), n * _STRIDE)
+    spans = np.bincount(top, counts, n) if with_counts else None
     U = np.empty_like(W)
-    for b in range(left, n):
-        U[0] = W[0] @ mats[b - 1]
-        for t in range(1, left):
-            U[1 << (t - 1) : 1 << t] = W[1 << (t - 1) : 1 << t] @ mats[b - t - 1]
-        U_sorted = U[order]
-        # B with top j: rows [2^(j-1), 2^j) of V (row 0 for j = 0); S has
-        # top b + j and n - b - j translates
-        for j in range(n - b):
-            lo, hi = (0, 1) if j == 0 else (1 << (j - 1), 1 << j)
-            for c in range(lo, hi, width):
-                cols = slice(c, min(c + width, hi))
-                block = U_sorted @ V[cols].T
-                sizes = (np.arange(1, left + 1)[:, None] + size_b[None, cols]).ravel()
-                if with_counts:
-                    part = np.bincount(sizes, np.add.reduceat(block, starts).ravel(), n + 1)
-                    count_every += (n - b - j) * part
-                np.log(block, out=block)
-                part = np.bincount(sizes, np.add.reduceat(block, starts).ravel(), n + 1)
-                every += (n - b - j) * part
-                with_zero += part
-    return every, with_zero, log_full, count_every
+    for b in range(left, min(n, left + split - 1)):
+        # the rows A with top >= low, in size order
+        low = max(0, b - split + 1)
+        take, starts, sizes = _shapes(left, min(split, left), low)[3:]
+        for t in range(low, left):
+            U[first[t] : first[t + 1]] = W[first[t] : first[t + 1]] @ mats[b - t - 1]
+        A = U[take]
+        # the columns B with top <= n - 1 - b; S has span b + top B
+        hi = col_first[n - b]
+        if with_counts:
+            spans += np.bincount(b + col_top[:hi], np.ones(len(A)) @ A @ V[:hi].T, n)
+        width = max(1, BLOCK_ENTRIES // len(A))
+        for c in range(0, hi, width):
+            span = slice(c, min(c + width, hi))
+            block = A @ V[span].T
+            np.log(block, out=block)
+            part = np.add.reduceat(block, starts)
+            at = sizes[:, None] + (b * _STRIDE + col_bins[span])
+            phi += np.bincount(at.ravel(), part.ravel(), n * _STRIDE)
+    phi = phi.reshape(n, _STRIDE)[:, : n + 1]
+    every, with_zero = _placed_sums(phi, n, split - 1)
+    total = cluster_product_sum(spans, n, split - 1) if with_counts else None
+    # the window is the one shape of span n - 1 and size n
+    return every, with_zero, float(phi[n - 1, n]), total
 
 
 @functools.cache
@@ -202,6 +249,35 @@ def _mask_index(m: int):
     for a in (size, top, order, starts):
         a.setflags(write=False)
     return size, top, order, starts
+
+
+@functools.cache
+def _shapes(m: int, split: int, low: int = 0):
+    """(top, bins, first, take, starts, sizes) of the shapes of m
+    positions, the canonical masks whose gaps are all < split, in the
+    order of ``_row_vectors``: their tops, top * _STRIDE + size, and
+    first[t], the number of shapes with top < t, for t <= m.  Then, of
+    the shapes with top >= low, where each is in stable size order, where
+    each size present starts in that order, and those sizes.  Read-only;
+    a split >= m takes every mask, so callers pass min(split, m)."""
+    if low:
+        top, bins, first = _shapes(m, split)[:3]
+    else:
+        # rows i of the masks 2i+1: those of top j extend those of top s > j - split
+        parts = [np.zeros(1, dtype=np.int64)]
+        for j in range(1, m):
+            parts.append((1 << (j - 1)) + np.concatenate(parts[max(0, j - split + 1) : j]))
+        counts = [len(p) for p in parts]
+        top = np.repeat(np.arange(m), counts)
+        bins = top * _STRIDE + popcounts(m - 1)[np.concatenate(parts)] + 1
+        first = np.concatenate([[0], np.cumsum(counts)])
+    size = bins[first[low] :] % _STRIDE
+    order = np.argsort(size, kind="stable")
+    sizes, starts = np.unique(size[order], return_index=True)
+    out = (top, bins, first, first[low] + order, starts, sizes)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def size_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,17 +322,18 @@ def _cluster_shapes(n: int, kappa: int) -> np.ndarray:
 
 
 @functools.cache
-def _cluster_weights(n: int, kappa: int) -> np.ndarray:
-    """W[s, k] (every) and W[s, n + 1 + k] (with_zero): the number of
-    (S, cluster) pairs with |S| = k and a cluster of span s, over all S
-    or those that contain 0; read-only.  A cluster of span s with j
-    elements comes in comp[s, j] shapes, and in a window with d = n - 1 - s
-    positions outside its span it has d + 1 places; at place a the other
-    k - j elements avoid the kappa positions next to each end, so they are
-    chosen from d - min(a, kappa) - min(d - a, kappa) positions.  The
-    subsets that miss 0 are the translates of those of a window one
-    shorter, so with_zero takes the placements of d less those of d - 1.
-    Every entry is an integer below 2^53, so exact."""
+def _placements(n: int, kappa: int) -> np.ndarray:
+    """P[s, 0, i] (every) and P[s, 1, i] (with_zero): the number of ways
+    to place a cluster of span s in the window and choose i further
+    elements of S apart from it, over all S or those that contain 0;
+    read-only.  In a window with d = n - 1 - s positions outside its span
+    the cluster has d + 1 places; at place a the other elements avoid the
+    kappa positions next to each end, so they are chosen from
+    d - min(a, kappa) - min(d - a, kappa) positions.  The subsets that
+    miss 0 are the translates of those of a window one shorter, so
+    with_zero takes the placements of d less those of d - 1.  With
+    kappa = n - 1 they are the n - s translates (i = 0).  Every entry is
+    an integer below 2^53, so exact."""
     a = np.arange(n)
     d = a[:, None]
     free = d - np.minimum(a, kappa) - np.minimum(d - a, kappa)
@@ -264,9 +341,48 @@ def _cluster_weights(n: int, kappa: int) -> np.ndarray:
     # every takes G[d + 1], with_zero G[d + 1] - G[d]
     G = np.zeros((n + 1, n + 1))
     G[1:] = (_BINOMIALS[free, : n + 1] * (a <= d)[..., None]).sum(axis=1)
-    # placements[s, 0, i] (every) and [s, 1, i] (with_zero) for the span s,
-    # d = n - 1 - s; a k-subset has j + i = k
-    placements = np.stack([G[:0:-1], (G[1:] - G[:-1])[::-1]], axis=1)
+    P = np.stack([G[:0:-1], (G[1:] - G[:-1])[::-1]], axis=1)
+    P.setflags(write=False)
+    return P
+
+
+@functools.cache
+def _diagonals(n: int) -> np.ndarray:
+    """Where ``_placed_sums`` adds each entry of its (n + 1) x (2n + 2)
+    product: entry [j, w (n + 1) + i] to w (2n + 1) + j + i; read-only."""
+    i = np.arange(n + 1)
+    at = np.add.outer(i, np.concatenate([i, i + 2 * n + 1])).ravel()
+    at.setflags(write=False)
+    return at
+
+
+def _placed_sums(phi: np.ndarray, n: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """(every, with_zero) of v(S) = the sum over the clusters of S (gaps
+    <= kappa) of a value per cluster shape, given phi[s, j], the values
+    summed over the shapes of span s with j elements: every[k] = sum over
+    s, j of phi[s, j] * ``_placements``[s, 0, k - j], with_zero the same
+    with [s, 1].  A -inf in phi gives -inf wherever it is placed, never
+    NaN where it is not."""
+    P = _placements(n, kappa).reshape(n, 2 * n + 2)
+    at = _diagonals(n)
+    neg = phi == -np.inf
+    underflow = neg.any()
+    if underflow:
+        phi = np.where(neg, 0.0, phi)
+    sums = np.bincount(at, (phi.T @ P).ravel(), 4 * n + 2)
+    if underflow:
+        sums[np.bincount(at, (neg.T @ (P > 0)).ravel(), 4 * n + 2) > 0] = -np.inf
+    return sums[: n + 1], sums[2 * n + 1 : 3 * n + 2]
+
+
+@functools.cache
+def _cluster_weights(n: int, kappa: int) -> np.ndarray:
+    """W[s, k] (every) and W[s, n + 1 + k] (with_zero): the number of
+    (S, cluster) pairs with |S| = k and a cluster of span s, over all S
+    or those that contain 0; read-only.  A cluster of span s with j
+    elements comes in comp[s, j] shapes, each placed as ``_placements``
+    counts.  Exact, as those are."""
+    placements = _placements(n, kappa)
     comp = _cluster_shapes(n, kappa)
     W = np.zeros((n, 2, n + 1))
     for j in range(1, n + 1):
@@ -294,21 +410,23 @@ def cluster_size_sums(span_values, n: int, kappa: int) -> tuple[np.ndarray, np.n
     return sums[: n + 1], sums[n + 1 :]
 
 
-def cluster_product_sum(span_values, n: int, kappa: int) -> float:
+def cluster_product_sum(span_weights, n: int, kappa: int) -> float:
     """Sum over all subsets S of {0..n-1}, the empty set included (it adds
-    1), of the product over the clusters of S of exp(span_values[span]);
-    clusters as in ``cluster_size_sums``.  O(n^2)."""
-    # shapes[s] = clusters of span s of any size
-    shapes = [1.0]
-    for s in range(1, n):
-        shapes.append(sum(shapes[max(0, s - kappa) : s]))
-    weight = [count * math.exp(v) for count, v in zip(shapes, span_values)]
+    1), of the product over the clusters of S of a weight per cluster,
+    where span_weights[s] sums those weights over the cluster shapes of
+    span s; clusters as in ``cluster_size_sums``.  O(n^2)."""
+    weight = np.asarray(span_weights, dtype=float).tolist()
     # C[t + kappa + 1] = sum over the subsets of {0..t}; C[t] = 1 for t <= kappa.
     # A subset whose last cluster runs from e - s to e extends one that ends
-    # before e - s - kappa.
+    # before e - s - kappa, and while e <= kappa every such one is empty.
     C = [1.0] * (kappa + 1)
+    head = 0.0
     for e in range(n):
-        C.append(C[-1] + sum(weight[s] * C[e - s] for s in range(e + 1)))
+        if e <= kappa:
+            head += weight[e]
+            C.append(C[-1] + head)
+        else:
+            C.append(C[-1] + sum(map(operator.mul, weight[: e + 1], C[e::-1])))
     return C[-1]
 
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._masks import MAX_TABLE_BITS, popcounts
+from ._masks import LEFT_BITS, MAX_TABLE_BITS, popcounts
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
-from .markov import (MarkovMeasure, _block_entropies, _projected_entropies, asc_finite,
-                     asc_lambda, asc_series_markov, sampled_joint_entropy)
-from .pressure import Potential
+from .markov import (MarkovMeasure, _block_entropies, _entropy, _projected_entropies, asc_finite,
+                     asc_lambda, asc_series_markov, gap_entropies, sampled_joint_entropy)
 from .sft import Sft, SubsetSpec, log_spectral_radius
 from .topo import (ComplexityProfile, _check_window, _run_sums, _table_sums, finite_profile,
                    finite_profiles)
@@ -207,13 +206,19 @@ def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
     """Joint entropies equal brute-force cylinder-measure enumeration
     (``_projected_entropies``, the window once per chain) to 1e-10 at every
     subset of the window, for 1-step and 2-step families at seeded random
-    parameter points.  The chain rule or ``_block_entropies`` takes the
-    canonical masks 2i+1 at once, as ``asc_finite`` does; each mask is
+    parameter points.  The canonical masks 2i+1 are taken at once: for a
+    1-step chain H(p) plus the gap entropies (one ``gap_entropies`` stack)
+    over each mask's gaps, in one indexed sum; for a block chain one
+    ``_block_entropies`` pass, as ``asc_finite`` takes them.  Each mask is
     held to its translate's value."""
     rep = PropertyReport("entropy-oracle")
     rng = np.random.Generator(np.random.PCG64(_ORACLE_SEED))
     masks = np.arange(1, 1 << n_max)
     places = masks[:, None] >> np.arange(n_max) & 1
+    # the consecutive gaps of the canonical masks, and the mask of each
+    at, where = np.nonzero(places[::2])
+    inner = at[1:] == at[:-1]
+    gaps, gap_of = np.diff(where)[inner], at[1:][inner]
     for _ in range(_ORACLE_POINTS if n_max >= 1 else 0):
         p00, p11 = rng.uniform(0.05, 0.95, size=2)
         one_step = MarkovMeasure.one_step([[p00, 1 - p00], [1 - p11, p11]])
@@ -221,8 +226,11 @@ def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
         two_step = MarkovMeasure([[p000, 1 - p000, 0.0], [0.0, 0.0, 1.0], [p100, 1 - p100, 0.0]],
                                  states=((0, 0), (0, 1), (1, 0)), block_len=2, alphabet_size=2)
         for m in (one_step, two_step):
-            H = ([sampled_joint_entropy(m, SubsetSpec(n_max, s)) for s in masks[::2].tolist()]
-                 if m.block_len == 1 else _block_entropies(m, m.powers(n_max - 1), places[::2]))
+            if m.block_len == 1:
+                h = gap_entropies(m, n_max - 1)
+                H = _entropy(m.p) + np.bincount(gap_of, h[gaps - 1], len(places[::2]))
+            else:
+                H = _block_entropies(m, m.powers(n_max - 1), places[::2])
             oracle = _projected_entropies(m, places)
             for mask, b in zip(masks.tolist(), oracle.tolist()):
                 a = H[(mask >> (mask & -mask).bit_length() - 1) // 2]
@@ -319,40 +327,77 @@ def check_spectral() -> PropertyReport:
     return rep
 
 
+@functools.cache
+def _random_primitive_sfts(count: int = 3) -> tuple[Sft, ...]:
+    """count 0/1 matrices of 3-6 vertices drawn from the _ORACLE_SEED
+    stream, kept when primitive without a positive square, so that the
+    table route takes them with a split gap of 3 or more; built once per
+    process."""
+    rng = np.random.Generator(np.random.PCG64(_ORACLE_SEED))
+    out = []
+    while len(out) < count:
+        r = int(rng.integers(3, 7))
+        A = (rng.random((r, r)) < 0.4).astype(np.int64)
+        # no vertex pruned away; Wielandt: primitive iff this power is positive
+        if A.any(axis=0).all() and A.any(axis=1).all():
+            sft = Sft(A)
+            if sft.reach_powers((r - 1) ** 2 + 1)[-1].all() and not sft.is_square_positive():
+                out.append(sft)
+    return tuple(out)
+
+
 def check_run_kernels(n_max: int = 16) -> PropertyReport:
-    """The table-free kernels against the tables they replace, to 1e-12
-    relative (absolute below 1), at n = min(n_max, 23): on every published
-    shift with a positive square, the per-size sums behind finite_profile
-    and asp_profile (all sizes, with and without 0, the full window and
-    the uniform alt) with block_k 0, 2 and 5, and on the two pressure
-    pairs also weighted by their PRESSURE_F1 potential.  The table route
-    sums its logs in blocks of at most 2^16, so the two agree to about
-    5e-15 up to n = 23.  Then the O(n^2) 1-step asc_finite on the
-    golden-mean chain against a per-mask sum of sampled_joint_entropy over
-    every subset and its complement, at n = min(n_max, 12) so the 2^n
-    masks stay cheap."""
+    """The table-free kernels against the tables they replace, and the
+    split table against the unsplit one, to 1e-12 relative (absolute
+    below 1), at n = min(n_max, 23).  Each case compares the per-size sums
+    behind finite_profile and asp_profile (all sizes, with and without 0,
+    the full window and the uniform alt) with block_k 0, 2 and 5.
+
+    - On every published shift with a positive square, the run kernel
+      against the table with no split (D = n): split at D = 2 the table
+      would be a linear-domain copy of the run kernel.  The two pressure
+      pairs are also weighted by their PRESSURE_F1 potential.
+    - On the four published shifts without one and three seeded random
+      primitive ones, the table split at its gap D (``topo._split_gap``)
+      against the table with no split, also weighted by PRESSURE_F1
+      (0 off its symbols).  Windows of n <= LEFT_BITS (12) reduce every
+      canonical mask whatever D is, so these cases start at n = 13.
+
+    The table route sums its logs in blocks of at most 2^16, so the routes
+    agree to about 2e-14 up to n = 23.  Then the O(n^2) 1-step asc_finite
+    on the golden-mean chain against a per-mask sum of
+    sampled_joint_entropy over every subset and its complement, at
+    n = min(n_max, 12) so the 2^n masks stay cheap."""
     rep = PropertyReport("runs")
 
     def close(a, b) -> bool:
         return bool(np.all(np.abs(np.subtract(a, b)) <= 1e-12 * np.maximum(1.0, np.abs(b))))
 
+    def unsplit(*args):
+        return _table_sums(*args, split=False)
+
     n = min(n_max, MAX_TABLE_BITS)
     uniform = CoefficientSystem.uniform()
     c = np.asarray(uniform.weights_row(n))
     # one entry per matrix; the pressure pairs come last and keep their tags
-    for bench in {b.adjacency: b for b in SFT_BENCHMARKS}.values():
-        sft = Sft(np.asarray(bench.adjacency))
-        if not sft.is_square_positive():
+    published = [(b.tag, Sft(np.asarray(b.adjacency)), b.asp10_f1 is not None)
+                 for b in {b.adjacency: b for b in SFT_BENCHMARKS}.values()]
+    drawn = [(f"random-{i}", sft, False) for i, sft in enumerate(_random_primitive_sfts())]
+    for tag, sft, weighted in published + drawn:
+        fast, what_fast = (_run_sums, "run") if sft.is_square_positive() else (_table_sums, "split")
+        if fast is _table_sums and n <= LEFT_BITS:
             continue
         cases = [(0, None), (2, None), (5, None)]
-        if bench.asp10_f1 is not None:
-            cases.append((0, Potential.from_values(PRESSURE_F1).log_weights(sft)))
+        # the pressure pairs and every table shift are also weighted
+        if weighted or fast is _table_sums:
+            f = np.array([PRESSURE_F1.get(a, 0.0) for a in sft.symbol_labels])
+            cases.append((0, f))
         for block_k, lw in cases:
             # every, with_zero, log N(window) and alt in one vector per route
-            a, b = (np.hstack(sums(sft, n, block_k, c, lw)) for sums in (_run_sums, _table_sums))
+            a, b = (np.hstack(sums(sft, n, block_k, c, lw)) for sums in (fast, unsplit))
             ok = close(a, b)
             what = f"block_k={block_k}" + ("" if lw is None else ", weighted")
-            rep.check(ok, "" if ok else f"{bench.tag}, n={n}, {what}: {a} != table {b}")
+            rep.check(ok, "" if ok else f"{tag}, n={n}, {what}: {what_fast} {a} != unsplit {b}")
 
     n = min(n_max, 12)
     full = (1 << n) - 1

@@ -6,10 +6,15 @@ Two exact kernels give the per-size sums of the log pattern counts and
 log weighted counts; ``_count_sums`` picks one from the shift.  With a
 positive square, every gap of 2 or more reaches every symbol, so the
 count at S factors over the clusters of S and the sums take O(n^3)
-steps (``_masks.cluster_size_sums``).  Every other shift reduces one
-count per canonical subset, 2^(n-1) of them, holding at most
-2^(LEFT_BITS-1) row vectors at a time (``_masks.table_size_sums``); the
-``runs`` check suite compares the cluster sums against that table route.
+steps (``_masks.cluster_size_sums``).  Every other shift reduces counts
+at canonical subsets, holding at most 2^(LEFT_BITS-1) row vectors at a
+time (``_masks.table_size_sums``).  On a primitive shift every gap from
+the split gap D on (``_split_gap``) reaches every symbol too, so past
+LEFT_BITS positions the table reduces only the cluster shapes, the
+canonical subsets whose gaps are all < D; a shift with no split, and
+any window of n <= LEFT_BITS, reduces all 2^(n-1).  The ``runs`` check
+suite compares the cluster sums and the split table against the table
+with no split.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._masks import (
+    LEFT_BITS,
     check_table_window,
     cluster_product_sum,
     cluster_size_sums,
@@ -163,16 +169,39 @@ def _count_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=No
     return sums(sft, n, block_k, alt_weights, log_weights)
 
 
-def _table_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None):
+def _table_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None,
+                split: bool = True):
     """``_count_sums`` from the counts at the canonical masks
     (``_masks.table_size_sums``, which holds at most BLOCK_ENTRIES of them
-    at a time).  A weighted count that underflows to 0 gives -inf sums."""
-    every, with_zero, log_full, count_every = table_size_sums(
-        n, *_count_mats(sft, n, block_k, log_weights), with_counts=alt_weights is not None)
+    at a time), split at ``_split_gap`` of the count matrices, or at n
+    (no split) when split is False.  Windows of n <= LEFT_BITS reduce
+    every canonical mask whatever the split, so theirs is not looked for.
+    A weighted count that underflows to 0 gives -inf sums."""
+    init, mats = _count_mats(sft, n, block_k, log_weights)
+    gap = _split_gap(init, mats) if split and n > LEFT_BITS else n
+    every, with_zero, log_full, total = table_size_sums(
+        n, init, mats, gap, with_counts=alt_weights is not None)
     alt = None
     if alt_weights is not None:
-        alt = float(alt_weights[0] + alt_weights @ count_every)
+        # uniform weights: every subset, the empty one included, weighs 2^-n
+        alt = float(alt_weights[0] * total)
     return every, with_zero, log_full, alt
+
+
+def _split_gap(init: np.ndarray, gap_mats) -> int:
+    """The smallest gap D >= 2 from which every gap matrix is
+    outer(init, ones), so that a count factors over the clusters of gaps
+    < D (``_masks.table_size_sums``); n, one more than the widest gap,
+    when even that one is not.  The test is exact: the matrices hold 0/1
+    reach times symbol weights, or integer path counts.  A primitive
+    shift of exponent p has D = p for block_k <= 1 and k + p - 1 for
+    block_k = k >= 2; a periodic or reducible one has no split."""
+    mats = np.asarray(gap_mats, dtype=np.float64).reshape(-1, len(init), len(init))
+    if len(mats) < 2 or (mats[-1] != init[:, None]).any():
+        return len(mats) + 1
+    # the gaps 2..n-2 that are not outer(init, ones); the split is past the last
+    off = np.flatnonzero((mats[1:-1] != init[:, None]).any(axis=(1, 2)))
+    return int(off[-1]) + 3 if off.size else 2
 
 
 def _run_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None):
@@ -188,7 +217,13 @@ def _run_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None
     alt = None
     if alt_weights is not None:
         # uniform weights: every subset, the empty one included, weighs 2^-n
-        alt = float(alt_weights[0] * cluster_product_sum(logs, n, k))
+        # every cluster shape of span s weighs the words of length s + k;
+        # shapes[s] counts the compositions of s into gaps of 1..k
+        shapes = [1.0]
+        for s in range(1, n):
+            shapes.append(sum(shapes[max(0, s - k) : s]))
+        weights = [count * math.exp(v) for count, v in zip(shapes, logs)]
+        alt = float(alt_weights[0] * cluster_product_sum(weights, n, k))
     return every, with_zero, float(logs[-1]), alt
 
 
@@ -219,16 +254,18 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     where a_n sums log N(S) over all S in the window and lam_k is the
     log count of full length-k words.  Both sides are evaluated
     independently: a_n and a_{n-1} come from the per-size sums of the
-    table route (``_table_sums``, which holds no whole table), not from
-    the cluster factorization the recursion is derived from.  n takes
-    the table's window, 1..``_masks.MAX_TABLE_BITS``."""
+    table route with no split (``_table_sums`` at D = n, which holds no
+    whole table), not from the cluster factorization the recursion is
+    derived from: split at D = 2, as the shift's positive square allows,
+    the table would reduce the clusters.  n takes the table's window,
+    1..``_masks.MAX_TABLE_BITS``."""
     check_table_window(n)
     if not sft.is_square_positive():
         raise ValueError("recursion requires a strictly positive squared adjacency matrix")
     lam = {k: math.log(c) for k, c in enumerate(sft.word_counts(n), 1)}
 
     def a(m: int) -> float:
-        return float(_table_sums(sft, m, 0)[0].sum())
+        return float(_table_sums(sft, m, 0, split=False)[0].sum())
 
     direct = a(n)
     if n == 1:

@@ -210,12 +210,14 @@ class TestExtremePotentials:
         # golden-pair/II has no positive square, so asp fills a table from
         # f - max f; every path returns to symbol 0 within three steps
         # (2 -> 0, 1 -> 2 -> 0), so every pattern on a long enough S uses 0
-        # several times: e^(-800 k) underflows to 0
+        # several times: e^(-800 k) underflows to 0.  At n = 16 the table is
+        # split at gap 4, and the zero counts are those of cluster shapes
         f = Potential.from_values({0: -800.0, 1: 0.0, 2: 0.0})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="spread 800"):
-                asp_profile(Sft(GOLDEN_PAIR_II), f, UNIFORM, 10)
+        for n in (10, 16):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"at n={n}: with potential spread 800"):
+                    asp_profile(Sft(GOLDEN_PAIR_II), f, UNIFORM, n)
 
     def test_spread_past_underflow_is_exact_on_square_positive_shift(self):
         # the golden mean has a positive square: its run weights come from

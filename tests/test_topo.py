@@ -12,6 +12,7 @@ from intricacy.properties import _asc_reduced, _finite_profile_slow
 from intricacy.sft import Sft, SubsetSpec
 from intricacy.topo import (
     _count_mats,
+    _split_gap,
     asc_series,
     finite_profile,
     finite_profiles,
@@ -173,29 +174,54 @@ class TestMaskTable:
                 assert table.tolist() == want
 
 
+GOLDEN_PAIR_II = [[0, 1, 1], [1, 0, 1], [1, 0, 0]]
+LOG2_FAMILY_5 = [[0, 1, 1], [1, 0, 1], [1, 0, 1]]
+# primitive of exponent 5 on 5 vertices: split at D = 5, 6 and 8 at block_k 0, 2 and 4
+PRIMITIVE_5 = [[1, 0, 1, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [1, 1, 1, 1, 0],
+               [1, 0, 0, 0, 0]]
+PERIODIC = [[0, 1], [1, 0]]
+REDUCIBLE = [[1, 1], [0, 1]]
+
+
 class TestTableSizeSums:
     @staticmethod
     def from_table(n, init, mats):
         table = product_table(n, init, mats)
-        every, with_zero = size_sums(np.log(table), n)
-        return every, with_zero, math.log(table[-1]), size_sums(table, n)[0]
+        with np.errstate(divide="ignore"):
+            logs = np.log(table)
+        every, with_zero = size_sums(logs, n)
+        return every, with_zero, logs[-1], 1.0 + size_sums(table, n)[0].sum()
 
     @pytest.mark.parametrize("left_bits,block", [(1, 1), (3, 5), (4, 1 << 17), (16, 1 << 17)])
     def test_matches_the_table(self, left_bits, block, monkeypatch):
-        # narrow left tables and small blocks take every split of the masks
+        # narrow left tables and small blocks take every split of the masks,
+        # at the split gap of the shift and with no split (D = n); blocks of
+        # one entry stop at n = 10, where they are 2^9 blocks per route
         monkeypatch.setattr(_masks, "LEFT_BITS", left_bits)
         monkeypatch.setattr(_masks, "BLOCK_ENTRIES", block)
-        s = Sft(SFT_I)
-        w = np.array([0.3, 1.0, 2.5])
-        for n in range(1, 11):
-            R = s.reach_powers(n - 1)
-            cases = [(np.ones(3), R), (w, R * w[:, None])] + [
-                _count_mats(s, n, k) for k in (2, 4)]
-            for init, mats in cases:
-                got = table_size_sums(n, init, mats, with_counts=True)
-                want = self.from_table(n, init, mats)
-                for a, b in zip(got, want):
-                    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
+        for A in (SFT_I, GOLDEN_PAIR_II, LOG2_FAMILY_5, PRIMITIVE_5, PERIODIC, REDUCIBLE):
+            s = Sft(A)
+            w = np.linspace(0.3, 2.5, s.alphabet_size)
+            for n in range(1, 11 if block == 1 else 15):
+                R = s.reach_powers(n - 1)
+                cases = [(np.ones(s.alphabet_size), R), (w, R * w[:, None])] + [
+                    _count_mats(s, n, k) for k in (2, 4)]
+                for init, mats in cases:
+                    want = self.from_table(n, init, mats)
+                    for split in {_split_gap(init, mats), n}:
+                        got = table_size_sums(n, init, mats, split, with_counts=True)
+                        for a, b in zip(got, want):
+                            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("A,gaps", [(SFT_I, (3, 4)), (GOLDEN_PAIR_II, (4, 5)),
+                                        (PERIODIC, (None, None)), (REDUCIBLE, (None, None))])
+    def test_split_gap(self, A, gaps):
+        # the exponent p of a primitive shift, k + p - 1 for k-blocks; no
+        # split (n) on a periodic or reducible shift
+        s = Sft(A)
+        for n in (1, 2, 9, 20):
+            for block_k, gap in zip((0, 2), gaps):
+                assert _split_gap(*_count_mats(s, n, block_k)) == min(gap or n, n)
 
     def test_zero_entry_gives_minus_inf(self, monkeypatch):
         monkeypatch.setattr(_masks, "LEFT_BITS", 3)
@@ -203,22 +229,43 @@ class TestTableSizeSums:
         # or more places has entry 0, below and past the left table alike;
         # its log is -inf with no divide warning (a warning fails the test)
         mats = np.array([[[1.0, 0.0], [1.0, 0.0]]] * 5)
-        every, with_zero, log_full, _ = table_size_sums(6, np.array([0.0, 1.0]), mats)
+        every, with_zero, log_full, _ = table_size_sums(6, np.array([0.0, 1.0]), mats, 6)
         assert every[1] == with_zero[1] == 0.0
         assert (every[2:] == -math.inf).all() and (with_zero[2:] == -math.inf).all()
         assert log_full == -math.inf
 
+    @pytest.mark.parametrize("left_bits", [4, 12])
+    def test_underflowed_shape_gives_minus_inf_never_nan(self, left_bits, monkeypatch):
+        # golden-pair/II weighted by exp(f - max f), f = (-800, 0, 0): the
+        # weight of symbol 0 underflows to 0, and every pattern of a shape
+        # of 3 or more places uses it.  Those shapes place -inf into the
+        # sizes they reach and nowhere else, where a zero placement times
+        # -inf would be NaN
+        monkeypatch.setattr(_masks, "LEFT_BITS", left_bits)
+        s = Sft(GOLDEN_PAIR_II)
+        for n in (10, 14, 16):
+            init, mats = _count_mats(s, n, 0, np.array([-800.0, 0.0, 0.0]))
+            split = _split_gap(init, mats)
+            assert split == 4
+            got = table_size_sums(n, init, mats, split, with_counts=True)
+            assert not any(np.isnan(a).any() for a in got)
+            for a, b in zip(got, self.from_table(n, init, mats)):
+                np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
+            assert np.isfinite(got[0][:3]).all() and (got[0][3:] == -math.inf).all()
+
     def test_holds_no_full_table(self):
-        # n = 20 on a 3-symbol shift: the table would be 2^19 x 3 floats, 12.6 MB
+        # golden-pair/I: the table would be 2^(n-1) x 3 floats, 12.6 MB at
+        # n = 20 and 101 MB at n = 23, split at D = 3 or not at all
         s = Sft(SFT_I)
-        init, mats = _count_mats(s, 20)
-        tracemalloc.start()
-        try:
-            table_size_sums(20, init, mats, with_counts=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+        for n, split in [(20, 3), (20, 20), (23, 3), (23, 23)]:
+            init, mats = _count_mats(s, n)
+            tracemalloc.start()
+            try:
+                table_size_sums(n, init, mats, split, with_counts=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20
 
 
 def loop_size_sums(values, n):
@@ -274,7 +321,8 @@ class TestWindowTables:
                 np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
 
     def test_cached_arrays_are_read_only(self):
-        arrays = [_masks._cluster_weights(6, 2), *_masks._mask_index(5)]
+        arrays = [_masks._cluster_weights(6, 2), _masks._placements(6, 2), *_masks._mask_index(5),
+                  *_masks._shapes(5, 3, 2)]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 1
