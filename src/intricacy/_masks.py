@@ -18,8 +18,8 @@ of earlier rows, with no index arrays:
     F[2^(j-1)] = F[0] @ R(j)
 
 A whole table costs O(2^(n_bits-1) r^2) flops.  ``size_sums`` then folds
-a table into per-size sums over all subsets of the window, weighting
-each canonical mask by its number of translates, so every average over
+a table into per-size sums over all subsets of the window, placing each
+canonical mask at its translates (``_placed_sums``), so every average over
 the 2^n subsets is a dot product with the weights row.  The intricacy
 needs no sum over complements: every weighting system is a symmetric
 probability measure (``coeffs``), which makes it 2 asc - h.
@@ -32,7 +32,8 @@ entries of its clusters (maximal groups with gaps < D), so past
 ``LEFT_BITS`` positions it reduces only the shapes, the canonical masks
 whose gaps are all < D, and places their per-(span, size) sums in the
 window with the placement counts of the cluster sums below.  With
-D = n every canonical mask is a shape, placed at its translates.
+D = n every canonical mask is a shape, placed at its translates; a
+window of n <= ``LEFT_BITS`` is its row table alone, placed the same way.
 
 A table always spans the n sampled positions, whatever each place
 reads: a cover that reads a block at every place changes the start
@@ -46,8 +47,8 @@ whose per-size sums count in closed form:
   groups whose consecutive gaps are all <= kappa) of a weight that
   depends on the cluster's span.  A log pattern count of a shift whose
   adjacency matrix has a positive square is of this form.  O(n^2) per
-  call once the window's weights are built (O(n^3)) from the placement
-  counts ``_placements``, which the split table shares.
+  call once the window's weights are built (O(n^3)) by the one
+  placement, ``_placed_sums``, which the tables share.
   ``cluster_product_sum`` gives the plain sum over S of the product of
   per-cluster weights, from their sums per span; both kernels take
   their uniform alt from it.
@@ -56,11 +57,11 @@ whose per-size sums count in closed form:
 
 What does not depend on the shift is built once per window size and
 kept read-only for the process: the cluster weights and the placement
-counts of each (n, kappa), at most 1.3 MB each for all windows a table
-covers; the sizes and top elements of the canonical masks below
-``LEFT_BITS`` positions, 100 KB; the shape indices of each split gap
-(``_shapes``), at most 1.9 MB over every gap and window; and the
-diagonal index of ``_placed_sums``, 70 KB: below 5 MB in all.
+counts of each (n, kappa), at most 1.2 MB each for all windows a table
+covers, and the cluster shapes, 0.6 MB; the shape indices of each
+window part and split gap (``_shapes``; with the split at the width,
+every canonical mask), at most 3.5 MB over every gap and window; and the
+diagonal index of ``_placed_sums``, 80 KB: below 7 MB in all.
 """
 
 from __future__ import annotations
@@ -176,8 +177,7 @@ def table_size_sums(n: int, init: np.ndarray, gap_mats, split: int, with_counts:
     window with ``_placements(n, D - 1)`` (``_placed_sums``), and total
     is ``cluster_product_sum`` of their counts binned by span.  With
     D = n every canonical mask is a shape, placed at its n - span
-    translates.  A window of n <= ``LEFT_BITS`` positions reduces every
-    canonical mask by ``size_sums``, whatever D is.
+    translates.
 
     Masks whose top element is below ``left = min(n, LEFT_BITS)`` are the
     row vectors W of ``_row_vectors`` times init.  Any other mask is A
@@ -190,27 +190,25 @@ def table_size_sums(n: int, init: np.ndarray, gap_mats, split: int, with_counts:
     top > b - D take part, with the shape columns B.  Per b the entries
     are reduced in blocks of ``BLOCK_ENTRIES``: a pass holds
     O(2^LEFT_BITS r) floats whatever n is, where the table held 2^(n-1) r.
+    A window of n <= ``LEFT_BITS`` positions is all W: it has no V and no
+    first place b.
     """
     mats = np.asarray(gap_mats, dtype=np.float64)
     init = np.asarray(init, dtype=np.float64)
     left = min(n, LEFT_BITS)
-    if left == n:
-        counts = _row_vectors(n, np.ones(len(init)), mats) @ init
-        every, with_zero = size_sums(np.log(counts), n)
-        spans = np.bincount(_mask_index(n)[1], counts, n) if with_counts else None
-        total = cluster_product_sum(spans, n, n - 1) if with_counts else None
-        return every, with_zero, float(np.log(counts[-1])), total
-    # W and V hold the shapes of left and of n - left positions
+    # W holds the shapes of left positions
     W = _row_vectors(left, np.ones(len(init)), mats, split)
-    V = _row_vectors(n - left, init, mats.transpose(0, 2, 1), split)
     top, bins, first = _shapes(left, min(split, left))[:3]
-    col_top, col_bins, col_first = _shapes(n - left, min(split, n - left))[:3]
     # phi[s, j]: the logs of the shapes of span s and size j, kept in rows
     # of _STRIDE
     counts = W @ init
     phi = np.bincount(bins, np.log(counts), n * _STRIDE)
     spans = np.bincount(top, counts, n) if with_counts else None
-    U = np.empty_like(W)
+    if left < n:
+        # V holds the shapes of n - left positions, for the loop over b below
+        V = _row_vectors(n - left, init, mats.transpose(0, 2, 1), split)
+        col_top, col_bins, col_first = _shapes(n - left, min(split, n - left))[:3]
+        U = np.empty_like(W)
     for b in range(left, min(n, left + split - 1)):
         # the rows A with top >= low, in size order
         low = max(0, b - split + 1)
@@ -235,20 +233,6 @@ def table_size_sums(n: int, init: np.ndarray, gap_mats, split: int, with_counts:
     total = cluster_product_sum(spans, n, split - 1) if with_counts else None
     # the window is the one shape of span n - 1 and size n
     return every, with_zero, float(phi[n - 1, n]), total
-
-
-@functools.cache
-def _mask_index(m: int):
-    """(size, top, order, starts) of the canonical masks 2i+1, i <
-    2^(m-1): their sizes and top elements, the rows sorted stably by
-    size, and where each size 1..m starts in that order; read-only."""
-    size = popcounts(m - 1) + 1
-    top = np.repeat(np.arange(m), [1] + [1 << (j - 1) for j in range(1, m)])
-    order = np.argsort(size, kind="stable")
-    starts = np.cumsum(np.bincount(size))[:m]
-    for a in (size, top, order, starts):
-        a.setflags(write=False)
-    return size, top, order, starts
 
 
 @functools.cache
@@ -286,12 +270,12 @@ def size_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     (values[i] at mask 2i+1, i < 2^(m-1)); with m = n that is every
     subset.  Returns (every, with_zero): every[k] sums over the k-subsets,
     with_zero[k] over the k-subsets that contain 0.  The empty set adds
-    nothing to either.  A mask with top j has n - j translates."""
+    nothing to either.  The values are binned by (top, size) and each
+    mask is placed at its n - top translates (``_placed_sums`` with every
+    subset one cluster)."""
     m = len(values).bit_length()
-    # kept for the widths table_size_sums and the block chains ask for
-    size, top = (_mask_index if m <= LEFT_BITS else _mask_index.__wrapped__)(m)[:2]
-    every = np.bincount(size, values * (n - top), n + 1)
-    return every, np.bincount(size, values, n + 1)
+    phi = np.bincount(_shapes(m, m)[1], values, n * _STRIDE)
+    return _placed_sums(phi.reshape(n, _STRIDE)[:, : n + 1], n, n - 1)
 
 
 def _pascal(n: int) -> np.ndarray:
@@ -308,16 +292,16 @@ _BINOMIALS = _pascal(MAX_TABLE_BITS)
 _BINOMIALS.setflags(write=False)
 
 
+@functools.cache
 def _cluster_shapes(n: int, kappa: int) -> np.ndarray:
-    # comp[s, j] = clusters of span s with j elements: the compositions of
-    # s into j - 1 gaps of 1..kappa
-    if kappa == 1:
-        # a run of span s has s + 1 elements
-        return np.eye(n, n + 1, 1)
+    """comp[s, j]: the cluster shapes of span s with j elements, the
+    compositions of s into j - 1 gaps of 1..kappa; read-only.  Exact
+    integers."""
     comp = np.zeros((n, n + 1))
     comp[0, 1] = 1.0
     for s in range(1, n):
         comp[s, 1:] = comp[max(0, s - kappa) : s, :-1].sum(axis=0)
+    comp.setflags(write=False)
     return comp
 
 
@@ -379,15 +363,12 @@ def _placed_sums(phi: np.ndarray, n: int, kappa: int) -> tuple[np.ndarray, np.nd
 def _cluster_weights(n: int, kappa: int) -> np.ndarray:
     """W[s, k] (every) and W[s, n + 1 + k] (with_zero): the number of
     (S, cluster) pairs with |S| = k and a cluster of span s, over all S
-    or those that contain 0; read-only.  A cluster of span s with j
-    elements comes in comp[s, j] shapes, each placed as ``_placements``
-    counts.  Exact, as those are."""
-    placements = _placements(n, kappa)
+    or those that contain 0; read-only.  Row s is ``_placed_sums`` of the
+    shapes of span s alone (``_cluster_shapes``).  Exact, as the
+    placement counts are."""
     comp = _cluster_shapes(n, kappa)
-    W = np.zeros((n, 2, n + 1))
-    for j in range(1, n + 1):
-        W[:, :, j:] += comp[:, j, None, None] * placements[:, :, : n + 1 - j]
-    W = W.reshape(n, 2 * n + 2)
+    W = np.array([np.concatenate(_placed_sums(comp * (np.arange(n) == s)[:, None], n, kappa))
+                  for s in range(n)])
     W.setflags(write=False)
     return W
 

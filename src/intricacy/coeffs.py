@@ -32,7 +32,8 @@ __all__ = [
     "HORIZON",
 ]
 
-# largest window n any system weighs
+# the subset horizon: the largest window n any system weighs, any
+# ``sft.SubsetSpec`` spans and any ``topo`` window with its blocks reads
 HORIZON = 64
 
 # Below this magnitude a weight is treated as having underflowed.

@@ -295,19 +295,31 @@ def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSer
 def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None) -> float:
     """Joint entropy of the base symbols read at the places of S.
 
-    For a plain chain the sampled process is itself Markov, so the exact
-    chain rule H(p) + sum over gaps applies.  A block chain takes the
-    forward pass of ``_block_entropies`` on this one subset: about
-    r^|S| * d^2 flops for d states, refused past r^|S| = ENUMERATION_CAP."""
+    ``_joint_entropies`` of this one subset.  For a plain chain the
+    sampled process is itself Markov, so the exact chain rule H(p) + sum
+    over gaps applies.  A block chain takes the forward pass of
+    ``_block_entropies``: about r^|S| * d^2 flops for d states, refused
+    past r^|S| = ENUMERATION_CAP."""
     spec = _as_subset(S, n)
     if spec.mask == 0:
         return 0.0
-    count = max(spec.gaps, default=0)
-    if m.block_len == 1:
-        hs = gap_entropies(m, count).tolist()
-        return _entropy(m.p) + sum(hs[g - 1] for g in spec.gaps)
-    places = [[spec.mask >> i & 1 for i in range(spec.n)]]
-    return float(_block_entropies(m, m.powers(count), places)[0])
+    return float(_joint_entropies(m, [[spec.mask >> i & 1 for i in range(spec.n)]])[0])
+
+
+def _joint_entropies(m: MarkovMeasure, places) -> np.ndarray:
+    """Joint entropies at the places of each row of ``places`` ((N, width)
+    0/1, every row nonempty; only its gaps matter), from the gap stack up
+    to the widest gap present.  A plain chain takes the chain rule, H(p)
+    plus the gap entropies between consecutive places, summed in row
+    order; a block chain one ``_block_entropies`` pass."""
+    rows, cols = np.nonzero(np.asarray(places, dtype=bool))
+    inner = rows[1:] == rows[:-1]
+    gaps = np.diff(cols)[inner]
+    count = int(gaps.max(initial=0))
+    if m.block_len != 1:
+        return _block_entropies(m, m.powers(count), places)
+    hs = gap_entropies(m, count)
+    return _entropy(m.p) + np.bincount(rows[1:][inner], hs[gaps - 1], len(places))
 
 
 def _block_entropies(m: MarkovMeasure, powers: np.ndarray, places) -> np.ndarray:
@@ -439,7 +451,7 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
     C(n, k) H(p) + sum_g h_g (n - g) C(n - g - 1, k - 2) (``gap_size_sums``),
     O(n^2) with no table.  A block chain sums by subset size the joint
     entropies at the 2^(n-1) canonical masks 2i+1 (every joint entropy is
-    that of a translate containing 0), one ``_block_entropies`` pass."""
+    that of a translate containing 0), one ``_joint_entropies`` pass."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     cap = 20 if m.block_len == 1 else 12
@@ -449,7 +461,7 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
         every = gap_size_sums(_entropy(m.p), gap_entropies(m, n - 1), n)
     else:
         canonical = (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
-        every = size_sums(_block_entropies(m, m.powers(n - 1), canonical), n)[0]
+        every = size_sums(_joint_entropies(m, canonical), n)[0]
     total = float(np.asarray(coeffs.weights_row(n)) @ every)
     # the full window is the one n-subset; intricacy = 2 asc - h
     h_full = float(every[n])
@@ -473,8 +485,8 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
     bit strings of length 2n with the first bit set and the rest fair
     coin flips (PCG64 stream from ``seed``), average
     H(symbols at set bits) / (2n).  The standard error is the sample
-    standard deviation over sqrt(samples).  A block chain takes all
-    samples in one ``_block_entropies`` pass."""
+    standard deviation over sqrt(samples).  All samples take one
+    ``_joint_entropies`` pass."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 1:
@@ -483,17 +495,7 @@ def monte_carlo_asc(m: MarkovMeasure, n: int, samples: int, seed: int) -> McEsti
     rng = np.random.Generator(np.random.PCG64(seed))
     bits = rng.integers(0, 2, size=(samples, width), dtype=np.int64)
     bits[:, 0] = 1
-    if m.block_len == 1:
-        # chain rule per row: H(p) plus the gap entropies between
-        # consecutive set bits, summed in row order as a loop would
-        hs = np.concatenate([[0.0], gap_entropies(m, width - 1)])
-        rows, cols = np.nonzero(bits)
-        inner = rows[1:] == rows[:-1]
-        gap_sums = np.bincount(rows[1:][inner], weights=hs[np.diff(cols)[inner]],
-                               minlength=samples)
-        values = (_entropy(m.p) + gap_sums) / width
-    else:
-        values = _block_entropies(m, m.powers(width - 1), bits) / width
+    values = _joint_entropies(m, bits) / width
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return McEstimate(mean, stderr, samples, seed)

@@ -18,8 +18,8 @@ import numpy as np
 from ._masks import LEFT_BITS, MAX_TABLE_BITS, popcounts
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
-from .markov import (MarkovMeasure, _block_entropies, _entropy, _projected_entropies, asc_finite,
-                     asc_lambda, asc_series_markov, gap_entropies, sampled_joint_entropy)
+from .markov import (MarkovMeasure, _joint_entropies, _projected_entropies, asc_finite, asc_lambda,
+                     asc_series_markov, sampled_joint_entropy)
 from .sft import Sft, SubsetSpec, log_spectral_radius
 from .topo import (ComplexityProfile, _check_window, _run_sums, _table_sums, finite_profile,
                    finite_profiles)
@@ -106,7 +106,8 @@ def check_measure_agreement(n_max: int = 20) -> PropertyReport:
 
 def check_subadditivity(n_max: int = 6) -> PropertyReport:
     """b_n = sum_S c_S^n log N(S) satisfies b_{n+m} <= b_n + b_m for the
-    uniform, neural and p-symmetric systems."""
+    uniform, neural and p-symmetric systems, for n, m <= n_max with
+    n + m <= MAX_TABLE_BITS (23), the widest window the kernels take."""
     rep = PropertyReport("subadditivity")
     systems = [
         CoefficientSystem.uniform(),
@@ -115,16 +116,18 @@ def check_subadditivity(n_max: int = 6) -> PropertyReport:
     ]
     shifts = [("golden-mean", Sft.golden_mean()),
               ("golden-pair/II", Sft(np.asarray(SFT_BENCHMARKS[1].adjacency)))]
+    pairs = [(n, m_) for n in range(1, n_max + 1) for m_ in range(1, n_max + 1)
+             if n + m_ <= MAX_TABLE_BITS]
     for name, sft in shifts:
-        profiles = {n: finite_profiles(sft, systems, n) for n in range(1, 2 * n_max + 1)}
+        profiles = {n: finite_profiles(sft, systems, n)
+                    for n in range(1, min(2 * n_max, MAX_TABLE_BITS) + 1)}
         for i, system in enumerate(systems):
             b = {n: n * prof[i].asc for n, prof in profiles.items()}
-            for n in range(1, n_max + 1):
-                for m_ in range(1, n_max + 1):
-                    rep.check(
-                        b[n + m_] <= b[n] + b[m_] + 1e-12,
-                        f"{name}/{system.spec}: b_{n + m_} > b_{n} + b_{m_}",
-                    )
+            for n, m_ in pairs:
+                rep.check(
+                    b[n + m_] <= b[n] + b[m_] + 1e-12,
+                    f"{name}/{system.spec}: b_{n + m_} > b_{n} + b_{m_}",
+                )
     return rep
 
 
@@ -206,19 +209,14 @@ def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
     """Joint entropies equal brute-force cylinder-measure enumeration
     (``_projected_entropies``, the window once per chain) to 1e-10 at every
     subset of the window, for 1-step and 2-step families at seeded random
-    parameter points.  The canonical masks 2i+1 are taken at once: for a
-    1-step chain H(p) plus the gap entropies (one ``gap_entropies`` stack)
-    over each mask's gaps, in one indexed sum; for a block chain one
-    ``_block_entropies`` pass, as ``asc_finite`` takes them.  Each mask is
-    held to its translate's value."""
+    parameter points.  The canonical masks 2i+1 are taken at once, in one
+    ``_joint_entropies`` pass (the chain rule for a 1-step chain, the
+    block pass for a block chain), as ``asc_finite`` takes them.  Each
+    mask is held to its translate's value."""
     rep = PropertyReport("entropy-oracle")
     rng = np.random.Generator(np.random.PCG64(_ORACLE_SEED))
     masks = np.arange(1, 1 << n_max)
     places = masks[:, None] >> np.arange(n_max) & 1
-    # the consecutive gaps of the canonical masks, and the mask of each
-    at, where = np.nonzero(places[::2])
-    inner = at[1:] == at[:-1]
-    gaps, gap_of = np.diff(where)[inner], at[1:][inner]
     for _ in range(_ORACLE_POINTS if n_max >= 1 else 0):
         p00, p11 = rng.uniform(0.05, 0.95, size=2)
         one_step = MarkovMeasure.one_step([[p00, 1 - p00], [1 - p11, p11]])
@@ -226,11 +224,7 @@ def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
         two_step = MarkovMeasure([[p000, 1 - p000, 0.0], [0.0, 0.0, 1.0], [p100, 1 - p100, 0.0]],
                                  states=((0, 0), (0, 1), (1, 0)), block_len=2, alphabet_size=2)
         for m in (one_step, two_step):
-            if m.block_len == 1:
-                h = gap_entropies(m, n_max - 1)
-                H = _entropy(m.p) + np.bincount(gap_of, h[gaps - 1], len(places[::2]))
-            else:
-                H = _block_entropies(m, m.powers(n_max - 1), places[::2])
+            H = _joint_entropies(m, places[::2])
             oracle = _projected_entropies(m, places)
             for mask, b in zip(masks.tolist(), oracle.tolist()):
                 a = H[(mask >> (mask & -mask).bit_length() - 1) // 2]
@@ -377,8 +371,6 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
         return _table_sums(*args, split=False)
 
     n = min(n_max, MAX_TABLE_BITS)
-    uniform = CoefficientSystem.uniform()
-    c = np.asarray(uniform.weights_row(n))
     # one entry per matrix; the pressure pairs come last and keep their tags
     published = [(b.tag, Sft(np.asarray(b.adjacency)), b.asp10_f1 is not None)
                  for b in {b.adjacency: b for b in SFT_BENCHMARKS}.values()]
@@ -394,7 +386,7 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
             cases.append((0, f))
         for block_k, lw in cases:
             # every, with_zero, log N(window) and alt in one vector per route
-            a, b = (np.hstack(sums(sft, n, block_k, c, lw)) for sums in (fast, unsplit))
+            a, b = (np.hstack(sums(sft, n, block_k, True, lw)) for sums in (fast, unsplit))
             ok = close(a, b)
             what = f"block_k={block_k}" + ("" if lw is None else ", weighted")
             rep.check(ok, "" if ok else f"{tag}, n={n}, {what}: {what_fast} {a} != unsplit {b}")
@@ -411,7 +403,7 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
             memo[key] = sampled_joint_entropy(m, SubsetSpec(n, key))
         H.append(memo[key])
     size = [bin(mask).count("1") for mask in range(full + 1)]
-    for system in (uniform, CoefficientSystem.neural()):
+    for system in (CoefficientSystem.uniform(), CoefficientSystem.neural()):
         w = system.weights_row(n)
         asc = sum(w[size[s]] * H[s] for s in range(full + 1)) / n
         intr = sum(w[size[s]] * (H[s] + H[full ^ s] - H[full]) for s in range(full + 1)) / n

@@ -16,13 +16,12 @@ from itertools import compress
 
 import numpy as np
 
+from .coeffs import HORIZON
 from .errors import CapExceeded
 
 __all__ = ["SubsetSpec", "Sft", "DEFAULT_ORACLE_CAP", "log_spectral_radius"]
 
 DEFAULT_ORACLE_CAP = 10**7
-
-MAX_SUBSET_HORIZON = 64
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,8 @@ class SubsetSpec:
     mask: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_SUBSET_HORIZON:
-            raise ValueError(f"horizon n={self.n} outside [1, {MAX_SUBSET_HORIZON}]")
+        if not 1 <= self.n <= HORIZON:
+            raise ValueError(f"horizon n={self.n} outside [1, {HORIZON}]")
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
 

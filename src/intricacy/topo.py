@@ -26,12 +26,13 @@ import numpy as np
 
 from ._masks import (
     LEFT_BITS,
+    _cluster_shapes,
     check_table_window,
     cluster_product_sum,
     cluster_size_sums,
     table_size_sums,
 )
-from .coeffs import CoefficientSystem
+from .coeffs import HORIZON, CoefficientSystem
 from .errors import CapExceeded
 from .sft import Sft
 
@@ -110,8 +111,8 @@ def _check_window(n: int, block_k: int) -> None:
     check_table_window(n)
     if block_k < 0:
         raise ValueError("block_k must be >= 0")
-    if n + block_k > 64:
-        raise CapExceeded(f"n + block_k = {n + block_k} exceeds the subset horizon 64")
+    if n + block_k > HORIZON:
+        raise CapExceeded(f"n + block_k = {n + block_k} exceeds the subset horizon {HORIZON}")
 
 
 def finite_profile(
@@ -147,8 +148,8 @@ def finite_profiles(
     the intricacy is 2 asc - h."""
     _check_window(n, block_k)
     rows = [np.asarray(coeffs.weights_row(n)) for coeffs in systems]
-    uniform = next((c for coeffs, c in zip(systems, rows) if coeffs.kind == "uniform"), None)
-    every, with_zero, log_full, alt = _count_sums(sft, n, block_k, uniform)
+    with_alt = any(coeffs.kind == "uniform" for coeffs in systems)
+    every, with_zero, log_full, alt = _count_sums(sft, n, block_k, with_alt)
     profiles = []
     for coeffs, c in zip(systems, rows):
         total = float(c @ every)
@@ -158,33 +159,31 @@ def finite_profiles(
     return profiles
 
 
-def _count_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None):
+def _count_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weights=None):
     """(every, with_zero, log N(window), alt): the ``size_sums`` of log N(S)
-    over the subsets of {0..n-1}, and alt = the sum of N(S) under the
-    uniform alt_weights when they are given.  With log_weights (block_k
-    <= 1 only) a pattern weighs exp of the sum of its symbols' weights.
-    The one choice of kernel: ``_run_sums`` (O(n^3)) for a shift with a
-    positive square, else ``_table_sums``."""
+    over the subsets of {0..n-1}, and, when with_alt is set, alt = the
+    sum of N(S) under the uniform weights 2^-n, else None.  With
+    log_weights (block_k <= 1 only) a pattern weighs exp of the sum of
+    its symbols' weights.  The one choice of kernel: ``_run_sums``
+    (O(n^3)) for a shift with a positive square, else ``_table_sums``."""
     sums = _run_sums if sft.is_square_positive() else _table_sums
-    return sums(sft, n, block_k, alt_weights, log_weights)
+    return sums(sft, n, block_k, with_alt, log_weights)
 
 
-def _table_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None,
+def _table_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weights=None,
                 split: bool = True):
     """``_count_sums`` from the counts at the canonical masks
     (``_masks.table_size_sums``, which holds at most BLOCK_ENTRIES of them
     at a time), split at ``_split_gap`` of the count matrices, or at n
-    (no split) when split is False.  Windows of n <= LEFT_BITS reduce
-    every canonical mask whatever the split, so theirs is not looked for.
+    (no split) when split is False.  Windows of n <= LEFT_BITS take
+    D = n: the split saves nothing measurable there, so it is not looked
+    for.
     A weighted count that underflows to 0 gives -inf sums."""
     init, mats = _count_mats(sft, n, block_k, log_weights)
     gap = _split_gap(init, mats) if split and n > LEFT_BITS else n
-    every, with_zero, log_full, total = table_size_sums(
-        n, init, mats, gap, with_counts=alt_weights is not None)
-    alt = None
-    if alt_weights is not None:
-        # uniform weights: every subset, the empty one included, weighs 2^-n
-        alt = float(alt_weights[0] * total)
+    every, with_zero, log_full, total = table_size_sums(n, init, mats, gap, with_counts=with_alt)
+    # uniform weights: every subset, the empty one included, weighs 2^-n
+    alt = float(0.5**n * total) if with_alt else None
     return every, with_zero, log_full, alt
 
 
@@ -204,7 +203,7 @@ def _split_gap(init: np.ndarray, gap_mats) -> int:
     return int(off[-1]) + 3 if off.size else 2
 
 
-def _run_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None):
+def _run_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weights=None):
     """``_count_sums`` for a shift whose adjacency matrix has a positive
     square.  With k = max(block_k, 1), two places of S less than k + 1
     apart read blocks that touch or overlap; wider gaps leave at least 2
@@ -215,15 +214,12 @@ def _run_sums(sft: Sft, n: int, block_k: int, alt_weights=None, log_weights=None
     logs = sft.log_word_weights(n - 1 + k, log_weights)[k - 1 :]
     every, with_zero = cluster_size_sums(logs, n, k)
     alt = None
-    if alt_weights is not None:
-        # uniform weights: every subset, the empty one included, weighs 2^-n
-        # every cluster shape of span s weighs the words of length s + k;
-        # shapes[s] counts the compositions of s into gaps of 1..k
-        shapes = [1.0]
-        for s in range(1, n):
-            shapes.append(sum(shapes[max(0, s - k) : s]))
+    if with_alt:
+        # uniform weights: every subset, the empty one included, weighs 2^-n;
+        # every cluster shape of span s weighs the words of length s + k
+        shapes = _cluster_shapes(n, min(k, n - 1)).sum(axis=1).tolist()
         weights = [count * math.exp(v) for count, v in zip(shapes, logs)]
-        alt = float(alt_weights[0] * cluster_product_sum(weights, n, k))
+        alt = float(0.5**n * cluster_product_sum(weights, n, k))
     return every, with_zero, float(logs[-1]), alt
 
 

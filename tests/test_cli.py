@@ -14,7 +14,7 @@ import pytest
 
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
 from intricacy.cli import _emit, build_parser, main
-from intricacy.properties import SUITES
+from intricacy.properties import SUITES, run_suites
 
 
 @pytest.fixture
@@ -375,6 +375,13 @@ class TestCheck:
         # the 2-block chain's oracle enumerates a whole block past a 1-place window
         code, out, _ = run_cli(capsys, "check", "--suite", "oracle-entropy", "--max-n", str(max_n))
         assert (code, out) == (0, f"entropy-oracle: {cases} cases, 0 failures [PASS]\n")
+
+    def test_subadd_takes_the_pairs_within_the_widest_window(self):
+        # at --max-n 12 the pair (12, 12) would ask for a window of 24
+        # positions; it is left out, and every other pair is checked
+        (at_11,), (at_12,) = run_suites("subadd", 11), run_suites("subadd", 12)
+        assert at_11.passed and at_12.passed
+        assert (at_11.cases, at_12.cases) == (726, 858)
 
     @pytest.mark.parametrize("max_n", [0, -1])
     @pytest.mark.parametrize("suite", [*SUITES, "all"])

@@ -534,6 +534,16 @@ class TestMonteCarlo:
         assert est.mean == float(values.mean())
         assert est.stderr == float(values.std(ddof=1) / math.sqrt(samples))
 
+    @pytest.mark.parametrize("P,n,samples,seed,mean,stderr", [
+        ([[0.618, 0.382], [1.0, 0.0]], 16, 2000, 42, "0x1.1a60d218b1012p-2", "0x1.eff1c2c2452d0p-11"),
+        ([[0.3, 0.7], [0.2, 0.8]], 20, 500, 3, "0x1.13c6256af5edap-2", "0x1.ef457a023feb4p-10"),
+        ([[0.5, 0.5], [0.5, 0.5]], 5, 300, 9, "0x1.8c0f0a7d19edcp-2", "0x1.8cfd7f76db322p-8"),
+    ])
+    def test_one_step_estimates_are_pinned(self, P, n, samples, seed, mean, stderr):
+        # the README promises 1-step estimates unchanged bit for bit
+        est = monte_carlo_asc(MarkovMeasure.one_step(P), n, samples, seed)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_window_below_one_refused(self, n):
         with pytest.raises(ValueError, match="n must be"):

@@ -186,11 +186,12 @@ REDUCIBLE = [[1, 1], [0, 1]]
 class TestTableSizeSums:
     @staticmethod
     def from_table(n, init, mats):
+        # reduced by the loop reference, not by the placement under test
         table = product_table(n, init, mats)
         with np.errstate(divide="ignore"):
             logs = np.log(table)
-        every, with_zero = size_sums(logs, n)
-        return every, with_zero, logs[-1], 1.0 + size_sums(table, n)[0].sum()
+        every, with_zero = loop_size_sums(logs, n)
+        return every, with_zero, logs[-1], 1.0 + loop_size_sums(table, n)[0].sum()
 
     @pytest.mark.parametrize("left_bits,block", [(1, 1), (3, 5), (4, 1 << 17), (16, 1 << 17)])
     def test_matches_the_table(self, left_bits, block, monkeypatch):
@@ -313,16 +314,16 @@ class TestWindowTables:
 
     @pytest.mark.parametrize("n", range(1, 24))
     def test_size_sums_match_the_loop(self, n):
-        # values on the masks below m <= n positions, cached (m <= LEFT_BITS)
-        # and built per call (wider)
+        # values on the masks below m <= n positions, as wide as the row
+        # table and wider
         for m in {min(n, _masks.LEFT_BITS), min(n, 16)}:
             values = np.random.default_rng(m).uniform(0.5, 9.0, 1 << (m - 1))
             for a, b in zip(size_sums(values, n), loop_size_sums(values, n)):
                 np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
 
     def test_cached_arrays_are_read_only(self):
-        arrays = [_masks._cluster_weights(6, 2), _masks._placements(6, 2), *_masks._mask_index(5),
-                  *_masks._shapes(5, 3, 2)]
+        arrays = [_masks._cluster_weights(6, 2), _masks._placements(6, 2),
+                  _masks._cluster_shapes(6, 2), *_masks._shapes(5, 5), *_masks._shapes(5, 3, 2)]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 1
