@@ -65,6 +65,8 @@ def _chain_states(states, block_len: int, d: int) -> tuple[tuple[int, ...], ...]
         raise ValueError("one state per row required")
     if any(len(s) != block_len for s in states):
         raise ValueError(f"every state must be a {block_len}-block")
+    if len(set(states)) != d:  # the symbols read must pin the state down
+        raise ValueError("states must be distinct")
     return states
 
 
@@ -297,9 +299,10 @@ def sampled_joint_entropy(m: MarkovMeasure, S, n: int | None = None) -> float:
 
     ``_joint_entropies`` of this one subset.  For a plain chain the
     sampled process is itself Markov, so the exact chain rule H(p) + sum
-    over gaps applies.  A block chain takes the forward pass of
-    ``_block_entropies``: about r^|S| * d^2 flops for d states, refused
-    past r^|S| = ENUMERATION_CAP."""
+    over gaps applies.  A block chain is cut at its runs of block_len
+    places (``_cut_entropies``) and each piece takes the forward pass of
+    ``_block_entropies``: about r^|piece| * d^2 flops for d states,
+    refused past r^|piece| = ENUMERATION_CAP."""
     spec = _as_subset(S, n)
     if spec.mask == 0:
         return 0.0
@@ -311,15 +314,60 @@ def _joint_entropies(m: MarkovMeasure, places) -> np.ndarray:
     0/1, every row nonempty; only its gaps matter), from the gap stack up
     to the widest gap present.  A plain chain takes the chain rule, H(p)
     plus the gap entropies between consecutive places, summed in row
-    order; a block chain one ``_block_entropies`` pass."""
-    rows, cols = np.nonzero(np.asarray(places, dtype=bool))
+    order; a block chain is cut into pieces (``_cut_entropies``)."""
+    places = np.asarray(places, dtype=bool)
+    rows, cols = divmod(np.flatnonzero(places), places.shape[1])
     inner = rows[1:] == rows[:-1]
     gaps = np.diff(cols)[inner]
     count = int(gaps.max(initial=0))
-    if m.block_len != 1:
-        return _block_entropies(m, m.powers(count), places)
+    if m.block_len != 1:  # the head {0..k-1} of the cut has gaps of 1
+        return _cut_entropies(m, m.powers(max(count, 1)), places)
     hs = gap_entropies(m, count)
     return _entropy(m.p) + np.bincount(rows[1:][inner], hs[gaps - 1], len(places))
+
+
+def _cut_entropies(m: MarkovMeasure, powers: np.ndarray, places: np.ndarray) -> np.ndarray:
+    """Joint entropies at the places of each row of ``places`` ((N, width)
+    bool, every row nonempty), cut at every run of k = block_len places.
+
+    A run c..c+k-1 reads the whole hidden state at c (the states are
+    distinct k-blocks), so by the Markov property and stationarity
+    H(X_S) = H(piece_0) + sum_i [H(piece_i) - H({0..k-1})]: piece 0 runs
+    from the first place to the end of the first run, piece i from the
+    start of run i to the end of run i+1 (or the last place), shifted to
+    start at 0, so it begins with the head {0..k-1}.  The distinct pieces
+    of all rows, and the head, take one ``_block_entropies`` pass; one
+    ``bincount`` sums them per row."""
+    N, width = places.shape
+    k = m.block_len
+    wide = np.pad(places, ((0, 0), (0, max(width, k) - 1)))  # room for any piece's window
+    run = wide[:, :width].copy()  # run[i, c]: places c..c+k-1 of row i are all set
+    for j in range(1, k):
+        run &= wide[:, j : j + width]
+    cut_row, cut = divmod(np.flatnonzero(run), width)
+    cuts = np.bincount(cut_row, minlength=N)
+    # pieces [lo, hi] in row order, each row's piece 0 then one per run
+    first = np.cumsum(cuts + 1) - (cuts + 1)
+    ends_at = np.arange(len(cut)) + cut_row  # the piece that ends where run j ends
+    lo, hi = np.empty((2, N + len(cut)), dtype=np.intp)
+    lo[first], hi[first + cuts] = places.argmax(axis=1), width - 1 - places[:, ::-1].argmax(axis=1)
+    hi[ends_at], lo[ends_at + 1] = cut + k - 1, cut
+    owner = np.repeat(np.arange(N), cuts + 1)
+    span = np.arange(max(int((hi - lo).max()) + 1, k))
+    windows = np.lib.stride_tricks.sliding_window_view(wide, len(span), axis=1)
+    pieces = np.vstack([windows[owner, lo], span < k])
+    pieces[:-1] &= span <= (hi - lo)[:, None]  # the last row is the head
+    # distinct pieces: equal rows of their bits packed into 64-bit words sort together
+    words = np.packbits(pieces, axis=1, bitorder="little")
+    words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
+    order = np.lexsort(words.T)
+    new = np.concatenate(([True], (words[order[1:]] != words[order[:-1]]).any(axis=1)))
+    at = np.empty(len(order), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    H = _block_entropies(m, powers, pieces[order[new]])[at]
+    tail = np.ones(len(owner), dtype=bool)
+    tail[first] = False
+    return np.bincount(owner, H[:-1] - tail * H[-1], N)
 
 
 def _block_entropies(m: MarkovMeasure, powers: np.ndarray, places) -> np.ndarray:
@@ -329,16 +377,17 @@ def _block_entropies(m: MarkovMeasure, powers: np.ndarray, places) -> np.ndarray
     rows (hidden-state weights per symbol tuple read) are gathered once per
     child by gap, times P^g, and split by the next state's first symbol;
     zero rows drop.  r^|S| > ENUMERATION_CAP is refused first."""
-    rows, cols = np.nonzero(np.asarray(places, dtype=bool))
+    places = np.asarray(places, dtype=bool)
+    rows, cols = divmod(np.flatnonzero(places), places.shape[1])
     sizes = np.bincount(rows, minlength=len(places))
     if m.alphabet_size ** int(sizes.max()) > ENUMERATION_CAP:
-        raise CapExceeded(f"r^|S| exceeds the enumeration cap {ENUMERATION_CAP}")
+        raise CapExceeded(f"r^|piece| exceeds the enumeration cap {ENUMERATION_CAP}")
     # G[i, j] = gap j of subset i, 0 past its last; sorted, a prefix's subsets are adjacent
     rank = np.arange(len(cols)) - (np.cumsum(sizes) - sizes)[rows]
     G = np.zeros((len(sizes), int(sizes.max())), dtype=np.int64)
     G[rows[rank > 0], rank[rank > 0] - 1] = np.diff(cols, prepend=0)[rank > 0]
     order = np.lexsort(G.T[::-1])
-    G, gaps, span = G[order], sizes[order] - 1, np.shape(places)[1]
+    G, gaps, span = G[order], sizes[order] - 1, places.shape[1]
     # per level, (parent's place, gap) of the prefixes one gap longer, placed in gap order
     r, d = m._start.shape
     pos, kids, H = np.zeros(len(G), dtype=np.intp), [], [np.zeros(1)]

@@ -19,7 +19,7 @@ from ._masks import LEFT_BITS, MAX_TABLE_BITS, popcounts
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
 from .markov import (MarkovMeasure, _joint_entropies, _projected_entropies, asc_finite, asc_lambda,
-                     asc_series_markov, sampled_joint_entropy)
+                     asc_series_markov, recode_higher_block, sampled_joint_entropy)
 from .sft import Sft, SubsetSpec, log_spectral_radius
 from .topo import (ComplexityProfile, _check_window, _run_sums, _table_sums, finite_profile,
                    finite_profiles)
@@ -209,28 +209,33 @@ def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
     """Joint entropies equal brute-force cylinder-measure enumeration
     (``_projected_entropies``, the window once per chain) to 1e-10 at every
     subset of the window, for 1-step and 2-step families at seeded random
-    parameter points.  The canonical masks 2i+1 are taken at once, in one
-    ``_joint_entropies`` pass (the chain rule for a 1-step chain, the
-    block pass for a block chain), as ``asc_finite`` takes them.  Each
-    mask is held to its translate's value."""
+    parameter points and, from a window of 3 places (the narrowest with a
+    run of 3 to cut at), one fixed 3-step chain.  The canonical masks 2i+1
+    are taken at once, in one ``_joint_entropies`` pass (the chain rule for
+    a 1-step chain, the cut block pass for a block chain), as ``asc_finite``
+    takes them.  Each mask is held to its translate's value."""
     rep = PropertyReport("entropy-oracle")
     rng = np.random.Generator(np.random.PCG64(_ORACLE_SEED))
     masks = np.arange(1, 1 << n_max)
     places = masks[:, None] >> np.arange(n_max) & 1
+    # the 3-step chain on the full 2-shift with P(next = 0 | block b) = 0.1 + 0.1 b
+    three = {f"{b:03b}": {"0": 0.1 + 0.1 * b, "1": 0.9 - 0.1 * b} for b in range(8)}
+    chains = [recode_higher_block(three, Sft.full_shift(2))] if n_max >= 3 else []
     for _ in range(_ORACLE_POINTS if n_max >= 1 else 0):
         p00, p11 = rng.uniform(0.05, 0.95, size=2)
         one_step = MarkovMeasure.one_step([[p00, 1 - p00], [1 - p11, p11]])
         p000, p100 = rng.uniform(0.05, 0.95, size=2)
         two_step = MarkovMeasure([[p000, 1 - p000, 0.0], [0.0, 0.0, 1.0], [p100, 1 - p100, 0.0]],
                                  states=((0, 0), (0, 1), (1, 0)), block_len=2, alphabet_size=2)
-        for m in (one_step, two_step):
-            H = _joint_entropies(m, places[::2])
-            oracle = _projected_entropies(m, places)
-            for mask, b in zip(masks.tolist(), oracle.tolist()):
-                a = H[(mask >> (mask & -mask).bit_length() - 1) // 2]
-                ok = abs(a - b) <= 1e-10
-                rep.check(ok, "" if ok else f"block_len={m.block_len}: joint entropy "
-                          f"mismatch at {SubsetSpec(n_max, mask).elements}")
+        chains += [one_step, two_step]
+    for m in chains:
+        H = _joint_entropies(m, places[::2])
+        oracle = _projected_entropies(m, places)
+        for mask, b in zip(masks.tolist(), oracle.tolist()):
+            a = H[(mask >> (mask & -mask).bit_length() - 1) // 2]
+            ok = abs(a - b) <= 1e-10
+            rep.check(ok, "" if ok else f"block_len={m.block_len}: joint entropy "
+                      f"mismatch at {SubsetSpec(n_max, mask).elements}")
     return rep
 
 

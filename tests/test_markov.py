@@ -11,6 +11,7 @@ from intricacy.markov import (
     _ROW_BLOCK,
     MarkovMeasure,
     _block_entropies,
+    _joint_entropies,
     asc_finite,
     asc_lambda,
     asc_series_markov,
@@ -359,12 +360,70 @@ class TestBlockEntropies:
 
         monkeypatch.setattr(markov, "ENUMERATION_CAP", 80)  # 3^4 = 81 tuples
         monkeypatch.setattr(markov, "_xlogx", no_rows)
+        # each call meets a piece of 4 places: {0, 2, 4, 6} of the window
+        # of 7 has no run to cut at, nor has {0, 2, 5, 6} before its run
         with pytest.raises(CapExceeded):
-            asc_finite(m, UNIFORM, 4)
+            asc_finite(m, UNIFORM, 7)
         with pytest.raises(CapExceeded):
-            monte_carlo_asc(m, 2, 50, 1)
+            monte_carlo_asc(m, 4, 50, 1)
         with pytest.raises(CapExceeded):
             sampled_joint_entropy(m, [0, 2, 5, 6])
+
+    def test_cap_bounds_each_piece(self, monkeypatch):
+        # 3^6 and 3^7 tuples over S, but cut at its runs of 2 places S falls
+        # into pieces of at most 3 places, as does every subset of a window of 4
+        m = full3_two_step()
+        elems = [[0, 1, 2, 3, 4, 5], [0, 2, 3, 4, 5, 6, 7]]
+        want = [sampled_joint_entropy_oracle(m, e) for e in elems]
+        fin = asc_finite(m, UNIFORM, 4)
+        monkeypatch.setattr(markov, "ENUMERATION_CAP", 80)
+        for e, h in zip(elems, want):
+            assert sampled_joint_entropy(m, e) == pytest.approx(h, abs=1e-12)
+        assert asc_finite(m, UNIFORM, 4) == fin
+
+
+def full2_three_step():
+    # a 3-step chain on two symbols (8 states) with seeded conditionals
+    q = np.random.Generator(np.random.PCG64(11)).uniform(0.1, 0.9, size=8)
+    cond = {f"{b:03b}": {"0": q[b], "1": 1 - q[b]} for b in range(8)}
+    return recode_higher_block(cond, Sft.full_shift(2))
+
+
+def cut_rows(m, width, seed):
+    # seeded subsets whose gaps are mostly 1, so runs of every length, then
+    # the edges: no run (past width 12, more than one row block of 2^15), a
+    # run longer than block_len from place 0, the last place alone and at
+    # the end of a run (place 63 at width 64)
+    k = m.block_len
+    most, free = (12, 16) if m.alphabet_size == 2 else (8, 10)  # places per row
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = []
+    for _ in range(40):
+        start = int(rng.integers(0, width - 1))
+        rows.append(start + np.cumsum([0, *rng.choice([1, 1, 1, 2, 3, 5, 8], size=most - 1)]))
+    rows += [range(0, 2 * free, 2), range(k + 2), [0, width - 1],
+             [0, 3, *range(width - k - 1, width)], range(width - k, width)]
+    places = np.zeros((len(rows), width), dtype=bool)
+    for i, elems in enumerate(rows):
+        places[i, [e for e in elems if e < width]] = True
+    return places
+
+
+class TestCutEntropies:
+    @pytest.mark.parametrize("width", [12, 40, 64])
+    @pytest.mark.parametrize("make", [*BLOCK_CHAINS, full2_three_step],
+                             ids=[*BLOCK_IDS, "full2-3step"])
+    def test_cut_matches_the_uncut_pass(self, make, width):
+        m = make()
+        places = cut_rows(m, width, width)
+        uncut = _block_entropies(m, m.powers(width - 1), places)
+        np.testing.assert_allclose(_joint_entropies(m, places), uncut, rtol=0, atol=1e-12)
+
+    def test_windows_narrower_than_a_block(self):
+        m = full2_three_step()
+        for elems in ([0], [0, 1], [0, 2]):
+            assert sampled_joint_entropy(m, elems) == pytest.approx(
+                sampled_joint_entropy_oracle(m, elems), abs=1e-12)
 
 
 def _words(r, n):
@@ -610,6 +669,11 @@ class TestMeasureValidation:
             MarkovMeasure.one_step(
                 [[0.5, 0.5], [0.5, 0.5]], support=Sft.golden_mean()
             )
+
+    def test_states_distinct(self):
+        # two states on one block: the symbols read would not pin the state down
+        with pytest.raises(ValueError, match="distinct"):
+            MarkovMeasure([[0.5, 0.5], [0.5, 0.5]], states=((0, 0), (0, 0)), block_len=2)
 
     def test_supplied_p_checked(self):
         with pytest.raises(ValueError, match="stationary"):
