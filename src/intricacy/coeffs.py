@@ -17,9 +17,12 @@ makes the intricacy 2 asc - h for every system.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import CapExceeded
 
@@ -127,7 +130,8 @@ class CoefficientSystem:
 
     ``kind`` names the constructor (``alt`` is defined for the uniform
     kind only) and ``spec`` is the canonical CLI spec string.  Immutable
-    after construction; each weight is computed on every call.
+    after construction; ``weight`` computes on every call, ``weights_row``
+    once per (measure, n).
     """
 
     def __init__(self, kind: str, measure: SymmetricMeasure, spec: str):
@@ -189,12 +193,29 @@ class CoefficientSystem:
             value = 0.0
         return value
 
-    def weights_row(self, n: int) -> list[float]:
-        """weight(n, k) for k = 0..n."""
-        return [self.weight(n, k) for k in range(n + 1)]
+    def weights_row(self, n: int) -> np.ndarray:
+        """weight(n, k) for k = 0..n, as a read-only float64 row.  Each row
+        is computed once per (measure, n) and kept for the process; a row
+        with underflowed weights warns on every call, as ``weight`` does."""
+        if n < 1 or n > HORIZON:
+            raise CapExceeded(f"n={n} outside [1, horizon={HORIZON}]")
+        row, underflowed = _weights_row(self.measure, n)
+        for k in underflowed:
+            warnings.warn(f"weight({n},{k}) underflowed to 0", RuntimeWarning)
+        return row
 
     def __repr__(self) -> str:
         return f"CoefficientSystem({self.spec!r})"
+
+
+@functools.lru_cache(maxsize=1024)
+def _weights_row(measure: SymmetricMeasure, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    # the row of CoefficientSystem.weights_row and the k whose weight underflowed
+    row = np.array([measure.moment(n, k) for k in range(n + 1)])
+    underflowed = tuple(np.flatnonzero(row < _UNDERFLOW).tolist())
+    row[row < _UNDERFLOW] = 0.0
+    row.setflags(write=False)
+    return row, underflowed
 
 
 @dataclass
@@ -226,7 +247,7 @@ def validate(system: CoefficientSystem, n_max: int) -> ValidationReport:
         raise CapExceeded(f"n_max={n_max} exceeds horizon {HORIZON}")
     report = ValidationReport()
     for n in range(1, n_max + 1):
-        row = system.weights_row(n)
+        row = system.weights_row(n).tolist()
         total = sum(math.comb(n, k) * row[k] for k in range(n + 1))
         asym = max(abs(row[k] - row[n - k]) for k in range(n + 1))
         report.add(n, abs(total - 1.0), asym, min(row))

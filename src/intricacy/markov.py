@@ -29,12 +29,10 @@ __all__ = [
     "gap_entropies",
     "asc_series_markov",
     "sampled_joint_entropy",
-    "sampled_joint_entropy_oracle",
     "asc_finite",
     "asc_lambda",
     "monte_carlo_asc",
     "recode_higher_block",
-    "cylinder_measure",
 ]
 
 DEFAULT_TERMS = 20
@@ -432,62 +430,6 @@ def _block_entropies(m: MarkovMeasure, powers: np.ndarray, places) -> np.ndarray
         X, q = X[keep], q[keep]
         stack.append((level + 1, X, q, np.arange(len(gap)).repeat(counts * r)[keep]))
     return -np.concatenate(H)[np.cumsum([0] + [len(h) for h in H])[gaps] + pos][np.argsort(order)]
-
-
-def cylinder_measure(m: MarkovMeasure, word) -> float:
-    """Measure of the cylinder fixing the given consecutive base symbols."""
-    w = tuple(int(a) for a in word)
-    if not w:
-        return 1.0
-    k = m.block_len
-    if len(w) < k:
-        return float(sum(m.p[j] for j, v in enumerate(m.states) if v[: len(w)] == w))
-    index = {v: j for j, v in enumerate(m.states)}
-    blocks = [w[i : i + k] for i in range(len(w) - k + 1)]
-    if any(b not in index for b in blocks):
-        return 0.0
-    prob = m.p[index[blocks[0]]]
-    for a, b in zip(blocks, blocks[1:]):
-        prob *= m.P[index[a], index[b]]
-    return float(prob)
-
-
-def sampled_joint_entropy_oracle(m: MarkovMeasure, S, n: int | None = None) -> float:
-    """Brute-force cross-check (``_projected_entropies``): enumerate every
-    word covering S, weight it by its cylinder measure, aggregate onto the
-    projection, then take the entropy of the projected distribution."""
-    spec = _as_subset(S, n)
-    if spec.mask == 0:
-        return 0.0
-    places = np.array([[spec.mask >> i & 1 for i in range(spec.elements[-1] + 1)]])
-    return float(_projected_entropies(m, places)[0])
-
-
-def _projected_entropies(m: MarkovMeasure, places) -> np.ndarray:
-    """Joint entropies at the rows of ``places`` ((N, width) 0/1), never by P^g:
-    every word over the window (a block at least) weighs p of its first block
-    times P along it, 0 past a non-state block; a ``bincount`` projects them."""
-    r, d, k = m.alphabet_size, len(m.states), m.block_len
-    places = np.pad(places, ((0, 0), (0, max(k - places.shape[1], 0))))
-    width = places.shape[1]
-    if r**width > ENUMERATION_CAP:
-        raise CapExceeded("oracle budget exceeded")
-    words = np.arange(r**width)[:, None] // r ** np.arange(width - 1, -1, -1) % r
-    radix = r ** np.arange(k - 1, -1, -1)
-    state = np.full(r**k, d)  # index d: no state, of measure 0
-    state[np.array(m.states) @ radix] = np.arange(d)
-    at = state[np.lib.stride_tricks.sliding_window_view(words, k, axis=1) @ radix]
-    P, mu = np.pad(m.P, ((0, 1), (0, 1))), np.append(m.p, 0.0)[at[:, 0]]
-    for i in range(1, at.shape[1]):
-        mu = mu * P[at[:, i - 1], at[:, i]]
-    out, bins = [], r**width
-    step = max(1, (1 << 20) // bins)
-    for lo in range(0, len(places), step):
-        codes = words @ (places[lo : lo + step] * r ** np.arange(width)).T
-        codes += bins * np.arange(codes.shape[1])  # a range of bins per row
-        q = np.bincount(codes.ravel(), np.repeat(mu, codes.shape[1]), codes.shape[1] * bins)
-        out.extend((-_xlogx(q.reshape(-1, bins)).sum(axis=1)).tolist())
-    return np.array(out)
 
 
 def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEntropyResult:

@@ -5,10 +5,25 @@ an independent route (brute-force enumeration, an algebraic identity, or
 an axiom) and reports its case count and failures.  The CLI ``check``
 subcommand runs them and exits nonzero on any failure; the acceptance
 tests run the same functions at their published sizes.
+
+The enumeration oracles live here, apart from the library: the words of
+a shift and the cylinder measures of a chain over a window, as dense
+arrays with one axis per place.  ``count_words_at_oracle`` and
+``sampled_joint_entropy_oracle`` project them onto one subset; the
+``oracle-counts`` and ``oracle-entropy`` suites walk every subset of the
+window from one enumeration (``_lattice``).
+
+One ``run_suites`` call computes what several of its suites share once:
+the production counts at each (shift, canonical mask) that ``product``
+and ``oracle-counts`` check, and the profiles of each (shift, window,
+weighting system) that ``subadd``, ``acc`` and ``bounds`` check.  The
+values are kept for that call only; a suite called on its own, or run
+alone, computes just what it uses.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -18,13 +33,16 @@ import numpy as np
 from ._masks import LEFT_BITS, MAX_TABLE_BITS, popcounts
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
-from .markov import (MarkovMeasure, _joint_entropies, _projected_entropies, asc_finite, asc_lambda,
-                     asc_series_markov, recode_higher_block, sampled_joint_entropy)
-from .sft import Sft, SubsetSpec, log_spectral_radius
-from .topo import (ComplexityProfile, _check_window, _run_sums, _table_sums, finite_profile,
+from .errors import CapExceeded
+from .markov import (MarkovMeasure, _joint_entropies, _refusals, _stationary_stack,
+                     _transition_codes, _xlogx, asc_finite, asc_lambda, asc_series_markov,
+                     recode_higher_block)
+from .sft import DEFAULT_ORACLE_CAP, Sft, SubsetSpec, _as_subset, log_spectral_radius
+from .topo import (ComplexityProfile, _check_window, _count_sums, _run_sums, _table_sums,
                    finite_profiles)
 
-__all__ = ["PropertyReport", "SUITES", "run_suites"]
+__all__ = ["PropertyReport", "SUITES", "run_suites", "count_words_at_oracle",
+           "cylinder_measure", "sampled_joint_entropy_oracle"]
 
 
 @dataclass
@@ -42,6 +60,34 @@ class PropertyReport:
         if not ok:
             self.failures.append(message)
 
+    def check_all(self, ok: np.ndarray, message) -> None:
+        """One case per entry of the boolean array ok; message(i) names
+        entry i where it is False."""
+        self.cases += len(ok)
+        self.failures += [message(i) for i in np.flatnonzero(~ok).tolist()]
+
+
+# what the suites of one run_suites call share: (kind, shift, ...) keys to
+# values, plus "systems", the weighting systems of the run's profile suites
+# when it has more than one; None outside a call
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared", default=None)
+
+
+def _shared(key, make):
+    """make(), kept under key for the rest of the run_suites call when one
+    is running."""
+    memo = _SHARED.get()
+    if memo is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _close(a, b) -> bool:
+    # 1e-12 relative, absolute below 1
+    return bool(np.all(np.abs(np.subtract(a, b)) <= 1e-12 * np.maximum(1.0, np.abs(b))))
+
 
 @functools.cache
 def _dedup_sfts() -> tuple[tuple[str, Sft], ...]:
@@ -55,13 +101,158 @@ def _dedup_sfts() -> tuple[tuple[str, Sft], ...]:
     return tuple(out)
 
 
+_UNIFORM = CoefficientSystem.uniform()
+_NEURAL = CoefficientSystem.neural()
+_PSYM = CoefficientSystem.p_symmetric(0.3)
+
+
 def _systems() -> list[CoefficientSystem]:
-    return [
-        CoefficientSystem.uniform(),
-        CoefficientSystem.neural(),
-        CoefficientSystem.p_symmetric(0.3),
-        CoefficientSystem.from_measure([(0.25, 0.25)], lebesgue_mass=0.5),
-    ]
+    return [_UNIFORM, _NEURAL, _PSYM,
+            CoefficientSystem.from_measure([(0.25, 0.25)], lebesgue_mass=0.5)]
+
+
+# the weighting systems each profile suite asks for
+_PROFILE_SYSTEMS = {"subadd": (_UNIFORM, _NEURAL, _PSYM), "acc": (_UNIFORM,),
+                    "bounds": (_UNIFORM, _NEURAL, _PSYM)}
+
+
+def _profiles(sft: Sft, systems, n: int) -> list[ComplexityProfile]:
+    """finite_profiles(sft, systems, n).  In a run_suites call with more
+    than one profile suite the first request for (sft, n) takes every
+    system of those suites, from one set of per-size sums, and later ones
+    reuse them."""
+    memo = _SHARED.get()
+    if memo is None or "systems" not in memo:
+        return finite_profiles(sft, list(systems), n)
+    have = _shared(("profiles", sft, n), lambda: {
+        p.coeffs_spec: p for p in finite_profiles(sft, memo["systems"], n)})
+    return [have[s.spec] for s in systems]
+
+
+def _canonical_counts(sft: Sft, n: int) -> list[int]:
+    """sft.count_words_at at the canonical masks 2i+1 of n places,
+    i < 2^(n-1): every subset of the window has the count of its translate
+    to 0.  Shared by the suites of a run_suites call."""
+    return _shared(("counts", sft, n), lambda: [
+        sft.count_words_at(SubsetSpec(n, 2 * i + 1)) for i in range(1 << (n - 1))])
+
+
+def _canonical_places(n: int) -> np.ndarray:
+    # row i marks the places of the canonical mask 2i+1 of n places
+    return (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
+
+
+def _canonical_rows(n: int) -> np.ndarray:
+    # the row i of the canonical mask 2i+1 that translates each mask 1..2^n-1 to 0
+    masks = np.arange(1, 1 << n)
+    return masks // (masks & -masks) >> 1
+
+
+# -- enumeration oracles ---------------------------------------------------
+
+
+def _word_cells(sft: Sft, width: int) -> np.ndarray:
+    """cells[a_0, ..., a_(width-1)] is True when the symbols a_i form a
+    word of the shift (every consecutive pair an edge); r^width is capped
+    at DEFAULT_ORACLE_CAP."""
+    r = sft.alphabet_size
+    if r**width > DEFAULT_ORACLE_CAP:
+        raise CapExceeded(f"r^n = {r}^{width} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
+    edge = sft.adjacency > 0
+    cells = np.ones(r, dtype=bool)
+    for _ in range(width - 1):
+        cells = cells[..., None] & edge
+    return cells
+
+
+def _cylinder_cells(P: np.ndarray, p: np.ndarray, states, r: int, width: int) -> np.ndarray:
+    """mu[g, a_0, ..., a_(width-1)]: the measure of the cylinder fixing the
+    base symbols a_0..a_(width-1) under chain g of a stack on the same
+    k-block states (P (G, d, d), stationary rows p (G, d)), width >= k.
+    Never by P^g: a word weighs p of its first block times P along its
+    blocks, 0 past a block that is no state.  r^width is capped at
+    DEFAULT_ORACLE_CAP."""
+    if r**width > DEFAULT_ORACLE_CAP:
+        raise CapExceeded(f"r^n = {r}^{width} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
+    G, d = p.shape
+    k = len(states[0])
+    # state[b]: the state of the k-block coded b (first symbol highest), d if none
+    state = np.full(r**k, d)
+    state[np.array(states) @ r ** np.arange(k - 1, -1, -1)] = np.arange(d)
+    P, p = np.pad(P, ((0, 0), (0, 1), (0, 1))), np.pad(p, ((0, 0), (0, 1)))
+    # step[g, b, a]: P from the block b to the block b[1:] + a
+    blocks = np.arange(r**k)[:, None]
+    step = P[:, state[:, None], state[blocks % r ** (k - 1) * r + np.arange(r)]]
+    mu = p[:, state]
+    for _ in range(width - k):
+        mu = (mu.reshape(G, -1, r**k, 1) * step[:, None]).reshape(G, -1)
+    return mu.reshape((G,) + (r,) * width)
+
+
+def _lattice(root: np.ndarray, n: int, fold, lead: int = 0):
+    """(mask, cells) for every subset of n places, the empty one included,
+    depth first.  root holds the cells of the whole window, one axis per
+    place after ``lead`` leading axes.  A mask's parent is the mask plus
+    its lowest missing place b; the places below b are in both, so the
+    mask's cells are fold(parent's cells, axis=lead + b) (``any`` for
+    words, ``add`` for measures).  At most one chain of cells from the root
+    is held, under twice the root's."""
+    full = (1 << n) - 1
+    yield full, root
+    todo = [(full, root, b) for b in range(n)]
+    while todo:
+        parent, cells, b = todo.pop()
+        mask = parent ^ (1 << b)
+        cells = fold(cells, axis=lead + b)
+        yield mask, cells
+        todo += [(mask, cells, c) for c in range(b)]
+
+
+def count_words_at_oracle(sft: Sft, S, n: int | None = None) -> int:
+    """Brute-force cross-check of ``Sft.count_words_at``: enumerate every
+    word covering S, project onto the places of S, count distinct
+    projections."""
+    spec = _as_subset(S, n)
+    if spec.mask == 0:
+        return 1
+    width = spec.elements[-1] + 1
+    cells = _word_cells(sft, width)
+    return int(np.count_nonzero(cells.any(axis=tuple(set(range(width)) - set(spec.elements)))))
+
+
+def cylinder_measure(m: MarkovMeasure, word) -> float:
+    """Measure of the cylinder fixing the given consecutive base symbols."""
+    w = tuple(int(a) for a in word)
+    if not w:
+        return 1.0
+    k = m.block_len
+    if len(w) < k:
+        return float(sum(m.p[j] for j, v in enumerate(m.states) if v[: len(w)] == w))
+    index = {v: j for j, v in enumerate(m.states)}
+    blocks = [w[i : i + k] for i in range(len(w) - k + 1)]
+    if any(b not in index for b in blocks):
+        return 0.0
+    prob = m.p[index[blocks[0]]]
+    for a, b in zip(blocks, blocks[1:]):
+        prob *= m.P[index[a], index[b]]
+    return float(prob)
+
+
+def sampled_joint_entropy_oracle(m: MarkovMeasure, S, n: int | None = None) -> float:
+    """Brute-force cross-check of ``markov.sampled_joint_entropy``:
+    enumerate every word covering S (a block at least), weight it by its
+    cylinder measure, aggregate onto the projection, then take the entropy
+    of the projected distribution."""
+    spec = _as_subset(S, n)
+    if spec.mask == 0:
+        return 0.0
+    width = max(spec.elements[-1] + 1, m.block_len)
+    mu = _cylinder_cells(m.P[None], m.p[None], m.states, m.alphabet_size, width)[0]
+    q = mu.sum(axis=tuple(set(range(width)) - set(spec.elements)))
+    return float(-_xlogx(q).sum())
+
+
+# -- suites ------------------------------------------------------------------
 
 
 def check_coefficient_axioms(n_max: int = 20) -> PropertyReport:
@@ -109,17 +300,12 @@ def check_subadditivity(n_max: int = 6) -> PropertyReport:
     uniform, neural and p-symmetric systems, for n, m <= n_max with
     n + m <= MAX_TABLE_BITS (23), the widest window the kernels take."""
     rep = PropertyReport("subadditivity")
-    systems = [
-        CoefficientSystem.uniform(),
-        CoefficientSystem.neural(),
-        CoefficientSystem.p_symmetric(0.3),
-    ]
-    shifts = [("golden-mean", Sft.golden_mean()),
-              ("golden-pair/II", Sft(np.asarray(SFT_BENCHMARKS[1].adjacency)))]
+    systems = _PROFILE_SYSTEMS["subadd"]
+    shifts = [(name, sft) for name, sft in _dedup_sfts() if name in ("golden-mean", "golden-pair/II")]
     pairs = [(n, m_) for n in range(1, n_max + 1) for m_ in range(1, n_max + 1)
              if n + m_ <= MAX_TABLE_BITS]
     for name, sft in shifts:
-        profiles = {n: finite_profiles(sft, systems, n)
+        profiles = {n: _profiles(sft, systems, n)
                     for n in range(1, min(2 * n_max, MAX_TABLE_BITS) + 1)}
         for i, system in enumerate(systems):
             b = {n: n * prof[i].asc for n, prof in profiles.items()}
@@ -135,42 +321,50 @@ def check_product_formula(n_max: int = 10) -> PropertyReport:
     """For shifts with strictly positive squared adjacency matrix the
     count at S factors over the runs of S: N(S) = prod N(run length),
     exactly, for every nonempty subset S of {0..n_max-1} (the subsets of
-    every narrower window among them)."""
+    every narrower window among them), each held to the count of its
+    translate to 0 (``_canonical_counts``)."""
     rep = PropertyReport("product-formula")
+    masks = range(1, 1 << n_max)
+    rows = _canonical_rows(n_max).tolist()
+    runs = [SubsetSpec(n_max, mask).runs for mask in masks]
     for name, sft in _dedup_sfts():
         if not sft.is_square_positive():
             continue
-        counts = dict(enumerate(sft.word_counts(n_max), 1))
-        for mask in range(1, 1 << n_max):
-            spec = SubsetSpec(n_max, mask)
-            expected = math.prod(counts[t] for t in spec.runs)
-            ok = sft.count_words_at(spec) == expected
-            rep.check(ok, "" if ok else f"{name}: N({spec.elements}) != {expected}")
+        counts = [1, *sft.word_counts(n_max)]
+        N = _canonical_counts(sft, n_max)
+        for mask, i, lengths in zip(masks, rows, runs):
+            expected = math.prod(counts[t] for t in lengths)
+            ok = N[i] == expected
+            rep.check(ok, "" if ok else f"{name}: N({SubsetSpec(n_max, mask).elements}) != {expected}")
     return rep
 
 
 def check_count_oracle(n_max: int = 8) -> PropertyReport:
     """Transfer-matrix counts equal brute-force projection counts for
     every nonempty subset of {0..n_max-1} (the subsets of every narrower
-    window among them), on every benchmark shift."""
+    window among them), on every benchmark shift: each mask against the
+    count of its translate to 0 (``_canonical_counts``).  The words of the
+    window are enumerated once per shift and every mask's projections
+    come from its parent's by one ``any`` (``_lattice``).  Then the
+    per-size sums of log N over the subsets, all of them and those that
+    contain 0, against the production kernel's (``topo._count_sums``,
+    block_k 0) to 1e-12 relative: one more case per shift."""
     rep = PropertyReport("count-oracle")
-    places = np.arange(n_max)
+    rows = _canonical_rows(n_max)
+    size = popcounts(n_max)
     for name, sft in _dedup_sfts():
-        words = np.array(sft.enumerate_words(n_max), dtype=np.int64)
-        # radix-encode each word's projection onto a mask to one integer
-        # (fits easily in int64 for these alphabets and windows); a column
-        # of codes per mask, sorted, has one step per further distinct
-        # projection.  Blocks of masks keep the code matrix near 2^21 entries.
-        encode = sft.alphabet_size ** places
-        step = max(1, (1 << 21) // len(words))
-        for lo in range(1, 1 << n_max, step):
-            masks = np.arange(lo, min(lo + step, 1 << n_max))
-            codes = np.sort(words @ ((masks >> places[:, None] & 1) * encode[:, None]), axis=0)
-            seen = 1 + np.count_nonzero(np.diff(codes, axis=0), axis=0)
-            for mask, distinct in zip(masks.tolist(), seen.tolist()):
-                spec = SubsetSpec(n_max, mask)
-                ok = sft.count_words_at(spec) == distinct
-                rep.check(ok, "" if ok else f"{name}: count mismatch at {spec.elements}")
+        N = np.empty(1 << n_max, dtype=np.int64)
+        for mask, cells in _lattice(_word_cells(sft, n_max), n_max, np.logical_or.reduce):
+            N[mask] = np.count_nonzero(cells)
+        ok = N[1:] == np.array(_canonical_counts(sft, n_max), dtype=np.int64)[rows]
+        rep.check_all(ok, lambda i: f"{name}: count mismatch at {SubsetSpec(n_max, i + 1).elements}")
+        logs = np.log(N)
+        got = np.hstack([np.bincount(size, logs, n_max + 1),
+                         np.bincount(size[1::2], logs[1::2], n_max + 1)])
+        want = np.hstack(_count_sums(sft, n_max, 0)[:2])
+        ok = _close(got, want)
+        rep.check(ok, "" if ok else f"{name}: per-size sums of log N off the production kernel "
+                  f"by up to {np.max(np.abs(got - want)):.3g}")
     return rep
 
 
@@ -205,37 +399,60 @@ _ORACLE_POINTS = 5
 _ORACLE_SEED = 7
 
 
+def _chain_stack(P, states) -> list[MarkovMeasure]:
+    # the chains of a (G, d, d) stack on the same base-2 block states, with
+    # their stationary vectors from one _refusals / _stationary_stack pass
+    k = len(states[0])
+    P = np.asarray(P, dtype=float)
+    reasons = _refusals(P, _transition_codes(states, k), states)
+    p = _stationary_stack(P, reasons)
+    return [MarkovMeasure(Pg, pg, states=states, block_len=k, alphabet_size=2)
+            for Pg, pg in zip(P, p)]
+
+
 def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
-    """Joint entropies equal brute-force cylinder-measure enumeration
-    (``_projected_entropies``, the window once per chain) to 1e-10 at every
-    subset of the window, for 1-step and 2-step families at seeded random
-    parameter points and, from a window of 3 places (the narrowest with a
-    run of 3 to cut at), one fixed 3-step chain.  The canonical masks 2i+1
-    are taken at once, in one ``_joint_entropies`` pass (the chain rule for
-    a 1-step chain, the cut block pass for a block chain), as ``asc_finite``
-    takes them.  Each mask is held to its translate's value."""
+    """Joint entropies equal brute-force cylinder-measure enumeration to
+    1e-10 at every subset of the window, for 1-step and 2-step families at
+    seeded random parameter points and, from a window of 3 places (the
+    narrowest with a run of 3 to cut at), one fixed 3-step chain.  The
+    canonical masks 2i+1 are taken at once, in one ``_joint_entropies``
+    pass per chain (the chain rule for a 1-step chain, the cut block pass
+    for a block chain), as ``asc_finite`` takes them; each mask is held to
+    its translate's value.  The chains with the same states form one
+    family: its cylinder measures over the window (a block at least) are
+    enumerated once (``_cylinder_cells``), and every mask's marginals come
+    from its parent's by one sum (``_lattice``)."""
     rep = PropertyReport("entropy-oracle")
     rng = np.random.Generator(np.random.PCG64(_ORACLE_SEED))
-    masks = np.arange(1, 1 << n_max)
-    places = masks[:, None] >> np.arange(n_max) & 1
-    # the 3-step chain on the full 2-shift with P(next = 0 | block b) = 0.1 + 0.1 b
-    three = {f"{b:03b}": {"0": 0.1 + 0.1 * b, "1": 0.9 - 0.1 * b} for b in range(8)}
-    chains = [recode_higher_block(three, Sft.full_shift(2))] if n_max >= 3 else []
-    for _ in range(_ORACLE_POINTS if n_max >= 1 else 0):
-        p00, p11 = rng.uniform(0.05, 0.95, size=2)
-        one_step = MarkovMeasure.one_step([[p00, 1 - p00], [1 - p11, p11]])
-        p000, p100 = rng.uniform(0.05, 0.95, size=2)
-        two_step = MarkovMeasure([[p000, 1 - p000, 0.0], [0.0, 0.0, 1.0], [p100, 1 - p100, 0.0]],
-                                 states=((0, 0), (0, 1), (1, 0)), block_len=2, alphabet_size=2)
-        chains += [one_step, two_step]
-    for m in chains:
-        H = _joint_entropies(m, places[::2])
-        oracle = _projected_entropies(m, places)
-        for mask, b in zip(masks.tolist(), oracle.tolist()):
-            a = H[(mask >> (mask & -mask).bit_length() - 1) // 2]
-            ok = abs(a - b) <= 1e-10
-            rep.check(ok, "" if ok else f"block_len={m.block_len}: joint entropy "
-                      f"mismatch at {SubsetSpec(n_max, mask).elements}")
+    # per point: p00, p11 of the 1-step chain, then p000, p100 of the 2-step one
+    p00, p11, p000, p100 = rng.uniform(0.05, 0.95, size=(_ORACLE_POINTS, 4)).T
+    zero, one = np.zeros(_ORACLE_POINTS), np.ones(_ORACLE_POINTS)
+    one_step = np.moveaxis([[p00, 1 - p00], [1 - p11, p11]], -1, 0)
+    two_step = np.moveaxis([[p000, 1 - p000, zero], [zero, zero, one], [p100, 1 - p100, zero]],
+                           -1, 0)
+    families = [_chain_stack(one_step, ((0,), (1,))),
+                _chain_stack(two_step, ((0, 0), (0, 1), (1, 0)))]
+    if n_max >= 3:
+        # the 3-step chain on the full 2-shift with P(next = 0 | block b) = 0.1 + 0.1 b
+        three = {f"{b:03b}": {"0": 0.1 + 0.1 * b, "1": 0.9 - 0.1 * b} for b in range(8)}
+        families.insert(0, [recode_higher_block(three, Sft.full_shift(2))])
+    rows = _canonical_rows(n_max)
+    canonical = _canonical_places(n_max)
+    for chains in families:
+        head = chains[0]
+        k, G = head.block_len, len(chains)
+        width = max(n_max, k)
+        mu = _cylinder_cells(np.array([m.P for m in chains]), np.array([m.p for m in chains]),
+                             head.states, head.alphabet_size, width)
+        # a window narrower than a block: sum out the places past it
+        mu = mu.sum(axis=tuple(range(1 + n_max, 1 + width)))
+        oracle = np.empty((G, 1 << n_max))
+        for mask, cells in _lattice(mu, n_max, np.add.reduce, lead=1):
+            oracle[:, mask] = -_xlogx(cells.reshape(G, -1)).sum(axis=1)
+        for m, H in zip(chains, oracle[:, 1:]):
+            ok = np.abs(_joint_entropies(m, canonical)[rows] - H) <= 1e-10
+            rep.check_all(ok, lambda i: (
+                f"block_len={k}: joint entropy mismatch at {SubsetSpec(n_max, i + 1).elements}"))
     return rep
 
 
@@ -243,9 +460,8 @@ def check_acc_identity(n_max: int = 10) -> PropertyReport:
     """Uniform-weight window identity
     asc_n = acc_n + ((n-1)/(2n)) asc_{n-1}, to 1e-12."""
     rep = PropertyReport("acc-identity")
-    uniform = CoefficientSystem.uniform()
     for name, sft in _dedup_sfts():
-        profiles = {n: finite_profile(sft, uniform, n) for n in range(1, n_max + 1)}
+        profiles = {n: _profiles(sft, _PROFILE_SYSTEMS["acc"], n)[0] for n in range(1, n_max + 1)}
         for n in range(2, n_max + 1):
             lhs = profiles[n].asc
             rhs = profiles[n].acc + (n - 1) / (2.0 * n) * profiles[n - 1].asc
@@ -257,14 +473,10 @@ def check_bounds(n_max: int = 12) -> PropertyReport:
     """0 <= intricacy_n and asc_n <= h_n on every benchmark shift, for
     uniform weights up to n_max and the other systems up to 8."""
     rep = PropertyReport("bounds")
-    systems = [
-        (CoefficientSystem.uniform(), n_max),
-        (CoefficientSystem.neural(), min(8, n_max)),
-        (CoefficientSystem.p_symmetric(0.3), min(8, n_max)),
-    ]
+    systems = _PROFILE_SYSTEMS["bounds"]
     for name, sft in _dedup_sfts():
         for n in range(1, n_max + 1):
-            for prof in finite_profiles(sft, [s for s, cap in systems if n <= cap], n):
+            for prof in _profiles(sft, systems if n <= 8 else systems[:1], n):
                 rep.check(prof.intricacy >= -1e-12, f"{name}/{prof.coeffs_spec}: Int_{n} < 0")
                 rep.check(
                     prof.asc <= prof.h + 1e-12, f"{name}/{prof.coeffs_spec}: Asc_{n} > H_{n}"
@@ -300,29 +512,25 @@ def check_spectral() -> PropertyReport:
     Each matrix takes its potentials as one stack."""
     rep = PropertyReport("spectral")
     n = 50
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
-
     for r in range(2, 6):
         fs = [[0.0] * r, [0.1 * a - 0.2 for a in range(r)], [60.0] + [0.0] * (r - 1),
               [100.0, -800.0] + [-60.0] * (r - 2)]
         for f, got in zip(fs, log_spectral_radius(Sft.full_shift(r).adjacency, fs).tolist()):
             want = max(f) + math.log(sum(math.exp(v - max(f)) for v in f))
-            rep.check(close(got, want), f"full {r}-shift, f={f}: P={got} != {want}")
+            rep.check(_close(got, want), f"full {r}-shift, f={f}: P={got} != {want}")
 
     for name, sft in _dedup_sfts():
         f = np.array([PRESSURE_F1.get(a, 0.0) for a in sft.symbol_labels], dtype=float)
         h, p, *shifted = log_spectral_radius(
             sft.adjacency, [np.zeros_like(f), f, f + 60.0, f - 800.0]).tolist()
         for c, got in zip((60.0, -800.0), shifted):
-            rep.check(close(got, p + c), f"{name}: P(f{c:+g}) = {got} != P(f){c:+g}")
+            rep.check(_close(got, p + c), f"{name}: P(f{c:+g}) = {got} != P(f){c:+g}")
         r = sft.alphabet_size
         # Wielandt: primitive iff this power is positive
         if sft.reach_powers((r - 1) ** 2 + 1)[-1].all():
             counts = sft.word_counts(n + 1)
             rate = math.log(counts[n]) - math.log(counts[n - 1])
-            rep.check(close(rate, h), f"{name}: word growth {rate} != entropy {h}")
+            rep.check(_close(rate, h), f"{name}: word growth {rate} != entropy {h}")
     return rep
 
 
@@ -364,13 +572,11 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
 
     The table route sums its logs in blocks of at most 2^16, so the routes
     agree to about 2e-14 up to n = 23.  Then the O(n^2) 1-step asc_finite
-    on the golden-mean chain against a per-mask sum of
-    sampled_joint_entropy over every subset and its complement, at
-    n = min(n_max, 12) so the 2^n masks stay cheap."""
+    on the golden-mean chain against a per-mask sum over every subset and
+    its complement, at n = min(n_max, 12) so the 2^n masks stay cheap:
+    each subset takes the joint entropy of its translate to 0, from one
+    chain-rule ``_joint_entropies`` pass over the canonical masks."""
     rep = PropertyReport("runs")
-
-    def close(a, b) -> bool:
-        return bool(np.all(np.abs(np.subtract(a, b)) <= 1e-12 * np.maximum(1.0, np.abs(b))))
 
     def unsplit(*args):
         return _table_sums(*args, split=False)
@@ -392,30 +598,24 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
         for block_k, lw in cases:
             # every, with_zero, log N(window) and alt in one vector per route
             a, b = (np.hstack(sums(sft, n, block_k, True, lw)) for sums in (fast, unsplit))
-            ok = close(a, b)
+            ok = _close(a, b)
             what = f"block_k={block_k}" + ("" if lw is None else ", weighted")
             rep.check(ok, "" if ok else f"{tag}, n={n}, {what}: {what_fast} {a} != unsplit {b}")
 
     n = min(n_max, 12)
-    full = (1 << n) - 1
     m = MarkovMeasure.one_step([[0.618, 0.382], [1.0, 0.0]], p=np.array([1.0, 0.382]) / 1.382)
     # each subset has the joint entropy of its translate to 0
-    memo = {0: 0.0}
-    H = []
-    for mask in range(full + 1):
-        key = mask >> ((mask & -mask).bit_length() - 1) if mask else 0
-        if key not in memo:
-            memo[key] = sampled_joint_entropy(m, SubsetSpec(n, key))
-        H.append(memo[key])
-    size = [bin(mask).count("1") for mask in range(full + 1)]
+    H = np.concatenate([[0.0], _joint_entropies(m, _canonical_places(n))[_canonical_rows(n)]])
+    size = popcounts(n)
     for system in (CoefficientSystem.uniform(), CoefficientSystem.neural()):
-        w = system.weights_row(n)
-        asc = sum(w[size[s]] * H[s] for s in range(full + 1)) / n
-        intr = sum(w[size[s]] * (H[s] + H[full ^ s] - H[full]) for s in range(full + 1)) / n
+        w = system.weights_row(n)[size]
+        asc = w @ H / n
+        # the complement of mask s is 2^n - 1 - s
+        intr = w @ (H + H[::-1] - H[-1]) / n
         got = asc_finite(m, system, n)
-        for what, a, b in (("h", got.h, H[full] / n), ("asc", got.asc, asc),
+        for what, a, b in (("h", got.h, H[-1] / n), ("asc", got.asc, asc),
                            ("intricacy", got.intricacy, intr)):
-            rep.check(close(a, b), f"gms chain/{system.spec}, n={n}: {what} {a} != per-mask {b}")
+            rep.check(_close(a, b), f"gms chain/{system.spec}, n={n}: {what} {a} != per-mask {b}")
     return rep
 
 
@@ -495,15 +695,22 @@ def run_suites(suite: str = "all", max_n: int | None = None) -> list[PropertyRep
     """Run one suite (or all) and return the reports.  ``max_n`` scales
     the window size of the suites that take one; suite-specific defaults
     apply when it is None, and a max_n below 1 is refused before any
-    suite runs."""
+    suite runs.  What the suites share (``_shared``, ``_profiles``) is
+    computed once in the call and dropped when it returns or raises."""
     if max_n is not None and max_n < 1:
         raise ValueError("max_n must be >= 1")
     names = list(SUITES) if suite == "all" else [suite]
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; available: {sorted(SUITES)}")
-    reports = []
-    for name in names:
-        fn = SUITES[name]
-        reports.append(fn() if max_n is None or name in _UNSIZED else fn(n_max=max_n))
-    return reports
+    memo = {}
+    if sum(name in _PROFILE_SYSTEMS for name in names) > 1:
+        systems = {s.spec: s for name in names for s in _PROFILE_SYSTEMS.get(name, ())}
+        memo["systems"] = list(systems.values())
+    token = _SHARED.set(memo)
+    try:
+        return [SUITES[name]() if max_n is None or name in _UNSIZED else SUITES[name](n_max=max_n)
+                for name in names]
+    finally:
+        _SHARED.reset(token)
+        memo.clear()

@@ -5,7 +5,8 @@ are the points of the system.  Forbidden-word input is recoded to a vertex
 shift on overlapping blocks.  The central quantity is ``count_words_at``:
 the number of distinct symbol patterns readable at the places of an index
 set S, computed as a path count through gap-indexed reachability matrices.
-A brute-force enumeration oracle is provided for cross-checking.
+The brute-force enumeration oracle that cross-checks it lives in
+``properties``.
 """
 
 from __future__ import annotations
@@ -338,11 +339,11 @@ class Sft:
         """log of the Perron eigenvalue of the adjacency matrix."""
         return log_spectral_radius(self.adjacency)
 
-    # -- brute-force oracles ---------------------------------------------
+    # -- enumeration -----------------------------------------------------
 
     def enumerate_words(self, n: int) -> list[tuple[int, ...]]:
         """All words of length n, by path enumeration.  Guarded by the
-        r^n <= DEFAULT_ORACLE_CAP budget of the oracle."""
+        r^n <= DEFAULT_ORACLE_CAP budget of the enumeration oracles."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.alphabet_size**n > DEFAULT_ORACLE_CAP:
@@ -353,17 +354,6 @@ class Sft:
         for _ in range(n - 1):
             words = [w + (b,) for w in words for b in range(self.alphabet_size) if M[w[-1], b]]
         return words
-
-    def count_words_at_oracle(self, S, n: int | None = None) -> int:
-        """Independent oracle: enumerate every word covering S, project
-        onto the places of S, count distinct projections."""
-        spec = _as_subset(S, n)
-        if spec.mask == 0:
-            return 1
-        elems = spec.elements
-        length = elems[-1] + 1
-        words = self.enumerate_words(length)
-        return len({tuple(w[i] for i in elems) for w in words})
 
     def __repr__(self) -> str:
         return f"Sft(r={self.alphabet_size})"

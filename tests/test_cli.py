@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from intricacy import properties
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
 from intricacy.cli import _emit, build_parser, main
-from intricacy.properties import SUITES, run_suites
+from intricacy.properties import SUITES, PropertyReport, run_suites
+from intricacy.sft import Sft
 
 
 @pytest.fixture
@@ -382,6 +384,55 @@ class TestCheck:
         (at_11,), (at_12,) = run_suites("subadd", 11), run_suites("subadd", 12)
         assert at_11.passed and at_12.passed
         assert (at_11.cases, at_12.cases) == (726, 858)
+
+    def test_one_call_takes_each_shared_count_and_profile_once(self, monkeypatch):
+        counts, profiles = [], []
+        exact_count, exact_profiles = Sft.count_words_at, properties.finite_profiles
+
+        def count(self, S, n=None):
+            counts.append(S.mask)
+            return exact_count(self, S, n)
+
+        def profile(sft, systems, n):
+            profiles.append((sft, n, [s.spec for s in systems]))
+            return exact_profiles(sft, systems, n)
+
+        monkeypatch.setattr(Sft, "count_words_at", count)
+        monkeypatch.setattr(properties, "finite_profiles", profile)
+        assert all(rep.passed for rep in run_suites("all", 4))
+        # product and oracle-counts share the 8 canonical masks of each of
+        # the 13 shifts; invariances takes every mask of its 2 shifts itself
+        assert len(counts) == 13 * 8 + 2 * 16
+        # subadd, acc and bounds share each (shift, window): 13 shifts at
+        # n <= 4, and subadd's 2 shifts at n = 5..8
+        assert len(profiles) == 13 * 4 + 2 * 4
+        assert len({(id(sft), n) for sft, n, _ in profiles}) == len(profiles)
+        assert all(specs == ["uniform", "neural", "psym:0.3"] for _, _, specs in profiles)
+        # a suite run alone computes only what it uses
+        profiles.clear()
+        run_suites("acc", 4)
+        assert len(profiles) == 13 * 4
+        assert all(specs == ["uniform"] for _, _, specs in profiles)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_nothing_shared_outlives_a_call(self, monkeypatch, fails):
+        kept = []
+
+        def peek(n_max=None):
+            kept.append(properties._SHARED.get())
+            assert len(kept[0]) > 1  # product's counts, at least
+            if fails:
+                raise RuntimeError("suite failed")
+            return PropertyReport("peek")
+
+        monkeypatch.setitem(properties.SUITES, "invariances", peek)
+        if fails:
+            with pytest.raises(RuntimeError):
+                run_suites("all", 3)
+        else:
+            run_suites("all", 3)
+        assert kept[0] == {}
+        assert properties._SHARED.get() is None
 
     @pytest.mark.parametrize("max_n", [0, -1])
     @pytest.mark.parametrize("suite", [*SUITES, "all"])

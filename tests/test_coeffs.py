@@ -132,6 +132,19 @@ class TestFromMeasure:
         with pytest.warns(RuntimeWarning, match="underflow"):
             assert system.weight(4, 2) == 0.0
 
+    def test_rows_are_kept_read_only_and_warn_on_every_call(self):
+        # the row is computed once per (measure, n); its underflow is not
+        system = CoefficientSystem.from_measure([(1e-200, 0.5)])
+        rows = []
+        for again in (system, CoefficientSystem.from_measure([(1e-200, 0.5)])):
+            with pytest.warns(RuntimeWarning, match=r"weight\(4,2\) underflowed") as caught:
+                rows.append(again.weights_row(4))
+            assert len(caught) == 1
+        assert rows[0] is rows[1]
+        assert not rows[0].flags.writeable
+        with pytest.warns(RuntimeWarning):
+            assert rows[0].tolist() == [system.weight(4, k) for k in range(5)]
+
 
 class TestValidate:
     @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda s: s.spec)

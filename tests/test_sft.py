@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intricacy import properties
 from intricacy.errors import CapExceeded
-from intricacy.properties import _dedup_sfts, check_count_oracle, check_product_formula
+from intricacy.properties import (_dedup_sfts, check_count_oracle, check_product_formula,
+                                  count_words_at_oracle)
 from intricacy.sft import Sft, SubsetSpec, log_spectral_radius
 
 SFT_I = [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
@@ -236,23 +238,23 @@ class TestOracle:
         for n in range(1, 9):
             for mask in range(1, 1 << n):
                 spec = SubsetSpec(n, mask)
-                assert s.count_words_at(spec) == s.count_words_at_oracle(spec)
+                assert s.count_words_at(spec) == count_words_at_oracle(s, spec)
 
     def test_golden_mean_n10(self):
         s = Sft.golden_mean()
         for mask in range(1, 1 << 10, 7):  # stride keeps it quick; suite covers the rest
             spec = SubsetSpec(10, mask)
-            assert s.count_words_at(spec) == s.count_words_at_oracle(spec)
+            assert s.count_words_at(spec) == count_words_at_oracle(s, spec)
 
     def test_full_shift_slice(self):
-        assert Sft.full_shift(2).count_words_at_oracle([1, 3, 4]) == 8
+        assert count_words_at_oracle(Sft.full_shift(2), [1, 3, 4]) == 8
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
             Sft.full_shift(3).enumerate_words(20)
 
     def test_spot_check(self):
-        assert Sft(SFT_II).count_words_at_oracle([0, 1, 3]) == 11
+        assert count_words_at_oracle(Sft(SFT_II), [0, 1, 3]) == 11
 
     @pytest.mark.parametrize("suite", [check_count_oracle, check_product_formula])
     def test_suites_check_each_subset_once_and_flag_a_wrong_count(self, suite, monkeypatch):
@@ -260,7 +262,8 @@ class TestOracle:
         if suite is check_product_formula:
             shifts = [s for s in shifts if s.is_square_positive()]
         rep = suite(5)
-        assert rep.passed and rep.cases == len(shifts) * 31
+        # the count oracle also holds the per-size sums: one case per shift
+        assert rep.passed and rep.cases == len(shifts) * (31 + (suite is check_count_oracle))
         exact = Sft.count_words_at
 
         def off_at_0_2(self, S, n=None):
@@ -268,8 +271,23 @@ class TestOracle:
 
         monkeypatch.setattr(Sft, "count_words_at", off_at_0_2)
         rep = suite(5)
-        assert len(rep.failures) == len(shifts)
-        assert all("(0, 2)" in msg for msg in rep.failures)
+        # each subset is held to the count of its translate to 0, so the
+        # wrong count at {0, 2} fails it and its translates {1, 3} and {2, 4}
+        assert len(rep.failures) == 3 * len(shifts)
+        for a in range(3):
+            assert sum(f"({a}, {a + 2})" in msg for msg in rep.failures) == len(shifts)
+
+    def test_count_oracle_flags_wrong_per_size_sums(self, monkeypatch):
+        exact = properties._count_sums
+
+        def off_at_size_2(sft, n, block_k):
+            every, with_zero, *rest = exact(sft, n, block_k)
+            return (every + 1e-9 * (np.arange(n + 1) == 2), with_zero, *rest)
+
+        monkeypatch.setattr(properties, "_count_sums", off_at_size_2)
+        rep = check_count_oracle(5)
+        assert len(rep.failures) == len(_dedup_sfts())
+        assert all("per-size sums" in msg for msg in rep.failures)
 
 
 class TestCountProperties:
