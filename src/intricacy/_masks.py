@@ -40,20 +40,18 @@ reads: a cover that reads a block at every place changes the start
 vector and the gap matrices (``topo``), never the number of rows.
 Windows wider than ``MAX_TABLE_BITS`` positions are refused.
 
-Two kinds of value need no table, because they are sums of local terms
-whose per-size sums count in closed form:
-
-- ``cluster_size_sums``: v(S) = sum over the clusters of S (maximal
-  groups whose consecutive gaps are all <= kappa) of a weight that
-  depends on the cluster's span.  A log pattern count of a shift whose
-  adjacency matrix has a positive square is of this form.  O(n^2) per
-  call once the window's weights are built (O(n^3)) by the one
-  placement, ``_placed_sums``, which the tables share.
-  ``cluster_product_sum`` gives the plain sum over S of the product of
-  per-cluster weights, from their sums per span; both kernels take
-  their uniform alt from it.
-- ``gap_size_sums``: v(S) = a constant plus a term per consecutive gap,
-  the joint entropy of a 1-step Markov chain.  O(n^2).
+Values that are sums of local terms need no table, because their
+per-size sums count in closed form.  ``cluster_size_sums`` takes
+v(S) = sum over the clusters of S (maximal groups whose consecutive gaps
+are all <= kappa) of a weight that depends on the cluster's span.  A log
+pattern count of a shift whose adjacency matrix has a positive square
+is of this form.  O(n^2) per call once the window's weights are built
+(O(n^3)) by the one placement, ``_placed_sums``, which the tables share.
+``cluster_product_sum`` gives the plain sum over S of the product of
+per-cluster weights, from their sums per span; both kernels take their
+uniform alt from it.  The joint entropy of a 1-step Markov chain, a term
+per element and one per consecutive gap, is ``_placed_sums`` with no
+cluster (kappa = 0) of those terms (``markov.asc_finite``).
 
 What does not depend on the shift is built once per window size and
 kept read-only for the process: the cluster weights and the placement
@@ -83,7 +81,6 @@ __all__ = [
     "size_sums",
     "cluster_size_sums",
     "cluster_product_sum",
-    "gap_size_sums",
 ]
 
 # most rows a table may hold: 2^22 rows, the canonical masks of 23 positions
@@ -410,17 +407,3 @@ def cluster_product_sum(span_weights, n: int, kappa: int) -> float:
             C.append(C[-1] + sum(map(operator.mul, weight[: e + 1], C[e::-1])))
     return C[-1]
 
-
-def gap_size_sums(first: float, gap_values, n: int) -> np.ndarray:
-    """every[k] = sum over the k-subsets S of {0..n-1} (k >= 1) of
-    first + the sum of gap_values[g - 1] over the consecutive gaps g of S;
-    every[0] = 0.  gap_values holds the gaps 1..n-1, n <= MAX_TABLE_BITS.
-    A gap g joins two elements i and i + g of S with none between them:
-    n - g places, and the other k - 2 elements come from the n - g - 1
-    positions outside [i, i + g].  O(n^2)."""
-    B = _BINOMIALS
-    every = first * B[n, : n + 1]
-    every[0] = 0.0
-    g = np.arange(1, n)
-    every[2:] += (np.asarray(gap_values, dtype=float) * (n - g)) @ B[n - g - 1, : n - 1]
-    return every

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .benchmarks import provenance_for_adjacency, provenance_for_markov
@@ -102,38 +103,34 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(rows: list[dict], float_fields: list[str], fmt: str, path: str | None) -> None:
+def _emit(rows: list[dict], float_fields: list[str], fmt: str, path: str | None,
+          bare_fields: list[str] = ()) -> None:
     """Render rows to CSV or JSON (``fmt``) and write them to ``path``, or to
-    stdout when it is None.  Floats get 12 significant digits and a
-    3-decimal *_rounded sibling column."""
+    stdout when it is None.  The floats of ``float_fields`` get 12
+    significant digits and a 3-decimal *_rounded sibling column, those of
+    ``bare_fields`` the 12 digits alone.  JSON keeps each field's type:
+    such a float is a number, its written digits read back (inf and nan
+    stay text), and any other value is written as given.  None is '' in
+    both formats."""
     out_rows = []
     for row in rows:
         rendered: dict[str, object] = {}
         for key, value in row.items():
-            if key in float_fields:
-                if value is None:
-                    rendered[key] = ""
-                    rendered[key + "_rounded"] = ""
-                else:
-                    rendered[key] = _fmt(value)
-                    # + 0.0 turns a -0.0 into 0.0, so nothing reads -0.000
-                    rendered[key + "_rounded"] = f"{round(value, 3) + 0.0:.3f}"
-            else:
+            if value is None or (key not in float_fields and key not in bare_fields):
                 rendered[key] = "" if value is None else value
+                if key in float_fields:
+                    rendered[key + "_rounded"] = ""
+                continue
+            texts = {key: _fmt(value)}
+            if key in float_fields:
+                # + 0.0 turns a -0.0 into 0.0, so nothing reads -0.000
+                texts[key + "_rounded"] = f"{round(value, 3) + 0.0:.3f}"
+            for name, text in texts.items():
+                rendered[name] = float(text) if fmt == "json" and math.isfinite(value) else text
         out_rows.append(rendered)
 
     if fmt == "json":
-        def relax(v):
-            if isinstance(v, str):
-                try:
-                    return float(v) if ("." in v or "e" in v or v.isdigit()) else v
-                except ValueError:
-                    return v
-            return v
-
-        text = json.dumps(
-            [{k: relax(v) for k, v in r.items()} for r in out_rows], indent=2
-        ) + "\n"
+        text = json.dumps(out_rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
         if out_rows:
@@ -299,14 +296,14 @@ def _cmd_sweep(args) -> int:
             "objective": args.objective,
             "step": args.step,
             "terms": args.terms,
-            **{f"best_{k}": _fmt(v) for k, v in zip(family.param_names, refined.theta)},
+            **{f"best_{k}": v for k, v in zip(family.param_names, refined.theta)},
             "value": refined.value,
             "boundary_flag": result.boundary_flag,
             "local_maxima": len(result.local_maxima),
             "skipped": len(result.skipped),
         }
     ]
-    _emit(summary, ["value"], args.format, None)
+    _emit(summary, ["value"], args.format, None, [f"best_{k}" for k in family.param_names])
     return EXIT_OK
 
 

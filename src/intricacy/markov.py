@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import gap_size_sums, size_sums
+from ._masks import _placed_sums, size_sums
 from .coeffs import CoefficientSystem, SymmetricMeasure
 from .errors import CapExceeded
 from .sft import Sft, _as_subset
@@ -318,8 +318,8 @@ def _joint_entropies(m: MarkovMeasure, places) -> np.ndarray:
     inner = rows[1:] == rows[:-1]
     gaps = np.diff(cols)[inner]
     count = int(gaps.max(initial=0))
-    if m.block_len != 1:  # the head {0..k-1} of the cut has gaps of 1
-        return _cut_entropies(m, m.powers(max(count, 1)), places)
+    if m.block_len != 1:
+        return _cut_entropies(m, m.powers(count), places)
     hs = gap_entropies(m, count)
     return _entropy(m.p) + np.bincount(rows[1:][inner], hs[gaps - 1], len(places))
 
@@ -330,12 +330,12 @@ def _cut_entropies(m: MarkovMeasure, powers: np.ndarray, places: np.ndarray) -> 
 
     A run c..c+k-1 reads the whole hidden state at c (the states are
     distinct k-blocks), so by the Markov property and stationarity
-    H(X_S) = H(piece_0) + sum_i [H(piece_i) - H({0..k-1})]: piece 0 runs
-    from the first place to the end of the first run, piece i from the
-    start of run i to the end of run i+1 (or the last place), shifted to
-    start at 0, so it begins with the head {0..k-1}.  The distinct pieces
-    of all rows, and the head, take one ``_block_entropies`` pass; one
-    ``bincount`` sums them per row."""
+    H(X_S) = H(piece_0) + sum_i [H(piece_i) - H(p)]: piece 0 runs from the
+    first place to the end of the first run, piece i from the start of run
+    i to the end of run i+1 (or the last place), shifted to start at 0, so
+    it begins with the head {0..k-1}, whose entropy is that of the state,
+    H(p).  The distinct pieces of all rows take one ``_block_entropies``
+    pass; one ``bincount`` sums them per row."""
     N, width = places.shape
     k = m.block_len
     wide = np.pad(places, ((0, 0), (0, max(width, k) - 1)))  # room for any piece's window
@@ -351,10 +351,9 @@ def _cut_entropies(m: MarkovMeasure, powers: np.ndarray, places: np.ndarray) -> 
     lo[first], hi[first + cuts] = places.argmax(axis=1), width - 1 - places[:, ::-1].argmax(axis=1)
     hi[ends_at], lo[ends_at + 1] = cut + k - 1, cut
     owner = np.repeat(np.arange(N), cuts + 1)
-    span = np.arange(max(int((hi - lo).max()) + 1, k))
+    span = np.arange(int((hi - lo).max()) + 1)
     windows = np.lib.stride_tricks.sliding_window_view(wide, len(span), axis=1)
-    pieces = np.vstack([windows[owner, lo], span < k])
-    pieces[:-1] &= span <= (hi - lo)[:, None]  # the last row is the head
+    pieces = windows[owner, lo] & (span <= (hi - lo)[:, None])
     # distinct pieces: equal rows of their bits packed into 64-bit words sort together
     words = np.packbits(pieces, axis=1, bitorder="little")
     words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
@@ -365,71 +364,61 @@ def _cut_entropies(m: MarkovMeasure, powers: np.ndarray, places: np.ndarray) -> 
     H = _block_entropies(m, powers, pieces[order[new]])[at]
     tail = np.ones(len(owner), dtype=bool)
     tail[first] = False
-    return np.bincount(owner, H[:-1] - tail * H[-1], N)
+    return np.bincount(owner, H - tail * _entropy(m.p), N)
 
 
 def _block_entropies(m: MarkovMeasure, powers: np.ndarray, places) -> np.ndarray:
     """Joint entropies at the places of each nonempty row of ``places``
-    ((N, width) 0/1; only its gaps matter), powers[g-1] = P^g.  Each
-    distinct prefix of the subsets is extended once, level by level: its
-    rows (hidden-state weights per symbol tuple read) are gathered once per
-    child by gap, times P^g, and split by the next state's first symbol;
-    zero rows drop.  r^|S| > ENUMERATION_CAP is refused first."""
+    ((N, width) 0/1; only its gaps matter), powers[g-1] = P^g, by one flat
+    forward pass.  A row of the pass is one symbol tuple read so far of one
+    subset: its hidden-state weights, tagged with the subset.  Per level the
+    rows are stably sorted by their subset's next gap (unless all share
+    one), and each run of equal gaps g is multiplied by P^g and split by
+    the next state's first symbol in one product; zero rows drop, and the
+    rows of the subsets that end there add -q log q (q the row's mass) to
+    them, one ``bincount``.  No row holds a copy of P^g, so a level holds
+    O(rows d) floats.  A level extends at most ``_ROW_BLOCK`` rows: larger
+    blocks are halved, depth first.  r^|S| > ENUMERATION_CAP is refused
+    first."""
     places = np.asarray(places, dtype=bool)
     rows, cols = divmod(np.flatnonzero(places), places.shape[1])
     sizes = np.bincount(rows, minlength=len(places))
     if m.alphabet_size ** int(sizes.max()) > ENUMERATION_CAP:
         raise CapExceeded(f"r^|piece| exceeds the enumeration cap {ENUMERATION_CAP}")
-    # G[i, j] = gap j of subset i, 0 past its last; sorted, a prefix's subsets are adjacent
+    # G[i, j] = the gap before place j of subset i: 0 at its first place and past its last
     rank = np.arange(len(cols)) - (np.cumsum(sizes) - sizes)[rows]
-    G = np.zeros((len(sizes), int(sizes.max())), dtype=np.int64)
-    G[rows[rank > 0], rank[rank > 0] - 1] = np.diff(cols, prepend=0)[rank > 0]
-    order = np.lexsort(G.T[::-1])
-    G, gaps, span = G[order], sizes[order] - 1, places.shape[1]
-    # per level, (parent's place, gap) of the prefixes one gap longer, placed in gap order
+    G = np.zeros((len(sizes), int(sizes.max())), dtype=np.intp)
+    G[rows, rank] = np.diff(cols, prepend=0) * (rank > 0)
     r, d = m._start.shape
-    pos, kids, H = np.zeros(len(G), dtype=np.intp), [], [np.zeros(1)]
-    for level in range(int(gaps.max())):
-        alive = np.flatnonzero(gaps > level)
-        key = pos[alive] * span + G[alive, level]
-        new = np.concatenate(([True], key[1:] != key[:-1]))
-        by_gap = np.lexsort(divmod(key[new], span))
-        pos[alive] = np.argsort(by_gap)[np.cumsum(new) - 1]
-        parent, gap = divmod(key[new][by_gap], span)
-        runs = np.flatnonzero(np.concatenate(([True], gap[1:] != gap[:-1], [True])))
-        kids.append((parent, gap, runs, np.bincount(parent, minlength=len(H[-1])) * r))
-        H.append(np.zeros(len(gap)))
-
-    # depth first: (level, rows W, sums q or None once counted, prefixes at, ascending)
-    W = m._start * m.p
-    stack = [(0, W, W @ np.ones(d), np.zeros(r, dtype=np.intp))]
+    # Q[g] = P^g (P^0 = I) times each first symbol's states, side by side: (d, r d)
+    Q = np.concatenate([np.eye(d)[None], powers])[:, :, None, :] * m._start
+    Q = Q.reshape(len(Q), d, r * d)
+    H = np.zeros(len(sizes))
+    # depth first: (level, rows W before their level's place, subset of each row)
+    stack = [(0, np.tile(m.p, (len(sizes), 1)), np.arange(len(sizes)))]
     while stack:
-        level, W, q, at = stack.pop()
-        if q is not None and len(q):  # -q log q, pairwise per prefix
-            starts = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
-            H[level][at[starts]] += np.add.reduceat(_xlogx(q), starts)
-        if level == len(kids) or not len(W):
+        level, W, at = stack.pop()
+        if len(W) * r > _ROW_BLOCK and len(W) > 1:
+            half = len(W) // 2
+            stack += [(level, W[half:], at[half:]), (level, W[:half], at[:half])]
             continue
-        parent, gap, runs, fan = kids[level]
-        cum = np.cumsum(fan[at])
-        if cum[-1] > _ROW_BLOCK and len(W) > 1:  # blocks extending to at most _ROW_BLOCK rows
-            block = (cum - 1) // max(_ROW_BLOCK - int(fan.max()) + 1, 1)
-            cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(W)]
-            stack += [(level, W[lo:hi], None, at[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-            continue
-        first = np.searchsorted(at, parent)
-        counts = np.searchsorted(at, parent, side="right") - first  # rows per child
-        ends = np.concatenate(([0], np.cumsum(counts)))
-        X = W[np.arange(ends[-1]) + np.repeat(first - ends[:-1], counts)]
-        W = at = None  # free this level's rows before the next level's are built
-        for a, b, g in zip(ends[runs[:-1]], ends[runs[1:]], gap[runs[:-1]]):
-            X[a:b] = X[a:b] @ powers[g - 1]
-        X = (X[:, None, :] * m._start).reshape(-1, d)
+        gap = G[at, level]
+        if gap.min() != gap.max():
+            order = np.argsort(gap, kind="stable")
+            W, at, gap = W[order], at[order], gap[order]
+        X = np.empty((len(W), r * d))
+        runs = np.flatnonzero(np.concatenate(([True], gap[1:] != gap[:-1], [True])))
+        for a, b in zip(runs[:-1], runs[1:]):
+            np.matmul(W[a:b], Q[gap[a]], out=X[a:b])
+        X = X.reshape(-1, d)
+        at = at.repeat(r)
         q = X @ np.ones(d)
-        keep = q > 0  # weights are >= 0: a row is zero where its sum is
-        X, q = X[keep], q[keep]
-        stack.append((level + 1, X, q, np.arange(len(gap)).repeat(counts * r)[keep]))
-    return -np.concatenate(H)[np.cumsum([0] + [len(h) for h in H])[gaps] + pos][np.argsort(order)]
+        done = sizes[at] == level + 1
+        H -= np.bincount(at[done], _xlogx(q[done]), len(H))
+        alive = ~done & (q > 0)  # weights are >= 0: a row is zero where its sum is
+        if alive.any():
+            stack.append((level + 1, X[alive], at[alive]))
+    return H
 
 
 def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEntropyResult:
@@ -437,9 +426,11 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
     window, divided by n.  Capped at n = 20 for plain chains and n = 12
     for block chains.
 
-    For a plain chain the joint entropy at S is H(p) plus one gap entropy
-    h_g per consecutive gap of S, so the k-subsets sum to
-    C(n, k) H(p) + sum_g h_g (n - g) C(n - g - 1, k - 2) (``gap_size_sums``),
+    For a plain chain the joint entropy at S is |S| H(p) less H(p) - h_g
+    per consecutive gap g of S (h_g the gap entropy): a term per element,
+    a shape of span 0, and one per pair of consecutive elements, a shape
+    of span g with 2 elements, each placed in the window with no other
+    element inside its span (``_placed_sums`` with no cluster, kappa = 0),
     O(n^2) with no table.  A block chain sums by subset size the joint
     entropies at the 2^(n-1) canonical masks 2i+1 (every joint entropy is
     that of a translate containing 0), one ``_joint_entropies`` pass."""
@@ -449,7 +440,11 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
     if n > cap:
         raise CapExceeded(f"n={n} outside [1, {cap}] for block_len={m.block_len}")
     if m.block_len == 1:
-        every = gap_size_sums(_entropy(m.p), gap_entropies(m, n - 1), n)
+        # phi[span, size], one column past the window so a window of 1 has a size-2 column
+        phi = np.zeros((n, n + 2))
+        phi[0, 1] = H = _entropy(m.p)
+        phi[1:, 2] = gap_entropies(m, n - 1) - H
+        every = _placed_sums(phi[:, : n + 1], n, 0)[0]
     else:
         canonical = (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
         every = size_sums(_joint_entropies(m, canonical), n)[0]

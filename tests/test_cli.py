@@ -145,6 +145,40 @@ def test_rounded_column_has_no_negative_zero(capsys, fmt, want):
     assert capsys.readouterr().out == want
 
 
+class TestJsonTypes:
+    # JSON keeps each field's type: text that reads as a number stays text,
+    # and a float field stays a number whatever its digits look like
+    def test_family_name_that_reads_as_a_number_stays_text(self, capsys, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"name": "1e3", "params": ["a"], "box": {"a": [0, 1]},
+                                   "template": [["a", "rest"], [1, 0]]}))
+        code, out, _ = run_cli(capsys, "sweep", "--input", str(fam), "--objective", "h",
+                               "--step", "0.05", "--output", str(tmp_path / "surface.csv"),
+                               "--format", "json")
+        assert code == 0
+        (summary,) = json.loads(out)
+        assert summary["family"] == "1e3"
+        assert isinstance(summary["best_a"], float) and abs(summary["best_a"] - 0.618) < 5e-3
+
+    def test_input_path_that_reads_as_a_number_stays_text(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "12").write_text(json.dumps({"block_len": 1, "P": [[0.5, 0.5], [0.5, 0.5]]}))
+        code, out, _ = run_cli(capsys, "markov", "--input", "12", "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["source"] == "12"
+
+    def test_negative_integral_float_stays_a_number(self, capsys, tmp_path):
+        sft, pot = tmp_path / "flip.json", tmp_path / "f.json"
+        sft.write_text(json.dumps({"alphabet_size": 2, "adjacency": [[0, 1], [1, 0]]}))
+        pot.write_text(json.dumps({"values": {"0": -2.0, "1": -2.0}}))
+        code, out, _ = run_cli(capsys, "pressure", "--input", str(sft), "--potential", str(pot),
+                               "--n", "2", "--format", "json")
+        assert code == 0
+        row = json.loads(out)[0]
+        assert (row["P_classical"], row["P_classical_rounded"]) == (-2.0, -2.0)
+        assert isinstance(row["P_classical"], float)
+
+
 class TestPressure:
     def test_published_cell(self, capsys, tmp_path, potential_file):
         sft = tmp_path / "pairB.json"

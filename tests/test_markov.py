@@ -431,6 +431,21 @@ class TestCutEntropies:
             assert sampled_joint_entropy(m, elems) == pytest.approx(
                 sampled_joint_entropy_oracle(m, elems), abs=1e-12)
 
+    @pytest.mark.parametrize("elems", [[0, 2, 4, 6, 8], [0, 3, 4, 7, 9], [0, 1, 2, 5, 7, 8, 9],
+                                       [1, 2, 3, 4, 6, 8], [0, 1, 2, 4, 5, 6, 9]],
+                             ids=["no-run", "no-run-uneven", "two-runs", "long-run", "run-pair"])
+    def test_many_states_in_row_blocks_of_16(self, elems, monkeypatch):
+        # a 3-step chain on the full 3-shift has 27 states; blocks of 16
+        # rows halve every level of more than 5 rows (each extends to 3)
+        q = np.random.Generator(np.random.PCG64(27)).dirichlet(np.ones(3), size=27)
+        cond = {f"{a}{b}{c}": {str(z): q[9 * a + 3 * b + c, z] for z in range(3)}
+                for a in range(3) for b in range(3) for c in range(3)}
+        m = recode_higher_block(cond, Sft.full_shift(3))
+        assert len(m.states) == 27
+        monkeypatch.setattr(markov, "_ROW_BLOCK", 16)
+        assert sampled_joint_entropy(m, elems) == pytest.approx(
+            sampled_joint_entropy_oracle(m, elems), rel=0, abs=1e-12)
+
 
 def _words(r, n):
     words = [()]
