@@ -9,7 +9,6 @@ bit-reproducible across platforms for a fixed seed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ __all__ = [
 
 DEFAULT_TERMS = 20
 ENUMERATION_CAP = 10**7
-# a stationary solve above this condition number warns
-_WARN_CONDITION = 1e12
 # rows of symbol tuples the block-chain pass holds per level, depth first
 _ROW_BLOCK = 1 << 15
 
@@ -107,44 +104,43 @@ def _refusals(P: np.ndarray, codes: np.ndarray | None = None, states=None) -> li
     return reasons
 
 
-def _stationary_stack(P: np.ndarray, reasons: list[str | None]) -> np.ndarray:
-    """``stationary`` of each matrix of a (G, d, d) stack whose reason is still
-    None, by one batched SVD, cond and solve; a reducible one gets its reason."""
+def _stationary_stack(P: np.ndarray, codes=None, states=None) -> tuple[np.ndarray, list]:
+    """(p, reasons): the ``_refusals`` of a (G, d, d) stack and, for each
+    chain that passes, its stationary vector (0 elsewhere), from one
+    batched SVD and solve of P^T - I with its last row set to 1^T.  That
+    system is singular exactly when p is not unique (the rows of P^T - I
+    sum to 0; 1^T p = 1 keeps 1^T out of their span); from condition 1e10
+    (p off by about 1e-6) a chain is refused, with no warning."""
+    reasons = _refusals(P, codes, states)
     G, d = P.shape[:2]
     idx = np.flatnonzero([r is None for r in reasons])
     A = P[idx].transpose(0, 2, 1) - np.eye(d)
+    A[:, -1] = 1.0
     sv = np.linalg.svd(A, compute_uv=False)
-    unique = (sv < 1e-10 * np.maximum(1.0, sv[:, :1])).sum(axis=1) == 1
+    unique = sv[:, -1] > 1e-10 * sv[:, 0]
     for g in idx[~unique]:
-        reasons[g] = "stationary vector is not unique (reducible chain); supply p explicitly"
+        reasons[g] = "stationary vector is not unique or is ill-conditioned; supply p explicitly"
     idx, A = idx[unique], A[unique]
-    A[:, -1] = 1.0  # one equation replaced by normalization
-    for cond in np.linalg.cond(A).tolist():
-        if cond > _WARN_CONDITION:
-            warnings.warn(f"stationary solve condition {cond:.2e}", RuntimeWarning)
-    b = np.zeros((len(A), d, 1))
-    b[:, -1] = 1.0
+    b = np.broadcast_to(np.eye(d)[:, -1:], (len(A), d, 1))  # e_d, one per chain
     try:
         x = np.clip(np.linalg.solve(A, b)[..., 0], 0.0, None)
     except np.linalg.LinAlgError as exc:
-        # unreachable once the nullity is 1: A is then nonsingular
+        # unreachable below condition 1e10: A is then nonsingular
         raise ValueError(f"stationary solve failed: singular matrix ({exc})") from exc
     p = np.zeros((G, d))
     p[idx] = x / x.sum(axis=1, keepdims=True)
-    return p
+    return p, reasons
 
 
 def stationary(P) -> np.ndarray:
     """Probability vector p with p P = p, by direct linear solve with one
     equation replaced by normalization (``_stationary_stack`` of one P).
-    Raises ValueError for chains whose stationary vector is not unique and
-    for a singular solve; warns when the solve is badly conditioned."""
-    P = np.asarray(P, dtype=float)[None]
-    reasons = _refusals(P)
-    p = _stationary_stack(P, reasons)
-    if reasons[0] is not None:
-        raise ValueError(reasons[0])
-    return p[0]
+    Raises ValueError for a matrix that is no transition matrix and for a
+    chain whose p is not unique or is ill-conditioned (condition >= 1e10)."""
+    (p,), (reason,) = _stationary_stack(np.asarray(P, dtype=float)[None])
+    if reason is not None:
+        raise ValueError(reason)
+    return p
 
 
 class MarkovMeasure:
@@ -153,7 +149,8 @@ class MarkovMeasure:
     ``block_len`` k is 1 for a plain chain on the alphabet; for k >= 2 the
     states are overlapping k-blocks of base symbols and P moves one base
     step at a time (successive blocks must overlap).  ``p`` is the
-    stationary row vector (computed when not supplied).
+    stationary row vector, solved for when not supplied; a supplied one
+    must be finite, nonnegative and stationary, one entry per state.
     """
 
     def __init__(
@@ -168,24 +165,26 @@ class MarkovMeasure:
     ):
         P = np.asarray(P, dtype=float)
         states = _chain_states(states, block_len, len(np.atleast_1d(P)))
-        reasons = _refusals(P[None], _transition_codes(states, block_len, support), states)
-        solved = None if p is not None else _stationary_stack(P[None], reasons)[0]
-        if reasons[0] is not None:
-            raise ValueError(reasons[0])
+        codes = _transition_codes(states, block_len, support)
+        if p is None:
+            (p,), (reason,) = _stationary_stack(P[None], codes, states)
+        else:  # the first test failed counts, those of P before those of p
+            (reason,) = _refusals(P[None], codes, states)
+            p = np.asarray(p, dtype=float)
+            if reason is None and not np.isfinite(p).all():
+                reason = "p has non-finite entries"
+            elif reason is None and (p.shape != (len(states),) or (p < 0).any()):
+                reason = "p must have one nonnegative entry per state"
+            elif reason is None and (abs(p.sum() - 1.0) > 1e-10
+                                     or np.max(np.abs(p @ P - p)) > 1e-10):
+                reason = "supplied p is not stationary within 1e-10"
+        if reason is not None:
+            raise ValueError(reason)
         self.block_len = block_len
         self.states = states
         if alphabet_size is None:
             alphabet_size = max(max(s) for s in states) + 1
         self.alphabet_size = alphabet_size
-
-        if p is None:
-            p = solved
-        else:
-            p = np.asarray(p, dtype=float)
-            if not np.isfinite(p).all():
-                raise ValueError("p has non-finite entries")
-            if abs(p.sum() - 1.0) > 1e-10 or np.max(np.abs(p @ P - p)) > 1e-10:
-                raise ValueError("supplied p is not stationary within 1e-10")
         self.P = P
         self.p = p
         self.P.setflags(write=False)
@@ -259,13 +258,13 @@ def _series_stack(P, p, end, terms: int) -> tuple[np.ndarray, np.ndarray]:
     same order) of a stack of chains with stationary vectors p."""
     # running sums in gap order; + 0.0 turns the -0.0 of an all-zero sum to 0.0
     asc = (_gap_entropy_stack(P, p, end, terms) / 2.0 ** np.arange(1, terms + 1)).cumsum(axis=1)
-    return -(p[:, :, None] * _xlogx(P)).sum(axis=(1, 2)), (asc[:, -1] + 0.0) / 2.0
+    return -(p[:, :, None] * _xlogx(P)).sum(axis=(1, 2)) + 0.0, (asc[:, -1] + 0.0) / 2.0
 
 
 def entropy_rate(m: MarkovMeasure) -> float:
     """h = -sum_j p_j sum_k P_jk log P_jk (nats).  For block chains this
     equals the entropy rate of the underlying base process."""
-    return float(-(m.p[:, None] * _xlogx(m.P)).sum())
+    return float(-(m.p[:, None] * _xlogx(m.P)).sum() + 0.0)
 
 
 def gap_entropies(m: MarkovMeasure, count: int) -> np.ndarray:

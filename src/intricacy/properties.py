@@ -34,7 +34,7 @@ from ._masks import LEFT_BITS, MAX_TABLE_BITS, popcounts
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
 from .errors import CapExceeded
-from .markov import (MarkovMeasure, _joint_entropies, _refusals, _stationary_stack,
+from .markov import (MarkovMeasure, _joint_entropies, _stationary_stack,
                      _transition_codes, _xlogx, asc_finite, asc_lambda, asc_series_markov,
                      recode_higher_block)
 from .sft import DEFAULT_ORACLE_CAP, Sft, SubsetSpec, _as_subset, log_spectral_radius
@@ -343,15 +343,14 @@ def check_count_oracle(n_max: int = 8) -> PropertyReport:
     """Transfer-matrix counts equal brute-force projection counts for
     every nonempty subset of {0..n_max-1} (the subsets of every narrower
     window among them), on every benchmark shift: each mask against the
-    count of its translate to 0 (``_canonical_counts``).  The words of the
-    window are enumerated once per shift and every mask's projections
-    come from its parent's by one ``any`` (``_lattice``).  Then the
-    per-size sums of log N over the subsets, all of them and those that
-    contain 0, against the production kernel's (``topo._count_sums``,
-    block_k 0) to 1e-12 relative: one more case per shift."""
+    count of its translate to 0 (``_canonical_counts``).  The window's
+    words are enumerated once per shift; each mask's projections come from
+    its parent's by one ``any`` (``_lattice``).  Then the per-size sums of
+    log N over all subsets and those holding 0 match ``topo._count_sums``
+    to 1e-12 relative at block_k 0 and, from n_max 2, at block_k 2 over
+    n_max - 1 places (N(S | S << 1)): two more cases per shift."""
     rep = PropertyReport("count-oracle")
     rows = _canonical_rows(n_max)
-    size = popcounts(n_max)
     for name, sft in _dedup_sfts():
         N = np.empty(1 << n_max, dtype=np.int64)
         for mask, cells in _lattice(_word_cells(sft, n_max), n_max, np.logical_or.reduce):
@@ -359,12 +358,17 @@ def check_count_oracle(n_max: int = 8) -> PropertyReport:
         ok = N[1:] == np.array(_canonical_counts(sft, n_max), dtype=np.int64)[rows]
         rep.check_all(ok, lambda i: f"{name}: count mismatch at {SubsetSpec(n_max, i + 1).elements}")
         logs = np.log(N)
-        got = np.hstack([np.bincount(size, logs, n_max + 1),
-                         np.bincount(size[1::2], logs[1::2], n_max + 1)])
-        want = np.hstack(_count_sums(sft, n_max, 0)[:2])
-        ok = _close(got, want)
-        rep.check(ok, "" if ok else f"{name}: per-size sums of log N off the production kernel "
-                  f"by up to {np.max(np.abs(got - want)):.3g}")
+        cases = [(0, n_max, logs)]
+        if n_max >= 2:
+            half = np.arange(1 << (n_max - 1))
+            cases.append((2, n_max - 1, logs[half | half << 1]))
+        for k, n, v in cases:
+            size = popcounts(n)
+            got = np.hstack([np.bincount(size, v, n + 1), np.bincount(size[1::2], v[1::2], n + 1)])
+            want = np.hstack(_count_sums(sft, n, k)[:2])
+            ok = _close(got, want)
+            rep.check(ok, "" if ok else f"{name}: per-size sums of log N at block_k {k} off the "
+                      f"production kernel by up to {np.max(np.abs(got - want)):.3g}")
     return rep
 
 
@@ -400,12 +404,10 @@ _ORACLE_SEED = 7
 
 
 def _chain_stack(P, states) -> list[MarkovMeasure]:
-    # the chains of a (G, d, d) stack on the same base-2 block states, with
-    # their stationary vectors from one _refusals / _stationary_stack pass
+    # the chains of a (G, d, d) stack on the same base-2 block states, solved in one pass
     k = len(states[0])
     P = np.asarray(P, dtype=float)
-    reasons = _refusals(P, _transition_codes(states, k), states)
-    p = _stationary_stack(P, reasons)
+    p, _ = _stationary_stack(P, _transition_codes(states, k), states)
     return [MarkovMeasure(Pg, pg, states=states, block_len=k, alphabet_size=2)
             for Pg, pg in zip(P, p)]
 

@@ -17,10 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .markov import (
-    MarkovMeasure, _chain_states, _end_matrix, _refusals, _series_stack, _stationary_stack,
-    _transition_codes,
-)
+from .markov import (MarkovMeasure, _chain_states, _end_matrix, _series_stack,
+                     _stationary_stack, _transition_codes)
 
 __all__ = [
     "MarkovFamily",
@@ -206,8 +204,7 @@ def _evaluate(family: MarkovFamily, thetas: np.ndarray, terms: int) -> list:
     """A GridPoint per row of ``thetas``, from one stacked pass, or (theta,
     reason) where the family does not build: what ``MarkovMeasure`` raises."""
     P = family.stack(thetas)
-    reasons = _refusals(P, family.codes, family.states)
-    p = _stationary_stack(P, reasons)
+    p, reasons = _stationary_stack(P, family.codes, family.states)
     built = np.array([r is None for r in reasons], dtype=bool)
     h, asc = _series_stack(P[built], p[built], family.end, terms)
     values = zip(h.tolist(), asc.tolist(), (2.0 * asc - h).tolist())

@@ -291,6 +291,26 @@ class TestMarkov:
         assert (code, out) == (1, "")
         assert f"{field} has non-finite entries" in err
 
+    @pytest.mark.parametrize("p", [[1.5, -0.5], [0.5, 0.5, 0.0]], ids=["negative", "three-entries"])
+    def test_supplied_p_must_be_a_probability_vector(self, capsys, tmp_path, p):
+        # every p is stationary for the identity chain
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"block_len": 1, "P": [[1, 0], [0, 1]], "p": p}))
+        code, out, err = run_cli(capsys, "markov", "--input", str(path), "--n", "3")
+        assert (code, out) == (1, "")
+        assert "p must have one nonnegative entry per state" in err
+
+    def test_deterministic_chain_prints_entropy_rate_zero(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "markov", "--family", "full2-1step", "--param", "0",
+                               "--param", "0")
+        assert code == 0
+        assert parse_csv(out)[0]["h_mu"] == "0"
+        surface = tmp_path / "surface.csv"
+        assert main(["sweep", "--family", "gms-1step", "--step", "0.1",
+                     "--output", str(surface)]) == 0
+        rows = parse_csv(surface.read_text())
+        assert [r["h_mu"] for r in rows if r["p00"] in ("0.0", "1.0")] == ["0", "0"]
+
     def test_exactly_one_source(self, capsys):
         assert main(["markov", "--family", "gms-1step", "--param", "0.5", "--input", "x.json"]) == 1
         assert main(["markov"]) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,35 @@ class TestStationary:
         with pytest.raises(ValueError, match="not unique"):
             stationary(np.eye(2))
 
+    # 2^-30 (about 9.3e-10) keeps 1 - eps exact; the rounding of 1 - 1e-9
+    # (1.1e-16), times the condition, moves p by 7e-9
+    @pytest.mark.parametrize("eps,unique", [(2.0**-30, True), (8e-11, False), (1e-11, False)])
+    def test_condition_decides_uniqueness_without_a_warning(self, eps, unique):
+        # the normalized system has condition 1/eps: refused from 1e10 on
+        P = [[1 - eps, eps], [eps, 1 - eps]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if unique:
+                np.testing.assert_allclose(stationary(P), [0.5, 0.5], rtol=0, atol=1e-12)
+            else:
+                with pytest.raises(ValueError, match="not unique"):
+                    stationary(P)
+
+    def test_one_factorization_and_one_solve_per_stack(self, monkeypatch):
+        calls = []
+        for name in ("svd", "solve", "cond"):
+            def spy(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, [np.shape(a) for a in args]))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        P = np.array([[[a, 1 - a], [0.3, 0.7]] for a in (0.1, 0.5, 0.9)] + [np.eye(2)])
+        p, reasons = markov._stationary_stack(P)
+        # one right-hand side per system: numpy < 2 reads a (d, 1) one
+        # against a (G, d, d) stack as a stack of G vectors
+        assert calls == [("svd", [(4, 2, 2)]), ("solve", [(3, 2, 2), (3, 2, 1)])]
+        assert reasons[:3] == [None] * 3 and "not unique" in reasons[3]
+        np.testing.assert_allclose(np.einsum("gi,gij->gj", p[:3], P[:3]), p[:3], atol=1e-15)
+
     def test_fixed_by_chain(self):
         rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(5):
@@ -131,6 +161,8 @@ class TestEntropyRate:
     def test_deterministic_chain(self):
         m = MarkovMeasure.one_step([[0.0, 1.0], [1.0, 0.0]], p=[0.5, 0.5])
         assert entropy_rate(m) == 0.0
+        # +0.0, not the negated sum of terms 0 log 0 and 1 log 1 (-0.0)
+        assert math.copysign(1.0, entropy_rate(m)) == 1.0
 
     def test_block_chain_matches_base_process(self):
         assert entropy_rate(gms_two_step(0.618, 0.618)) == pytest.approx(0.481, abs=5e-4)

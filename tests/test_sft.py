@@ -262,8 +262,9 @@ class TestOracle:
         if suite is check_product_formula:
             shifts = [s for s in shifts if s.is_square_positive()]
         rep = suite(5)
-        # the count oracle also holds the per-size sums: one case per shift
-        assert rep.passed and rep.cases == len(shifts) * (31 + (suite is check_count_oracle))
+        # the count oracle also holds the per-size sums at block_k 0 and 2:
+        # two cases per shift
+        assert rep.passed and rep.cases == len(shifts) * (31 + 2 * (suite is check_count_oracle))
         exact = Sft.count_words_at
 
         def off_at_0_2(self, S, n=None):
@@ -286,8 +287,11 @@ class TestOracle:
 
         monkeypatch.setattr(properties, "_count_sums", off_at_size_2)
         rep = check_count_oracle(5)
-        assert len(rep.failures) == len(_dedup_sfts())
+        # one failure per shift at each of block_k 0 and 2
+        assert len(rep.failures) == 2 * len(_dedup_sfts())
         assert all("per-size sums" in msg for msg in rep.failures)
+        for k in (0, 2):
+            assert sum(f"at block_k {k} " in msg for msg in rep.failures) == len(_dedup_sfts())
 
 
 class TestCountProperties:
