@@ -54,7 +54,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser, and the table from each subcommand's name to
+    its parser and its handler."""
     parser = _Parser(prog="intricacy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -95,12 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the oracle and property suites")
     check.add_argument("--suite", default="all")
     check.add_argument("--max-n", type=int, default=8)
-    return parser
+    return parser, {"topo": (topo, _cmd_topo), "pressure": (pressure, _cmd_pressure),
+                    "markov": (markov, _cmd_markov), "sweep": (sweep, _cmd_sweep),
+                    "check": (check, _cmd_check)}
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, build):
+    """build(document) for the JSON object in the file at path.  Any other
+    document, or one that lacks a key, is bad input that names the file."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
 
 
 def _emit(rows: list[dict], float_fields: list[str], fmt: str, path: str | None,
@@ -134,9 +146,10 @@ def _emit(rows: list[dict], float_fields: list[str], fmt: str, path: str | None,
     else:
         buf = io.StringIO()
         if out_rows:
-            writer = csv.DictWriter(buf, fieldnames=list(out_rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(out_rows)
+            # every rendered row has the first row's fields, in its order
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(out_rows[0])
+            writer.writerows(row.values() for row in out_rows)
         text = buf.getvalue()
 
     if path:
@@ -147,7 +160,7 @@ def _emit(rows: list[dict], float_fields: list[str], fmt: str, path: str | None,
 
 
 def _cmd_topo(args) -> int:
-    sft = Sft.from_dict(_load_json(args.input))
+    sft = _load_json(args.input, Sft.from_dict)
     coeffs = parse_coeffs(args.coeffs)
     tag = provenance_for_adjacency(sft.adjacency)
     rows = []
@@ -171,8 +184,8 @@ def _cmd_topo(args) -> int:
 
 
 def _cmd_pressure(args) -> int:
-    sft = Sft.from_dict(_load_json(args.input))
-    f = Potential.from_dict(_load_json(args.potential))
+    sft = _load_json(args.input, Sft.from_dict)
+    f = _load_json(args.potential, Potential.from_dict)
     coeffs = parse_coeffs(args.coeffs)
     tag = provenance_for_adjacency(sft.adjacency, prefer="pressure-pair")
     p_classical = classical_pressure(sft, f)
@@ -196,7 +209,7 @@ def _markov_measure(args) -> tuple[MarkovMeasure, str, dict[str, float]]:
     if (args.input is None) == (args.family is None):
         raise ValueError("exactly one of --input / --family is required")
     if args.input:
-        measure = MarkovMeasure.from_dict(_load_json(args.input))
+        measure = _load_json(args.input, MarkovMeasure.from_dict)
         return measure, args.input, {}
     family = builtin_family(args.family)
     theta = tuple(args.param or ())
@@ -274,7 +287,7 @@ def _cmd_sweep(args) -> int:
     if args.output is None:
         raise ValueError("sweep requires --output for the surface table")
     family = (
-        family_from_dict(_load_json(args.input)) if args.input else builtin_family(args.family)
+        _load_json(args.input, family_from_dict) if args.input else builtin_family(args.family)
     )
     result = scan(family, step=args.step, terms=args.terms, objective=args.objective)
     refined = maximize(family, args.objective, result.best_theta, terms=args.terms)
@@ -319,23 +332,21 @@ def _cmd_check(args) -> int:
     return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
 
 
-_COMMANDS = {
-    "topo": _cmd_topo,
-    "pressure": _cmd_pressure,
-    "markov": _cmd_markov,
-    "sweep": _cmd_sweep,
-    "check": _cmd_check,
-}
-
-
-# built once at import; every main() call parses with it
-_PARSER = build_parser()
+# built once at import; each request is parsed once, by the parser of the
+# subcommand that its first argument names
+_PARSER, _COMMANDS = build_parsers()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        parser, handler = _COMMANDS[argv[0]]
+        args = parser.parse_args(argv[1:])
+    else:  # help and usage errors exit in here
+        args = _PARSER.parse_args(argv)
+        handler = _COMMANDS[args.subcommand][1]
     try:
-        return _COMMANDS[args.subcommand](args)
+        return handler(args)
     except CapExceeded as exc:
         sys.stderr.write(f"intricacy: cap exceeded: {exc}\n")
         return EXIT_CAP

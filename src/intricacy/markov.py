@@ -163,14 +163,15 @@ class MarkovMeasure:
         alphabet_size: int | None = None,
         support: Sft | None = None,
     ):
-        P = np.asarray(P, dtype=float)
+        # copies: the arrays are frozen below, and the caller's stay writable
+        P = np.array(P, dtype=float)
         states = _chain_states(states, block_len, len(np.atleast_1d(P)))
         codes = _transition_codes(states, block_len, support)
         if p is None:
             (p,), (reason,) = _stationary_stack(P[None], codes, states)
         else:  # the first test failed counts, those of P before those of p
             (reason,) = _refusals(P[None], codes, states)
-            p = np.asarray(p, dtype=float)
+            p = np.array(p, dtype=float)
             if reason is None and not np.isfinite(p).all():
                 reason = "p has non-finite entries"
             elif reason is None and (p.shape != (len(states),) or (p < 0).any()):

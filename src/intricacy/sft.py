@@ -268,11 +268,17 @@ class Sft:
     def reach_powers(self, count: int) -> np.ndarray:
         """Stack of 0/1 matrices for the gaps g = 1..count: R[g-1][a, b] == 1
         iff a path of length g runs from a to b.  Computed in the boolean
-        semiring, so exact for any gap."""
+        semiring, so exact for any gap.  Pruning leaves every vertex an
+        incoming edge, so once a gap reaches everything every wider gap
+        does: the products stop at the first all-ones matrix."""
         A = self.adjacency
         R = np.empty((count, *A.shape), dtype=np.int64)
         for g in range(count):
             R[g] = A if g == 0 else (R[g - 1] @ A) > 0
+            # count_nonzero: a fraction of the cost of .all() on small matrices
+            if g + 1 < count and np.count_nonzero(R[g]) == A.size:
+                R[g + 1:] = 1
+                break
         return R
 
     def is_square_positive(self) -> bool:

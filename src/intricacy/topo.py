@@ -99,11 +99,13 @@ def _count_mats(sft: Sft, n: int, block_k: int = 0, log_weights=None):
             return np.ones(sft.alphabet_size), R
         w = np.exp(log_weights)
         return w, R * w[:, None]
-    paths = [np.eye(sft.alphabet_size)]
-    for _ in range(block_k - 1):
-        paths.append(paths[-1] @ sft.adjacency)
+    paths = np.empty((block_k, sft.alphabet_size, sft.alphabet_size))
+    paths[0] = np.eye(sft.alphabet_size)
+    for g in range(1, block_k):
+        paths[g] = paths[g - 1] @ sft.adjacency
     head = paths[-1]
-    gap_mats = [paths[g] if g < block_k else head @ R[g - block_k] for g in range(1, n)]
+    # gaps 1..min(k, n) - 1 touch; the gaps k..n-1 take one stacked product
+    gap_mats = np.concatenate([paths[1:n], head @ R[:max(n - block_k, 0)]])
     return head.sum(axis=1), gap_mats
 
 

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -14,7 +13,7 @@ import pytest
 
 from intricacy import properties
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
-from intricacy.cli import _emit, build_parser, main
+from intricacy.cli import _emit, build_parsers, main
 from intricacy.properties import SUITES, PropertyReport, run_suites
 from intricacy.sft import Sft
 
@@ -145,6 +144,99 @@ def test_rounded_column_has_no_negative_zero(capsys, fmt, want):
     assert capsys.readouterr().out == want
 
 
+def test_csv_matches_dict_writer_on_fields_that_need_quoting(capsys):
+    rows = [{"a": 'x,"y"', "b": 1.5, "c": None, "d": "two\nlines"},
+            {"a": "", "b": None, "c": "z", "d": " lead"}]
+    _emit(rows, ["b"], "csv", None)
+    rendered = [{"a": 'x,"y"', "b": "1.5", "b_rounded": "1.500", "c": "", "d": "two\nlines"},
+                {"a": "", "b": "", "b_rounded": "", "c": "z", "d": " lead"}]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rendered[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rendered)
+    assert capsys.readouterr().out == buf.getvalue()
+
+
+class TestUsageErrors:
+    def test_no_arguments_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 1
+
+    def test_unknown_subcommand_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nope"])
+        assert exc.value.code == 1
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_unknown_option_is_named_by_the_subcommand(self, capsys, gms_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["topo", "--input", gms_file, "--n", "4", "--bogus"])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("intricacy topo: error: unrecognized arguments: --bogus")
+
+    @pytest.mark.parametrize("argv,usage", [(["topo", "-h"], "usage: intricacy topo [-h]"),
+                                            (["-h"], "usage: intricacy [-h]")])
+    def test_help_exits_zero(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+
+class TestInputDocuments:
+    """Each JSON input must hold an object with the keys it needs; anything
+    else is bad input whose message names the file."""
+
+    FLAGS = {
+        "topo --input": lambda files: ["topo", "--input", files, "--n", "4"],
+        "pressure --input": lambda files: ["pressure", "--input", files, "--potential",
+                                           "good-f.json", "--n", "4"],
+        "pressure --potential": lambda files: ["pressure", "--input", "good-sft.json",
+                                               "--potential", files, "--n", "4"],
+        "markov --input": lambda files: ["markov", "--input", files],
+        "sweep --input": lambda files: ["sweep", "--input", files, "--output", "s.csv"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def good_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good-sft.json").write_text(
+            json.dumps({"alphabet_size": 2, "forbidden_words": ["11"]}))
+        (tmp_path / "good-f.json").write_text(json.dumps({"values": {"0": 0.0, "1": 1.0}}))
+
+    @pytest.mark.parametrize("flag,document", [
+        ("topo --input", 3),
+        ("pressure --input", [[1, 1], [1, 0]]),
+        ("pressure --potential", [0.0, 1.0]),
+        ("markov --input", [[0.5, 0.5], [0.5, 0.5]]),
+        ("sweep --input", ["a"]),
+    ])
+    def test_document_that_is_no_object_is_bad_input(self, capsys, flag, document):
+        with open("doc.json", "w") as fh:
+            json.dump(document, fh)
+        code, out, err = run_cli(capsys, *self.FLAGS[flag]("doc.json"))
+        assert (code, out) == (1, "")
+        kind = type(document).__name__
+        assert err == f"intricacy: bad input: doc.json: expected a JSON object, got {kind}\n"
+
+    @pytest.mark.parametrize("flag,document,key", [
+        ("topo --input", {"forbidden_words": ["11"]}, "alphabet_size"),
+        ("pressure --input", {"adjacency": [[1, 1], [1, 0]]}, "alphabet_size"),
+        ("pressure --potential", {"value": {"0": 0.0}}, "values"),
+        ("markov --input", {"p": [0.5, 0.5]}, "P"),
+        ("sweep --input", {"params": ["a"], "template": [["a", "rest"], [1, 0]]}, "box"),
+    ])
+    def test_missing_key_is_named_with_its_file(self, capsys, flag, document, key):
+        with open("doc.json", "w") as fh:
+            json.dump(document, fh)
+        code, out, err = run_cli(capsys, *self.FLAGS[flag]("doc.json"))
+        assert (code, out) == (1, "")
+        assert err == f"intricacy: bad input: doc.json: missing key '{key}'\n"
+
+
 class TestJsonTypes:
     # JSON keeps each field's type: text that reads as a number stays text,
     # and a float field stays a number whatever its digits look like
@@ -234,6 +326,17 @@ class TestPressure:
         pot.write_text(json.dumps({"values": {"0": 0.0}}))
         assert main(["pressure", "--input", gms_file, "--potential", str(pot), "--n", "4"]) == 1
 
+    def test_potential_column_is_quoted_csv(self, capsys, tmp_path, gms_file):
+        pot = tmp_path / "p.json"
+        pot.write_text(json.dumps({"values": {"0": 0.0, "1": 1.0}}))
+        code, out, _ = run_cli(capsys, "pressure", "--input", gms_file, "--potential", str(pot),
+                               "--n", "3")
+        assert code == 0
+        assert out == (
+            "n,Asp_n,Asp_n_rounded,P_classical,P_classical_rounded,coeffs_spec,potential,"
+            "provenance\n"
+            '3,0.54567981647,0.546,0.798799257084,0.799,uniform,"{""0"":0.0,""1"":1.0}",\n')
+
 
 class TestMarkov:
     def test_family_series_row(self, capsys):
@@ -310,6 +413,17 @@ class TestMarkov:
                      "--output", str(surface)]) == 0
         rows = parse_csv(surface.read_text())
         assert [r["h_mu"] for r in rows if r["p00"] in ("0.0", "1.0")] == ["0", "0"]
+
+    def test_input_path_with_comma_and_quotes_is_quoted_csv(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / 'two,"parts".json').write_text(json.dumps({"P": [[0.5, 0.5], [0.5, 0.5]]}))
+        code, out, _ = run_cli(capsys, "markov", "--input", 'two,"parts".json', "--terms", "3")
+        assert code == 0
+        assert out == (
+            "source,h_mu,h_mu_rounded,asc_mu,asc_mu_rounded,int_mu,int_mu_rounded,method,n_or_K,"
+            "tail_bound,tail_bound_rounded,stderr,stderr_rounded,provenance\n"
+            '"two,""parts"".json",0.69314718056,0.693,0.303251891495,0.303,-0.08664339757,'
+            "-0.087,series,3,0.08664339757,0.087,,,\n")
 
     def test_exactly_one_source(self, capsys):
         assert main(["markov", "--family", "gms-1step", "--param", "0.5", "--input", "x.json"]) == 1
@@ -534,11 +648,10 @@ def test_provenance_lookup_matches_registry_scan():
 def test_readme_flags_line_names_every_option():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     documented = set(re.findall(r"--[a-z][a-z-]*", re.search(r"Flags: `([^`]*)`", readme)[1]))
-    (subcommands,) = [a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction)]
+    _, commands = build_parsers()
     registered = {
         opt
-        for sub in subcommands.choices.values()
+        for sub, _ in commands.values()
         for action in sub._actions
         for opt in action.option_strings
         if opt.startswith("--") and opt != "--help"

@@ -739,3 +739,13 @@ class TestMeasureValidation:
         )
         assert m.block_len == 2
         assert m.states == ((0, 0), (0, 1), (1, 0))
+
+    def test_caller_arrays_stay_writable_and_the_measure_keeps_its_own(self):
+        P = np.array([[0.5, 0.5], [0.25, 0.75]])
+        p = np.array([1 / 3, 2 / 3])
+        m = MarkovMeasure.one_step(P, p)
+        P[0, 0], p[0] = 0.4, 0.0
+        assert m.P[0, 0] == 0.5 and m.p[0] == 1 / 3
+        for frozen in (m.P, m.p):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 0.0

@@ -348,3 +348,23 @@ class TestCountProperties:
             Ag = np.linalg.matrix_power(s.adjacency, g)
             assert np.array_equal(R[g - 1], (Ag > 0).astype(int))
         assert s.reach_powers(0).shape == (0, s.alphabet_size, s.alphabet_size)
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]],
+         [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+         [[1, 1], [0, 1]]],
+        ids=["primitive-exponent-10", "3-cycle", "reducible"],
+    )
+    def test_reach_powers_stop_at_saturation_exactly(self, adjacency):
+        # every product of a loop with no early stop, against the stack that
+        # stops multiplying at the first all-ones gap
+        s = Sft(adjacency)
+        A = s.adjacency
+        ref = [A]
+        for _ in range(29):
+            ref.append(((ref[-1] @ A) > 0).astype(np.int64))
+        for count in range(31):
+            R = s.reach_powers(count)
+            assert R.dtype == np.int64
+            assert np.array_equal(R, np.array(ref[:count]).reshape(count, *A.shape))
