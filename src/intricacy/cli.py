@@ -24,10 +24,9 @@ import sys
 
 from .benchmarks import provenance_for_adjacency, provenance_for_markov
 from .coeffs import parse_coeffs
-from .errors import CapExceeded
+from .errors import CapExceeded, FieldTypeError
 from .markov import MarkovMeasure, asc_finite, asc_series_markov, monte_carlo_asc
 from .pressure import Potential, asp_profile, classical_pressure
-from .properties import run_suites
 from .sft import Sft
 from .sweep import builtin_family, family_from_dict, maximize, scan
 from .topo import finite_profile
@@ -104,7 +103,8 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
 
 def _load_json(path: str, build):
     """build(document) for the JSON object in the file at path.  Any other
-    document, or one that lacks a key, is bad input that names the file."""
+    document, or one that lacks a key or holds one of the wrong type, is
+    bad input that names the file."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -113,6 +113,8 @@ def _load_json(path: str, build):
         return build(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
+    except FieldTypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(rows: list[dict], float_fields: list[str], fmt: str, path: str | None,
@@ -321,6 +323,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # imported here: no other subcommand needs the suites, and start-up
+    # would pay for compiling them
+    from .properties import run_suites
+
     reports = run_suites(args.suite, args.max_n)
     failed = False
     for rep in reports:

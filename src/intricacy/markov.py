@@ -15,7 +15,8 @@ import numpy as np
 
 from ._masks import _placed_sums, size_sums
 from .coeffs import CoefficientSystem, SymmetricMeasure
-from .errors import CapExceeded
+from .errors import (CapExceeded, are_numbers, is_int, is_matrix, is_word, list_of, optional,
+                     read_field)
 from .sft import Sft, _as_subset
 
 __all__ = [
@@ -110,25 +111,34 @@ def _stationary_stack(P: np.ndarray, codes=None, states=None) -> tuple[np.ndarra
     batched SVD and solve of P^T - I with its last row set to 1^T.  That
     system is singular exactly when p is not unique (the rows of P^T - I
     sum to 0; 1^T p = 1 keeps 1^T out of their span); from condition 1e10
-    (p off by about 1e-6) a chain is refused, with no warning."""
+    (p off by about 1e-6) a chain is refused, with no warning.  Chains are
+    gathered out of the stack, and their vectors scattered back, only when
+    some chain is refused."""
     reasons = _refusals(P, codes, states)
     G, d = P.shape[:2]
-    idx = np.flatnonzero([r is None for r in reasons])
-    A = P[idx].transpose(0, 2, 1) - np.eye(d)
+    every = reasons.count(None) == G
+    idx = np.arange(G) if every else np.flatnonzero([r is None for r in reasons])
+    A = (P if every else P[idx]).transpose(0, 2, 1) - np.eye(d)
     A[:, -1] = 1.0
     sv = np.linalg.svd(A, compute_uv=False)
     unique = sv[:, -1] > 1e-10 * sv[:, 0]
-    for g in idx[~unique]:
-        reasons[g] = "stationary vector is not unique or is ill-conditioned; supply p explicitly"
-    idx, A = idx[unique], A[unique]
-    b = np.broadcast_to(np.eye(d)[:, -1:], (len(A), d, 1))  # e_d, one per chain
+    if not unique.all():
+        for g in idx[~unique]:
+            reasons[g] = ("stationary vector is not unique or is ill-conditioned; "
+                          "supply p explicitly")
+        idx, A, every = idx[unique], A[unique], False
+    b = np.zeros((len(A), d, 1))  # e_d, one per chain
+    b[:, -1] = 1.0
     try:
         x = np.clip(np.linalg.solve(A, b)[..., 0], 0.0, None)
     except np.linalg.LinAlgError as exc:
         # unreachable below condition 1e10: A is then nonsingular
         raise ValueError(f"stationary solve failed: singular matrix ({exc})") from exc
+    x /= x.sum(axis=1, keepdims=True)
+    if every:
+        return x, reasons
     p = np.zeros((G, d))
-    p[idx] = x / x.sum(axis=1, keepdims=True)
+    p[idx] = x
     return p, reasons
 
 
@@ -193,6 +203,9 @@ class MarkovMeasure:
         # _start[a, j] = 1 when state j begins with base symbol a
         self._start = np.eye(self.alphabet_size)[[v[0] for v in states]].T.copy()
         self._end = _end_matrix(states, self.alphabet_size)
+        # the longest stacks of powers and gap entropies computed so far
+        self._power_stack = np.empty((0, *P.shape))
+        self._gap_stack = np.empty(0)
 
     @classmethod
     def one_step(cls, P, p=None, support: Sft | None = None) -> "MarkovMeasure":
@@ -202,13 +215,25 @@ class MarkovMeasure:
     def from_dict(cls, d: dict, support: Sft | None = None) -> "MarkovMeasure":
         """Input schema: {"block_len": 1, "P": [[...]], "p": optional} or
         {"block_len": k, "states": ["00", "01", ...], "P": [[...]]}."""
-        k = int(d.get("block_len", 1))
-        states = None if k == 1 else d.get("states")
-        return cls(d["P"], d.get("p"), states=states, block_len=k, support=support)
+        k = read_field(d, "block_len", is_int, "an integer", 1)
+        states = read_field(d, "states", optional(list_of(is_word)), "a list of states", None)
+        P = read_field(d, "P", is_matrix, "a matrix of numbers")
+        p = read_field(d, "p", optional(lambda v: isinstance(v, list) and are_numbers(v)),
+                       "a list of numbers", None)
+        return cls(P, p, states=None if k == 1 else states, block_len=k, support=support)
 
     def powers(self, count: int) -> np.ndarray:
-        """Stack of P^1..P^count, each the previous one times P."""
-        return _powers(self.P[None], count)[0]
+        """Stack of P^1..P^count, each the previous one times P: a read-only
+        slice of the longest stack this measure has computed, which a
+        longer call extends, so no power is computed twice."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        Q = self._power_stack
+        if count > len(Q):
+            Q = _powers(self.P[None], count, Q[None])[0]
+            Q.setflags(write=False)
+            self._power_stack = Q
+        return Q[:count]
 
     def __repr__(self) -> str:
         return f"MarkovMeasure(block_len={self.block_len}, states={len(self.states)})"
@@ -241,24 +266,33 @@ class SampledEntropyResult:
     h: float
 
 
-def _powers(P: np.ndarray, count: int) -> np.ndarray:
-    # (G, count, d, d): P^1..P^count of each matrix of a stack, each the last times P
+def _powers(P: np.ndarray, count: int, head: np.ndarray | None = None) -> np.ndarray:
+    # (G, count, d, d): P^1..P^count of each matrix of a stack, each the last
+    # times P, after ``head``, the first powers when they are known
     Q = np.empty((len(P), count, *P.shape[1:]))
-    for i in range(count):
-        Q[:, i] = P if i == 0 else Q[:, i - 1] @ P
+    known = 0
+    if head is not None:
+        known = head.shape[1]
+        Q[:, :known] = head
+    for i in range(known, count):
+        if i == 0:
+            Q[:, 0] = P
+        else:
+            np.matmul(Q[:, i - 1], P, out=Q[:, i])
     return Q
 
 
-def _gap_entropy_stack(P: np.ndarray, p: np.ndarray, end: np.ndarray, count: int) -> np.ndarray:
-    # (G, count): gap_entropies of each chain of a stack
-    return -(p[:, None, :, None] * _xlogx(_powers(P, count) @ end)).sum(axis=(2, 3))
+def _gap_entropy_stack(Q: np.ndarray, p: np.ndarray, end: np.ndarray) -> np.ndarray:
+    # (G, count): the gap entropies of each chain of a stack from its powers Q
+    return -(p[:, None, :, None] * _xlogx(Q @ end)).sum(axis=(2, 3))
 
 
-def _series_stack(P, p, end, terms: int) -> tuple[np.ndarray, np.ndarray]:
+def _series_stack(P, p, gaps) -> tuple[np.ndarray, np.ndarray]:
     """Entropy rates and series asc (``asc_series_markov``, summed in the
-    same order) of a stack of chains with stationary vectors p."""
+    same order) of a stack of chains with stationary vectors p and gap
+    entropies ``gaps`` (G, terms)."""
     # running sums in gap order; + 0.0 turns the -0.0 of an all-zero sum to 0.0
-    asc = (_gap_entropy_stack(P, p, end, terms) / 2.0 ** np.arange(1, terms + 1)).cumsum(axis=1)
+    asc = (gaps / 2.0 ** np.arange(1, gaps.shape[1] + 1)).cumsum(axis=1)
     return -(p[:, :, None] * _xlogx(P)).sum(axis=(1, 2)) + 0.0, (asc[:, -1] + 0.0) / 2.0
 
 
@@ -272,10 +306,20 @@ def gap_entropies(m: MarkovMeasure, count: int) -> np.ndarray:
     """Conditional entropies of the base symbol at gap i given the state
     at time 0, in nats, for i = 1..count: for a plain chain
     -sum_{j,k} p_j (P^i)_jk log (P^i)_jk; for 2-block chains each i-step
-    matrix is first collapsed onto the final symbol of the target block."""
+    matrix is first collapsed onto the final symbol of the target block.
+    A read-only slice of the longest stack the measure has computed; a
+    longer call extends it from ``MarkovMeasure.powers``."""
     if m.block_len > 2:
         raise ValueError("gap entropies support block_len 1 and 2")
-    return _gap_entropy_stack(m.P[None], m.p[None], m._end, count)[0]
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    hs = m._gap_stack
+    if count > len(hs):
+        Q = m.powers(count)[len(hs):]
+        hs = np.concatenate((hs, _gap_entropy_stack(Q[None], m.p[None], m._end)[0]))
+        hs.setflags(write=False)
+        m._gap_stack = hs
+    return hs[:count]
 
 
 def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSeries:
@@ -287,7 +331,8 @@ def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSer
         raise ValueError("terms must be >= 1")
     if m.block_len not in (1, 2):
         raise ValueError("series supports block_len 1 and 2; recode higher blocks")
-    h, asc = (float(x[0]) for x in _series_stack(m.P[None], m.p[None], m._end, terms))
+    gaps = gap_entropies(m, terms)
+    h, asc = (float(x[0]) for x in _series_stack(m.P[None], m.p[None], gaps[None]))
     tail = math.log(m.alphabet_size) / 2.0**terms
     return MarkovSeries(asc, 2.0 * asc - h, tail, terms, h)
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from ._masks import check_table_window
 from .coeffs import CoefficientSystem
+from .errors import are_numbers, read_field
 from .sft import Sft, _as_subset, log_spectral_radius
 from .topo import _count_sums
 
@@ -32,7 +33,8 @@ class Potential:
     @classmethod
     def from_dict(cls, d: dict) -> "Potential":
         """Input schema: {"values": {"0": 0.0, "1": 1.0, ...}}."""
-        table = d["values"]
+        table = read_field(d, "values", lambda v: isinstance(v, dict) and are_numbers(v.values()),
+                           "an object of numbers")
         return cls(tuple(sorted((int(k), float(v)) for k, v in table.items())))
 
     @classmethod

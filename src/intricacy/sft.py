@@ -18,7 +18,7 @@ from itertools import compress
 import numpy as np
 
 from .coeffs import HORIZON
-from .errors import CapExceeded
+from .errors import CapExceeded, is_int, is_word, list_of, read_field
 
 __all__ = ["SubsetSpec", "Sft", "DEFAULT_ORACLE_CAP", "log_spectral_radius"]
 
@@ -255,13 +255,14 @@ class Sft:
         of adjacency / forbidden_words."""
         if ("adjacency" in d) == ("forbidden_words" in d):
             raise ValueError("exactly one of adjacency/forbidden_words required")
-        r = int(d["alphabet_size"])
+        r = read_field(d, "alphabet_size", is_int, "an integer")
         if "adjacency" in d:
-            M = np.asarray(d["adjacency"])
+            M = np.asarray(d["adjacency"])  # the constructor checks every entry
             if M.shape != (r, r):
                 raise ValueError("adjacency shape disagrees with alphabet_size")
             return cls(M)
-        return cls.from_forbidden_words(r, d["forbidden_words"])
+        words = read_field(d, "forbidden_words", list_of(is_word), "a list of words")
+        return cls.from_forbidden_words(r, words)
 
     # -- reachability ----------------------------------------------------
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intricacy import properties
+from intricacy import markov, properties
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
 from intricacy.cli import _emit, build_parsers, main
 from intricacy.properties import SUITES, PropertyReport, run_suites
@@ -236,6 +236,41 @@ class TestInputDocuments:
         assert (code, out) == (1, "")
         assert err == f"intricacy: bad input: doc.json: missing key '{key}'\n"
 
+    @pytest.mark.parametrize("flag,document,key,expected,kind", [
+        ("topo --input", {"alphabet_size": [2], "forbidden_words": ["11"]}, "alphabet_size",
+         "an integer", "list"),
+        # a string would read as the one-symbol words "1" and "1"
+        ("topo --input", {"alphabet_size": 2, "forbidden_words": "11"}, "forbidden_words",
+         "a list of words", "str"),
+        ("pressure --input", {"alphabet_size": "2", "adjacency": [[1, 1], [1, 0]]},
+         "alphabet_size", "an integer", "str"),
+        ("pressure --potential", {"values": [0, 1]}, "values", "an object of numbers", "list"),
+        ("markov --input", {"block_len": [1], "P": [[0.5, 0.5], [0.5, 0.5]]}, "block_len",
+         "an integer", "list"),
+        ("sweep --input", {"params": "a", "box": {"a": [0, 1]},
+                           "template": [["a", "rest"], [1, 0]]}, "params", "a list of names",
+         "str"),
+    ], ids=["topo-alphabet-size", "topo-forbidden-words", "pressure-alphabet-size",
+            "pressure-potential", "markov-block-len", "sweep-params"])
+    def test_field_of_the_wrong_type_is_named_with_its_file(self, capsys, flag, document, key,
+                                                           expected, kind):
+        with open("doc.json", "w") as fh:
+            json.dump(document, fh)
+        code, out, err = run_cli(capsys, *self.FLAGS[flag]("doc.json"))
+        assert (code, out) == (1, "")
+        assert err == (f"intricacy: bad input: doc.json: key '{key}' must be {expected}, "
+                       f"got {kind}\n")
+
+    @pytest.mark.parametrize("flag,document", [
+        ("markov --input", {"P": [[0.5, 0.5], [0.5, 0.5]], "p": None, "states": None}),
+        ("sweep --input", {"params": ["a"], "box": {"a": [0, 1]}, "states": None,
+                           "template": [["a", "rest"], [1, 0]]}),
+    ])
+    def test_null_optional_field_reads_as_absent(self, capsys, flag, document):
+        with open("doc.json", "w") as fh:
+            json.dump(document, fh)
+        assert run_cli(capsys, *self.FLAGS[flag]("doc.json"))[0] == 0
+
 
 class TestJsonTypes:
     # JSON keeps each field's type: text that reads as a number stays text,
@@ -351,6 +386,26 @@ class TestMarkov:
         assert row["int_mu_rounded"] == "0.051"
         assert row["provenance"] == "gms-1step/a"
         assert row["n_or_K"] == "20"
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "full2-1step", "--param", "0.3", "--param", "0.6", "--n", "12"],
+        ["--family", "gms-2step", "--param", "0.4", "--param", "0.7", "--n", "6"],
+    ], ids=["1-step", "2-block"])
+    def test_one_walk_of_powers_per_request(self, capsys, monkeypatch, argv):
+        # series, finite and Monte Carlo rows read one stack: each power is
+        # computed once, P^1 first, each walk going on where the last stopped
+        walks = []
+
+        def spy(P, count, head=None):
+            walks.append((0 if head is None else head.shape[1], count))
+            return real(P, count, head)
+
+        real = markov._powers
+        monkeypatch.setattr(markov, "_powers", spy)
+        code, out, _ = run_cli(capsys, "markov", *argv, "--samples", "30", "--seed", "5")
+        assert code == 0 and len(parse_csv(out)) == 3
+        assert walks[0][0] == 0 and all(a[1] == b[0] for a, b in zip(walks, walks[1:]))
+        assert walks[0][1] == 20  # the series' terms
 
     def test_finite_and_mc_rows(self, capsys):
         code, out, _ = run_cli(
@@ -657,6 +712,16 @@ def test_readme_flags_line_names_every_option():
         if opt.startswith("--") and opt != "--help"
     }
     assert documented == registered
+
+
+def test_cli_import_leaves_the_property_suites_out():
+    # only ``check`` runs them, so no other request pays for compiling them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, intricacy.cli; print('intricacy.properties' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "False\n"
 
 
 def test_cli_import_loads_no_scipy():

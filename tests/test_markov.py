@@ -113,6 +113,48 @@ class TestStationary:
         assert reasons[:3] == [None] * 3 and "not unique" in reasons[3]
         np.testing.assert_allclose(np.einsum("gi,gij->gj", p[:3], P[:3]), p[:3], atol=1e-15)
 
+    @staticmethod
+    def gathered(P):
+        # the solve with the accepted chains always gathered out of the
+        # stack and scattered back, and e_d taken from the identity
+        reasons = markov._refusals(P)
+        G, d = P.shape[:2]
+        idx = np.flatnonzero([r is None for r in reasons])
+        A = P[idx].transpose(0, 2, 1) - np.eye(d)
+        A[:, -1] = 1.0
+        sv = np.linalg.svd(A, compute_uv=False)
+        unique = sv[:, -1] > 1e-10 * sv[:, 0]
+        for g in idx[~unique]:
+            reasons[g] = ("stationary vector is not unique or is ill-conditioned; "
+                          "supply p explicitly")
+        idx, A = idx[unique], A[unique]
+        b = np.broadcast_to(np.eye(d)[:, -1:], (len(A), d, 1))
+        x = np.clip(np.linalg.solve(A, b)[..., 0], 0.0, None)
+        p = np.zeros((G, d))
+        p[idx] = x / x.sum(axis=1, keepdims=True)
+        return p, reasons
+
+    @pytest.mark.parametrize("mix", ["accepted", "refused", "not-unique", "mixed"])
+    def test_stack_matches_the_gathered_solve_bit_for_bit(self, mix):
+        rng = np.random.Generator(np.random.PCG64(17))
+        P = rng.uniform(0.05, 1.0, size=(24, 3, 3))
+        P /= P.sum(axis=2, keepdims=True)
+        kinds = {"accepted": [0], "refused": [1, 2, 3], "not-unique": [4],
+                 "mixed": [0, 1, 2, 3, 4]}[mix]
+        for g, kind in enumerate(np.resize(kinds, len(P))):
+            if kind == 1:
+                P[g, 0, 0] = np.nan
+            elif kind == 2:
+                P[g, 1] = [1.2, -0.1, -0.1]
+            elif kind == 3:
+                P[g, 2] *= 1.5
+            elif kind == 4:
+                P[g] = np.eye(3)
+        p, reasons = markov._stationary_stack(P)
+        want_p, want_reasons = self.gathered(P)
+        assert reasons == want_reasons
+        assert [x.hex() for x in p.ravel()] == [x.hex() for x in want_p.ravel()]
+
     def test_fixed_by_chain(self):
         rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(5):
@@ -205,6 +247,33 @@ class TestGapConditionalEntropy:
             want.append(float(-(m.p[:, None] * xlogx).sum()))
             Q = Q @ m.P
         assert gap_entropies(m, 12).tolist() == want
+
+    @pytest.mark.parametrize("make", [gms_one_step, lambda: gms_two_step(0.3, 0.8)],
+                             ids=["1-step", "2-block"])
+    def test_one_stack_serves_every_count(self, make, monkeypatch):
+        # each power is computed once; every call reads a read-only slice of
+        # the one stack, bit for bit what a fresh measure computes
+        walked = []
+
+        def spy(P, count, head=None):
+            walked.extend(range(0 if head is None else head.shape[1], count))
+            return real(P, count, head)
+
+        real = markov._powers
+        monkeypatch.setattr(markov, "_powers", spy)
+        m = make()
+        got = [gap_entropies(m, c).copy() for c in (5, 3, 12, 0, 9)]
+        powers = m.powers(12)
+        assert walked == list(range(12))
+        assert powers.tolist() == make().powers(12).tolist()
+        for c, hs in zip((5, 3, 12, 0, 9), got):
+            assert hs.tolist() == gap_entropies(make(), c).tolist()
+        for stack in (gap_entropies(m, 4), m.powers(4)):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 0.0
+        for call in (lambda: gap_entropies(m, -1), lambda: m.powers(-1)):
+            with pytest.raises(ValueError, match="count must be >= 0"):
+                call()
 
     @pytest.mark.parametrize("make", [gms_one_step, lambda: gms_two_step(0.3, 0.8)],
                              ids=["1-step", "2-block"])

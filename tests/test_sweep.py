@@ -167,9 +167,9 @@ class TestCustomFamily:
 
     @pytest.mark.parametrize(
         "box", [[0, math.nan], [0.8, 0.2], [0, math.inf], [-0.5, 0.5], [0, 2], [0.5], [0, 0.5, 1],
-                "01", 0.5],
+                "01", 0.5, [False, True]],
         ids=["nan", "reversed", "inf", "below-0", "above-1", "one-number", "three-numbers",
-             "string", "scalar"])
+             "string", "scalar", "booleans"])
     def test_bad_box_is_refused(self, box):
         bad = dict(self.GMS_JSON, box={"a": box})
         with pytest.raises(ValueError, match="box of 'a'"):
@@ -186,8 +186,10 @@ class TestCustomFamily:
         ({"template": [["a", "rest"], ["rest", 0.5, "rest"]]}, "row 1"),
         ({"template": [[0, 1], ["rest", "rest"]]}, "row 1 has more than one 'rest' marker"),
         ({"template": [["a", "rest"], ["b", "rest"]]}, r"cell \(1, 0\) 'b'"),
+        ({"template": [["a", "rest"], [True, 0]]}, r"cell \(1, 0\) True"),
         ({"block_len": 2}, "requires explicit states"),
-    ], ids=["short-row", "long-rows", "ragged", "two-rest", "undeclared", "block2-no-states"])
+    ], ids=["short-row", "long-rows", "ragged", "two-rest", "undeclared", "boolean",
+            "block2-no-states"])
     def test_malformed_template_is_refused_at_load(self, change, where):
         with pytest.raises(ValueError, match=where):
             family_from_dict(dict(self.GMS_JSON, **change))
@@ -259,7 +261,7 @@ class TestBatch:
         for theta, got in zip(thetas.tolist(), _evaluate(fam, thetas, 20)):
             assert isinstance(got, GridPoint), (theta, got)
             want = _per_point(name, theta)
-            assert max(abs(g - w) for g, w in zip((got.h, got.asc, got.intricacy), want)) <= 1e-13
+            assert (got.h, got.asc, got.intricacy) == want
 
     def test_results_do_not_depend_on_the_block(self, monkeypatch):
         fams = [builtin_family(n) for n in ("full2-1step", "gms-1step", "gms-2step")]
@@ -295,15 +297,36 @@ class TestBatch:
             assert reasons == want
             assert want[-1] is None and all(want[:-1])
 
+    @pytest.mark.parametrize("family,start,sizes", [
+        # the start, then rounds of whole step levels (2 polls per level in
+        # 1-D, 4 in 2-D) that end at 8 polls or at the last level >= 1e-5
+        ("gms-1step", [0.5], [1] + [8] * 7 + [6]),
+        ("gms-2step", [0.48, 0.57], [1] + [8] * 9 + [4]),
+    ], ids=["gms-1step", "gms-2step"])
+    def test_stacked_evaluations_of_a_maximize(self, monkeypatch, family, start, sizes):
+        calls = []
+
+        def spy(fam, thetas, terms):
+            calls.append(len(thetas))
+            return real(fam, thetas, terms)
+
+        real = sweep._evaluate
+        monkeypatch.setattr(sweep, "_evaluate", spy)
+        maximize(builtin_family(family), "asc", start)
+        assert calls == sizes
+
     @pytest.mark.parametrize("family,objective,start", [
         ("gms-1step", "int", [0.2]), ("gms-1step", "h", [0.0]), ("gms-2step", "asc", [0.5, 0.5]),
         ("gms-2step", "int", [0.0, 0.4]), ("full2-1step", "int", [0.1, 0.05]),
         ("full2-1step", "h", [1.0, 0.97]),
     ])
-    @pytest.mark.parametrize("budget", [3, 10, 500])
+    @pytest.mark.parametrize("budget", [3, 10, 500, "one short"])
     def test_maximize_equals_a_sequential_compass(self, monkeypatch, family, objective, start,
                                                  budget):
-        # the small budgets end the search part way through a round
-        monkeypatch.setattr(sweep, "_POLL_BUDGET", budget)
+        # the small budgets end the search part way through a round; one
+        # poll short of a converging search, it ends inside the last level
         fam = builtin_family(family)
+        if budget == "one short":
+            budget = maximize(fam, objective, start).iterations - 1
+        monkeypatch.setattr(sweep, "_POLL_BUDGET", budget)
         assert maximize(fam, objective, start) == _sequential_compass(fam, objective, start)
