@@ -234,20 +234,22 @@ def _cmd_markov(args) -> int:
     base = {"source": source, **params}
 
     rows = []
-    series = asc_series_markov(measure, args.terms)
-    rows.append(
-        {
-            **base,
-            "h_mu": series.h,
-            "asc_mu": series.asc,
-            "int_mu": series.intricacy,
-            "method": "series",
-            "n_or_K": args.terms,
-            "tail_bound": series.tail_bound,
-            "stderr": None,
-            "provenance": tag,
-        }
-    )
+    # the series takes block_len 1 and 2; longer chains print the other rows, if any
+    if measure.block_len <= 2 or not (args.n or args.samples > 0):
+        series = asc_series_markov(measure, args.terms)
+        rows.append(
+            {
+                **base,
+                "h_mu": series.h,
+                "asc_mu": series.asc,
+                "int_mu": series.intricacy,
+                "method": "series",
+                "n_or_K": args.terms,
+                "tail_bound": series.tail_bound,
+                "stderr": None,
+                "provenance": tag,
+            }
+        )
     for n in args.n or ():
         fin = asc_finite(measure, coeffs, n)
         rows.append(

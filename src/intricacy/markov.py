@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import _placed_sums, size_sums
+from ._masks import moment_tables, shape_sums
 from .coeffs import CoefficientSystem, SymmetricMeasure
 from .errors import (CapExceeded, are_numbers, is_int, is_matrix, is_word, list_of, optional,
                      read_field)
@@ -471,14 +471,13 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
     window, divided by n.  Capped at n = 20 for plain chains and n = 12
     for block chains.
 
+    Each average is one dot product of shape sums with a moment table.
     For a plain chain the joint entropy at S is |S| H(p) less H(p) - h_g
-    per consecutive gap g of S (h_g the gap entropy): a term per element,
-    a shape of span 0, and one per pair of consecutive elements, a shape
-    of span g with 2 elements, each placed in the window with no other
-    element inside its span (``_placed_sums`` with no cluster, kappa = 0),
-    O(n^2) with no table.  A block chain sums by subset size the joint
-    entropies at the 2^(n-1) canonical masks 2i+1 (every joint entropy is
-    that of a translate containing 0), one ``_joint_entropies`` pass."""
+    per consecutive gap g of S (h_g the gap entropy): a shape of span 0
+    per element and one of span g and 2 elements per consecutive pair,
+    kappa = 0, O(n^2) with no table.  A block chain bins the joint
+    entropies at the 2^(n-1) canonical masks 2i+1 (one
+    ``_joint_entropies`` pass) by top and size, kappa = n - 1."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     cap = 20 if m.block_len == 1 else 12
@@ -488,14 +487,18 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
         # phi[span, size], one column past the window so a window of 1 has a size-2 column
         phi = np.zeros((n, n + 2))
         phi[0, 1] = H = _entropy(m.p)
-        phi[1:, 2] = gap_entropies(m, n - 1) - H
-        every = _placed_sums(phi[:, : n + 1], n, 0)[0]
+        hs = gap_entropies(m, n - 1)
+        phi[1:, 2] = hs - H
+        phi, kappa = phi[:, : n + 1], 0
+        # the full window: H(p) and n - 1 gaps of 1
+        h_full = H + (n - 1) * float(hs[0]) if n > 1 else H
     else:
         canonical = (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
-        every = size_sums(_joint_entropies(m, canonical), n)[0]
-    total = float(np.asarray(coeffs.weights_row(n)) @ every)
-    # the full window is the one n-subset; intricacy = 2 asc - h
-    h_full = float(every[n])
+        phi, kappa = shape_sums(_joint_entropies(m, canonical), n), n - 1
+        # the full window is the one shape of span n - 1 and size n
+        h_full = float(phi[n - 1, n])
+    total = float(np.vdot(phi, moment_tables(coeffs, n, kappa)[0]))
+    # intricacy = 2 asc - h
     return SampledEntropyResult(n, total / n, (2.0 * total - h_full) / n, h_full / n)
 
 
@@ -572,4 +575,5 @@ def recode_higher_block(conditionals: dict, sft: Sft) -> MarkovMeasure:
             if succ not in index or not sft.adjacency[label_index[s[-1]], label_index[a]]:
                 raise ValueError(f"positive probability on forbidden transition {s} -> {a}")
             P[index[s], index[succ]] = q
-    return MarkovMeasure(P, states=states, block_len=k, alphabet_size=sft.alphabet_size)
+    # the labels need not be 0..r-1: forbidding "1" of 3 symbols leaves 0 and 2
+    return MarkovMeasure(P, states=states, block_len=k, alphabet_size=max(sft.symbol_labels) + 1)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import check_table_window
+from ._masks import check_table_window, moment_tables
 from .coeffs import CoefficientSystem
 from .errors import are_numbers, read_field
 from .sft import Sft, _as_subset, log_spectral_radius
@@ -80,22 +80,23 @@ def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> fl
     finite_profile bit for bit.  n is at most ``_masks.MAX_TABLE_BITS``
     (23); wider windows raise CapExceeded.
 
-    The per-size sums come from ``topo._count_sums``, the kernel choice
-    of the pattern counts, with the symbol weights exp(f - max f): every
+    The shape sums come from ``topo._count_sums``, the kernel choice of
+    the pattern counts, with the symbol weights exp(f - max f): every
     weight is at most 1, so no product overflows, and since each pattern
     at S carries |S| symbols, max f * E|S| / n = max f / 2 is added back.
     On a shift with a positive square the sums come from one log-domain walk
     (``Sft.log_word_weights``), so potentials of any size or spread are
     exact.  Other shifts reduce a table of weighted counts, where a spread
-    past about 708 can underflow a subset's shifted count to 0; that is
-    refused as a ValueError naming the spread."""
+    past about 708 can underflow a subset's shifted count to 0, a -inf
+    shape sum; that is refused as a ValueError naming the spread."""
     check_table_window(n)
     lw = f.log_weights(sft)
-    c = np.asarray(coeffs.weights_row(n))
     top = float(lw.max())
-    every = _count_sums(sft, n, 0, log_weights=lw - top)[0]
-    # E|S| / n = 1/2 exactly: every weighting system is symmetric
-    value = float(c @ every) / n + top / 2
+    phi, kappa = _count_sums(sft, n, 0, log_weights=lw - top)[:2]
+    W = moment_tables(coeffs, n, kappa)[0]
+    # E|S| / n = 1/2 exactly: every weighting system is symmetric.  A count
+    # of 0 makes the average -inf, where the dot product could take -inf * 0
+    value = float(np.vdot(phi, W)) / n + top / 2 if np.isfinite(phi).all() else -math.inf
     if not math.isfinite(value):
         spread = top - float(lw.min())
         raise ValueError(

@@ -90,6 +90,33 @@ def _close(a, b) -> bool:
 
 
 @functools.cache
+def _size_placements(n: int, kappa: int) -> np.ndarray:
+    """The reference placement of shape sums (``_masks``), from
+    ``math.comb`` alone: [0, s, i] counts the ways to place a cluster of
+    span s in a window of n positions and pick i more elements of S, none
+    within kappa of it; [1, s, i] those whose S holds 0, the window's
+    less those of the window {1..n-1}.  Exact integers; read-only."""
+    def ways(d: int, i: int) -> int:  # d positions outside the span
+        return sum(math.comb(d - min(a, kappa) - min(d - a, kappa), i) for a in range(d + 1))
+
+    P = np.array([[[ways(n - 1 - s, i), ways(n - 1 - s, i) - ways(n - 2 - s, i)]
+                   for i in range(n + 1)] for s in range(n)], dtype=float).transpose(2, 0, 1)
+    P.setflags(write=False)
+    return P
+
+
+def _per_size_sums(phi: np.ndarray, n: int, kappa: int) -> np.ndarray:
+    """[every, with_zero]: the sums of v(S) over the k-subsets of the
+    window, k = 0..n, and over those that hold 0, from the shape sums phi
+    of v placed by ``_size_placements``.  A symmetric weighting system
+    cannot see an error that is antisymmetric in |S|; these sums can."""
+    # [j, i] of phi^T P sums the shapes of j elements with i more; k = j + i
+    k = np.add.outer(np.arange(n + 1), np.arange(n + 1)).ravel()
+    return np.array([np.bincount(k, (phi.T @ P).ravel())[: n + 1]
+                     for P in _size_placements(n, kappa)])
+
+
+@functools.cache
 def _dedup_sfts() -> tuple[tuple[str, Sft], ...]:
     # built once per process: an Sft is immutable
     out = [("full-2-shift", Sft.full_shift(2)), ("golden-mean", Sft.golden_mean())]
@@ -119,7 +146,7 @@ _PROFILE_SYSTEMS = {"subadd": (_UNIFORM, _NEURAL, _PSYM), "acc": (_UNIFORM,),
 def _profiles(sft: Sft, systems, n: int) -> list[ComplexityProfile]:
     """finite_profiles(sft, systems, n).  In a run_suites call with more
     than one profile suite the first request for (sft, n) takes every
-    system of those suites, from one set of per-size sums, and later ones
+    system of those suites, from one set of shape sums, and later ones
     reuse them."""
     memo = _SHARED.get()
     if memo is None or "systems" not in memo:
@@ -365,7 +392,8 @@ def check_count_oracle(n_max: int = 8) -> PropertyReport:
         for k, n, v in cases:
             size = popcounts(n)
             got = np.hstack([np.bincount(size, v, n + 1), np.bincount(size[1::2], v[1::2], n + 1)])
-            want = np.hstack(_count_sums(sft, n, k)[:2])
+            phi, kappa = _count_sums(sft, n, k)[:2]
+            want = _per_size_sums(phi, n, kappa).ravel()
             ok = _close(got, want)
             rep.check(ok, "" if ok else f"{name}: per-size sums of log N at block_k {k} off the "
                       f"production kernel by up to {np.max(np.abs(got - want)):.3g}")
@@ -558,9 +586,10 @@ def _random_primitive_sfts(count: int = 3) -> tuple[Sft, ...]:
 def check_run_kernels(n_max: int = 16) -> PropertyReport:
     """The table-free kernels against the tables they replace, and the
     split table against the unsplit one, to 1e-12 relative (absolute
-    below 1), at n = min(n_max, 23).  Each case compares the per-size sums
-    behind finite_profile and asp_profile (all sizes, with and without 0,
-    the full window and the uniform alt) with block_k 0, 2 and 5.
+    below 1), at n = min(n_max, 23).  Each case compares the shape sums
+    behind finite_profile and asp_profile, placed by size with the
+    reference placement (``_per_size_sums``: all sizes, with and without
+    0), the full window and the uniform alt, with block_k 0, 2 and 5.
 
     - On every published shift with a positive square, the run kernel
       against the table with no split (D = n): split at D = 2 the table
@@ -583,6 +612,10 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
     def unsplit(*args):
         return _table_sums(*args, split=False)
 
+    def route_sums(route, sft, n, block_k, lw):
+        phi, kappa, log_full, alt = route(sft, n, block_k, True, lw)
+        return np.hstack([*_per_size_sums(phi, n, kappa), log_full, alt])
+
     n = min(n_max, MAX_TABLE_BITS)
     # one entry per matrix; the pressure pairs come last and keep their tags
     published = [(b.tag, Sft(np.asarray(b.adjacency)), b.asp10_f1 is not None)
@@ -599,7 +632,7 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
             cases.append((0, f))
         for block_k, lw in cases:
             # every, with_zero, log N(window) and alt in one vector per route
-            a, b = (np.hstack(sums(sft, n, block_k, True, lw)) for sums in (fast, unsplit))
+            a, b = (route_sums(route, sft, n, block_k, lw) for route in (fast, unsplit))
             ok = _close(a, b)
             what = f"block_k={block_k}" + ("" if lw is None else ", weighted")
             rep.check(ok, "" if ok else f"{tag}, n={n}, {what}: {what_fast} {a} != unsplit {b}")

@@ -10,6 +10,7 @@ time, both by ``_evaluate``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import are_numbers, is_int, is_number, is_text, is_word, list_of, optional, read_field
+from .errors import (CapExceeded, are_numbers, is_int, is_number, is_text, is_word, list_of,
+                     optional, read_field)
 from .markov import (MarkovMeasure, _chain_states, _end_matrix, _gap_entropy_stack, _powers,
                      _series_stack, _stationary_stack, _transition_codes)
 
@@ -36,6 +38,8 @@ __all__ = [
 OBJECTIVES = ("h", "asc", "int")
 # grid points per stacked evaluation: bounds the memory a scan holds
 _BLOCK = 1024
+# most grid points a scan takes (about 470 B each, 120 MB): step 0.002 on a 2-D box fits
+_GRID_POINTS = 1 << 18
 # compass polls a maximize takes at most
 _POLL_BUDGET = 500
 # compass polls a maximize round holds at least, whole step levels at a
@@ -186,11 +190,6 @@ def builtin_family(name: str) -> MarkovFamily:
         raise ValueError(f"unknown family {name!r}; built-ins: {sorted(_BUILTINS)}") from None
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
-
-
 def _check_request(objective: str, terms: int) -> None:
     if terms < 10:
         raise ValueError("terms must be >= 10")
@@ -232,13 +231,17 @@ def scan(
     value of the requested objective, and collect strict local maxima on
     the grid graph (4-neighborhood in dimension 2).  Points where the
     family fails to build (e.g. no unique stationary vector) are skipped
-    and reported."""
+    and reported.  A grid of more than ``_GRID_POINTS`` points is refused
+    as a cap before any of it is built."""
     if not 0.0 < step <= 0.1:
         raise ValueError("step must be in (0, 0.1]")
     _check_request(objective, terms)
 
-    axes = [_axis(lo, hi, step) for lo, hi in family.box]
-    shape = tuple(len(a) for a in axes)
+    shape = tuple(int(round((hi - lo) / step)) + 1 for lo, hi in family.box)
+    if math.prod(shape) > _GRID_POINTS:
+        raise CapExceeded(f"step {step:g} gives {math.prod(shape)} grid points, "
+                          f"more than the {_GRID_POINTS} a scan takes")
+    axes = [np.linspace(lo, hi, count) for (lo, hi), count in zip(family.box, shape)]
     thetas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     results = [res for lo in range(0, len(thetas), _BLOCK)
                for res in _evaluate(family, thetas[lo:lo + _BLOCK], terms)]

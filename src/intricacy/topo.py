@@ -2,19 +2,19 @@
 subsets of a time window, the intricacy balance, and the closed-form
 series available when the adjacency matrix has a positive square.
 
-Two exact kernels give the per-size sums of the log pattern counts and
-log weighted counts; ``_count_sums`` picks one from the shift.  With a
+Two exact kernels give the shape sums of the log pattern counts and log
+weighted counts (``_masks``); ``_count_sums`` picks one from the shift,
+and each average is one dot product with a moment table.  With a
 positive square, every gap of 2 or more reaches every symbol, so the
-count at S factors over the clusters of S and the sums take O(n^3)
-steps (``_masks.cluster_size_sums``).  Every other shift reduces counts
-at canonical subsets, holding at most 2^(LEFT_BITS-1) row vectors at a
-time (``_masks.table_size_sums``).  On a primitive shift every gap from
-the split gap D on (``_split_gap``) reaches every symbol too, so past
-LEFT_BITS positions the table reduces only the cluster shapes, the
-canonical subsets whose gaps are all < D; a shift with no split, and
-any window of n <= LEFT_BITS, reduces all 2^(n-1).  The ``runs`` check
-suite compares the cluster sums and the split table against the table
-with no split.
+count at S factors over the clusters of S: O(n^2) with no table.  Every
+other shift reduces counts at canonical subsets, holding at most
+2^(LEFT_BITS-1) row vectors at a time (``_masks.table_shape_sums``).  On
+a primitive shift every gap from the split gap D on (``_split_gap``)
+reaches every symbol too, so past LEFT_BITS positions the table reduces
+only the cluster shapes, the canonical subsets whose gaps are all < D; a
+shift with no split, and any window of n <= LEFT_BITS, reduces all
+2^(n-1).  The ``runs`` check suite compares the cluster sums and the
+split table against the table with no split.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from ._masks import (
     _cluster_shapes,
     check_table_window,
     cluster_product_sum,
-    cluster_size_sums,
-    table_size_sums,
+    moment_tables,
+    table_shape_sums,
 )
 from .coeffs import HORIZON, CoefficientSystem
 from .errors import CapExceeded
@@ -144,30 +144,28 @@ def finite_profiles(
     block_k: int = 0,
 ) -> list[ComplexityProfile]:
     """``finite_profile`` under each of several weighting systems, in
-    order, from one set of per-size sums: the sums do not depend on the
-    weights, which only enter the dot products at the end.  Every system
-    weighs a subset as its complement and sums to 1 over the subsets, so
-    the intricacy is 2 asc - h."""
+    order, from one set of shape sums, each system's moment tables
+    entering only the dot products at the end.  The intricacy is 2 asc - h."""
     _check_window(n, block_k)
-    rows = [np.asarray(coeffs.weights_row(n)) for coeffs in systems]
     with_alt = any(coeffs.kind == "uniform" for coeffs in systems)
-    every, with_zero, log_full, alt = _count_sums(sft, n, block_k, with_alt)
+    phi, kappa, log_full, alt = _count_sums(sft, n, block_k, with_alt)
     profiles = []
-    for coeffs, c in zip(systems, rows):
-        total = float(c @ every)
+    for coeffs in systems:
+        W, W0 = moment_tables(coeffs, n, kappa)
+        total = float(np.vdot(phi, W))
         profiles.append(ComplexityProfile(
             n, block_k, log_full / n, total / n, (2.0 * total - log_full) / n,
-            float(c @ with_zero) / n, alt if coeffs.kind == "uniform" else None, coeffs.spec))
+            float(np.vdot(phi, W0)) / n, alt if coeffs.kind == "uniform" else None, coeffs.spec))
     return profiles
 
 
 def _count_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weights=None):
-    """(every, with_zero, log N(window), alt): the ``size_sums`` of log N(S)
-    over the subsets of {0..n-1}, and, when with_alt is set, alt = the
-    sum of N(S) under the uniform weights 2^-n, else None.  With
-    log_weights (block_k <= 1 only) a pattern weighs exp of the sum of
-    its symbols' weights.  The one choice of kernel: ``_run_sums``
-    (O(n^3)) for a shift with a positive square, else ``_table_sums``."""
+    """(phi, kappa, log N(window), alt): the shape sums of log N(S) with
+    clusters of gaps <= kappa (``_masks``), and, when with_alt is set,
+    alt = the sum of N(S) under the uniform weights 2^-n, else None.
+    With log_weights (block_k <= 1 only) a pattern weighs exp of the sum
+    of its symbols' weights.  The one choice of kernel: ``_run_sums``
+    for a shift with a positive square, else ``_table_sums``."""
     sums = _run_sums if sft.is_square_positive() else _table_sums
     return sums(sft, n, block_k, with_alt, log_weights)
 
@@ -175,24 +173,24 @@ def _count_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weig
 def _table_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weights=None,
                 split: bool = True):
     """``_count_sums`` from the counts at the canonical masks
-    (``_masks.table_size_sums``, which holds at most BLOCK_ENTRIES of them
+    (``_masks.table_shape_sums``, which holds at most BLOCK_ENTRIES of them
     at a time), split at ``_split_gap`` of the count matrices, or at n
     (no split) when split is False.  Windows of n <= LEFT_BITS take
     D = n, the split not looked for: on the table shifts it is 1.1-1.8x
     faster at n = 8..12 but slower at n <= 5, where small requests are.
-    A weighted count that underflows to 0 gives -inf sums."""
+    A weighted count that underflows to 0 gives a -inf shape sum."""
     init, mats = _count_mats(sft, n, block_k, log_weights)
     gap = _split_gap(init, mats) if split and n > LEFT_BITS else n
-    every, with_zero, log_full, total = table_size_sums(n, init, mats, gap, with_counts=with_alt)
+    phi, log_full, total = table_shape_sums(n, init, mats, gap, with_counts=with_alt)
     # uniform weights: every subset, the empty one included, weighs 2^-n
     alt = float(0.5**n * total) if with_alt else None
-    return every, with_zero, log_full, alt
+    return phi, gap - 1, log_full, alt
 
 
 def _split_gap(init: np.ndarray, gap_mats) -> int:
     """The smallest gap D >= 2 from which every gap matrix is
     outer(init, ones), so that a count factors over the clusters of gaps
-    < D (``_masks.table_size_sums``); n, one more than the widest gap,
+    < D (``_masks.table_shape_sums``); n, one more than the widest gap,
     when even that one is not.  The test is exact: the matrices hold 0/1
     reach times symbol weights, or integer path counts.  A primitive
     shift of exponent p has D = p for block_k <= 1 and k + p - 1 for
@@ -211,18 +209,19 @@ def _run_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weight
     apart read blocks that touch or overlap; wider gaps leave at least 2
     steps between the blocks, which reach every symbol.  So N(S) is the
     product over the clusters of S (maximal groups with gaps <= k) of the
-    weight of the words of length span + k, from one log-domain walk."""
+    weight of the words of length span + k, from one log-domain walk;
+    kappa = min(k, n - 1), as no gap of the window is wider."""
     k = max(block_k, 1)
+    kappa = min(k, n - 1)
     logs = sft.log_word_weights(n - 1 + k, log_weights)[k - 1 :]
-    every, with_zero = cluster_size_sums(logs, n, k)
+    shapes = _cluster_shapes(n, kappa)
     alt = None
     if with_alt:
         # uniform weights: every subset, the empty one included, weighs 2^-n;
         # every cluster shape of span s weighs the words of length s + k
-        shapes = _cluster_shapes(n, min(k, n - 1)).sum(axis=1).tolist()
-        weights = [count * math.exp(v) for count, v in zip(shapes, logs)]
+        weights = [count * math.exp(v) for count, v in zip(shapes.sum(axis=1).tolist(), logs)]
         alt = float(0.5**n * cluster_product_sum(weights, n, k))
-    return every, with_zero, float(logs[-1]), alt
+    return logs[:, None] * shapes, kappa, float(logs[-1]), alt
 
 
 def asc_series(sft: Sft, terms: int = 20) -> SeriesEstimate:
@@ -251,19 +250,20 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     a_n = lam_n + 2 a_{n-1} + 2^{n-2} sum_{k<=n-2} lam_k / 2^k,
     where a_n sums log N(S) over all S in the window and lam_k is the
     log count of full length-k words.  Both sides are evaluated
-    independently: a_n and a_{n-1} come from the per-size sums of the
-    table route with no split (``_table_sums`` at D = n, which holds no
-    whole table), not from the cluster factorization the recursion is
-    derived from: split at D = 2, as the shift's positive square allows,
-    the table would reduce the clusters.  n takes the table's window,
-    1..``_masks.MAX_TABLE_BITS``."""
+    independently: a_n = 2^n <phi, W_uniform> and a_{n-1} come from the
+    shape sums of the table route with no split (``_table_sums`` at
+    D = n, which holds no whole table), not from the cluster
+    factorization the recursion is derived from: split at D = 2, as the
+    shift's positive square allows, the table would reduce the clusters.
+    n takes the table's window, 1..``_masks.MAX_TABLE_BITS``."""
     check_table_window(n)
     if not sft.is_square_positive():
         raise ValueError("recursion requires a strictly positive squared adjacency matrix")
     lam = {k: math.log(c) for k, c in enumerate(sft.word_counts(n), 1)}
 
     def a(m: int) -> float:
-        return float(_table_sums(sft, m, 0, split=False)[0].sum())
+        phi, kappa = _table_sums(sft, m, 0, split=False)[:2]
+        return 2.0**m * float(np.vdot(phi, moment_tables(CoefficientSystem.uniform(), m, kappa)[0]))
 
     direct = a(n)
     if n == 1:

@@ -14,6 +14,7 @@ import pytest
 from intricacy import markov, properties
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
 from intricacy.cli import _emit, build_parsers, main
+from intricacy.coeffs import CoefficientSystem
 from intricacy.properties import SUITES, PropertyReport, run_suites
 from intricacy.sft import Sft
 
@@ -434,6 +435,27 @@ class TestMarkov:
         code, out, _ = run_cli(capsys, "markov", "--input", str(path))
         assert code == 0
         assert parse_csv(out)[0]["h_mu_rounded"] == "0.693"
+
+    def test_three_step_chain_prints_finite_and_mc_rows(self, capsys, tmp_path):
+        # the series takes block_len 1 and 2 only; the 3-step chain of the
+        # oracle-entropy suite still has its finite and Monte Carlo rows
+        three = {f"{b:03b}": {"0": 0.1 + 0.1 * b, "1": 0.9 - 0.1 * b} for b in range(8)}
+        m = markov.recode_higher_block(three, Sft.full_shift(2))
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"block_len": 3, "P": m.P.tolist(),
+                                    "states": ["".join(map(str, s)) for s in m.states]}))
+        code, out, _ = run_cli(capsys, "markov", "--input", str(path), "--n", "6",
+                               "--samples", "40", "--seed", "3")
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["method"] for r in rows] == ["finite", "mc"]
+        assert float(rows[0]["asc_mu"]) == pytest.approx(
+            markov.asc_finite(m, CoefficientSystem.uniform(), 6).asc, rel=1e-11)
+        assert rows[0]["asc_mu_rounded"] == "0.333"
+        # with neither row asked for, there is nothing to print
+        code, out, err = run_cli(capsys, "markov", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert "series supports block_len 1 and 2" in err
 
     @pytest.mark.parametrize(
         "chain,field",

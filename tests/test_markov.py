@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -593,6 +594,20 @@ class TestAscFinite:
         assert res.intricacy == pytest.approx(2 * res.asc - res.h, abs=1e-12)
         assert res.intricacy >= -1e-12
 
+    def test_underflowed_weights_warn_end_to_end(self):
+        # psym:1e-31 weighs the 10-subsets of 20 places below 1e-300, and
+        # no subset of 19 places
+        system = CoefficientSystem.p_symmetric(1e-31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            asc_finite(gms_one_step(), system, 19)
+        with pytest.warns(RuntimeWarning) as caught:
+            res = asc_finite(gms_one_step(), system, 20)
+        assert [str(w.message) for w in caught] == ["weight(20,10) underflowed to 0"]
+        assert res.h == pytest.approx(0.4866278127509693, rel=1e-13)
+        assert res.asc == pytest.approx(0.24331390637548464, rel=1e-13)
+        assert res.intricacy == pytest.approx(0.0, abs=1e-15)
+
     def test_two_step_matches_bruteforce_average(self):
         m = gms_two_step(0.618, 0.618)
         n = 5
@@ -762,6 +777,24 @@ class TestRecode:
         m = recode_higher_block(cond, Sft.full_shift(2))
         assert len(m.states) == 4
         assert entropy_rate(m) == pytest.approx(math.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_labels_that_skip_a_symbol(self, k):
+        # forbidding "1" of 3 symbols leaves the labels 0 and 2 on two
+        # vertices; the chain reads them as its symbols and is the same
+        # chain as on the full 2-shift with 2 read as 1
+        blocks = ["".join(w) for w in itertools.product("02", repeat=k)]
+        cond = {b: {"0": 0.2 + 0.1 * i, "2": 0.8 - 0.1 * i} for i, b in enumerate(blocks)}
+        m = recode_higher_block(cond, Sft.from_forbidden_words(3, ["1"]))
+        as_01 = str.maketrans("2", "1")
+        ref = recode_higher_block({b.translate(as_01): {"0": row["0"], "1": row["2"]}
+                                   for b, row in cond.items()}, Sft.full_shift(2))
+        assert m.states == tuple(tuple(int(c) for c in b) for b in blocks)
+        assert entropy_rate(m) == pytest.approx(entropy_rate(ref), rel=1e-14)
+        assert asc_finite(m, UNIFORM, 6).asc == pytest.approx(asc_finite(ref, UNIFORM, 6).asc,
+                                                             rel=1e-14)
+        assert cylinder_measure(m, (0, 2, 2)) == pytest.approx(cylinder_measure(ref, (0, 1, 1)),
+                                                               rel=1e-14)
 
     def test_support_violation_rejected(self):
         cond = {"00": {"0": 0.5, "1": 0.5}, "01": {"0": 0.9, "1": 0.1}, "10": {"0": 1.0}}

@@ -130,7 +130,7 @@ class TestAspProfile:
         def no_table(*args, **kwargs):
             raise AssertionError("table built")
 
-        monkeypatch.setattr("intricacy.topo.table_size_sums", no_table)
+        monkeypatch.setattr("intricacy.topo.table_shape_sums", no_table)
         # a window below 1 is bad input; one past the widest table is a cap
         with pytest.raises(ValueError if n < 1 else CapExceeded, match=f"n={n}"):
             asp_profile(Sft(PAIR_B), F1, UNIFORM, n)
@@ -218,6 +218,16 @@ class TestExtremePotentials:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=f"at n={n}: with potential spread 800"):
                     asp_profile(Sft(GOLDEN_PAIR_II), f, UNIFORM, n)
+
+    def test_underflowed_weights_warn_end_to_end(self):
+        # psym:1e-30 weighs the k-subsets of 23 places below 1e-300 for
+        # k = 10..13: one warning each, as the weights row gives them
+        f = Potential.from_values({0: 0.0, 1: 1.0, 2: 0.5})
+        with pytest.warns(RuntimeWarning) as caught:
+            got = asp_profile(Sft(GOLDEN_PAIR_I), f, CoefficientSystem.p_symmetric(1e-30), 23)
+        assert [str(w.message) for w in caught] == [
+            f"weight(23,{k}) underflowed to 0" for k in range(10, 14)]
+        assert got == pytest.approx(0.5071300459405662, rel=1e-13)
 
     def test_spread_past_underflow_is_exact_on_square_positive_shift(self):
         # the golden mean has a positive square: its run weights come from

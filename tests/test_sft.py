@@ -281,11 +281,14 @@ class TestOracle:
     def test_count_oracle_flags_wrong_per_size_sums(self, monkeypatch):
         exact = properties._count_sums
 
-        def off_at_size_2(sft, n, block_k):
-            every, with_zero, *rest = exact(sft, n, block_k)
-            return (every + 1e-9 * (np.arange(n + 1) == 2), with_zero, *rest)
+        def off_at_one_shape(sft, n, block_k):
+            # the shape sum of {0, 1}, which every window of 2 or more holds
+            phi, *rest = exact(sft, n, block_k)
+            phi = phi.copy()
+            phi[1, 2] += 1e-9
+            return (phi, *rest)
 
-        monkeypatch.setattr(properties, "_count_sums", off_at_size_2)
+        monkeypatch.setattr(properties, "_count_sums", off_at_one_shape)
         rep = check_count_oracle(5)
         # one failure per shift at each of block_k 0 and 2
         assert len(rep.failures) == 2 * len(_dedup_sfts())

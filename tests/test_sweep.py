@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from intricacy import sweep
+from intricacy.cli import main
+from intricacy.errors import CapExceeded
 from intricacy.markov import MarkovMeasure, asc_series_markov, stationary
 from intricacy.sft import Sft
 from intricacy.sweep import (
@@ -66,6 +68,28 @@ class TestScan:
             scan(builtin_family("gms-1step"), step=0.05, terms=5)
         with pytest.raises(ValueError):
             scan(builtin_family("gms-1step"), step=0.05, objective="entropy")
+
+
+    def test_grid_past_the_budget_is_refused_before_it_is_built(self, monkeypatch, tmp_path):
+        # step 0.0001 on gms-2step's box asks for 10001^2 points, 1.6 GB of
+        # parameters alone; nothing of the grid may be built first
+        def build(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(np, "linspace", build)
+        monkeypatch.setattr(sweep, "_evaluate", build)
+        with pytest.raises(CapExceeded, match="100020001 grid points"):
+            scan(builtin_family("gms-2step"), step=0.0001)
+        out = tmp_path / "surface.csv"
+        argv = ["sweep", "--family", "gms-2step", "--step", "0.0001", "--output", str(out)]
+        assert main(argv) == 2 and not out.exists()
+
+    def test_grid_at_the_budget_is_taken(self, monkeypatch):
+        # gms-1step at step 0.01 has 101 points, full2-1step at 0.1 has 121
+        monkeypatch.setattr(sweep, "_GRID_POINTS", 101)
+        assert len(scan(builtin_family("gms-1step"), step=0.01).grid) == 101
+        with pytest.raises(CapExceeded, match="121 grid points, more than the 101"):
+            scan(builtin_family("full2-1step"), step=0.1)
 
 
 class TestMaximize:

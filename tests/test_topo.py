@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from intricacy import _masks
-from intricacy._masks import product_table, size_sums, table_size_sums
+from intricacy._masks import moment_tables, product_table, shape_sums, table_shape_sums
 from intricacy.coeffs import CoefficientSystem
 from intricacy.errors import CapExceeded
-from intricacy.properties import _asc_reduced, _finite_profile_slow
+from intricacy.properties import _asc_reduced, _finite_profile_slow, _size_placements, _systems
 from intricacy.sft import Sft, SubsetSpec
 from intricacy.topo import (
     _count_mats,
@@ -81,7 +81,7 @@ class TestFiniteProfile:
         def no_table(*args, **kwargs):
             raise AssertionError("table built")
 
-        monkeypatch.setattr("intricacy.topo.table_size_sums", no_table)
+        monkeypatch.setattr("intricacy.topo.table_shape_sums", no_table)
         s = Sft(SFT_2028_2)
         for block_k in (0, 3):
             prof = finite_profile(s, UNIFORM, 23, block_k=block_k)
@@ -98,10 +98,23 @@ class TestFiniteProfile:
         def no_table(*args, **kwargs):
             raise AssertionError("table built")
 
-        monkeypatch.setattr("intricacy.topo.table_size_sums", no_table)
+        monkeypatch.setattr("intricacy.topo.table_shape_sums", no_table)
         for block_k in (0, 3):
             with pytest.raises(CapExceeded, match="n=24"):
                 finite_profile(Sft.full_shift(2), UNIFORM, 24, block_k=block_k)
+
+    def test_underflowed_weights_warn_end_to_end(self):
+        # psym:1e-30 weighs a k-subset of 23 places about p^min(k, 23 - k) / 2,
+        # below 1e-300 for k = 10..13: one warning each.  Nearly all the mass
+        # is on the empty and the full window, so asc = acc = h / 2
+        with pytest.warns(RuntimeWarning) as caught:
+            prof = finite_profile(Sft(SFT_I), CoefficientSystem.p_symmetric(1e-30), 23)
+        assert [str(w.message) for w in caught] == [
+            f"weight(23,{k}) underflowed to 0" for k in range(10, 14)]
+        assert prof.h == pytest.approx(0.5089908041443073, rel=1e-13)
+        assert prof.asc == pytest.approx(0.25449540207215365, rel=1e-13)
+        assert prof.acc == pytest.approx(0.25449540207215365, rel=1e-13)
+        assert prof.intricacy == pytest.approx(0.0, abs=1e-15)
 
     def test_bounds_sample(self):
         for coeffs in (UNIFORM, CoefficientSystem.p_symmetric(0.3)):
@@ -185,13 +198,25 @@ REDUCIBLE = [[1, 1], [0, 1]]
 
 class TestTableSizeSums:
     @staticmethod
-    def from_table(n, init, mats):
-        # reduced by the loop reference, not by the placement under test
+    def from_table(n, init, mats, split):
+        # the logs of the whole table's entries at the shapes, the canonical
+        # masks whose gaps are all < split, binned by top and size; the
+        # window's log; and 1 plus the entries at the n - top translates
         table = product_table(n, init, mats)
+        masks = 2 * np.arange(len(table)) + 1
+        top = np.floor(np.log2(masks)).astype(int)
+        size = _masks.popcounts(n)[masks]
+        # a mask is a shape when the places up to split - 2 past its
+        # elements cover every place up to its top
+        reach = masks.copy()
+        for t in range(1, split - 1):
+            reach |= masks << t
+        shape = (reach & ((2 << top) - 1)) == (2 << top) - 1
+        phi = np.zeros((n, n + 1))
         with np.errstate(divide="ignore"):
-            logs = np.log(table)
-        every, with_zero = loop_size_sums(logs, n)
-        return every, with_zero, logs[-1], 1.0 + loop_size_sums(table, n)[0].sum()
+            np.add.at(phi, (top[shape], size[shape]), np.log(table[shape]))
+            log_full = np.log(table[-1])
+        return phi, log_full, 1.0 + ((n - top) * table).sum()
 
     @pytest.mark.parametrize("left_bits,block", [(1, 1), (3, 5), (4, 1 << 17), (16, 1 << 17)])
     def test_matches_the_table(self, left_bits, block, monkeypatch):
@@ -208,10 +233,9 @@ class TestTableSizeSums:
                 cases = [(np.ones(s.alphabet_size), R), (w, R * w[:, None])] + [
                     _count_mats(s, n, k) for k in (2, 4)]
                 for init, mats in cases:
-                    want = self.from_table(n, init, mats)
                     for split in {_split_gap(init, mats), n}:
-                        got = table_size_sums(n, init, mats, split, with_counts=True)
-                        for a, b in zip(got, want):
+                        got = table_shape_sums(n, init, mats, split, with_counts=True)
+                        for a, b in zip(got, self.from_table(n, init, mats, split)):
                             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("A,gaps", [(SFT_I, (3, 4)), (GOLDEN_PAIR_II, (4, 5)),
@@ -230,29 +254,31 @@ class TestTableSizeSums:
         # or more places has entry 0, below and past the left table alike;
         # its log is -inf with no divide warning (a warning fails the test)
         mats = np.array([[[1.0, 0.0], [1.0, 0.0]]] * 5)
-        every, with_zero, log_full, _ = table_size_sums(6, np.array([0.0, 1.0]), mats, 6)
-        assert every[1] == with_zero[1] == 0.0
-        assert (every[2:] == -math.inf).all() and (with_zero[2:] == -math.inf).all()
+        phi, log_full, _ = table_shape_sums(6, np.array([0.0, 1.0]), mats, 6)
+        shapes = _masks._cluster_shapes(6, 5) > 0
+        assert phi[0, 1] == 0.0
+        assert (phi[shapes][1:] == -math.inf).all() and (phi[~shapes] == 0.0).all()
         assert log_full == -math.inf
 
     @pytest.mark.parametrize("left_bits", [4, 12])
     def test_underflowed_shape_gives_minus_inf_never_nan(self, left_bits, monkeypatch):
         # golden-pair/II weighted by exp(f - max f), f = (-800, 0, 0): the
-        # weight of symbol 0 underflows to 0, and every pattern of a shape
-        # of 3 or more places uses it.  Those shapes place -inf into the
-        # sizes they reach and nowhere else, where a zero placement times
-        # -inf would be NaN
+        # weight of symbol 0 underflows to 0, and every pattern of some
+        # shape of each size from 3 on uses it.  Those shapes sum to -inf,
+        # and the shapes of 1 and 2 places stay finite; nothing is NaN
         monkeypatch.setattr(_masks, "LEFT_BITS", left_bits)
         s = Sft(GOLDEN_PAIR_II)
         for n in (10, 14, 16):
             init, mats = _count_mats(s, n, 0, np.array([-800.0, 0.0, 0.0]))
             split = _split_gap(init, mats)
             assert split == 4
-            got = table_size_sums(n, init, mats, split, with_counts=True)
+            got = table_shape_sums(n, init, mats, split, with_counts=True)
             assert not any(np.isnan(a).any() for a in got)
-            for a, b in zip(got, self.from_table(n, init, mats)):
+            for a, b in zip(got, self.from_table(n, init, mats, split)):
                 np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
-            assert np.isfinite(got[0][:3]).all() and (got[0][3:] == -math.inf).all()
+            shapes = _masks._cluster_shapes(n, split - 1) > 0
+            assert np.isfinite(got[0][:, :3][shapes[:, :3]]).all()
+            assert (got[0][:, 3:] == -math.inf).any(axis=0).all()
 
     def test_holds_no_full_table(self):
         # golden-pair/I: the table would be 2^(n-1) x 3 floats, 12.6 MB at
@@ -262,7 +288,7 @@ class TestTableSizeSums:
             init, mats = _count_mats(s, n)
             tracemalloc.start()
             try:
-                table_size_sums(n, init, mats, split, with_counts=True)
+                table_shape_sums(n, init, mats, split, with_counts=True)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -270,7 +296,8 @@ class TestTableSizeSums:
 
 
 def loop_size_sums(values, n):
-    # the per-top-element loop that size_sums replaced, kept as its reference
+    # the per-top-element loop of the per-size sums of a value at the
+    # canonical masks, kept as the reference of shape_sums
     m = len(values).bit_length()
     every = np.zeros(n + 1)
     with_zero = np.zeros(n + 1)
@@ -286,44 +313,93 @@ def loop_size_sums(values, n):
 
 
 def loop_cluster_size_sums(span_values, n, kappa):
-    # cluster_size_sums before its weights were kept per (n, kappa): shapes,
+    # the per-size sums of a value per cluster span from the shapes,
     # placements and binomials rebuilt on every call, summed by size last
     values = np.asarray(span_values, dtype=float)
+    binomials = np.array([[math.comb(f, i) for i in range(n + 1)] for f in range(n + 1)], float)
     a = np.arange(n)
     d = a[:, None]
     free = d - np.minimum(a, kappa) - np.minimum(d - a, kappa)
     G = np.zeros((n + 1, n + 1))
-    G[1:] = (_masks._BINOMIALS[free, : n + 1] * (a <= d)[..., None]).sum(axis=1)
+    G[1:] = (binomials[free, : n + 1] * (a <= d)[..., None]).sum(axis=1)
     placements = np.concatenate([G[:0:-1], (G[1:] - G[:-1])[::-1]], axis=1)
-    M = (values[:, None] * _masks._cluster_shapes(n, kappa)).T @ placements
+    M = (values[:, None] * _masks._cluster_shapes(n, min(kappa, n - 1))).T @ placements
     k = np.add.outer(np.arange(n + 1), np.arange(n + 1))
     sums = np.bincount(np.concatenate([k, k + 2 * n + 1], axis=1).ravel(),
                        weights=M.ravel(), minlength=4 * n + 2)
     return sums[: n + 1], sums[2 * n + 1 : 3 * n + 2]
 
 
+# the check suites' systems and one whose weights span 1e-39 to 0.5 at n = 23
+SYSTEMS = [*_systems(), CoefficientSystem.p_symmetric(0.02)]
+
+
+def averaged(phi, n, kappa, system):
+    # (n asc, n acc): the dot products with the moment tables
+    return tuple(float(np.vdot(phi, t)) for t in moment_tables(system, n, kappa))
+
+
+def weighted(every, with_zero, n, system):
+    # the same from per-size sums and the weights row
+    row = system.weights_row(n)
+    return float(row @ every), float(row @ with_zero)
+
+
 class TestWindowTables:
     @pytest.mark.parametrize("n", range(1, 24))
     def test_cluster_sums_match_the_loop(self, n):
-        # log word counts grow with the span; every and with_zero alike
+        # log word counts grow with the span; the run kernel's shape sums,
+        # one value per span times the cluster shapes, averaged by the
+        # moment tables, against the loop's per-size sums and the weights
         values = np.log(2.0) * np.arange(1, n + 1) + np.random.default_rng(n).uniform(0, 1, n)
         for kappa in {1, 2, 5, n - 1, n + 3}:
-            got = _masks.cluster_size_sums(values, n, kappa)
-            for a, b in zip(got, loop_cluster_size_sums(values, n, kappa)):
-                np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+            phi = values[:, None] * _masks._cluster_shapes(n, min(kappa, n - 1))
+            loop = loop_cluster_size_sums(values, n, kappa)
+            for system in SYSTEMS:
+                got, want = averaged(phi, n, kappa, system), weighted(*loop, n, system)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n", range(1, 24))
     def test_size_sums_match_the_loop(self, n):
         # values on the masks below m <= n positions, as wide as the row
-        # table and wider
+        # table and wider, binned as shapes of kappa = n - 1
         for m in {min(n, _masks.LEFT_BITS), min(n, 16)}:
             values = np.random.default_rng(m).uniform(0.5, 9.0, 1 << (m - 1))
-            for a, b in zip(size_sums(values, n), loop_size_sums(values, n)):
-                np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+            phi = shape_sums(values, n)
+            loop = loop_size_sums(values, n)
+            for system in SYSTEMS:
+                got, want = averaged(phi, n, n - 1, system), weighted(*loop, n, system)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", range(1, 24))
+    def test_moment_tables_are_the_weights_at_the_reference_placement(self, n):
+        # W[s, j] = sum over i of weight(n, j + i) P[s, i], and W0 the same
+        # with P0, for the shapes (j <= s + 1) and every kappa; 0 elsewhere
+        shapes = np.tril(np.ones((n, n + 1)), 1) > 0
+        for kappa in range(n):
+            placements = _size_placements(n, kappa)
+            for system in SYSTEMS:
+                row = system.weights_row(n)
+                for table, P in zip(moment_tables(system, n, kappa), placements):
+                    want = np.array([[row[j:] @ P[s, : n + 1 - j] for j in range(n + 1)]
+                                     for s in range(n)])
+                    np.testing.assert_allclose(table[shapes], want[shapes], rtol=1e-13, atol=0)
+                    assert (table[~shapes] == 0).all()
+
+    def test_moment_tables_warn_as_the_weights_row_does(self):
+        # psym:1e-31 underflows weight(20, 10), kept for every kappa and call
+        system = CoefficientSystem.p_symmetric(1e-31)
+        tables = []
+        for kappa in (0, 1, 19, 40, 1):
+            with pytest.warns(RuntimeWarning, match=r"weight\(20,10\) underflowed") as caught:
+                tables.append(moment_tables(system, 20, kappa))
+            assert len(caught) == 1
+        # kept once per (measure, n, kappa); no gap of the window exceeds 19
+        assert tables[1] is tables[4] and tables[2] is tables[3]
 
     def test_cached_arrays_are_read_only(self):
-        arrays = [_masks._cluster_weights(6, 2), _masks._placements(6, 2),
-                  _masks._cluster_shapes(6, 2), *_masks._shapes(5, 5), *_masks._shapes(5, 3, 2)]
+        arrays = [*moment_tables(UNIFORM, 6, 2), _masks._cluster_shapes(6, 2),
+                  *_masks._shapes(5, 5), *_masks._shapes(5, 3, 2), *_size_placements(6, 2)]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 1
