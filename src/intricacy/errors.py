@@ -17,6 +17,17 @@ class CapExceeded(RuntimeError):
     map it to its own exit code."""
 
 
+MAX_TERMS = 1074  # 2^-1074 is the least float64 above 0
+
+
+def check_terms(terms: int, least: int = 1) -> None:
+    """Refuse fewer than ``least`` series terms as bad input, more than MAX_TERMS as a cap."""
+    if terms < least:
+        raise ValueError(f"terms must be >= {least}")
+    if terms > MAX_TERMS:
+        raise CapExceeded(f"terms={terms} exceeds {MAX_TERMS}: past it every weight is 0")
+
+
 class FieldTypeError(ValueError):
     """A field of an input document holds a value of the wrong type.  The
     CLI names the file the document came from."""

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._masks import moment_tables, shape_sums
-from .coeffs import CoefficientSystem, SymmetricMeasure
-from .errors import (CapExceeded, are_numbers, is_int, is_matrix, is_word, list_of, optional,
-                     read_field)
+from .coeffs import HORIZON, CoefficientSystem, SymmetricMeasure
+from .errors import (CapExceeded, are_numbers, check_terms, is_int, is_matrix, is_word, list_of,
+                     optional, read_field)
 from .sft import Sft, _as_subset
 
 __all__ = [
@@ -292,7 +292,7 @@ def _series_stack(P, p, gaps) -> tuple[np.ndarray, np.ndarray]:
     same order) of a stack of chains with stationary vectors p and gap
     entropies ``gaps`` (G, terms)."""
     # running sums in gap order; + 0.0 turns the -0.0 of an all-zero sum to 0.0
-    asc = (gaps / 2.0 ** np.arange(1, gaps.shape[1] + 1)).cumsum(axis=1)
+    asc = np.ldexp(gaps, -np.arange(1, gaps.shape[1] + 1)).cumsum(axis=1)
     return -(p[:, :, None] * _xlogx(P)).sum(axis=(1, 2)) + 0.0, (asc[:, -1] + 0.0) / 2.0
 
 
@@ -327,13 +327,12 @@ def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSer
     1-step (or 2-block) chain: half of sum_i 2^-i H(symbol | symbol at
     gap i), truncated at ``terms`` with a geometric tail bound; the
     intricacy follows as twice that minus the entropy rate."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    check_terms(terms)
     if m.block_len not in (1, 2):
         raise ValueError("series supports block_len 1 and 2; recode higher blocks")
     gaps = gap_entropies(m, terms)
     h, asc = (float(x[0]) for x in _series_stack(m.P[None], m.p[None], gaps[None]))
-    tail = math.log(m.alphabet_size) / 2.0**terms
+    tail = math.ldexp(math.log(m.alphabet_size), -terms)
     return MarkovSeries(asc, 2.0 * asc - h, tail, terms, h)
 
 
@@ -468,8 +467,8 @@ def _block_entropies(m: MarkovMeasure, powers: np.ndarray, places) -> np.ndarray
 
 def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEntropyResult:
     """Average of the sampled joint entropies over all 2^n subsets of the
-    window, divided by n.  Capped at n = 20 for plain chains and n = 12
-    for block chains.
+    window, divided by n.  Capped at n = ``coeffs.HORIZON`` (64), where the
+    weights stop, for plain chains and n = 12 for block chains.
 
     Each average is one dot product of shape sums with a moment table.
     For a plain chain the joint entropy at S is |S| H(p) less H(p) - h_g
@@ -480,7 +479,7 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
     ``_joint_entropies`` pass) by top and size, kappa = n - 1."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    cap = 20 if m.block_len == 1 else 12
+    cap = HORIZON if m.block_len == 1 else 12
     if n > cap:
         raise CapExceeded(f"n={n} outside [1, {cap}] for block_len={m.block_len}")
     if m.block_len == 1:

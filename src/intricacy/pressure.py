@@ -13,7 +13,7 @@ import numpy as np
 from ._masks import check_table_window, moment_tables
 from .coeffs import CoefficientSystem
 from .errors import are_numbers, read_field
-from .sft import Sft, _as_subset, log_spectral_radius
+from .sft import Sft, _walk_count, log_spectral_radius
 from .topo import _count_sums
 
 __all__ = ["Potential", "weighted_count", "asp_profile", "classical_pressure"]
@@ -53,25 +53,14 @@ class Potential:
             raise ValueError(f"potential does not cover symbols {sorted(set(missing))}")
         return np.array([table[s] for s in sft.symbol_labels], dtype=float)
 
-    def weight_vector(self, sft: Sft) -> np.ndarray:
-        """exp(f) per vertex."""
-        return np.exp(self.log_weights(sft))
-
 
 def weighted_count(sft: Sft, f: Potential, S, n: int | None = None) -> float:
     """Sum over the distinct patterns at the places of S of
-    exp(sum of f over the pattern's symbols).  With f identically 0 this
-    is exactly the pattern count; the empty set sums the single empty
-    pattern, i.e. 1."""
-    spec = _as_subset(S, n)
-    if spec.mask == 0:
-        return 1.0
-    w = f.weight_vector(sft)
-    R = sft.reach_powers(max(spec.gaps, default=0))
-    v = w.copy()
-    for g in reversed(spec.gaps):
-        v = (R[g - 1] * w[:, None]) @ v
-    return float(v.sum())
+    exp(sum of f over the pattern's symbols): the walk of the weighted
+    count matrices (``Sft.count_matrices``) that counts the patterns.
+    With f identically 0 this is exactly the pattern count; the empty set
+    sums the single empty pattern, i.e. 1."""
+    return float(_walk_count(sft, S, n, f.log_weights(sft)))
 
 
 def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> float:
@@ -84,7 +73,7 @@ def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> fl
     the pattern counts, with the symbol weights exp(f - max f): every
     weight is at most 1, so no product overflows, and since each pattern
     at S carries |S| symbols, max f * E|S| / n = max f / 2 is added back.
-    On a shift with a positive square the sums come from one log-domain walk
+    Where the run kernel serves, the sums come from one log-domain walk
     (``Sft.log_word_weights``), so potentials of any size or spread are
     exact.  Other shifts reduce a table of weighted counts, where a spread
     past about 708 can underflow a subset's shifted count to 0, a -inf

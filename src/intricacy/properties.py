@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._masks import LEFT_BITS, MAX_TABLE_BITS, popcounts
+from ._masks import MAX_TABLE_BITS, popcounts
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, SymmetricMeasure, validate
 from .errors import CapExceeded
@@ -38,7 +38,7 @@ from .markov import (MarkovMeasure, _joint_entropies, _stationary_stack,
                      _transition_codes, _xlogx, asc_finite, asc_lambda, asc_series_markov,
                      recode_higher_block)
 from .sft import DEFAULT_ORACLE_CAP, Sft, SubsetSpec, _as_subset, log_spectral_radius
-from .topo import (ComplexityProfile, _check_window, _count_sums, _run_sums, _table_sums,
+from .topo import (ComplexityProfile, _check_window, _count_sums, _table_split, _table_sums,
                    finite_profiles)
 
 __all__ = ["PropertyReport", "SUITES", "run_suites", "count_words_at_oracle",
@@ -555,9 +555,7 @@ def check_spectral() -> PropertyReport:
             sft.adjacency, [np.zeros_like(f), f, f + 60.0, f - 800.0]).tolist()
         for c, got in zip((60.0, -800.0), shifted):
             rep.check(_close(got, p + c), f"{name}: P(f{c:+g}) = {got} != P(f){c:+g}")
-        r = sft.alphabet_size
-        # Wielandt: primitive iff this power is positive
-        if sft.reach_powers((r - 1) ** 2 + 1)[-1].all():
+        if sft.exponent is not None:
             counts = sft.word_counts(n + 1)
             rate = math.log(counts[n]) - math.log(counts[n - 1])
             rep.check(_close(rate, h), f"{name}: word growth {rate} != entropy {h}")
@@ -567,39 +565,40 @@ def check_spectral() -> PropertyReport:
 @functools.cache
 def _random_primitive_sfts(count: int = 3) -> tuple[Sft, ...]:
     """count 0/1 matrices of 3-6 vertices drawn from the _ORACLE_SEED
-    stream, kept when primitive without a positive square, so that the
-    table route takes them with a split gap of 3 or more; built once per
+    stream, kept when primitive of exponent 3 or more, so that the table
+    route takes them with a split gap of 3 or more; built once per
     process."""
     rng = np.random.Generator(np.random.PCG64(_ORACLE_SEED))
     out = []
     while len(out) < count:
         r = int(rng.integers(3, 7))
         A = (rng.random((r, r)) < 0.4).astype(np.int64)
-        # no vertex pruned away; Wielandt: primitive iff this power is positive
+        # no vertex pruned away
         if A.any(axis=0).all() and A.any(axis=1).all():
             sft = Sft(A)
-            if sft.reach_powers((r - 1) ** 2 + 1)[-1].all() and not sft.is_square_positive():
+            if sft.exponent is not None and sft.exponent >= 3:
                 out.append(sft)
     return tuple(out)
 
 
-def check_run_kernels(n_max: int = 16) -> PropertyReport:
-    """The table-free kernels against the tables they replace, and the
-    split table against the unsplit one, to 1e-12 relative (absolute
-    below 1), at n = min(n_max, 23).  Each case compares the shape sums
-    behind finite_profile and asp_profile, placed by size with the
-    reference placement (``_per_size_sums``: all sizes, with and without
-    0), the full window and the uniform alt, with block_k 0, 2 and 5.
+@functools.cache
+def _published_sfts() -> tuple[tuple[str, Sft, bool], ...]:
+    # (tag, shift, weighted) once per process; the pressure pairs keep their tags
+    return tuple((b.tag, Sft(np.asarray(b.adjacency)), b.asp10_f1 is not None)
+                 for b in {b.adjacency: b for b in SFT_BENCHMARKS}.values())
 
-    - On every published shift with a positive square, the run kernel
-      against the table with no split (D = n): split at D = 2 the table
-      would be a linear-domain copy of the run kernel.  The two pressure
-      pairs are also weighted by their PRESSURE_F1 potential.
-    - On the four published shifts without one and three seeded random
-      primitive ones, the table split at its gap D (``topo._split_gap``)
-      against the table with no split, also weighted by PRESSURE_F1
-      (0 off its symbols).  Windows of n <= LEFT_BITS (12) reduce every
-      canonical mask whatever D is, so these cases start at n = 13.
+
+def check_run_kernels(n_max: int = 16) -> PropertyReport:
+    """The kernel ``topo._count_sums`` picks against the table with no
+    split, to 1e-12 relative (absolute below 1), at n = min(n_max, 23).
+    Each case compares the shape sums behind finite_profile and
+    asp_profile, placed by size with the reference placement
+    (``_per_size_sums``: all sizes, with and without 0), the full window
+    and the uniform alt, with block_k 0, 2 and 5, on every published
+    shift and three seeded random primitive ones; the pressure pairs and
+    the table shifts are also weighted by PRESSURE_F1 (0 off its symbols).
+    The reference is D = n (split at D = 2 the table would copy the run
+    kernel), so a case whose production is that table is skipped.
 
     The table route sums its logs in blocks of at most 2^16, so the routes
     agree to about 2e-14 up to n = 23.  Then the O(n^2) 1-step asc_finite
@@ -609,33 +608,27 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
     chain-rule ``_joint_entropies`` pass over the canonical masks."""
     rep = PropertyReport("runs")
 
-    def unsplit(*args):
-        return _table_sums(*args, split=False)
-
     def route_sums(route, sft, n, block_k, lw):
         phi, kappa, log_full, alt = route(sft, n, block_k, True, lw)
         return np.hstack([*_per_size_sums(phi, n, kappa), log_full, alt])
 
     n = min(n_max, MAX_TABLE_BITS)
-    # one entry per matrix; the pressure pairs come last and keep their tags
-    published = [(b.tag, Sft(np.asarray(b.adjacency)), b.asp10_f1 is not None)
-                 for b in {b.adjacency: b for b in SFT_BENCHMARKS}.values()]
     drawn = [(f"random-{i}", sft, False) for i, sft in enumerate(_random_primitive_sfts())]
-    for tag, sft, weighted in published + drawn:
-        fast, what_fast = (_run_sums, "run") if sft.is_square_positive() else (_table_sums, "split")
-        if fast is _table_sums and n <= LEFT_BITS:
-            continue
+    for tag, sft, weighted in _published_sfts() + tuple(drawn):
         cases = [(0, None), (2, None), (5, None)]
         # the pressure pairs and every table shift are also weighted
-        if weighted or fast is _table_sums:
-            f = np.array([PRESSURE_F1.get(a, 0.0) for a in sft.symbol_labels])
-            cases.append((0, f))
+        if weighted or _table_split(sft, n, 0) is not None:
+            cases.append((0, np.array([PRESSURE_F1.get(a, 0.0) for a in sft.symbol_labels])))
         for block_k, lw in cases:
+            split = _table_split(sft, n, block_k)
+            if split == n:
+                continue
             # every, with_zero, log N(window) and alt in one vector per route
-            a, b = (route_sums(route, sft, n, block_k, lw) for route in (fast, unsplit))
+            a, b = (route_sums(route, sft, n, block_k, lw) for route in (_count_sums, _table_sums))
             ok = _close(a, b)
             what = f"block_k={block_k}" + ("" if lw is None else ", weighted")
-            rep.check(ok, "" if ok else f"{tag}, n={n}, {what}: {what_fast} {a} != unsplit {b}")
+            fast = "run" if split is None else f"split at D={split}"
+            rep.check(ok, "" if ok else f"{tag}, n={n}, {what}: {fast} {a} != unsplit {b}")
 
     n = min(n_max, 12)
     m = MarkovMeasure.one_step([[0.618, 0.382], [1.0, 0.0]], p=np.array([1.0, 0.382]) / 1.382)

@@ -2,18 +2,20 @@
 
 An Sft is a vertex shift: a finite directed graph whose bi-infinite paths
 are the points of the system.  Forbidden-word input is recoded to a vertex
-shift on overlapping blocks.  The central quantity is ``count_words_at``:
-the number of distinct symbol patterns readable at the places of an index
-set S, computed as a path count through gap-indexed reachability matrices.
-The brute-force enumeration oracle that cross-checks it lives in
-``properties``.
+shift on overlapping blocks, whose vertex patterns every count reads
+(``Sft.from_forbidden_words``).  The central quantity is
+``count_words_at``: the number of distinct patterns at the places of an
+index set S, a walk of the gap matrices every count kernel reads
+(``Sft.count_matrices``), rank one from the split gap the exponent sets
+(``Sft.split_gap``).  Its enumeration oracle lives in ``properties``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +147,20 @@ def _as_subset(S, n: int | None = None) -> SubsetSpec:
     return SubsetSpec.from_elements(n, elems)
 
 
+def _walk_count(sft: Sft, S, n: int | None = None, log_weights=None):
+    """The count at S of ``sft.count_matrices``, walked from its last place:
+    exact without log_weights, a float with them; 1 for the empty set."""
+    spec = _as_subset(S, n)
+    if spec.mask == 0:
+        return 1
+    gaps = spec.gaps
+    init, mats = sft.count_matrices(max(gaps, default=0) + 1, 0, log_weights)
+    v, mats = init.tolist(), mats.tolist()
+    for g in reversed(gaps):
+        v = [sum(map(operator.mul, row, v)) for row in mats[g - 1]]
+    return sum(v)
+
+
 def _parse_word(word, alphabet_size: int) -> tuple[int, ...]:
     if isinstance(word, str):
         out = tuple(int(ch) for ch in word)
@@ -164,7 +180,7 @@ class Sft:
     with no outgoing or no incoming edge are pruned at construction (to a
     fixed point), so every finite path extends to a bi-infinite sequence.
     For shifts built from forbidden words, ``symbol_labels`` maps each
-    vertex back to the symbol of the original alphabet it reads out.
+    vertex back to the first symbol of the block it stands for.
 
     Immutable after construction, so instances are safe to share.
     """
@@ -209,7 +225,10 @@ class Sft:
     @classmethod
     def from_forbidden_words(cls, alphabet_size: int, forbidden) -> "Sft":
         """Shift avoiding the given words, recoded as a vertex shift on
-        (L-1)-blocks where L is the longest forbidden word."""
+        (L-1)-blocks where L is the longest forbidden word.  Counts read
+        the vertices, so from L = 3 on they are those of the (L-1)-block
+        cover: ["111"] on 2 symbols gives ``word_counts(5)`` = [4, 7, 13, 24,
+        44], the symbol words of lengths 2..6, not 1..5 (2, 4, 7, 13, 24)."""
         if alphabet_size < 2:
             raise ValueError("alphabet size must be >= 2")
         words = [_parse_word(w, alphabet_size) for w in forbidden]
@@ -268,24 +287,48 @@ class Sft:
 
     def reach_powers(self, count: int) -> np.ndarray:
         """Stack of 0/1 matrices for the gaps g = 1..count: R[g-1][a, b] == 1
-        iff a path of length g runs from a to b.  Computed in the boolean
-        semiring, so exact for any gap.  Pruning leaves every vertex an
-        incoming edge, so once a gap reaches everything every wider gap
-        does: the products stop at the first all-ones matrix."""
+        iff a path of length g runs from a to b, in the boolean semiring, so
+        exact for any gap.  The gaps from the exponent on are all ones."""
         A = self.adjacency
-        R = np.empty((count, *A.shape), dtype=np.int64)
-        for g in range(count):
+        p = self.exponent
+        R = np.ones((count, *A.shape), dtype=np.int64)
+        for g in range(count if p is None else min(count, p - 1)):
             R[g] = A if g == 0 else (R[g - 1] @ A) > 0
-            # count_nonzero: a fraction of the cost of .all() on small matrices
-            if g + 1 < count and np.count_nonzero(R[g]) == A.size:
-                R[g + 1:] = 1
-                break
         return R
 
+    @cached_property
+    def exponent(self) -> int | None:
+        """The least p at which paths of p steps, and so of more (every vertex
+        has an incoming edge), run from every vertex to every vertex; None
+        past Wielandt's bound (r - 1)^2 + 1: not primitive.  O(log p)
+        boolean products (or of ands)."""
+        A = self.adjacency > 0
+        squares = [A]  # A^(2^k) up to the first that reaches everything
+        while np.count_nonzero(squares[-1]) < A.size:
+            if 1 << len(squares) - 1 > (self.alphabet_size - 1) ** 2:
+                return None
+            squares.append(squares[-1] @ squares[-1])
+        if len(squares) == 1:
+            return 1
+        # the widest gap that misses a pair: 2^(K-1), plus each halving that keeps it so
+        p, R = 1 << len(squares) - 2, squares[-2]
+        for k in range(len(squares) - 3, -1, -1):
+            T = R @ squares[k]
+            if np.count_nonzero(T) < A.size:
+                p, R = p + (1 << k), T
+        return p + 1
+
     def is_square_positive(self) -> bool:
-        # path counts are nonnegative, so nonzero means positive
-        M = self.adjacency
-        return bool((M @ M).all())
+        """A @ A > 0: every vertex reaches every vertex in 2 steps."""
+        return self.exponent is not None and self.exponent <= 2
+
+    def split_gap(self, n: int, block_k: int = 0) -> int:
+        """The gap D from which every ``count_matrices(n, block_k)`` matrix is
+        outer(init, ones): k + p - 1 (at least 2), p the exponent and k =
+        max(block_k, 1); n, no split, where that is not below n or no p is."""
+        p = self.exponent
+        gap = max(block_k, 1) + p - 1 if p is not None else n
+        return max(2, gap) if gap <= n - 1 else n
 
     def log_word_weights(self, count: int, log_weights=None) -> np.ndarray:
         """out[m-1] = log of the sum over the words of length m of
@@ -307,22 +350,32 @@ class Sft:
 
     # -- counting ----------------------------------------------------------
 
-    def count_words_at(self, S, n: int | None = None) -> int:
-        """|distinct patterns at the places of S| as an exact integer.
+    def count_matrices(self, n: int, block_k: int = 0, log_weights=None):
+        """(init, gap_mats): with each place of n read as the block of k =
+        block_k places from it, the count at S is 1^T M(g_1) ... M(g_m) init
+        over its gaps, M(g) = gap_mats[g - 1]; integers, or weighted by
+        exp(log_weights) per vertex, at k <= 1.  Places g < k apart touch
+        (A^g); a wider gap is A^(k-1) times the reach of gap g - k + 1."""
+        if log_weights is not None and block_k > 1:
+            raise ValueError("vertex weights take block_k <= 1")
+        R = self.reach_powers(n - 1)
+        if block_k <= 1:
+            if log_weights is None:
+                return np.ones(self.alphabet_size, dtype=np.int64), R
+            w = np.exp(log_weights)
+            return w, R * w[:, None]
+        paths = np.empty((block_k, self.alphabet_size, self.alphabet_size))
+        paths[0] = np.eye(self.alphabet_size)
+        for g in range(1, block_k):
+            paths[g] = paths[g - 1] @ self.adjacency
+        head = paths[-1]
+        # gaps 1..min(k, n) - 1 touch; the gaps k..n-1 take one stacked product
+        gap_mats = np.concatenate([paths[1:n], head @ R[:max(n - block_k, 0)]])
+        return head.sum(axis=1), gap_mats
 
-        The count is the number of symbol tuples (a_0, ..., a_{m-1}) with
-        reach_powers(.)[g_i - 1][a_i, a_{i+1}] == 1 along consecutive gaps
-        g_i.  The empty set counts 1 (its log contributes 0).
-        """
-        spec = _as_subset(S, n)
-        if spec.mask == 0:
-            return 1
-        gaps = spec.gaps
-        R = self.reach_powers(max(gaps, default=0)).tolist()
-        v = [1] * self.alphabet_size
-        for g in reversed(gaps):
-            v = [sum(compress(v, row)) for row in R[g - 1]]
-        return sum(v)
+    def count_words_at(self, S, n: int | None = None) -> int:
+        """|distinct patterns at the places of S|, exact; 1 for the empty set."""
+        return _walk_count(self, S, n)
 
     def word_counts(self, count: int) -> list[int]:
         """Numbers of words of lengths 1..count as exact integers, from one

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (CapExceeded, are_numbers, is_int, is_number, is_text, is_word, list_of,
-                     optional, read_field)
+from .errors import (CapExceeded, are_numbers, check_terms, is_int, is_number, is_text, is_word,
+                     list_of, optional, read_field)
 from .markov import (MarkovMeasure, _chain_states, _end_matrix, _gap_entropy_stack, _powers,
                      _series_stack, _stationary_stack, _transition_codes)
 
@@ -191,8 +191,7 @@ def builtin_family(name: str) -> MarkovFamily:
 
 
 def _check_request(objective: str, terms: int) -> None:
-    if terms < 10:
-        raise ValueError("terms must be >= 10")
+    check_terms(terms, least=10)
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
 
@@ -237,7 +236,8 @@ def scan(
         raise ValueError("step must be in (0, 0.1]")
     _check_request(objective, terms)
 
-    shape = tuple(int(round((hi - lo) / step)) + 1 for lo, hi in family.box)
+    spans = [(hi - lo) / step for lo, hi in family.box]  # inf for a step near 0: inf points
+    shape = tuple(int(round(q)) + 1 if math.isfinite(q) else math.inf for q in spans)
     if math.prod(shape) > _GRID_POINTS:
         raise CapExceeded(f"step {step:g} gives {math.prod(shape)} grid points, "
                           f"more than the {_GRID_POINTS} a scan takes")

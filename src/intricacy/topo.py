@@ -3,18 +3,15 @@ subsets of a time window, the intricacy balance, and the closed-form
 series available when the adjacency matrix has a positive square.
 
 Two exact kernels give the shape sums of the log pattern counts and log
-weighted counts (``_masks``); ``_count_sums`` picks one from the shift,
-and each average is one dot product with a moment table.  With a
-positive square, every gap of 2 or more reaches every symbol, so the
-count at S factors over the clusters of S: O(n^2) with no table.  Every
-other shift reduces counts at canonical subsets, holding at most
-2^(LEFT_BITS-1) row vectors at a time (``_masks.table_shape_sums``).  On
-a primitive shift every gap from the split gap D on (``_split_gap``)
-reaches every symbol too, so past LEFT_BITS positions the table reduces
-only the cluster shapes, the canonical subsets whose gaps are all < D; a
-shift with no split, and any window of n <= LEFT_BITS, reduces all
-2^(n-1).  The ``runs`` check suite compares the cluster sums and the
-split table against the table with no split.
+weighted counts (``_masks``) from ``Sft.count_matrices``; ``_count_sums``
+picks one by the split gap D of the shift (``Sft.split_gap``), from which
+every gap reaches every symbol, and each average is one dot product with
+a moment table.  Where D <= max(block_k, 1) + 1 the count at S factors
+over its clusters, each one word: O(n^2) with no table.  Elsewhere counts
+are reduced at canonical subsets, at most 2^(LEFT_BITS-1) row vectors at
+a time (``_masks.table_shape_sums``): past LEFT_BITS positions only the
+shapes, the canonical subsets whose gaps are all < D.  The ``runs`` check
+suite compares the kernel picked against the table with no split (D = n).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from ._masks import (
     table_shape_sums,
 )
 from .coeffs import HORIZON, CoefficientSystem
-from .errors import CapExceeded
+from .errors import CapExceeded, check_terms
 from .sft import Sft
 
 __all__ = [
@@ -80,33 +77,6 @@ class RecursionReport:
     recursed: float
     rel_error: float
     passed: bool
-
-
-def _count_mats(sft: Sft, n: int, block_k: int = 0, log_weights=None):
-    """(init, gap_mats) of the pattern counts over the canonical masks of
-    n positions, each place read as the block of block_k positions
-    starting there (k <= 1: the place alone): the table entry of mask
-    2i+1 is the count at dilate(2i+1, k), weighted by exp(log_weights)
-    per symbol when they are given (k <= 1 only).
-
-    Each block reads a path of k - 1 steps, so the table starts from
-    A^(k-1) 1.  Two places g < k apart touch, and every step between them
-    is read (A^g); a wider gap reads the first block out and then only
-    reaches the next place (A^(k-1) times the reach of gap g-k+1)."""
-    R = sft.reach_powers(n - 1)
-    if block_k <= 1:
-        if log_weights is None:
-            return np.ones(sft.alphabet_size), R
-        w = np.exp(log_weights)
-        return w, R * w[:, None]
-    paths = np.empty((block_k, sft.alphabet_size, sft.alphabet_size))
-    paths[0] = np.eye(sft.alphabet_size)
-    for g in range(1, block_k):
-        paths[g] = paths[g - 1] @ sft.adjacency
-    head = paths[-1]
-    # gaps 1..min(k, n) - 1 touch; the gaps k..n-1 take one stacked product
-    gap_mats = np.concatenate([paths[1:n], head @ R[:max(n - block_k, 0)]])
-    return head.sum(axis=1), gap_mats
 
 
 def _check_window(n: int, block_k: int) -> None:
@@ -164,50 +134,44 @@ def _count_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weig
     clusters of gaps <= kappa (``_masks``), and, when with_alt is set,
     alt = the sum of N(S) under the uniform weights 2^-n, else None.
     With log_weights (block_k <= 1 only) a pattern weighs exp of the sum
-    of its symbols' weights.  The one choice of kernel: ``_run_sums``
-    for a shift with a positive square, else ``_table_sums``."""
-    sums = _run_sums if sft.is_square_positive() else _table_sums
-    return sums(sft, n, block_k, with_alt, log_weights)
+    of its symbols' weights.  The one choice of kernel: ``_table_split``."""
+    split = _table_split(sft, n, block_k)
+    if split is None:
+        return _run_sums(sft, n, block_k, with_alt, log_weights)
+    return _table_sums(sft, n, block_k, with_alt, log_weights, split)
+
+
+def _table_split(sft: Sft, n: int, block_k: int) -> int | None:
+    """The gap D = ``Sft.split_gap`` at which ``_count_sums`` splits
+    ``_table_sums``, or n for n <= LEFT_BITS (the split is 1.1-1.8x faster
+    at n = 8..12, but slower at n <= 5, where small requests are); None,
+    for ``_run_sums``, where D <= max(block_k, 1) + 1."""
+    gap = sft.split_gap(n, block_k)
+    if gap <= max(block_k, 1) + 1:
+        return None
+    return gap if n > LEFT_BITS else n
 
 
 def _table_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weights=None,
-                split: bool = True):
+                split: int | None = None):
     """``_count_sums`` from the counts at the canonical masks
     (``_masks.table_shape_sums``, which holds at most BLOCK_ENTRIES of them
-    at a time), split at ``_split_gap`` of the count matrices, or at n
-    (no split) when split is False.  Windows of n <= LEFT_BITS take
-    D = n, the split not looked for: on the table shifts it is 1.1-1.8x
-    faster at n = 8..12 but slower at n <= 5, where small requests are.
-    A weighted count that underflows to 0 gives a -inf shape sum."""
-    init, mats = _count_mats(sft, n, block_k, log_weights)
-    gap = _split_gap(init, mats) if split and n > LEFT_BITS else n
+    at a time), split at the gap ``split``, a split gap of the shift, or
+    at n (no split) when it is None.  A weighted count that underflows to
+    0 gives a -inf shape sum."""
+    init, mats = sft.count_matrices(n, block_k, log_weights)
+    gap = n if split is None else split
     phi, log_full, total = table_shape_sums(n, init, mats, gap, with_counts=with_alt)
     # uniform weights: every subset, the empty one included, weighs 2^-n
     alt = float(0.5**n * total) if with_alt else None
     return phi, gap - 1, log_full, alt
 
 
-def _split_gap(init: np.ndarray, gap_mats) -> int:
-    """The smallest gap D >= 2 from which every gap matrix is
-    outer(init, ones), so that a count factors over the clusters of gaps
-    < D (``_masks.table_shape_sums``); n, one more than the widest gap,
-    when even that one is not.  The test is exact: the matrices hold 0/1
-    reach times symbol weights, or integer path counts.  A primitive
-    shift of exponent p has D = p for block_k <= 1 and k + p - 1 for
-    block_k = k >= 2; a periodic or reducible one has no split."""
-    mats = np.asarray(gap_mats, dtype=np.float64).reshape(-1, len(init), len(init))
-    if len(mats) < 2 or (mats[-1] != init[:, None]).any():
-        return len(mats) + 1
-    # the gaps 2..n-2 that are not outer(init, ones); the split is past the last
-    off = np.flatnonzero((mats[1:-1] != init[:, None]).any(axis=(1, 2)))
-    return int(off[-1]) + 3 if off.size else 2
-
-
 def _run_sums(sft: Sft, n: int, block_k: int, with_alt: bool = False, log_weights=None):
-    """``_count_sums`` for a shift whose adjacency matrix has a positive
-    square.  With k = max(block_k, 1), two places of S less than k + 1
-    apart read blocks that touch or overlap; wider gaps leave at least 2
-    steps between the blocks, which reach every symbol.  So N(S) is the
+    """``_count_sums`` where the split gap D is at most k + 1, k =
+    max(block_k, 1).  Two places of S less than k + 1 apart read blocks
+    that touch or overlap, and every gap from D on reaches every symbol:
+    wider gaps do, or the window has none (D = n).  So N(S) is the
     product over the clusters of S (maximal groups with gaps <= k) of the
     weight of the words of length span + k, from one log-domain walk;
     kappa = min(k, n - 1), as no gap of the window is wider."""
@@ -229,12 +193,12 @@ def asc_series(sft: Sft, terms: int = 20) -> SeriesEstimate:
     shift whose adjacency matrix has strictly positive square:
     one quarter of sum(log |words of length k| / 2^k).  The reported
     tail bound covers the truncation error."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    check_terms(terms)
     if not sft.is_square_positive():
         raise ValueError("the series requires a strictly positive squared adjacency matrix")
-    value = sum(math.log(c) / 2.0**k for k, c in enumerate(sft.word_counts(terms), 1)) / 4.0
-    tail = math.log(sft.alphabet_size) * (terms + 2) / 2.0 ** (terms + 2)
+    # ldexp(x, -k) = x / 2^k, with no 2^k to overflow
+    value = sum(math.ldexp(math.log(c), -k) for k, c in enumerate(sft.word_counts(terms), 1)) / 4.0
+    tail = math.ldexp(math.log(sft.alphabet_size) * (terms + 2), -(terms + 2))
     return SeriesEstimate(value, tail, terms)
 
 
@@ -262,7 +226,7 @@ def recursion_check(sft: Sft, n: int) -> RecursionReport:
     lam = {k: math.log(c) for k, c in enumerate(sft.word_counts(n), 1)}
 
     def a(m: int) -> float:
-        phi, kappa = _table_sums(sft, m, 0, split=False)[:2]
+        phi, kappa = _table_sums(sft, m, 0)[:2]
         return 2.0**m * float(np.vdot(phi, moment_tables(CoefficientSystem.uniform(), m, kappa)[0]))
 
     direct = a(n)

@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from intricacy import markov, properties
+from intricacy import markov, properties, sweep
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
 from intricacy.cli import _emit, build_parsers, main
 from intricacy.coeffs import CoefficientSystem
@@ -429,6 +430,38 @@ class TestMarkov:
     def test_seed_required_with_samples(self, capsys):
         assert main(["markov", "--family", "gms-1step", "--param", "0.5", "--samples", "10"]) == 1
 
+    def test_negative_samples_is_bad_input(self, capsys):
+        # 0 means no Monte Carlo row; below 0 nothing is printed
+        code, out, err = run_cli(capsys, "markov", "--family", "gms-1step", "--param", "0.5",
+                                 "--samples", "-5", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert "--samples must be >= 0, got -5" in err
+        code, out, _ = run_cli(capsys, "markov", "--family", "gms-1step", "--param", "0.5",
+                               "--samples", "0")
+        assert code == 0 and [r["method"] for r in parse_csv(out)] == ["series"]
+
+    def test_series_of_1024_terms(self, capsys):
+        # 2^1024 overflows a float: each weight is taken as 2^-i directly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "markov", "--family", "gms-1step", "--param", "0.5",
+                                   "--terms", "1024")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert row["int_mu_rounded"] == "0.078" and row["n_or_K"] == "1024"
+        assert 0.0 < float(row["tail_bound"]) < 1e-300
+
+    def test_more_terms_than_weights_is_a_cap(self, capsys, monkeypatch):
+        # from 1075 terms on every weight 2^-i is 0: refused before any power
+        def no_powers(*args, **kwargs):
+            raise AssertionError("powers computed")
+
+        monkeypatch.setattr(markov, "_powers", no_powers)
+        code, out, err = run_cli(capsys, "markov", "--family", "gms-1step", "--param", "0.5",
+                                 "--terms", "1075")
+        assert (code, out) == (2, "")
+        assert "terms=1075 exceeds 1074" in err
+
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps({"block_len": 1, "P": [[0.5, 0.5], [0.5, 0.5]]}))
@@ -543,6 +576,31 @@ class TestSweep:
 
     def test_requires_output(self, capsys):
         assert main(["sweep", "--family", "gms-1step", "--step", "0.05"]) == 1
+
+    def test_series_of_1024_terms(self, capsys, tmp_path):
+        out = tmp_path / "surface.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--family", "gms-1step", "--step", "0.1", "--terms", "1024",
+                         "--output", str(out)])
+        assert code == 0 and len(parse_csv(out.read_text())) == 11
+        assert parse_csv(capsys.readouterr().out)[0]["value_rounded"] == "0.271"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--step", "0.1", "--terms", "1075"], "terms=1075 exceeds 1074"),
+        (["--step", "1e-320"], "gives inf grid points"),
+    ], ids=["terms", "step"])
+    def test_caps_come_before_any_point(self, capsys, tmp_path, monkeypatch, argv, message):
+        def no_points(*args, **kwargs):
+            raise AssertionError("points evaluated")
+
+        monkeypatch.setattr(sweep, "_evaluate", no_points)
+        out = tmp_path / "surface.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--family", "gms-1step", *argv,
+                                    "--output", str(out))
+        assert (code, stdout) == (2, "")
+        assert message in err
+        assert not out.exists()
 
     def test_custom_family_json(self, capsys, tmp_path):
         fam = tmp_path / "fam.json"

@@ -24,7 +24,7 @@ from intricacy.markov import (
     sampled_joint_entropy,
     stationary,
 )
-from intricacy.properties import cylinder_measure, sampled_joint_entropy_oracle
+from intricacy.properties import _systems, cylinder_measure, sampled_joint_entropy_oracle
 from intricacy.sft import Sft, SubsetSpec
 
 UNIFORM = CoefficientSystem.uniform()
@@ -649,10 +649,21 @@ class TestAscFinite:
             assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
     def test_caps(self):
-        with pytest.raises(CapExceeded):
-            asc_finite(gms_one_step(), UNIFORM, 21)
+        # a plain chain takes every window the weights reach, block chains 12
+        with pytest.raises(CapExceeded, match="n=65"):
+            asc_finite(gms_one_step(), UNIFORM, 65)
         with pytest.raises(CapExceeded):
             asc_finite(gms_two_step(0.5, 0.5), UNIFORM, 13)
+
+    @pytest.mark.parametrize("system", _systems(), ids=lambda c: c.spec)
+    def test_plain_chain_at_the_horizon(self, system):
+        # n = 64 under every system: no weight underflows, and the bounds
+        # 0 <= intricacy and asc <= h hold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = asc_finite(gms_one_step(), system, 64)
+        assert got.intricacy >= 0.0 and got.asc <= got.h
+        assert got.h == pytest.approx(entropy_rate(gms_one_step()), rel=1e-2)
 
 
 class TestAscLambda:

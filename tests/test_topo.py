@@ -6,13 +6,13 @@ import pytest
 
 from intricacy import _masks
 from intricacy._masks import moment_tables, product_table, shape_sums, table_shape_sums
+from intricacy.benchmarks import SFT_BENCHMARKS
 from intricacy.coeffs import CoefficientSystem
 from intricacy.errors import CapExceeded
-from intricacy.properties import _asc_reduced, _finite_profile_slow, _size_placements, _systems
+from intricacy.properties import (_asc_reduced, _finite_profile_slow, _random_primitive_sfts,
+                                  _size_placements, _systems)
 from intricacy.sft import Sft, SubsetSpec
 from intricacy.topo import (
-    _count_mats,
-    _split_gap,
     asc_series,
     finite_profile,
     finite_profiles,
@@ -181,7 +181,7 @@ class TestMaskTable:
             assert table.tolist() == want
             # a k-block cover keeps the 2^(n-1) rows and widens the gap matrices
             for k in (2, 4, 7):
-                table = product_table(n_bits, *_count_mats(s, n_bits, k))
+                table = product_table(n_bits, *s.count_matrices(n_bits, k))
                 want = [s.count_words_at(SubsetSpec(n_bits, 2 * i + 1).dilate(k))
                         for i in range(len(table))]
                 assert table.tolist() == want
@@ -194,6 +194,28 @@ PRIMITIVE_5 = [[1, 0, 1, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [1, 1, 1, 1, 0
                [1, 0, 0, 0, 0]]
 PERIODIC = [[0, 1], [1, 0]]
 REDUCIBLE = [[1, 1], [0, 1]]
+
+
+def rank_one_gap(init, gap_mats) -> int:
+    # the smallest gap D >= 2 from which every gap matrix is outer(init,
+    # ones), n (one more than the widest gap) when even that one is not:
+    # an exact scan, as the matrices hold 0/1 reach times symbol weights or
+    # integer path counts
+    mats = np.asarray(gap_mats, dtype=np.float64).reshape(-1, len(init), len(init))
+    if len(mats) < 2 or (mats[-1] != init[:, None]).any():
+        return len(mats) + 1
+    off = np.flatnonzero((mats[1:-1] != init[:, None]).any(axis=(1, 2)))
+    return int(off[-1]) + 3 if off.size else 2
+
+
+def split_gap_shifts() -> list[Sft]:
+    # the published shifts, the random primitive ones of the runs suite,
+    # a shift of exponent 5, two with none (periodic, reducible) and forbidden-word
+    # recodings on 2 and 3 symbols
+    return ([Sft(np.asarray(b.adjacency)) for b in SFT_BENCHMARKS]
+            + list(_random_primitive_sfts())
+            + [Sft(A) for A in (PRIMITIVE_5, PERIODIC, REDUCIBLE)]
+            + [Sft.from_forbidden_words(2, ["111"]), Sft.from_forbidden_words(3, ["012", "22"])])
 
 
 class TestTableSizeSums:
@@ -230,10 +252,10 @@ class TestTableSizeSums:
             w = np.linspace(0.3, 2.5, s.alphabet_size)
             for n in range(1, 11 if block == 1 else 15):
                 R = s.reach_powers(n - 1)
-                cases = [(np.ones(s.alphabet_size), R), (w, R * w[:, None])] + [
-                    _count_mats(s, n, k) for k in (2, 4)]
-                for init, mats in cases:
-                    for split in {_split_gap(init, mats), n}:
+                cases = [(0, np.ones(s.alphabet_size), R), (0, w, R * w[:, None])] + [
+                    (k, *s.count_matrices(n, k)) for k in (2, 4)]
+                for k, init, mats in cases:
+                    for split in {s.split_gap(n, k), n}:
                         got = table_shape_sums(n, init, mats, split, with_counts=True)
                         for a, b in zip(got, self.from_table(n, init, mats, split)):
                             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
@@ -246,7 +268,39 @@ class TestTableSizeSums:
         s = Sft(A)
         for n in (1, 2, 9, 20):
             for block_k, gap in zip((0, 2), gaps):
-                assert _split_gap(*_count_mats(s, n, block_k)) == min(gap or n, n)
+                assert s.split_gap(n, block_k) == min(gap or n, n)
+                assert rank_one_gap(*s.count_matrices(n, block_k)) == min(gap or n, n)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["counts", "potential"])
+    def test_split_gap_is_where_the_matrices_turn_rank_one(self, weighted):
+        # the formula of Sft.split_gap against a scan of the count matrices
+        # for the first gap from which all are outer(init, ones)
+        rng = np.random.default_rng(5)
+        for s in split_gap_shifts():
+            lw = rng.uniform(-3.0, 3.0, s.alphabet_size) if weighted else None
+            for n in range(1, 24):
+                for block_k in range(6):
+                    # vertex weights take block_k <= 1 only
+                    want = rank_one_gap(*s.count_matrices(n, block_k, lw if block_k <= 1 else None))
+                    assert s.split_gap(n, block_k) == want, (s.adjacency.tolist(), n, block_k)
+
+    def test_weights_take_single_places_only(self):
+        with pytest.raises(ValueError, match="block_k <= 1"):
+            Sft(SFT_I).count_matrices(5, 2, np.zeros(3))
+
+    def test_exponent_is_the_first_all_ones_reach(self):
+        # one boolean product at a time up to Wielandt's bound, apart from
+        # reach_powers, which stops its products at the exponent
+        for s in split_gap_shifts():
+            A = R = s.adjacency > 0
+            full = []
+            for g in range(1, (s.alphabet_size - 1) ** 2 + 2):
+                full += [g] if R.all() else []
+                R = R @ A
+            assert s.exponent == (full[0] if full else None)
+        assert Sft(PERIODIC).exponent is None and Sft(REDUCIBLE).exponent is None
+        assert [Sft(A).exponent for A in (SFT_I, GOLDEN_PAIR_II, PRIMITIVE_5)] == [3, 4, 5]
+        assert Sft.full_shift(3).exponent == 1 and Sft.golden_mean().exponent == 2
 
     def test_zero_entry_gives_minus_inf(self, monkeypatch):
         monkeypatch.setattr(_masks, "LEFT_BITS", 3)
@@ -269,9 +323,9 @@ class TestTableSizeSums:
         monkeypatch.setattr(_masks, "LEFT_BITS", left_bits)
         s = Sft(GOLDEN_PAIR_II)
         for n in (10, 14, 16):
-            init, mats = _count_mats(s, n, 0, np.array([-800.0, 0.0, 0.0]))
-            split = _split_gap(init, mats)
-            assert split == 4
+            init, mats = s.count_matrices(n, 0, np.array([-800.0, 0.0, 0.0]))
+            split = s.split_gap(n)
+            assert split == rank_one_gap(init, mats) == 4
             got = table_shape_sums(n, init, mats, split, with_counts=True)
             assert not any(np.isnan(a).any() for a in got)
             for a, b in zip(got, self.from_table(n, init, mats, split)):
@@ -285,7 +339,7 @@ class TestTableSizeSums:
         # n = 20 and 101 MB at n = 23, split at D = 3 or not at all
         s = Sft(SFT_I)
         for n, split in [(20, 3), (20, 20), (23, 3), (23, 23)]:
-            init, mats = _count_mats(s, n)
+            init, mats = s.count_matrices(n)
             tracemalloc.start()
             try:
                 table_shape_sums(n, init, mats, split, with_counts=True)
@@ -447,6 +501,17 @@ class TestSeries:
     def test_requires_square_positive(self):
         with pytest.raises(ValueError):
             asc_series(Sft(SFT_I), 20)
+
+    def test_terms_to_the_last_nonzero_weight(self):
+        # 2^1024 overflows a float, so each weight is taken as 2^-k directly;
+        # from 1075 terms on every weight is 0, refused as a cap
+        s = Sft.golden_mean()
+        for terms in (1022, 1074):
+            est = asc_series(s, terms)
+            assert est.value == pytest.approx(asc_series(s, 60).value, abs=1e-15)
+            assert 0.0 < est.tail_bound < 1e-300
+        with pytest.raises(CapExceeded, match="terms=1075"):
+            asc_series(s, 1075)
 
     def test_series_vs_finite_trend(self):
         s = Sft.golden_mean()
