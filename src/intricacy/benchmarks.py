@@ -13,7 +13,7 @@ self-consistent reading (intricacy = 2 * asc - entropy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SftBenchmark:
+class SftBenchmark(NamedTuple):
     tag: str
     adjacency: tuple[tuple[int, ...], ...]
     entropy: float
@@ -46,8 +45,7 @@ class SftBenchmark:
     int_series: float | None = None
 
 
-@dataclass(frozen=True)
-class MarkovBenchmark:
+class MarkovBenchmark(NamedTuple):
     tag: str
     family: str
     theta: tuple[float, ...]

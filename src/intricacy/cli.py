@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -46,59 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--output", help="write to this path instead of stdout")
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
-def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The top-level parser, and the table from each subcommand's name to
-    its parser and its handler."""
-    parser = _Parser(prog="intricacy", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    topo = sub.add_parser("topo", help="complexity profile rows per window size")
-    topo.add_argument("--input", required=True, help="SFT JSON file")
-    topo.add_argument("--n", type=int, action="append", required=True)
-    topo.add_argument("--block-k", type=int, default=0)
-    topo.add_argument("--coeffs", default="uniform")
-    _add_common(topo)
-
-    pressure = sub.add_parser("pressure", help="average sample pressure rows")
-    pressure.add_argument("--input", required=True, help="SFT JSON file")
-    pressure.add_argument("--potential", required=True, help="potential JSON file")
-    pressure.add_argument("--n", type=int, action="append", required=True)
-    pressure.add_argument("--coeffs", default="uniform")
-    _add_common(pressure)
-
-    markov = sub.add_parser("markov", help="series / finite / Monte Carlo rows")
-    markov.add_argument("--input", help="Markov JSON file")
-    markov.add_argument("--family", help="built-in family name")
-    markov.add_argument("--param", type=float, action="append", default=None,
-                        help="family parameter (repeatable)")
-    markov.add_argument("--terms", type=int, default=20)
-    markov.add_argument("--n", type=int, action="append")
-    markov.add_argument("--coeffs", default="uniform")
-    markov.add_argument("--samples", type=int, default=0)
-    markov.add_argument("--seed", type=int)
-    _add_common(markov)
-
-    sweep = sub.add_parser("sweep", help="parameter surface scan plus refinement")
-    sweep.add_argument("--family", help="built-in family name")
-    sweep.add_argument("--input", help="custom family JSON file")
-    sweep.add_argument("--objective", choices=["h", "asc", "int"], default="asc")
-    sweep.add_argument("--step", type=float, default=0.005)
-    sweep.add_argument("--terms", type=int, default=20)
-    _add_common(sweep)
-
-    check = sub.add_parser("check", help="run the oracle and property suites")
-    check.add_argument("--suite", default="all")
-    check.add_argument("--max-n", type=int, default=8)
-    return parser, {"topo": (topo, _cmd_topo), "pressure": (pressure, _cmd_pressure),
-                    "markov": (markov, _cmd_markov), "sweep": (sweep, _cmd_sweep),
-                    "check": (check, _cmd_check)}
 
 
 def _load_json(path: str, build):
@@ -342,19 +290,71 @@ def _cmd_check(args) -> int:
     return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
 
 
-# built once at import; each request is parsed once, by the parser of the
-# subcommand that its first argument names
-_PARSER, _COMMANDS = build_parsers()
+_OUTPUT = [("--output", dict(help="write to this path instead of stdout")),
+           ("--format", dict(choices=["csv", "json"], default="csv"))]
+# each subcommand's help line, handler and options, as (flag, add_argument keywords)
+_SUBCOMMANDS = {
+    "topo": ("complexity profile rows per window size", _cmd_topo, [
+        ("--input", dict(required=True, help="SFT JSON file")),
+        ("--n", dict(type=int, action="append", required=True)),
+        ("--block-k", dict(type=int, default=0)),
+        ("--coeffs", dict(default="uniform")), *_OUTPUT]),
+    "pressure": ("average sample pressure rows", _cmd_pressure, [
+        ("--input", dict(required=True, help="SFT JSON file")),
+        ("--potential", dict(required=True, help="potential JSON file")),
+        ("--n", dict(type=int, action="append", required=True)),
+        ("--coeffs", dict(default="uniform")), *_OUTPUT]),
+    "markov": ("series / finite / Monte Carlo rows", _cmd_markov, [
+        ("--input", dict(help="Markov JSON file")),
+        ("--family", dict(help="built-in family name")),
+        ("--param", dict(type=float, action="append", help="family parameter (repeatable)")),
+        ("--terms", dict(type=int, default=20)),
+        ("--n", dict(type=int, action="append")),
+        ("--coeffs", dict(default="uniform")),
+        ("--samples", dict(type=int, default=0)),
+        ("--seed", dict(type=int)), *_OUTPUT]),
+    "sweep": ("parameter surface scan plus refinement", _cmd_sweep, [
+        ("--family", dict(help="built-in family name")),
+        ("--input", dict(help="custom family JSON file")),
+        ("--objective", dict(choices=["h", "asc", "int"], default="asc")),
+        ("--step", dict(type=float, default=0.005)),
+        ("--terms", dict(type=int, default=20)), *_OUTPUT]),
+    "check": ("run the oracle and property suites", _cmd_check, [
+        ("--suite", dict(default="all")),
+        ("--max-n", dict(type=int, default=8))]),
+}
+
+
+def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flag, kwargs in _SUBCOMMANDS[name][2]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+@functools.cache
+def _own_parser(name: str) -> argparse.ArgumentParser:
+    # a request's own parser, built alone on first use: the one the tree holds under name
+    return _with_options(_Parser(prog=f"intricacy {name}"), name)
+
+
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser, and the table from each subcommand's name to
+    its parser and its handler."""
+    parser = _Parser(prog="intricacy", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    return parser, {name: (_with_options(sub.add_parser(name, help=text), name), handler)
+                    for name, (text, handler, _) in _SUBCOMMANDS.items()}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        parser, handler = _COMMANDS[argv[0]]
-        args = parser.parse_args(argv[1:])
-    else:  # help and usage errors exit in here
-        args = _PARSER.parse_args(argv)
-        handler = _COMMANDS[args.subcommand][1]
+    if argv and argv[0] in _SUBCOMMANDS:
+        args = _own_parser(argv[0]).parse_args(argv[1:])
+        handler = _SUBCOMMANDS[argv[0]][1]
+    else:  # help and usage errors build the whole tree and exit in here
+        parser, commands = build_parsers()
+        args = parser.parse_args(argv)
+        handler = commands[args.subcommand][1]
     try:
         return handler(args)
     except CapExceeded as exc:

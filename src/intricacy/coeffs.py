@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ _UNDERFLOW = 1e-300
 _AXIOM_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class SymmetricMeasure:
+class SymmetricMeasure(NamedTuple):
     """Probability measure on [0,1] invariant under x -> 1-x.
 
     Stored one-sided: ``pairs`` holds (x, mass), each standing for the
@@ -218,12 +217,12 @@ def _weights_row(measure: SymmetricMeasure, n: int) -> tuple[np.ndarray, tuple[i
     return row, underflowed
 
 
-@dataclass
 class ValidationReport:
     """Per-n axiom deviations for a coefficient system."""
 
-    rows: list[dict] = field(default_factory=list)
-    passed: bool = True
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.passed = True
 
     def add(self, n: int, sum_dev: float, asym: float, min_weight: float) -> None:
         ok = sum_dev <= _AXIOM_TOLERANCE and asym <= _AXIOM_TOLERANCE and min_weight >= 0.0

@@ -9,7 +9,7 @@ bit-reproducible across platforms for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,8 +239,7 @@ class MarkovMeasure:
         return f"MarkovMeasure(block_len={self.block_len}, states={len(self.states)})"
 
 
-@dataclass(frozen=True)
-class MarkovSeries:
+class MarkovSeries(NamedTuple):
     asc: float
     intricacy: float
     tail_bound: float
@@ -248,16 +247,14 @@ class MarkovSeries:
     h: float
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     mean: float
     stderr: float
     samples: int
     seed: int
 
 
-@dataclass(frozen=True)
-class SampledEntropyResult:
+class SampledEntropyResult(NamedTuple):
     """Finite-horizon subset-averaged entropies of a Markov measure."""
 
     n: int

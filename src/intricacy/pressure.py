@@ -6,29 +6,31 @@ baseline (log spectral radius of the weighted transfer matrix).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._masks import check_table_window, moment_tables
 from .coeffs import CoefficientSystem
 from .errors import are_numbers, read_field
-from .sft import Sft, _walk_count, log_spectral_radius
+from .sft import Sft, _as_subset, log_spectral_radius
 from .topo import _count_sums
 
 __all__ = ["Potential", "weighted_count", "asp_profile", "classical_pressure"]
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple("Potential", [("values", tuple)])):
     """Real value per symbol of the original alphabet (nats)."""
 
-    values: tuple[tuple[int, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for symbol, value in self.values:
+    def __new__(cls, values: tuple[tuple[int, float], ...]):
+        for symbol, value in values:
             if not math.isfinite(value):
                 raise ValueError(f"potential value {value} at symbol {symbol} is not finite")
+        return super().__new__(cls, values)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @classmethod
     def from_dict(cls, d: dict) -> "Potential":
@@ -55,12 +57,26 @@ class Potential:
 
 
 def weighted_count(sft: Sft, f: Potential, S, n: int | None = None) -> float:
-    """Sum over the distinct patterns at the places of S of
-    exp(sum of f over the pattern's symbols): the walk of the weighted
-    count matrices (``Sft.count_matrices``) that counts the patterns.
-    With f identically 0 this is exactly the pattern count; the empty set
-    sums the single empty pattern, i.e. 1."""
-    return float(_walk_count(sft, S, n, f.log_weights(sft)))
+    """Sum over the distinct patterns at the places of S of exp(sum of f
+    over the pattern's symbols): exactly ``Sft.count_words_at`` for f = 0,
+    else a log-sum-exp walk over the vertices each gap reaches (as in
+    ``Sft.log_word_weights``).  A sum outside float64's positive range is
+    refused as a ValueError naming the spread, never returned as inf or 0."""
+    spec = _as_subset(S, n)
+    lw = f.log_weights(sft)
+    if spec.mask == 0 or not lw.any():
+        return float(sft.count_words_at(spec))
+    R = sft.reach_powers(max(spec.gaps, default=0))
+    v = lw  # v[a] = log of the sum over the patterns from this place on that start at a
+    for g in reversed(spec.gaps):
+        v = lw + np.logaddexp.reduce(np.where(R[g - 1] > 0, v, -np.inf), axis=1)
+    total = float(np.logaddexp.reduce(v))
+    with np.errstate(over="ignore", under="ignore"):
+        value = float(np.exp(total))
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"weighted count at {spec.elements} leaves float64's positive range: "
+                         f"log sum {total:.6g}, potential spread {float(lw.max() - lw.min()):.6g}")
+    return value
 
 
 def asp_profile(sft: Sft, f: Potential, coeffs: CoefficientSystem, n: int) -> float:

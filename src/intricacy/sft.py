@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,18 +26,31 @@ __all__ = ["SubsetSpec", "Sft", "DEFAULT_ORACLE_CAP", "log_spectral_radius"]
 DEFAULT_ORACLE_CAP = 10**7
 
 
-@dataclass(frozen=True)
 class SubsetSpec:
-    """A subset of {0, ..., n-1} as a bitmask with horizon n."""
+    """A subset of {0, ..., n-1} as a bitmask with horizon n, equal and hashed by (n, mask)."""
 
-    n: int
-    mask: int
+    def __init__(self, n: int, mask: int):
+        if not 1 <= n <= HORIZON:
+            raise ValueError(f"horizon n={n} outside [1, {HORIZON}]")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"mask {mask:#x} out of range for n={n}")
+        vars(self).update(n=n, mask=mask)
 
-    def __post_init__(self):
-        if not 1 <= self.n <= HORIZON:
-            raise ValueError(f"horizon n={self.n} outside [1, {HORIZON}]")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SubsetSpec is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.mask == other.mask
+
+    def __hash__(self):
+        return hash((self.n, self.mask))
+
+    def __repr__(self):
+        return f"SubsetSpec(n={self.n!r}, mask={self.mask!r})"
 
     @classmethod
     def from_elements(cls, n: int, elements) -> "SubsetSpec":
@@ -145,20 +157,6 @@ def _as_subset(S, n: int | None = None) -> SubsetSpec:
     if n is None:
         n = (max(elems) + 1) if elems else 1
     return SubsetSpec.from_elements(n, elems)
-
-
-def _walk_count(sft: Sft, S, n: int | None = None, log_weights=None):
-    """The count at S of ``sft.count_matrices``, walked from its last place:
-    exact without log_weights, a float with them; 1 for the empty set."""
-    spec = _as_subset(S, n)
-    if spec.mask == 0:
-        return 1
-    gaps = spec.gaps
-    init, mats = sft.count_matrices(max(gaps, default=0) + 1, 0, log_weights)
-    v, mats = init.tolist(), mats.tolist()
-    for g in reversed(gaps):
-        v = [sum(map(operator.mul, row, v)) for row in mats[g - 1]]
-    return sum(v)
 
 
 def _parse_word(word, alphabet_size: int) -> tuple[int, ...]:
@@ -374,8 +372,16 @@ class Sft:
         return head.sum(axis=1), gap_mats
 
     def count_words_at(self, S, n: int | None = None) -> int:
-        """|distinct patterns at the places of S|, exact; 1 for the empty set."""
-        return _walk_count(self, S, n)
+        """|distinct patterns at the places of S|, exact; 1 for the empty set:
+        the walk of ``count_matrices`` from the last place of S."""
+        spec = _as_subset(S, n)
+        if spec.mask == 0:
+            return 1
+        init, mats = self.count_matrices(max(spec.gaps, default=0) + 1)
+        v, mats = init.tolist(), mats.tolist()
+        for g in reversed(spec.gaps):
+            v = [sum(map(operator.mul, row, v)) for row in mats[g - 1]]
+        return sum(v)
 
     def word_counts(self, count: int) -> list[int]:
         """Numbers of words of lengths 1..count as exact integers, from one

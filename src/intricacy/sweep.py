@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,17 +47,20 @@ _POLL_BUDGET = 500
 _ROUND_POLLS = 8
 
 
-@dataclass(frozen=True, eq=False)
 class MarkovFamily:
     """``stack`` maps a (G, dimension) array of parameter points to their
-    (G, d, d) transition matrices on ``states``."""
+    (G, d, d) transition matrices on ``states``.  Equal only to itself; immutable."""
 
-    name: str
-    param_names: tuple[str, ...]
-    box: tuple[tuple[float, float], ...]
-    stack: Callable[[np.ndarray], np.ndarray]
-    states: tuple[tuple[int, ...], ...]
-    block_len: int = 1
+    def __init__(self, name: str, param_names: tuple[str, ...],
+                 box: tuple[tuple[float, float], ...], stack: Callable[[np.ndarray], np.ndarray],
+                 states: tuple[tuple[int, ...], ...], block_len: int = 1):
+        vars(self).update(name=name, param_names=param_names, box=box, stack=stack,
+                          states=states, block_len=block_len)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"MarkovFamily is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def dimension(self) -> int:
@@ -78,8 +80,7 @@ class MarkovFamily:
         return MarkovMeasure(P, states=self.states, block_len=self.block_len)
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     theta: tuple[float, ...]
     h: float
     asc: float
@@ -89,20 +90,18 @@ class GridPoint:
         return {"h": self.h, "asc": self.asc, "int": self.intricacy}[objective]
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     objective: str
     grid: list[GridPoint]
     best_theta: tuple[float, ...]
     best_value: float
     boundary_flag: bool
     local_maxima: list[tuple[tuple[float, ...], float]]
-    skipped: list[tuple[tuple[float, ...], str]] = field(default_factory=list)
-    step: float = 0.0
+    skipped: list[tuple[tuple[float, ...], str]]
+    step: float
 
 
-@dataclass(frozen=True)
-class MaximizeResult:
+class MaximizeResult(NamedTuple):
     theta: tuple[float, ...]
     value: float
     converged: bool
@@ -173,8 +172,8 @@ def family_from_dict(d: dict) -> MarkovFamily:
     return MarkovFamily(name, params, box, stack, states, block_len)
 
 
-# the built-ins are custom families over the whole unit box
-_BUILTINS = {d["name"]: family_from_dict(dict(d, box={p: [0, 1] for p in d["params"]})) for d in (
+# the built-ins are custom families over the whole unit box, each built on first use
+_BUILTINS = {d["name"]: dict(d, box={p: [0, 1] for p in d["params"]}) for d in (
     {"name": "full2-1step", "params": ["p00", "p11"],
      "template": [["p00", "rest"], ["rest", "p11"]]},
     {"name": "gms-1step", "params": ["p00"], "template": [["p00", "rest"], [1, 0]]},
@@ -183,11 +182,12 @@ _BUILTINS = {d["name"]: family_from_dict(dict(d, box={p: [0, 1] for p in d["para
 )}
 
 
+@cache
 def builtin_family(name: str) -> MarkovFamily:
-    try:
-        return _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; built-ins: {sorted(_BUILTINS)}") from None
+    """The built-in family of that name: one object per name."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown family {name!r}; built-ins: {sorted(_BUILTINS)}")
+    return family_from_dict(_BUILTINS[name])
 
 
 def _check_request(objective: str, terms: int) -> None:

@@ -17,7 +17,7 @@ suite compares the kernel picked against the table with no split (D = n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     """Finite-horizon complexity summary of one shift at one n.
 
     All values are in nats except ``alt``, which is a plain average count.
@@ -63,15 +62,13 @@ class ComplexityProfile:
     coeffs_spec: str
 
 
-@dataclass(frozen=True)
-class SeriesEstimate:
+class SeriesEstimate(NamedTuple):
     value: float
     tail_bound: float
     terms: int
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     n: int
     direct: float
     recursed: float

@@ -804,6 +804,33 @@ def test_cli_import_leaves_the_property_suites_out():
     assert out.stdout == "False\n"
 
 
+def test_cli_import_leaves_dataclasses_and_the_families_unbuilt():
+    # no record class generates code at import, and no built-in family is
+    # compiled for a request that does not name one
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, intricacy, intricacy.cli; from intricacy.sweep import builtin_family; "
+            "print('dataclasses' in sys.modules, builtin_family.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "False 0\n"
+
+
+@pytest.mark.parametrize("name", ["topo", "pressure", "markov", "sweep", "check"])
+def test_subcommand_parser_built_alone_matches_the_tree(name, capsys, monkeypatch):
+    # a request builds only its own subcommand's parser; its help and usage
+    # errors read as those of the whole tree's parser
+    monkeypatch.setenv("COLUMNS", "80")
+    sub = build_parsers()[1][name][0]
+    for argv in (["--help"], ["--bogus"], ["--n", "x"], ["--format", "xml"], ["--max-n"]):
+        with pytest.raises(SystemExit) as want:
+            sub.parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main([name, *argv])
+        assert got.value.code == want.value.code and capsys.readouterr() == expected
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, intricacy.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -146,6 +146,20 @@ class TestFromMeasure:
             assert rows[0].tolist() == [system.weight(4, k) for k in range(5)]
 
 
+class TestSymmetricMeasure:
+    def test_value_type(self):
+        # the key of the weight-row cache: immutable, equal and hashed by its fields
+        m = SymmetricMeasure.from_one_sided([(0.25, 0.25)], lebesgue_mass=0.5)
+        same = SymmetricMeasure(((0.25, 0.25),), 0.0, 0.5)
+        assert m == same and hash(m) == hash(same)
+        assert m != SymmetricMeasure(((0.25, 0.25),), 0.0, 0.25)
+        assert repr(m) == ("SymmetricMeasure(pairs=((0.25, 0.25),), center_mass=0.0, "
+                           "lebesgue_mass=0.5)")
+        with pytest.raises(AttributeError):
+            m.center_mass = 1.0
+        assert m._replace(lebesgue_mass=0.25).lebesgue_mass == 0.25
+
+
 class TestValidate:
     @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda s: s.spec)
     def test_builtins_pass(self, system):

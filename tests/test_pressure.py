@@ -55,6 +55,31 @@ class TestWeightedCount:
             spec = SubsetSpec(6, mask)
             assert weighted_count(s, lo, spec) <= weighted_count(s, hi, spec) + 1e-12
 
+    @pytest.mark.parametrize("f0", [800.0, -800.0])
+    def test_sum_outside_float64_is_refused(self, f0):
+        # e^1600 + 2 e^800 overflows and 2 e^-800 + e^-1600 underflows: refused, not inf or 0
+        f = Potential.from_values({0: f0, 1: 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float64's positive range.*spread 800"):
+                weighted_count(Sft.golden_mean(), f, [0, 1])
+
+    @pytest.mark.parametrize("f, S, want", [
+        # e^700 + 1 near the top of float64's range
+        ((700.0, 0.0), [0], math.exp(700) + 1),
+        # 1 + 2 e^400: |S| max f = 800 is past exp's range, the sum is not
+        ((0.0, 400.0), [0, 1], 1 + 2 * math.exp(400)),
+        # 2 + e^-1600: the max-f symbol cannot fill S, and f spreads over 1600
+        ((-800.0, 800.0), [0, 1], 2.0),
+        # 10 consecutive places: the 6 patterns with five 1s, the rest e^-80 smaller
+        ((0.0, 80.0), range(10), 6 * math.exp(400)),
+    ], ids=["one-place", "scale-past-exp", "spread-1600", "ten-places"])
+    def test_any_sum_float64_holds_is_returned(self, f, S, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = weighted_count(Sft.golden_mean(), Potential.from_values(dict(enumerate(f))), S)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_missing_symbol_rejected(self):
         with pytest.raises(ValueError):
             weighted_count(Sft(PAIR_A), Potential.from_values({0: 0.0, 1: 1.0}), [0, 1])
@@ -144,6 +169,16 @@ class TestPotential:
             Potential.from_values({0: value, 1: 0.0})
         with pytest.raises(ValueError, match="at symbol 0 is not finite"):
             Potential.from_dict({"values": {"0": value, "1": 0.0}})
+        with pytest.raises(ValueError, match="at symbol 0 is not finite"):
+            Potential.from_values({0: 0.0})._replace(values=((0, value),))
+
+    def test_value_type(self):
+        f = Potential.from_values({1: 2.0, 0: 0.5})
+        assert f == Potential(((0, 0.5), (1, 2.0))) and hash(f) == hash(Potential(f.values))
+        assert f != Potential.from_values({0: 0.5, 1: 2.5})
+        assert repr(f) == "Potential(values=((0, 0.5), (1, 2.0)))"
+        with pytest.raises(AttributeError):
+            f.values = ()
 
 
 class TestClassicalPressure:

@@ -51,6 +51,20 @@ class TestSubsetSpec:
         with pytest.raises(ValueError):
             SubsetSpec.from_elements(3, [3])
 
+    def test_value_type(self):
+        # a key of caches and memo tables: immutable, equal and hashed by (n, mask)
+        s = SubsetSpec(5, 0b10110)
+        assert s == SubsetSpec.from_elements(5, [1, 2, 4]) and s != SubsetSpec(6, 0b10110)
+        assert s != (5, 0b10110) and hash(s) == hash((5, 0b10110))
+        assert len({s, SubsetSpec(5, 0b10110), s.complement()}) == 2
+        assert repr(s) == "SubsetSpec(n=5, mask=22)"
+        assert list(s) == [1, 2, 4]
+        with pytest.raises(AttributeError):
+            s.mask = 1
+        with pytest.raises(AttributeError):
+            del s.n
+        assert (s.n, s.mask) == (5, 0b10110)
+
 
 class TestBuild:
     def test_golden_mean_from_forbidden(self):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +147,19 @@ class TestMaximize:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             builtin_family("gms-3step")
+
+    def test_builtin_family_is_one_object_per_name(self):
+        # built on first use, then the same object: its cached properties are computed once
+        for name in ("full2-1step", "gms-1step", "gms-2step"):
+            fam = builtin_family(name)
+            assert builtin_family(name) is fam and fam.name == name
+            assert fam == fam and fam != sweep.MarkovFamily(fam.name, fam.param_names, fam.box,
+                                                            fam.stack, fam.states, fam.block_len)
+            # shared by every caller, so it cannot be changed under them
+            with pytest.raises(AttributeError, match="immutable"):
+                fam.stack = None
+            with pytest.raises(AttributeError, match="immutable"):
+                del fam.box
 
 
 class TestCustomFamily:
@@ -308,7 +320,9 @@ class TestBatch:
         }
         for name, Ps in stacks.items():
             fam = builtin_family(name)
-            given = replace(fam, stack=lambda thetas: np.array(Ps, dtype=float))
+            given = sweep.MarkovFamily(fam.name, fam.param_names, fam.box,
+                                       lambda thetas: np.array(Ps, dtype=float), fam.states,
+                                       fam.block_len)
             got = _evaluate(given, np.zeros((len(Ps), fam.dimension)), 20)
             reasons = [None if isinstance(res, GridPoint) else res[1] for res in got]
             want = []
