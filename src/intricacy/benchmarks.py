@@ -27,34 +27,28 @@ __all__ = [
 ]
 
 
-class SftBenchmark(NamedTuple):
-    tag: str
-    adjacency: tuple[tuple[int, ...], ...]
-    entropy: float
-    h10: float
-    asc10: float
-    int10: float
-    # n_words_013: published spot-check count at the places {0, 1, 3}
-    n_words_013: int | None = None
+# a record takes the functional form with real types: class syntax would
+# compile each field's annotation string at import
+SftBenchmark = NamedTuple("SftBenchmark", [
+    ("tag", str), ("adjacency", tuple[tuple[int, ...], ...]), ("entropy", float),
+    ("h10", float), ("asc10", float), ("int10", float),
+    # published spot-check count at the places {0, 1, 3}
+    ("n_words_013", int | None),
     # pressure profile values at n = 10 for the two one-coordinate
     # potentials used with the pressure pair (weight 1 on symbol 2 / 1)
-    asp10_f1: float | None = None
-    asp10_f2: float | None = None
+    ("asp10_f1", float | None), ("asp10_f2", float | None),
     # series limits (20 terms) where published
-    asc_series: float | None = None
-    int_series: float | None = None
+    ("asc_series", float | None), ("int_series", float | None),
+])
+SftBenchmark.__new__.__defaults__ = (None,) * 5  # the optional columns
 
-
-class MarkovBenchmark(NamedTuple):
-    tag: str
-    family: str
-    theta: tuple[float, ...]
-    h: float
-    asc: float
-    intricacy: float
+MarkovBenchmark = NamedTuple("MarkovBenchmark", [
+    ("tag", str), ("family", str), ("theta", tuple[float, ...]),
+    ("h", float), ("asc", float), ("intricacy", float),
     # which of the three columns is the bolded family maximum, if any
-    maximizes: str | None = None
-    note: str | None = None
+    ("maximizes", str | None), ("note", str | None),
+])
+MarkovBenchmark.__new__.__defaults__ = (None,) * 2
 
 
 SFT_BENCHMARKS: tuple[SftBenchmark, ...] = (

@@ -174,6 +174,8 @@ def _markov_measure(args) -> tuple[MarkovMeasure, str, dict[str, float]]:
 def _cmd_markov(args) -> int:
     if args.samples < 0:  # 0 asks for no Monte Carlo row
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.samples > 0 and args.seed is None:
         raise ValueError("--seed is required when --samples > 0")
     measure, source, params = _markov_measure(args)

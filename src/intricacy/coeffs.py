@@ -45,7 +45,11 @@ _UNDERFLOW = 1e-300
 _AXIOM_TOLERANCE = 1e-12
 
 
-class SymmetricMeasure(NamedTuple):
+# a record takes the functional form with real types: class syntax would
+# compile each field's annotation string at import
+class SymmetricMeasure(NamedTuple("SymmetricMeasure", [
+        ("pairs", tuple[tuple[float, float], ...]), ("center_mass", float),
+        ("lebesgue_mass", float)])):
     """Probability measure on [0,1] invariant under x -> 1-x.
 
     Stored one-sided: ``pairs`` holds (x, mass), each standing for the
@@ -55,9 +59,7 @@ class SymmetricMeasure(NamedTuple):
     masses to total 1; ``validate`` checks a measure built otherwise.
     """
 
-    pairs: tuple[tuple[float, float], ...]
-    center_mass: float
-    lebesgue_mass: float
+    __slots__ = ()
 
     @classmethod
     def from_one_sided(

@@ -91,8 +91,10 @@ def _refusals(P: np.ndarray, codes: np.ndarray | None = None, states=None) -> li
         raise ValueError("P must be square")
     flat = P.reshape(len(P), -1)
     used = (flat > 0) * (0 if codes is None else codes.reshape(-1))
-    failed = np.array([~np.isfinite(flat).all(axis=1), (flat < 0).any(axis=1),
-                       np.abs(P.sum(axis=2) - 1.0).max(axis=1) > 1e-12, used.any(axis=1)])
+    with np.errstate(invalid="ignore"):  # inf - inf in a row: refused as non-finite first
+        unbalanced = np.abs(P.sum(axis=2) - 1.0).max(axis=1) > 1e-12
+    failed = np.array([~np.isfinite(flat).all(axis=1), (flat < 0).any(axis=1), unbalanced,
+                       used.any(axis=1)])
     texts = ("P has non-finite entries", "P has negative entries",
              "P rows must sum to 1 within 1e-12")
     why = (None, "is not admissible in the support shift", "violates the block overlap condition")
@@ -239,28 +241,20 @@ class MarkovMeasure:
         return f"MarkovMeasure(block_len={self.block_len}, states={len(self.states)})"
 
 
-class MarkovSeries(NamedTuple):
-    asc: float
-    intricacy: float
-    tail_bound: float
-    terms: int
-    h: float
+# a record takes the functional form with real types: class syntax would
+# compile each field's annotation string at import
+MarkovSeries = NamedTuple("MarkovSeries", [
+    ("asc", float), ("intricacy", float), ("tail_bound", float), ("terms", int), ("h", float)])
+
+McEstimate = NamedTuple("McEstimate", [
+    ("mean", float), ("stderr", float), ("samples", int), ("seed", int)])
 
 
-class McEstimate(NamedTuple):
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
-
-
-class SampledEntropyResult(NamedTuple):
+class SampledEntropyResult(NamedTuple("SampledEntropyResult", [
+        ("n", int), ("asc", float), ("intricacy", float), ("h", float)])):
     """Finite-horizon subset-averaged entropies of a Markov measure."""
 
-    n: int
-    asc: float
-    intricacy: float
-    h: float
+    __slots__ = ()
 
 
 def _powers(P: np.ndarray, count: int, head: np.ndarray | None = None) -> np.ndarray:

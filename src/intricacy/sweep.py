@@ -3,9 +3,8 @@
 A family maps a stack of parameter vectors in a box to the stack of
 their transition matrices.  ``scan`` evaluates the series on a regular
 grid, a block at a time, and collects boundary/interior maxima per
-objective; ``maximize`` refines a start point with a compass search
-clamped to the box, a round of polls over several step levels at a
-time, both by ``_evaluate``.
+objective; ``maximize`` refines a start point by projected Newton steps,
+each model from one stacked ``_evaluate`` of a stencil around it.
 """
 
 from __future__ import annotations
@@ -39,12 +38,13 @@ OBJECTIVES = ("h", "asc", "int")
 _BLOCK = 1024
 # most grid points a scan takes (about 470 B each, 120 MB): step 0.002 on a 2-D box fits
 _GRID_POINTS = 1 << 18
-# compass polls a maximize takes at most
-_POLL_BUDGET = 500
-# compass polls a maximize round holds at least, whole step levels at a
-# time: a stacked evaluation costs about 180 us fixed against about 6 us
-# per extra 1-step point, so a round of 8 costs little more than one of 2
-_ROUND_POLLS = 8
+# stencil spacing of a maximize step's model
+_H = 1e-4
+# rounding of an objective value (its spread over 1e-9 about a maximizer
+# is 1-5e-16): no evaluation can show a step the model says gains less
+_ROUNDING = 1e-15
+# stacked evaluations a maximize takes at most
+_EVALUATIONS = 40
 
 
 class MarkovFamily:
@@ -80,32 +80,24 @@ class MarkovFamily:
         return MarkovMeasure(P, states=self.states, block_len=self.block_len)
 
 
-class GridPoint(NamedTuple):
-    theta: tuple[float, ...]
-    h: float
-    asc: float
-    intricacy: float
+# a record takes the functional form with real types: class syntax would
+# compile each field's annotation string at import
+class GridPoint(NamedTuple("GridPoint", [
+        ("theta", tuple[float, ...]), ("h", float), ("asc", float), ("intricacy", float)])):
+    __slots__ = ()
 
     def value(self, objective: str) -> float:
         return {"h": self.h, "asc": self.asc, "int": self.intricacy}[objective]
 
 
-class SweepResult(NamedTuple):
-    objective: str
-    grid: list[GridPoint]
-    best_theta: tuple[float, ...]
-    best_value: float
-    boundary_flag: bool
-    local_maxima: list[tuple[tuple[float, ...], float]]
-    skipped: list[tuple[tuple[float, ...], str]]
-    step: float
+SweepResult = NamedTuple("SweepResult", [
+    ("objective", str), ("grid", list[GridPoint]), ("best_theta", tuple[float, ...]),
+    ("best_value", float), ("boundary_flag", bool),
+    ("local_maxima", list[tuple[tuple[float, ...], float]]),
+    ("skipped", list[tuple[tuple[float, ...], str]]), ("step", float)])
 
-
-class MaximizeResult(NamedTuple):
-    theta: tuple[float, ...]
-    value: float
-    converged: bool
-    iterations: int
+MaximizeResult = NamedTuple("MaximizeResult", [
+    ("theta", tuple[float, ...]), ("value", float), ("converged", bool), ("iterations", int)])
 
 
 def _box_entry(name: str, entry) -> tuple[float, float]:
@@ -196,16 +188,6 @@ def _check_request(objective: str, terms: int) -> None:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
 
 
-def _compass(theta, step, box):
-    """The points theta +- step along each axis, clamped to the box, less
-    those the clamp puts back on theta."""
-    for d, (lo, hi) in enumerate(box):
-        for sign in (1, -1):
-            t = min(max(theta[d] + sign * step, lo), hi)
-            if t != theta[d]:
-                yield theta[:d] + (t,) + theta[d + 1:]
-
-
 def _evaluate(family: MarkovFamily, thetas: np.ndarray, terms: int) -> list:
     """A GridPoint per row of ``thetas``, from one stacked pass, or (theta,
     reason) where the family does not build: what ``MarkovMeasure`` raises."""
@@ -286,47 +268,84 @@ def maximize(
     start,
     terms: int = 20,
 ) -> MaximizeResult:
-    """Compass search from ``start``: move to the first of the ``_compass``
-    points that strictly improves the objective, or halve the step (from
-    0.01) when none does.  Converged once the step is below 1e-5; after
-    500 polls the best point so far comes back with converged=False.
+    """Projected Newton search from ``start`` (Bertsekas 1982), each step's
+    model from one stacked evaluation of a stencil around theta.
 
-    A round is one stacked evaluation of the polls at the current step and
-    then at each halving below it, in the order a one-point search takes
-    them, whole levels until it holds ``_ROUND_POLLS``.  The search moves
-    to the first improving poll and keeps that poll's step; with none, it
-    goes on at the halving after the last level.  Polls are counted up to
-    the first improving one, so the budget, the path and the result are
-    those of the one-point search.  A start that does not build raises
-    ``ValueError``."""
+    A coordinate at a bound whose gradient points out of the box is held.
+    The others take the Newton step where their Hessian block is negative
+    definite, else a gradient step of 0.1; the candidate is theta plus the
+    step, clamped to the box.  Its stencil gives its value and the next
+    model; a candidate whose value is lower, or whose stencil does not all
+    build, is tried again with the step halved.  The search stops when the
+    candidate is within 1e-9 of theta, after ``_EVALUATIONS`` stacked
+    evaluations (``iterations``), or with the certificate that alone sets
+    ``converged``: the free Hessian is negative definite, its Newton step
+    gains less than ``_ROUNDING`` on the model (the free gradient is 0 to
+    rounding), and each held coordinate's outward gradient is more than h
+    times its curvature (beyond the stencil's error).  ``value`` is the
+    ``_evaluate`` value at ``theta``.  A start that does not build raises
+    ``ValueError``; one whose stencil does not all build comes back
+    unconverged.
+
+    The stencil, with h = ``_H``: theta, theta + u_i e_i and theta + k_i u_i
+    e_i per axis, theta + u_i e_i + u_j e_j per pair i < j.  An axis takes
+    a central pair (u = h, k = -1) where both points fit in the box, else
+    a one-sided one (u = +-h pointing in, k = 2).  Axes narrower than 4h
+    stay at the start."""
     _check_request(objective, terms)
-    theta0 = np.atleast_1d(np.asarray(start, dtype=float))
-    if theta0.shape != (family.dimension,):
+    theta = np.atleast_1d(np.asarray(start, dtype=float))
+    if theta.shape != (family.dimension,):
         raise ValueError("start has the wrong dimension")
-    for t, (lo, hi) in zip(theta0, family.box):
-        if not lo <= t <= hi:
-            raise ValueError("start outside the box")
+    lo, hi = np.array(family.box).reshape(-1, 2).T
+    if not np.all((lo <= theta) & (theta <= hi)):
+        raise ValueError("start outside the box")
+    axes = np.flatnonzero(hi - lo >= 4 * _H)
+    m = len(axes)
+    i, j = np.triu_indices(m, 1)
+    lo_a, hi_a, E = lo[axes], hi[axes], np.eye(len(theta))[axes]
 
-    (best,) = _evaluate(family, theta0[None], terms)
+    def model(theta):
+        t = theta[axes]
+        central = (t - _H >= lo_a) & (t + _H <= hi_a)
+        u = np.where(t + _H > hi_a, -_H, _H)
+        U, k = E * u[:, None], np.where(central, -1.0, 2.0)[:, None]
+        points = np.concatenate([theta[None], theta + U, theta + k * U, theta + U[i] + U[j]])
+        res = _evaluate(family, points, terms)
+        if not all(isinstance(r, GridPoint) for r in res):
+            return res[0], None, None
+        f = np.array([r.value(objective) for r in res])
+        f0, f1, f2, fij = f[0], f[1:m + 1], f[m + 1:2 * m + 1], f[2 * m + 1:]
+        g = np.where(central, f1 - f2, 4 * f1 - f2 - 3 * f0) / (2 * u)
+        H = np.diag(np.where(central, f1 + f2 - 2 * f0, f0 - 2 * f1 + f2) / _H ** 2)
+        H[i, j] = H[j, i] = (fij - f1[i] - f1[j] + f0) / (u[i] * u[j])
+        return res[0], g, H
+
+    best, g, H = model(theta)
     if not isinstance(best, GridPoint):
         raise ValueError(f"start {best[0]} does not build: {best[1]}")
-    step, polls = 0.01, 0
-    while step >= 1e-5 and polls < _POLL_BUDGET:
-        room = _POLL_BUDGET - polls
-        polled, levels, level = [], [], step
-        while level >= 1e-5 and len(polled) < min(_ROUND_POLLS, room):
-            compass = list(_compass(best.theta, level, family.box))
-            polled += compass
-            levels += [level] * len(compass)
-            level /= 2
-        results = _evaluate(family, np.array(polled[:room]), terms) if polled else []
-        hit = next((i for i, res in enumerate(results) if isinstance(res, GridPoint)
-                    and res.value(objective) > best.value(objective)), None)
-        if hit is not None:
-            best, step = results[hit], levels[hit]
-            polls += hit + 1
-        else:
-            # where the budget cut the round's last level short, the search stays at it
-            step = levels[-1] if len(polled) > room else level
-            polls += len(results)
-    return MaximizeResult(best.theta, best.value(objective), step < 1e-5, polls)
+    evaluations, converged, moved = 1, False, g is not None
+    while moved:
+        t = theta[axes]
+        held = ((t <= lo_a) & (g < 0)) | ((t >= hi_a) & (g > 0))
+        free = axes[~held]
+        Hf, gf = H[np.ix_(~held, ~held)], g[~held]
+        concave = bool(np.all(np.linalg.eigvalsh(Hf) < 0))
+        step = np.zeros_like(theta)
+        step[free] = (np.linalg.solve(Hf, -gf) if concave
+                      else 0.1 * gf / max(np.abs(gf).max(), 1e-300))
+        converged = (concave and gf @ step[free] / 2 < _ROUNDING
+                     and bool(np.all(np.abs(g[held]) > _H * np.abs(H[held, held]))))
+        moved, tried = False, theta
+        while not (converged or moved) and evaluations < _EVALUATIONS:
+            candidate = np.clip(theta + step, lo, hi)
+            step /= 2
+            if np.abs(candidate - theta).max() < 1e-9:
+                break
+            if not np.array_equal(candidate, tried):  # the clamp may repeat a candidate
+                tried = candidate
+                point, g_next, H_next = model(candidate)
+                evaluations += 1
+                moved = g_next is not None and point.value(objective) >= best.value(objective)
+        if moved:
+            theta, best, g, H = candidate, point, g_next, H_next
+    return MaximizeResult(best.theta, best.value(objective), converged, evaluations)

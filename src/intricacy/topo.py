@@ -45,35 +45,25 @@ __all__ = [
 ]
 
 
-class ComplexityProfile(NamedTuple):
+# a record takes the functional form with real types: class syntax would
+# compile each field's annotation string at import
+class ComplexityProfile(NamedTuple("ComplexityProfile", [
+        ("n", int), ("block_k", int), ("h", float), ("asc", float), ("intricacy", float),
+        ("acc", float), ("alt", float | None), ("coeffs_spec", str)])):
     """Finite-horizon complexity summary of one shift at one n.
 
     All values are in nats except ``alt``, which is a plain average count.
     ``alt`` is only defined for uniform weights and is None otherwise.
     """
 
-    n: int
-    block_k: int
-    h: float
-    asc: float
-    intricacy: float
-    acc: float
-    alt: float | None
-    coeffs_spec: str
+    __slots__ = ()
 
 
-class SeriesEstimate(NamedTuple):
-    value: float
-    tail_bound: float
-    terms: int
+SeriesEstimate = NamedTuple("SeriesEstimate", [
+    ("value", float), ("tail_bound", float), ("terms", int)])
 
-
-class RecursionReport(NamedTuple):
-    n: int
-    direct: float
-    recursed: float
-    rel_error: float
-    passed: bool
+RecursionReport = NamedTuple("RecursionReport", [
+    ("n", int), ("direct", float), ("recursed", float), ("rel_error", float), ("passed", bool)])
 
 
 def _check_window(n: int, block_k: int) -> None:

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from intricacy import markov, properties, sweep
+from intricacy import benchmarks, coeffs, markov, pressure, properties, sweep, topo
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
 from intricacy.cli import _emit, build_parsers, main
 from intricacy.coeffs import CoefficientSystem
@@ -440,6 +441,22 @@ class TestMarkov:
                                "--samples", "0")
         assert code == 0 and [r["method"] for r in parse_csv(out)] == ["series"]
 
+    @pytest.mark.parametrize("samples", ["10", "0"])
+    def test_negative_seed_is_bad_input_naming_the_flag(self, capsys, samples):
+        code, out, err = run_cli(capsys, "markov", "--family", "gms-1step", "--param", "0.5",
+                                 "--samples", samples, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert "--seed must be >= 0, got -1" in err
+
+    def test_infinite_parameter_is_refused_without_a_warning(self, capsys):
+        # the "rest" cell is 1 - inf, so its row sums to inf - inf: no
+        # RuntimeWarning before the refusal, which names the first failed test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "markov", "--family", "gms-1step", "--param", "1e400")
+        assert (code, out) == (1, "")
+        assert "P has non-finite entries" in err
+
     def test_series_of_1024_terms(self, capsys):
         # 2^1024 overflows a float: each weight is taken as 2^-i directly
         with warnings.catch_warnings():
@@ -814,6 +831,46 @@ def test_cli_import_leaves_dataclasses_and_the_families_unbuilt():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == "False 0\n"
+
+
+def test_cli_import_compiles_no_annotation_string():
+    # records are built from real types: a ForwardRef per field would
+    # compile its annotation string, about 1 ms of every start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import builtins, numpy; real = builtins.compile; sources = []\n"
+            "def spy(source, *args, **kwargs):\n"
+            "    sources.append(source)\n"
+            "    return real(source, *args, **kwargs)\n"
+            "builtins.compile = spy\n"
+            "import intricacy, intricacy.cli\n"
+            "print([s for s in sources if isinstance(s, str)])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("record", [
+    benchmarks.SftBenchmark, benchmarks.MarkovBenchmark, coeffs.SymmetricMeasure,
+    markov.MarkovSeries, markov.McEstimate, markov.SampledEntropyResult, sweep.GridPoint,
+    sweep.SweepResult, sweep.MaximizeResult, topo.ComplexityProfile, topo.SeriesEstimate,
+    topo.RecursionReport, pressure.Potential,
+], ids=lambda record: record.__name__)
+def test_records_are_tuples(record):
+    values = [((0, 1.0),)] if record is pressure.Potential else list(range(len(record._fields)))
+    rec = record(*values)
+    assert isinstance(rec, tuple)
+    assert len(rec) == len(values) and [*rec] == values and rec == tuple(values)
+    changed = rec._replace(**{record._fields[-1]: values[0]})
+    assert type(changed) is record and [*changed] == [*values[:-1], values[0]]
+    assert record._fields == tuple(typing.get_type_hints(record))
+
+
+def test_published_records_default_their_optional_columns():
+    sft = benchmarks.SftBenchmark("t", ((1,),), 0.0, 0.1, 0.2, 0.3)
+    assert sft[6:] == (None,) * 5 and sft.n_words_013 is None
+    bench = benchmarks.MarkovBenchmark("t", "gms-1step", (0.5,), 0.1, 0.2, 0.3)
+    assert bench.maximizes is None and bench.note is None
 
 
 @pytest.mark.parametrize("name", ["topo", "pressure", "markov", "sweep", "check"])

@@ -9,9 +9,10 @@ from intricacy.errors import CapExceeded
 from intricacy.markov import MarkovMeasure, asc_series_markov, stationary
 from intricacy.sft import Sft
 from intricacy.sweep import (
-    GridPoint, MaximizeResult, _compass, _evaluate, builtin_family, family_from_dict, maximize,
-    scan,
+    GridPoint, MaximizeResult, _evaluate, builtin_family, family_from_dict, maximize, scan,
 )
+
+GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 class TestScan:
@@ -215,6 +216,8 @@ class TestCustomFamily:
         fam = family_from_dict(dict(self.GMS_JSON, box={"a": [0.5, 0.5]}))
         assert fam.box == ((0.5, 0.5),)
         assert [p.theta for p in scan(fam, step=0.05).grid] == [(0.5,)]
+        res = maximize(fam, "asc", [0.5])
+        assert res.theta == (0.5,) and res.converged and res.iterations == 1
 
     @pytest.mark.parametrize("change,where", [
         ({"template": [["a", "rest"], [1, 0, 0]]}, "row 1"),
@@ -268,16 +271,32 @@ def _per_point(name, theta):
     return s.h, s.asc, s.intricacy
 
 
+# most polls the reference compass search takes
+COMPASS_POLLS = 500
+
+
+def _compass(theta, step, box):
+    # the points theta +- step along each axis, clamped to the box, less
+    # those the clamp puts back on theta
+    for d, (lo, hi) in enumerate(box):
+        for sign in (1, -1):
+            t = min(max(theta[d] + sign * step, lo), hi)
+            if t != theta[d]:
+                yield theta[:d] + (t,) + theta[d + 1:]
+
+
 def _sequential_compass(fam, objective, start):
-    # maximize with one evaluation per poll
+    # the reference maximizer: a compass search with one evaluation per poll
+    # that moves to the first improving poll, or halves its step (from 0.01)
+    # when none does, until the step is below 1e-5
     def point(theta):
         return _evaluate(fam, np.array([theta]), 20)[0]
 
     best = point(tuple(start))
     step, polls = 0.01, 0
-    while step >= 1e-5 and polls < sweep._POLL_BUDGET:
+    while step >= 1e-5 and polls < COMPASS_POLLS:
         for theta in _compass(best.theta, step, fam.box):
-            if polls == sweep._POLL_BUDGET:
+            if polls == COMPASS_POLLS:
                 break
             polls += 1
             res = point(theta)
@@ -287,6 +306,18 @@ def _sequential_compass(fam, objective, start):
         else:
             step /= 2
     return MaximizeResult(best.theta, best.value(objective), step < 1e-5, polls)
+
+
+def _record_evaluations(monkeypatch):
+    # the stacks of points ``sweep._evaluate`` is called with, in order
+    calls, real = [], sweep._evaluate
+
+    def spy(fam, thetas, terms):
+        calls.append(thetas.copy())
+        return real(fam, thetas, terms)
+
+    monkeypatch.setattr(sweep, "_evaluate", spy)
+    return calls
 
 
 class TestBatch:
@@ -335,23 +366,29 @@ class TestBatch:
             assert reasons == want
             assert want[-1] is None and all(want[:-1])
 
-    @pytest.mark.parametrize("family,start,sizes", [
-        # the start, then rounds of whole step levels (2 polls per level in
-        # 1-D, 4 in 2-D) that end at 8 polls or at the last level >= 1e-5
-        ("gms-1step", [0.5], [1] + [8] * 7 + [6]),
-        ("gms-2step", [0.48, 0.57], [1] + [8] * 9 + [4]),
-    ], ids=["gms-1step", "gms-2step"])
-    def test_stacked_evaluations_of_a_maximize(self, monkeypatch, family, start, sizes):
-        calls = []
+    @pytest.mark.parametrize("family,start", [("gms-1step", [0.5]), ("gms-2step", [0.48, 0.57])],
+                             ids=["gms-1step", "gms-2step"])
+    def test_stacked_evaluations_of_a_maximize(self, monkeypatch, family, start):
+        # one stacked evaluation per step: the stencil theta, theta + h e_i,
+        # theta - h e_i and theta + h (e_i + e_j), centred on each candidate
+        calls = _record_evaluations(monkeypatch)
+        res = maximize(builtin_family(family), "asc", start)
+        assert res.converged and len(calls) == res.iterations <= 4
+        e = np.eye(len(start)) * sweep._H
+        offsets = np.concatenate([np.zeros((1, len(start))), e, -e, e[:1] + e[1:]])
+        assert np.array_equal(calls[0], np.array(start) + offsets)
+        for thetas in calls:
+            assert np.allclose(thetas - thetas[0], offsets, rtol=0, atol=1e-15)
+        assert tuple(calls[-1][0]) == res.theta
 
-        def spy(fam, thetas, terms):
-            calls.append(len(thetas))
-            return real(fam, thetas, terms)
-
-        real = sweep._evaluate
-        monkeypatch.setattr(sweep, "_evaluate", spy)
-        maximize(builtin_family(family), "asc", start)
-        assert calls == sizes
+    def test_stencil_is_one_sided_at_a_bound(self, monkeypatch):
+        # p00 = 0 takes theta + h e_0 and theta + 2h e_0; p11 = 1 takes the
+        # pair pointing down, theta - h e_1 and theta - 2h e_1
+        calls = _record_evaluations(monkeypatch)
+        maximize(builtin_family("full2-1step"), "int", [0.0, 1.0])
+        h = sweep._H
+        want = [(0, 1), (h, 1), (0, 1 - h), (2 * h, 1), (0, 1 - 2 * h), (h, 1 - h)]
+        assert np.array_equal(calls[0], np.array(want))
 
     @pytest.mark.parametrize("family,objective,start", [
         ("gms-1step", "int", [0.2]), ("gms-1step", "h", [0.0]), ("gms-2step", "asc", [0.5, 0.5]),
@@ -361,10 +398,73 @@ class TestBatch:
     @pytest.mark.parametrize("budget", [3, 10, 500, "one short"])
     def test_maximize_equals_a_sequential_compass(self, monkeypatch, family, objective, start,
                                                  budget):
-        # the small budgets end the search part way through a round; one
-        # poll short of a converging search, it ends inside the last level
+        # the Newton search reaches the compass's maximum, to its 1e-5 step,
+        # and certifies it; a budget that cuts it short returns the best
+        # point of the same path so far, unconverged
         fam = builtin_family(family)
+        full = maximize(fam, objective, start)
+        want = _sequential_compass(fam, objective, start)
+        assert full.converged and want.converged
+        assert full.value >= want.value - 1e-12
+        assert max(abs(a - b) for a, b in zip(full.theta, want.theta)) <= 1e-4
         if budget == "one short":
-            budget = maximize(fam, objective, start).iterations - 1
-        monkeypatch.setattr(sweep, "_POLL_BUDGET", budget)
-        assert maximize(fam, objective, start) == _sequential_compass(fam, objective, start)
+            budget = full.iterations - 1
+        monkeypatch.setattr(sweep, "_EVALUATIONS", budget)
+        res = maximize(fam, objective, start)
+        if budget >= full.iterations:
+            assert res == full
+        else:
+            assert not res.converged and res.iterations == budget
+            at_start, at_end = _evaluate(fam, np.array([start, res.theta]), 20)
+            assert at_start.value(objective) <= res.value == at_end.value(objective) <= full.value
+
+    @pytest.mark.parametrize("family,objective,starts,want", [
+        ("gms-1step", "h", [[0.6], [0.0]], [GOLDEN]),
+        ("gms-2step", "h", [[0.6, 0.6], [1.0, 1.0]], [GOLDEN, GOLDEN]),
+        ("full2-1step", "h", [[0.4, 0.6], [0.0, 1.0]], [0.5, 0.5]),
+        ("full2-1step", "asc", [[0.4, 0.6], [0.0, 0.0]], [0.5, 0.5]),
+    ])
+    def test_closed_form_maximizers(self, family, objective, starts, want):
+        # entropy peaks at p = 1/phi on the golden mean (the Parry measure)
+        # and at (1/2, 1/2) on the full 2-shift, as does asc there
+        for start in starts:
+            res = maximize(builtin_family(family), objective, start)
+            assert res.converged
+            assert max(abs(a - b) for a, b in zip(res.theta, want)) <= 1e-7
+
+    @pytest.mark.parametrize("family,start,most", [
+        # the compass search took 76 and 54 stacked evaluations from these
+        ("gms-2step", [0.0, 0.4], 12), ("gms-1step", [0.05], 10),
+    ])
+    def test_far_starts_take_few_evaluations(self, family, start, most):
+        res = maximize(builtin_family(family), "asc", start)
+        assert res.converged and res.iterations <= most
+
+    def test_lower_candidate_is_refused_for_a_shorter_step(self, monkeypatch):
+        # from p00 = 0.793 the Newton step from 0.493 clamps to 0, where
+        # intricacy is 0: that candidate is refused and the next lies between
+        fam = builtin_family("gms-1step")
+        calls = _record_evaluations(monkeypatch)
+        res = maximize(fam, "int", [0.793])
+        centres = [float(thetas[0, 0]) for thetas in calls]
+        refused = centres.index(0.0)
+        best = centres[refused - 1]
+        assert best == pytest.approx(0.493) and 0.0 < centres[refused + 1] < best
+        assert res.converged and abs(res.theta[0] - 0.2156) < 1e-4
+        # cut right after the refusal, the search returns the point before it
+        monkeypatch.setattr(sweep, "_EVALUATIONS", refused + 1)
+        cut = maximize(fam, "int", [0.793])
+        assert cut.theta == (best,) and not cut.converged
+
+    def test_boundary_point_within_the_stencil_error_is_not_certified(self):
+        # int on gms-1step is 0 at p00 = 1 and grows like (1 - p00)^2 inside:
+        # the one-sided gradient, about 1e-5 outward, is the stencil's error
+        res = maximize(builtin_family("gms-1step"), "int", [1.0])
+        assert not res.converged and res.value == 0.0
+
+    def test_start_whose_stencil_does_not_build_comes_back_unconverged(self):
+        # rows of [[a, 0.6], [1, 0]] sum to 1 only at a = 0.4
+        fam = family_from_dict(dict(TestCustomFamily.GMS_JSON, box={"a": [0.3, 0.5]},
+                                    template=[["a", 0.6], [1, 0]]))
+        res = maximize(fam, "asc", [0.4])
+        assert res.theta == (0.4,) and not res.converged and res.iterations == 1
