@@ -91,6 +91,8 @@ def _refusals(P: np.ndarray, codes: np.ndarray | None = None, states=None) -> li
         raise ValueError("P must be square")
     flat = P.reshape(len(P), -1)
     used = (flat > 0) * (0 if codes is None else codes.reshape(-1))
+    if (flat >= 0).all() and not used.any() and (np.abs(P.sum(axis=2) - 1.0) <= 1e-12).all():
+        return [None] * len(P)  # each passes (NaN fails >= 0; inf, the row sum)
     with np.errstate(invalid="ignore"):  # inf - inf in a row: refused as non-finite first
         unbalanced = np.abs(P.sum(axis=2) - 1.0).max(axis=1) > 1e-12
     failed = np.array([~np.isfinite(flat).all(axis=1), (flat < 0).any(axis=1), unbalanced,

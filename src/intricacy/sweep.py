@@ -45,6 +45,8 @@ _H = 1e-4
 _ROUNDING = 1e-15
 # stacked evaluations a maximize takes at most
 _EVALUATIONS = 40
+# the GridPoint field of each objective
+_FIELDS = {"h": 1, "asc": 2, "int": 3}
 
 
 class MarkovFamily:
@@ -87,7 +89,7 @@ class GridPoint(NamedTuple("GridPoint", [
     __slots__ = ()
 
     def value(self, objective: str) -> float:
-        return {"h": self.h, "asc": self.asc, "int": self.intricacy}[objective]
+        return self[_FIELDS[objective]]
 
 
 SweepResult = NamedTuple("SweepResult", [
@@ -193,8 +195,8 @@ def _evaluate(family: MarkovFamily, thetas: np.ndarray, terms: int) -> list:
     reason) where the family does not build: what ``MarkovMeasure`` raises."""
     P = family.stack(thetas)
     p, reasons = _stationary_stack(P, family.codes, family.states)
-    built = np.array([r is None for r in reasons], dtype=bool)
-    if not built.all():
+    if reasons.count(None) < len(reasons):
+        built = np.array([r is None for r in reasons], dtype=bool)
         P, p = P[built], p[built]
     h, asc = _series_stack(P, p, _gap_entropy_stack(_powers(P, terms), p, family.end))
     values = zip(h.tolist(), asc.tolist(), (2.0 * asc - h).tolist())
@@ -274,11 +276,14 @@ def maximize(
     A coordinate at a bound whose gradient points out of the box is held.
     The others take the Newton step where their Hessian block is negative
     definite, else a gradient step of 0.1; the candidate is theta plus the
-    step, clamped to the box.  Its stencil gives its value and the next
-    model; a candidate whose value is lower, or whose stencil does not all
-    build, is tried again with the step halved.  The search stops when the
-    candidate is within 1e-9 of theta, after ``_EVALUATIONS`` stacked
-    evaluations (``iterations``), or with the certificate that alone sets
+    step, clamped to the box; where that step is 0 and no certificate
+    holds (a flat point), the step is the Hessian's leading eigenvector, if
+    its eigenvalue is positive, scaled to 0.1 and signed to gain more on the
+    model once clamped.  Its stencil gives its value and the next model; a
+    candidate whose value is lower, or whose stencil does not all build, is
+    tried again with the step halved.  The search stops when the candidate
+    is within 1e-9 of theta, after ``_EVALUATIONS`` stacked evaluations
+    (``iterations``), or with the certificate that alone sets
     ``converged``: the free Hessian is negative definite, its Newton step
     gains less than ``_ROUNDING`` on the model (the free gradient is 0 to
     rounding), and each held coordinate's outward gradient is more than h
@@ -291,33 +296,40 @@ def maximize(
     e_i per axis, theta + u_i e_i + u_j e_j per pair i < j.  An axis takes
     a central pair (u = h, k = -1) where both points fit in the box, else
     a one-sided one (u = +-h pointing in, k = 2).  Axes narrower than 4h
-    stay at the start."""
+    stay at the start.  The search runs in Python floats; numpy sees the
+    stencil points, the free block and, at a flat point, the Hessian."""
     _check_request(objective, terms)
     theta = np.atleast_1d(np.asarray(start, dtype=float))
     if theta.shape != (family.dimension,):
         raise ValueError("start has the wrong dimension")
-    lo, hi = np.array(family.box).reshape(-1, 2).T
-    if not np.all((lo <= theta) & (theta <= hi)):
+    theta, box = theta.tolist(), family.box
+    if not all(lo <= t <= hi for t, (lo, hi) in zip(theta, box)):
         raise ValueError("start outside the box")
-    axes = np.flatnonzero(hi - lo >= 4 * _H)
+    axes = [a for a, (lo, hi) in enumerate(box) if hi - lo >= 4 * _H]
     m = len(axes)
-    i, j = np.triu_indices(m, 1)
-    lo_a, hi_a, E = lo[axes], hi[axes], np.eye(len(theta))[axes]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+    def shifted(theta, offsets):  # theta plus {coordinate: offset}
+        return [t + offsets.get(a, 0.0) for a, t in enumerate(theta)]
 
     def model(theta):
-        t = theta[axes]
-        central = (t - _H >= lo_a) & (t + _H <= hi_a)
-        u = np.where(t + _H > hi_a, -_H, _H)
-        U, k = E * u[:, None], np.where(central, -1.0, 2.0)[:, None]
-        points = np.concatenate([theta[None], theta + U, theta + k * U, theta + U[i] + U[j]])
-        res = _evaluate(family, points, terms)
+        t = [(theta[a], *box[a]) for a in axes]
+        u = [-_H if x + _H > hi else _H for x, lo, hi in t]
+        central = [x - _H >= lo and x + _H <= hi for x, lo, hi in t]
+        points = [theta, *(shifted(theta, {a: ua}) for a, ua in zip(axes, u)),
+                  *(shifted(theta, {a: (-1.0 if c else 2.0) * ua})
+                    for a, ua, c in zip(axes, u, central)),
+                  *(shifted(theta, {axes[i]: u[i], axes[j]: u[j]}) for i, j in pairs)]
+        res = _evaluate(family, np.array(points), terms)
         if not all(isinstance(r, GridPoint) for r in res):
             return res[0], None, None
-        f = np.array([r.value(objective) for r in res])
-        f0, f1, f2, fij = f[0], f[1:m + 1], f[m + 1:2 * m + 1], f[2 * m + 1:]
-        g = np.where(central, f1 - f2, 4 * f1 - f2 - 3 * f0) / (2 * u)
-        H = np.diag(np.where(central, f1 + f2 - 2 * f0, f0 - 2 * f1 + f2) / _H ** 2)
-        H[i, j] = H[j, i] = (fij - f1[i] - f1[j] + f0) / (u[i] * u[j])
+        f0, *f = [r.value(objective) for r in res]
+        g, H = [], [[0.0] * m for _ in range(m)]
+        for i, (c, f1, f2) in enumerate(zip(central, f, f[m:])):
+            g.append((f1 - f2 if c else 4 * f1 - f2 - 3 * f0) / (2 * u[i]))
+            H[i][i] = (f1 + f2 - 2 * f0 if c else f0 - 2 * f1 + f2) / _H ** 2
+        for (i, j), fij in zip(pairs, f[2 * m:]):
+            H[i][j] = H[j][i] = (fij - f[i] - f[j] + f0) / (u[i] * u[j])
         return res[0], g, H
 
     best, g, H = model(theta)
@@ -325,23 +337,34 @@ def maximize(
         raise ValueError(f"start {best[0]} does not build: {best[1]}")
     evaluations, converged, moved = 1, False, g is not None
     while moved:
-        t = theta[axes]
-        held = ((t <= lo_a) & (g < 0)) | ((t >= hi_a) & (g > 0))
-        free = axes[~held]
-        Hf, gf = H[np.ix_(~held, ~held)], g[~held]
-        concave = bool(np.all(np.linalg.eigvalsh(Hf) < 0))
-        step = np.zeros_like(theta)
-        step[free] = (np.linalg.solve(Hf, -gf) if concave
-                      else 0.1 * gf / max(np.abs(gf).max(), 1e-300))
-        converged = (concave and gf @ step[free] / 2 < _ROUNDING
-                     and bool(np.all(np.abs(g[held]) > _H * np.abs(H[held, held]))))
+        held = [theta[a] <= box[a][0] and gi < 0 or theta[a] >= box[a][1] and gi > 0
+                for a, gi in zip(axes, g)]
+        free = [i for i in range(m) if not held[i]]
+        gf = np.array([g[i] for i in free])
+        Hf = np.array([[H[i][j] for j in free] for i in free]).reshape(len(gf), len(gf))
+        concave = bool((np.linalg.eigvalsh(Hf) < 0).all())
+        free_step = (np.linalg.solve(Hf, -gf) if concave
+                     else 0.1 * gf / max(np.abs(gf).max(), 1e-300))
+        converged = (concave and gf @ free_step / 2 < _ROUNDING
+                     and all(abs(gi) > _H * abs(H[i][i]) for i, gi in enumerate(g) if held[i]))
+        step = [0.0] * m
+        for i, s in zip(free, free_step.tolist()):
+            step[i] = s
+        if not (converged or any(step)):  # a flat point: follow the curvature
+            curvature, V = np.linalg.eigh(H)
+            if curvature[-1] > 0:
+                t, lo, hi = np.array([(theta[a], *box[a]) for a in axes]).T
+                v = V[:, -1] * (0.1 / np.abs(V[:, -1]).max())
+                step = max(np.clip(t + v, lo, hi) - t, np.clip(t - v, lo, hi) - t,
+                           key=lambda d: g @ d + d @ H @ d / 2).tolist()
         moved, tried = False, theta
         while not (converged or moved) and evaluations < _EVALUATIONS:
-            candidate = np.clip(theta + step, lo, hi)
-            step /= 2
-            if np.abs(candidate - theta).max() < 1e-9:
+            candidate = [min(max(c, lo), hi)
+                         for c, (lo, hi) in zip(shifted(theta, dict(zip(axes, step))), box)]
+            step = [s / 2 for s in step]
+            if max(abs(c - t) for c, t in zip(candidate, theta)) < 1e-9:
                 break
-            if not np.array_equal(candidate, tried):  # the clamp may repeat a candidate
+            if candidate != tried:  # the clamp may repeat a candidate
                 tried = candidate
                 point, g_next, H_next = model(candidate)
                 evaluations += 1

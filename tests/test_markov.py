@@ -624,11 +624,11 @@ class TestAscFinite:
     def test_canonical_sums_match_every_mask(self, make):
         # brute force over all 2^n masks, each with its own complement
         m = make()
-        for coeffs in (UNIFORM, CoefficientSystem.neural()):
-            for n in (1, 2, 5, 8):
+        for n in (1, 2, 5, 8):
+            full = (1 << n) - 1
+            H = [sampled_joint_entropy(m, SubsetSpec(n, mask)) for mask in range(1 << n)]
+            for coeffs in (UNIFORM, CoefficientSystem.neural()):
                 row = coeffs.weights_row(n)
-                full = (1 << n) - 1
-                H = [sampled_joint_entropy(m, SubsetSpec(n, mask)) for mask in range(1 << n)]
                 asc = sum(row[bin(s).count("1")] * H[s] for s in range(1 << n)) / n
                 intr = sum(
                     row[bin(s).count("1")] * (H[s] + H[full ^ s] - H[full]) for s in range(1 << n)

@@ -251,6 +251,13 @@ BLOCK2_JSON = {
     "template": [["x", "rest", 0, 0], [0, 0, "y", "rest"],
                  ["rest", "x", 0, 0], [0, 0, "rest", "y"]],
 }
+# three parameters: each row (x, 0.9 - x, 0.1) up to a cyclic shift, so at
+# a = b = c the chain is doubly stochastic and h = H(x, 0.9 - x, 0.1)
+CYC3_JSON = {
+    "name": "cyc3", "params": ["a", "b", "c"],
+    "box": {"a": [0, 0.9], "b": [0, 0.9], "c": [0, 0.9]},
+    "template": [["a", "rest", 0.1], [0.1, "b", "rest"], ["rest", 0.1, "c"]],
+}
 REFERENCES = {
     "full2-1step": lambda a, b: MarkovMeasure([[a, 1 - a], [1 - b, b]]),
     "gms-1step": lambda a: MarkovMeasure([[a, 1 - a], [1, 0]], support=Sft.golden_mean()),
@@ -263,7 +270,8 @@ REFERENCES = {
 
 
 def _family(name):
-    return family_from_dict(BLOCK2_JSON) if name == "full2-blocks" else builtin_family(name)
+    custom = {"full2-blocks": BLOCK2_JSON, "cyc3": CYC3_JSON}
+    return family_from_dict(custom[name]) if name in custom else builtin_family(name)
 
 
 def _per_point(name, theta):
@@ -306,6 +314,51 @@ def _sequential_compass(fam, objective, start):
         else:
             step /= 2
     return MaximizeResult(best.theta, best.value(objective), step < 1e-5, polls)
+
+
+# maximize from the scan's best point of each built-in family and objective
+# at steps 0.1 and 0.05, from the far starts (0, 0.4) and 0.05 (asc), and
+# from cyc3's step-0.1 best points: (family, objective, start, theta and
+# value as float.hex, converged, iterations): a change to the arithmetic of
+# the search, or to its order, shows here
+PINNED_MAXIMIZERS = [
+    ("full2-1step", "h", [0.5, 0.5],
+     ["0x1.0000000000000p-1", "0x1.0000000000000p-1"], "0x1.62e42fefa39efp-1", True, 1),
+    ("full2-1step", "asc", [0.5, 0.5],
+     ["0x1.0000000000000p-1", "0x1.0000000000000p-1"], "0x1.62e419c1609ffp-2", True, 1),
+    ("full2-1step", "int", [0.0, 0.2],
+     ["0x0.0p+0", "0x1.b999a04db4e50p-3"], "0x1.fd0dd7d5ec9d8p-4", True, 4),
+    ("gms-1step", "h", [0.6000000000000001],
+     ["0x1.3c6ef34599be8p-1"], "0x1.ecc2caec5160ap-2", True, 4),
+    ("gms-1step", "asc", [0.5],
+     ["0x1.10ad3d60dda86p-1"], "0x1.1563f8d3a4ff7p-2", True, 4),
+    ("gms-1step", "asc", [0.55],
+     ["0x1.10ad3e688abe8p-1"], "0x1.1563f8d3a4ff0p-2", True, 3),
+    ("gms-1step", "int", [0.2],
+     ["0x1.b999a04db5497p-3"], "0x1.fd0dd7d5ec9d4p-4", True, 4),
+    ("gms-2step", "h", [0.6000000000000001, 0.6000000000000001],
+     ["0x1.3c6ef326d04a1p-1", "0x1.3c6ef38419947p-1"], "0x1.ecc2caec51608p-2", True, 4),
+    ("gms-2step", "asc", [0.5, 0.6000000000000001],
+     ["0x1.eeb8b7cefdf50p-2", "0x1.235b7c65fac9bp-1"], "0x1.168ed18a53c20p-2", True, 4),
+    ("gms-2step", "asc", [0.5, 0.55],
+     ["0x1.eeb8b7cf8a095p-2", "0x1.235b7c666f268p-1"], "0x1.168ed18a53c1ep-2", True, 4),
+    ("gms-2step", "int", [0.0, 0.4],
+     ["0x0.0p+0", "0x1.761e1616f8f66p-2"], "0x1.57bda0b27e6b0p-3", True, 4),
+    ("gms-2step", "int", [0.0, 0.35000000000000003],
+     ["0x0.0p+0", "0x1.761e162231b68p-2"], "0x1.57bda0b27e6b8p-3", True, 4),
+    ("gms-2step", "asc", [0.0, 0.4],
+     ["0x1.eeb8b7d0f795ep-2", "0x1.235b7c673032ep-1"], "0x1.168ed18a53c21p-2", True, 9),
+    ("gms-1step", "asc", [0.05],
+     ["0x1.10ad3e18ffe63p-1"], "0x1.1563f8d3a4ff2p-2", True, 6),
+    ("cyc3", "h", [0.4, 0.4, 0.4],
+     ["0x1.cccccc5d7b09fp-2", "0x1.cccccc5d7bcf8p-2", "0x1.cccccc5d7ba4ap-2"],
+     "0x1.e5d83e77ae3ecp-1", True, 4),
+    ("cyc3", "asc", [0.4, 0.4, 0.4],
+     ["0x1.cccccc02aca84p-2", "0x1.cccccc02a559ap-2", "0x1.cccccc02a52adp-2"],
+     "0x1.05179384d06ccp-1", True, 4),
+    ("cyc3", "int", [0.0, 0.0, 0.2],
+     ["0x0.0p+0", "0x0.0p+0", "0x1.bb3e68b0cd284p-3"], "0x1.7b2b98fc789e4p-3", True, 4),
+]
 
 
 def _record_evaluations(monkeypatch):
@@ -366,16 +419,21 @@ class TestBatch:
             assert reasons == want
             assert want[-1] is None and all(want[:-1])
 
-    @pytest.mark.parametrize("family,start", [("gms-1step", [0.5]), ("gms-2step", [0.48, 0.57])],
-                             ids=["gms-1step", "gms-2step"])
+    @pytest.mark.parametrize("family,start", [
+        ("gms-1step", [0.5]), ("gms-2step", [0.48, 0.57]), ("cyc3", [0.4, 0.4, 0.4]),
+    ], ids=["gms-1step", "gms-2step", "cyc3"])
     def test_stacked_evaluations_of_a_maximize(self, monkeypatch, family, start):
         # one stacked evaluation per step: the stencil theta, theta + h e_i,
-        # theta - h e_i and theta + h (e_i + e_j), centred on each candidate
+        # theta - h e_i and theta + h (e_i + e_j) per pair i < j (3, 6 and 10
+        # points in 1, 2 and 3 dimensions), centred on each candidate
         calls = _record_evaluations(monkeypatch)
-        res = maximize(builtin_family(family), "asc", start)
+        res = maximize(_family(family), "asc", start)
         assert res.converged and len(calls) == res.iterations <= 4
-        e = np.eye(len(start)) * sweep._H
-        offsets = np.concatenate([np.zeros((1, len(start))), e, -e, e[:1] + e[1:]])
+        d = len(start)
+        e = np.eye(d) * sweep._H
+        pairs = [e[i] + e[j] for i in range(d) for j in range(i + 1, d)]
+        offsets = np.concatenate([np.zeros((1, d)), e, -e, np.reshape(pairs, (-1, d))])
+        assert len(offsets) == {1: 3, 2: 6, 3: 10}[d]
         assert np.array_equal(calls[0], np.array(start) + offsets)
         for thetas in calls:
             assert np.allclose(thetas - thetas[0], offsets, rtol=0, atol=1e-15)
@@ -393,7 +451,8 @@ class TestBatch:
     @pytest.mark.parametrize("family,objective,start", [
         ("gms-1step", "int", [0.2]), ("gms-1step", "h", [0.0]), ("gms-2step", "asc", [0.5, 0.5]),
         ("gms-2step", "int", [0.0, 0.4]), ("full2-1step", "int", [0.1, 0.05]),
-        ("full2-1step", "h", [1.0, 0.97]),
+        ("full2-1step", "h", [1.0, 0.97]), ("cyc3", "asc", [0.4, 0.4, 0.4]),
+        ("cyc3", "int", [0.0, 0.0, 0.2]),
     ])
     @pytest.mark.parametrize("budget", [3, 10, 500, "one short"])
     def test_maximize_equals_a_sequential_compass(self, monkeypatch, family, objective, start,
@@ -401,7 +460,7 @@ class TestBatch:
         # the Newton search reaches the compass's maximum, to its 1e-5 step,
         # and certifies it; a budget that cuts it short returns the best
         # point of the same path so far, unconverged
-        fam = builtin_family(family)
+        fam = _family(family)
         full = maximize(fam, objective, start)
         want = _sequential_compass(fam, objective, start)
         assert full.converged and want.converged
@@ -423,12 +482,14 @@ class TestBatch:
         ("gms-2step", "h", [[0.6, 0.6], [1.0, 1.0]], [GOLDEN, GOLDEN]),
         ("full2-1step", "h", [[0.4, 0.6], [0.0, 1.0]], [0.5, 0.5]),
         ("full2-1step", "asc", [[0.4, 0.6], [0.0, 0.0]], [0.5, 0.5]),
+        ("cyc3", "h", [[0.9, 0.0, 0.45]], [0.45, 0.45, 0.45]),
     ])
     def test_closed_form_maximizers(self, family, objective, starts, want):
-        # entropy peaks at p = 1/phi on the golden mean (the Parry measure)
-        # and at (1/2, 1/2) on the full 2-shift, as does asc there
+        # entropy peaks at p = 1/phi on the golden mean (the Parry measure),
+        # at (1/2, 1/2) on the full 2-shift, as does asc there, and at a = b
+        # = c = 0.45 on cyc3, the even split of what the 0.1 cells leave
         for start in starts:
-            res = maximize(builtin_family(family), objective, start)
+            res = maximize(_family(family), objective, start)
             assert res.converged
             assert max(abs(a - b) for a, b in zip(res.theta, want)) <= 1e-7
 
@@ -456,11 +517,34 @@ class TestBatch:
         cut = maximize(fam, "int", [0.793])
         assert cut.theta == (best,) and not cut.converged
 
-    def test_boundary_point_within_the_stencil_error_is_not_certified(self):
-        # int on gms-1step is 0 at p00 = 1 and grows like (1 - p00)^2 inside:
-        # the one-sided gradient, about 1e-5 outward, is the stencil's error
-        res = maximize(builtin_family("gms-1step"), "int", [1.0])
-        assert not res.converged and res.value == 0.0
+    def test_three_parameter_entropy_maximum(self):
+        # at a = b = c = 0.45 cyc3 is doubly stochastic: p is uniform and h
+        # is the entropy of one row, H(0.45, 0.45, 0.1) = 0.948915...
+        res = maximize(_family("cyc3"), "h", [0.4, 0.4, 0.4])
+        assert res.converged and max(abs(t - 0.45) for t in res.theta) <= 1e-7
+        want = -2 * 0.45 * math.log(0.45) - 0.1 * math.log(0.1)
+        assert res.value == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("family,objective,start,theta,value,converged,iterations",
+                             PINNED_MAXIMIZERS)
+    def test_maximizers_are_pinned_bit_for_bit(self, family, objective, start, theta, value,
+                                               converged, iterations):
+        res = maximize(_family(family), objective, start)
+        assert ([t.hex() for t in res.theta], res.value.hex(), res.converged,
+                res.iterations) == (theta, value, converged, iterations)
+
+    def test_flat_boundary_starts_leave_along_positive_curvature(self):
+        # int is 0 at these corners and grows quadratically into the box: each
+        # held axis has an outward gradient of about 1e-5, within the stencil's
+        # error, and each free axis neither slope nor curvature, so the
+        # projected Newton step is 0; the leading curvature direction leads
+        # to a certified maximum
+        for family, start in [("gms-1step", [1.0]), ("gms-2step", [1.0, 1.0]),
+                              ("full2-1step", [0.0, 1.0]), ("full2-1step", [1.0, 0.0])]:
+            fam = builtin_family(family)
+            assert _evaluate(fam, np.array([start]), 20)[0].intricacy == 0.0
+            res = maximize(fam, "int", start)
+            assert res.converged and res.value > 0.0, (family, start, res)
 
     def test_start_whose_stencil_does_not_build_comes_back_unconverged(self):
         # rows of [[a, 0.6], [1, 0]] sum to 1 only at a = 0.4
