@@ -103,10 +103,8 @@ def _row_vectors(n_bits: int, start: np.ndarray, mats: np.ndarray, split: int | 
     contiguous block per (j, s).  With no split the shapes of top j are
     rows [2^(j-1), 2^j)."""
     split = n_bits if split is None else min(split, n_bits)
-    # first[t]: the number of shapes with top < t
-    first = [0, 1]
-    for j in range(1, n_bits):
-        first.append(2 * first[j] - first[max(0, j - split + 1)])
+    # first[t]: the number of shapes with top < t, as ``_shapes`` orders them
+    first = _shapes(n_bits, split)[2].tolist()
     F = np.empty((first[-1], len(start)))
     F[0] = start
     for j in range(1, n_bits):

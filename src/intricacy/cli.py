@@ -26,10 +26,11 @@ import sys
 from .benchmarks import provenance_for_adjacency, provenance_for_markov
 from .coeffs import parse_coeffs
 from .errors import CapExceeded, FieldTypeError
-from .markov import MarkovMeasure, asc_finite, asc_series_markov, monte_carlo_asc
+from .markov import (SERIES_BLOCK_LENS, MarkovMeasure, asc_finite, asc_series_markov,
+                     monte_carlo_asc)
 from .pressure import Potential, asp_profile, classical_pressure
 from .sft import Sft
-from .sweep import builtin_family, family_from_dict, maximize, scan
+from .sweep import OBJECTIVES, builtin_family, family_from_dict, maximize, scan
 from .topo import finite_profile
 
 EXIT_OK = 0
@@ -183,56 +184,25 @@ def _cmd_markov(args) -> int:
         provenance_for_markov(args.family, tuple(args.param or ())) if args.family else None
     )
     coeffs = parse_coeffs(args.coeffs)
-    base = {"source": source, **params}
+
+    def row(method, n_or_K, h, asc, intricacy, tail_bound=None, stderr=None):
+        return {"source": source, **params, "h_mu": h, "asc_mu": asc, "int_mu": intricacy,
+                "method": method, "n_or_K": n_or_K, "tail_bound": tail_bound,
+                "stderr": stderr, "provenance": tag}
 
     rows = []
-    # the series takes block_len 1 and 2; longer chains print the other rows, if any
-    if measure.block_len <= 2 or not (args.n or args.samples > 0):
+    # a chain with no series prints the other rows, if any
+    if measure.block_len in SERIES_BLOCK_LENS or not (args.n or args.samples > 0):
         series = asc_series_markov(measure, args.terms)
-        rows.append(
-            {
-                **base,
-                "h_mu": series.h,
-                "asc_mu": series.asc,
-                "int_mu": series.intricacy,
-                "method": "series",
-                "n_or_K": args.terms,
-                "tail_bound": series.tail_bound,
-                "stderr": None,
-                "provenance": tag,
-            }
-        )
+        rows.append(row("series", args.terms, series.h, series.asc, series.intricacy,
+                        tail_bound=series.tail_bound))
     for n in args.n or ():
         fin = asc_finite(measure, coeffs, n)
-        rows.append(
-            {
-                **base,
-                "h_mu": fin.h,
-                "asc_mu": fin.asc,
-                "int_mu": fin.intricacy,
-                "method": "finite",
-                "n_or_K": n,
-                "tail_bound": None,
-                "stderr": None,
-                "provenance": tag,
-            }
-        )
+        rows.append(row("finite", n, fin.h, fin.asc, fin.intricacy))
     if args.samples > 0:
         n_mc = (args.n or [16])[-1]
         mc = monte_carlo_asc(measure, n_mc, args.samples, args.seed)
-        rows.append(
-            {
-                **base,
-                "h_mu": None,
-                "asc_mu": mc.mean,
-                "int_mu": None,
-                "method": "mc",
-                "n_or_K": n_mc,
-                "tail_bound": None,
-                "stderr": mc.stderr,
-                "provenance": tag,
-            }
-        )
+        rows.append(row("mc", n_mc, None, mc.mean, None, stderr=mc.stderr))
     _emit(rows, ["h_mu", "asc_mu", "int_mu", "tail_bound", "stderr"], args.format, args.output)
     return EXIT_OK
 
@@ -318,7 +288,7 @@ _SUBCOMMANDS = {
     "sweep": ("parameter surface scan plus refinement", _cmd_sweep, [
         ("--family", dict(help="built-in family name")),
         ("--input", dict(help="custom family JSON file")),
-        ("--objective", dict(choices=["h", "asc", "int"], default="asc")),
+        ("--objective", dict(choices=OBJECTIVES, default="asc")),
         ("--step", dict(type=float, default=0.005)),
         ("--terms", dict(type=int, default=20)), *_OUTPUT]),
     "check": ("run the oracle and property suites", _cmd_check, [

@@ -107,6 +107,11 @@ class SymmetricMeasure(NamedTuple("SymmetricMeasure", [
             out.append((0.5, self.center_mass))
         return tuple(sorted(out))
 
+    @property
+    def all_at_half(self) -> bool:
+        """Whether all the mass sits at 1/2, where every weight(n, k) is 2^-n."""
+        return self.lebesgue_mass == 0 and all(x == 0.5 or m == 0 for x, m in self.pairs)
+
     def total_mass(self) -> float:
         return 2.0 * sum(m for _, m in self.pairs) + self.center_mass + self.lebesgue_mass
 
@@ -129,14 +134,13 @@ class CoefficientSystem:
     """A rule assigning weight(n, k) to every subset of {0..n-1} of size k:
     the moment of x^k (1-x)^(n-k) of a symmetric probability measure.
 
-    ``kind`` names the constructor (``alt`` is defined for the uniform
-    kind only) and ``spec`` is the canonical CLI spec string.  Immutable
-    after construction; ``weight`` computes on every call, ``weights_row``
-    once per (measure, n).
+    ``spec`` is the canonical CLI spec string; ``alt`` is defined where
+    every weight is 2^-n (``SymmetricMeasure.all_at_half``: ``uniform``,
+    ``psym:0.5``, ``measure:0.5=1``).  Immutable after construction;
+    ``weight`` computes on every call, ``weights_row`` once per (measure, n).
     """
 
-    def __init__(self, kind: str, measure: SymmetricMeasure, spec: str):
-        self.kind = kind
+    def __init__(self, measure: SymmetricMeasure, spec: str):
         self.measure = measure
         self.spec = spec
 
@@ -145,12 +149,12 @@ class CoefficientSystem:
     @classmethod
     def uniform(cls) -> "CoefficientSystem":
         """2^-n: mass 1 at 1/2."""
-        return cls("uniform", SymmetricMeasure((), 1.0, 0.0), "uniform")
+        return cls(SymmetricMeasure((), 1.0, 0.0), "uniform")
 
     @classmethod
     def neural(cls) -> "CoefficientSystem":
         """1/((n+1) C(n,k)): Lebesgue measure."""
-        return cls("neural", SymmetricMeasure((), 0.0, 1.0), "neural")
+        return cls(SymmetricMeasure((), 0.0, 1.0), "neural")
 
     @classmethod
     def p_symmetric(cls, p: float) -> "CoefficientSystem":
@@ -159,7 +163,7 @@ class CoefficientSystem:
         is that formula term for term."""
         if not 0.0 < p < 1.0:
             raise ValueError("psym requires a probability 0 < p < 1")
-        return cls("psym", SymmetricMeasure(((p, 0.5),), 0.0, 0.0), f"psym:{p:g}")
+        return cls(SymmetricMeasure(((p, 0.5),), 0.0, 0.0), f"psym:{p:g}")
 
     @classmethod
     def from_measure(
@@ -176,7 +180,7 @@ class CoefficientSystem:
         spec = "measure:" + ",".join(parts)
         if m.lebesgue_mass > 0:
             spec += f";lebesgue={m.lebesgue_mass:g}"
-        return cls("measure", m, spec)
+        return cls(m, spec)
 
     # -- evaluation ------------------------------------------------------
 

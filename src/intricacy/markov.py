@@ -36,9 +36,18 @@ __all__ = [
 ]
 
 DEFAULT_TERMS = 20
+# the block lengths of the chains that have a conditional-entropy series
+SERIES_BLOCK_LENS = (1, 2)
 ENUMERATION_CAP = 10**7
 # rows of symbol tuples the block-chain pass holds per level, depth first
 _ROW_BLOCK = 1 << 15
+
+
+def _check_series_block_len(block_len: int) -> None:
+    """Refuse a chain of a block length outside ``SERIES_BLOCK_LENS``."""
+    if block_len not in SERIES_BLOCK_LENS:
+        raise ValueError(f"series supports block_len {' and '.join(map(str, SERIES_BLOCK_LENS))}; "
+                         "recode higher blocks")
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
@@ -51,35 +60,46 @@ def _entropy(dist: np.ndarray) -> float:
     return float(-_xlogx(dist).sum())
 
 
-def _chain_states(states, block_len: int, d: int) -> tuple[tuple[int, ...], ...]:
-    # one block_len-block of base symbols per state; a plain chain's are its symbols
-    if states is None and block_len != 1:
+def _chain_states(states, d: int, block_len: int | None = None):
+    """(states, k): one k-block of base symbols per row of a chain of d
+    rows, all of one length k, the symbols 0..d-1 (k = 1) where none are
+    given; the alphabet runs to the largest symbol.  A given ``block_len``
+    must be k."""
+    if block_len is not None and block_len < 1:
+        raise ValueError(f"block_len must be >= 1, got {block_len}")
+    if states is None and block_len not in (None, 1):
         raise ValueError("block_len >= 2 requires explicit states")
     states = tuple((a,) for a in range(d)) if states is None else tuple(
         tuple(int(x) for x in s) for s in states)
     if len(states) != d:
         raise ValueError("one state per row required")
-    if any(len(s) != block_len for s in states):
-        raise ValueError(f"every state must be a {block_len}-block")
+    lengths = {len(s) for s in states}
+    if 0 in lengths:
+        raise ValueError("every state must hold at least one symbol")
+    if len(lengths) > 1:
+        raise ValueError("every state must be a block of one length")
+    (k,) = lengths or {1}
+    if block_len not in (None, k):
+        raise ValueError(f"block_len {block_len} disagrees with the states, which are {k}-blocks")
     if len(set(states)) != d:  # the symbols read must pin the state down
         raise ValueError("states must be distinct")
-    return states
+    return states, k
 
 
-def _transition_codes(states, block_len: int, support: Sft | None = None) -> np.ndarray | None:
+def _transition_codes(states, support: Sft | None = None) -> np.ndarray | None:
     """Per transition between ``states``: 2 where the blocks do not overlap,
     else 1 where the support forbids it, else 0 (it may carry mass); None if all 0."""
-    if block_len == 1 and support is None:
+    if all(len(s) == 1 for s in states) and support is None:
         return None
     at = {} if support is None else {lab: i for i, lab in enumerate(support.symbol_labels)}
-    return np.array([[2 if block_len >= 2 and u[1:] != v[:-1] else int(
+    return np.array([[2 if u[1:] != v[:-1] else int(
         support is not None and not support.adjacency[at[u[-1]], at[v[-1]]])
         for v in states] for u in states], dtype=np.int8)
 
 
-def _end_matrix(states, alphabet_size: int) -> np.ndarray:
+def _end_matrix(states) -> np.ndarray:
     # [j, z] = 1 when state j ends with base symbol z (I for a 1-step chain)
-    return np.eye(alphabet_size)[[s[-1] for s in states]]
+    return np.eye(max(max(s) for s in states) + 1)[[s[-1] for s in states]]
 
 
 def _refusals(P: np.ndarray, codes: np.ndarray | None = None, states=None) -> list[str | None]:
@@ -160,11 +180,11 @@ def stationary(P) -> np.ndarray:
 class MarkovMeasure:
     """Shift-invariant Markov measure, possibly on block states.
 
-    ``block_len`` k is 1 for a plain chain on the alphabet; for k >= 2 the
-    states are overlapping k-blocks of base symbols and P moves one base
-    step at a time (successive blocks must overlap).  ``p`` is the
-    stationary row vector, solved for when not supplied; a supplied one
-    must be finite, nonnegative and stationary, one entry per state.
+    The ``states`` (``_chain_states``) are k-blocks, k the ``block_len``:
+    1 for a plain chain on the alphabet; for k >= 2 P moves one base step
+    at a time (successive blocks must overlap).  ``p`` is the stationary
+    row vector, solved for when not supplied; a supplied one must be
+    finite, nonnegative and stationary, one entry per state.
     """
 
     def __init__(
@@ -173,14 +193,13 @@ class MarkovMeasure:
         p=None,
         *,
         states=None,
-        block_len: int = 1,
-        alphabet_size: int | None = None,
+        block_len: int | None = None,
         support: Sft | None = None,
     ):
         # copies: the arrays are frozen below, and the caller's stay writable
         P = np.array(P, dtype=float)
-        states = _chain_states(states, block_len, len(np.atleast_1d(P)))
-        codes = _transition_codes(states, block_len, support)
+        states, block_len = _chain_states(states, len(np.atleast_1d(P)), block_len)
+        codes = _transition_codes(states, support)
         if p is None:
             (p,), (reason,) = _stationary_stack(P[None], codes, states)
         else:  # the first test failed counts, those of P before those of p
@@ -197,34 +216,33 @@ class MarkovMeasure:
             raise ValueError(reason)
         self.block_len = block_len
         self.states = states
-        if alphabet_size is None:
-            alphabet_size = max(max(s) for s in states) + 1
-        self.alphabet_size = alphabet_size
+        self._end = _end_matrix(states)
+        self.alphabet_size = self._end.shape[1]
         self.P = P
         self.p = p
         self.P.setflags(write=False)
         self.p.setflags(write=False)
         # _start[a, j] = 1 when state j begins with base symbol a
         self._start = np.eye(self.alphabet_size)[[v[0] for v in states]].T.copy()
-        self._end = _end_matrix(states, self.alphabet_size)
         # the longest stacks of powers and gap entropies computed so far
         self._power_stack = np.empty((0, *P.shape))
         self._gap_stack = np.empty(0)
 
     @classmethod
     def one_step(cls, P, p=None, support: Sft | None = None) -> "MarkovMeasure":
-        return cls(P, p, block_len=1, support=support)
+        return cls(P, p, support=support)
 
     @classmethod
     def from_dict(cls, d: dict, support: Sft | None = None) -> "MarkovMeasure":
-        """Input schema: {"block_len": 1, "P": [[...]], "p": optional} or
-        {"block_len": k, "states": ["00", "01", ...], "P": [[...]]}."""
-        k = read_field(d, "block_len", is_int, "an integer", 1)
+        """Input schema: {"P": [[...]], "p": optional} for a plain chain, or
+        {"states": ["00", "01", ...], "P": [[...]]}; "block_len" is
+        optional, and where given it must be that of the states."""
+        k = read_field(d, "block_len", is_int, "an integer", None)
         states = read_field(d, "states", optional(list_of(is_word)), "a list of states", None)
         P = read_field(d, "P", is_matrix, "a matrix of numbers")
         p = read_field(d, "p", optional(lambda v: isinstance(v, list) and are_numbers(v)),
                        "a list of numbers", None)
-        return cls(P, p, states=None if k == 1 else states, block_len=k, support=support)
+        return cls(P, p, states=states, block_len=k, support=support)
 
     def powers(self, count: int) -> np.ndarray:
         """Stack of P^1..P^count, each the previous one times P: a read-only
@@ -302,8 +320,7 @@ def gap_entropies(m: MarkovMeasure, count: int) -> np.ndarray:
     matrix is first collapsed onto the final symbol of the target block.
     A read-only slice of the longest stack the measure has computed; a
     longer call extends it from ``MarkovMeasure.powers``."""
-    if m.block_len > 2:
-        raise ValueError("gap entropies support block_len 1 and 2")
+    _check_series_block_len(m.block_len)
     if count < 0:
         raise ValueError("count must be >= 0")
     hs = m._gap_stack
@@ -317,12 +334,10 @@ def gap_entropies(m: MarkovMeasure, count: int) -> np.ndarray:
 
 def asc_series_markov(m: MarkovMeasure, terms: int = DEFAULT_TERMS) -> MarkovSeries:
     """Conditional-entropy series for the limit averaged complexity of a
-    1-step (or 2-block) chain: half of sum_i 2^-i H(symbol | symbol at
-    gap i), truncated at ``terms`` with a geometric tail bound; the
+    chain whose block length is in ``SERIES_BLOCK_LENS``: half of sum_i
+    2^-i H(symbol | symbol at gap i), truncated at ``terms`` with a geometric tail bound; the
     intricacy follows as twice that minus the entropy rate."""
     check_terms(terms)
-    if m.block_len not in (1, 2):
-        raise ValueError("series supports block_len 1 and 2; recode higher blocks")
     gaps = gap_entropies(m, terms)
     h, asc = (float(x[0]) for x in _series_stack(m.P[None], m.p[None], gaps[None]))
     tail = math.ldexp(math.log(m.alphabet_size), -terms)
@@ -567,5 +582,6 @@ def recode_higher_block(conditionals: dict, sft: Sft) -> MarkovMeasure:
             if succ not in index or not sft.adjacency[label_index[s[-1]], label_index[a]]:
                 raise ValueError(f"positive probability on forbidden transition {s} -> {a}")
             P[index[s], index[succ]] = q
-    # the labels need not be 0..r-1: forbidding "1" of 3 symbols leaves 0 and 2
-    return MarkovMeasure(P, states=states, block_len=k, alphabet_size=max(sft.symbol_labels) + 1)
+    # every label of the pruned shift starts a state, so the alphabet runs to
+    # the largest label: forbidding "1" of 3 symbols leaves 0 and 2
+    return MarkovMeasure(P, states=states)

@@ -430,11 +430,9 @@ _ORACLE_SEED = 7
 
 def _chain_stack(P, states) -> list[MarkovMeasure]:
     # the chains of a (G, d, d) stack on the same base-2 block states, solved in one pass
-    k = len(states[0])
     P = np.asarray(P, dtype=float)
-    p, _ = _stationary_stack(P, _transition_codes(states, k), states)
-    return [MarkovMeasure(Pg, pg, states=states, block_len=k, alphabet_size=2)
-            for Pg, pg in zip(P, p)]
+    p, _ = _stationary_stack(P, _transition_codes(states), states)
+    return [MarkovMeasure(Pg, pg, states=states) for Pg, pg in zip(P, p)]
 
 
 def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
@@ -665,7 +663,7 @@ def _finite_profile_slow(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: i
     full = (1 << n) - 1
     log_full = log_count(full)
     asc = intr = acc = alt = 0.0
-    uniform = coeffs.kind == "uniform"
+    uniform = coeffs.measure.all_at_half
     for m in range(1 << n):
         c = weights[pc[m]]
         lm = log_count(m)

@@ -223,8 +223,9 @@ class Sft:
     @classmethod
     def from_forbidden_words(cls, alphabet_size: int, forbidden) -> "Sft":
         """Shift avoiding the given words, recoded as a vertex shift on
-        (L-1)-blocks where L is the longest forbidden word.  Counts read
-        the vertices, so from L = 3 on they are those of the (L-1)-block
+        (L-1)-blocks where L is the longest forbidden word (on the allowed
+        symbols where no word is longer than 1).  Counts read the
+        vertices, so from L = 3 on they are those of the (L-1)-block
         cover: ["111"] on 2 symbols gives ``word_counts(5)`` = [4, 7, 13, 24,
         44], the symbol words of lengths 2..6, not 1..5 (2, 4, 7, 13, 24)."""
         if alphabet_size < 2:
@@ -236,10 +237,6 @@ class Sft:
             raise ValueError("every symbol is forbidden")
         words = [w for w in words if len(w) > 1]
         L = max((len(w) for w in words), default=1)
-        if L == 1:
-            r = len(symbols)
-            return cls(np.ones((r, r), dtype=np.int64), symbol_labels=symbols)
-
         bad = set(words)
 
         def clean(block: tuple[int, ...]) -> bool:

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import (CapExceeded, are_numbers, check_terms, is_int, is_number, is_text, is_word,
                      list_of, optional, read_field)
-from .markov import (MarkovMeasure, _chain_states, _end_matrix, _gap_entropy_stack, _powers,
-                     _series_stack, _stationary_stack, _transition_codes)
+from .markov import (MarkovMeasure, _chain_states, _check_series_block_len, _end_matrix,
+                     _gap_entropy_stack, _powers, _series_stack, _stationary_stack,
+                     _transition_codes)
 
 __all__ = [
     "MarkovFamily",
@@ -45,8 +46,8 @@ _H = 1e-4
 _ROUNDING = 1e-15
 # stacked evaluations a maximize takes at most
 _EVALUATIONS = 40
-# the GridPoint field of each objective
-_FIELDS = {"h": 1, "asc": 2, "int": 3}
+# the GridPoint field of each objective: theta, then the objectives in order
+_FIELDS = {objective: i for i, objective in enumerate(OBJECTIVES, 1)}
 
 
 class MarkovFamily:
@@ -55,9 +56,9 @@ class MarkovFamily:
 
     def __init__(self, name: str, param_names: tuple[str, ...],
                  box: tuple[tuple[float, float], ...], stack: Callable[[np.ndarray], np.ndarray],
-                 states: tuple[tuple[int, ...], ...], block_len: int = 1):
+                 states: tuple[tuple[int, ...], ...]):
         vars(self).update(name=name, param_names=param_names, box=box, stack=stack,
-                          states=states, block_len=block_len)
+                          states=states)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"MarkovFamily is immutable: cannot set or delete {name!r}")
@@ -70,16 +71,16 @@ class MarkovFamily:
 
     @cached_property
     def codes(self) -> np.ndarray | None:  # the transitions that may carry mass
-        return _transition_codes(self.states, self.block_len)
+        return _transition_codes(self.states)
 
     @cached_property
     def end(self) -> np.ndarray:  # collapses a state onto its last base symbol
-        return _end_matrix(self.states, max(max(s) for s in self.states) + 1)
+        return _end_matrix(self.states)
 
     def builder(self, theta) -> MarkovMeasure:
         """The measure at one parameter point, the one-point case of ``stack``."""
         P = self.stack(np.array([theta], dtype=float))[0]
-        return MarkovMeasure(P, states=self.states, block_len=self.block_len)
+        return MarkovMeasure(P, states=self.states)
 
 
 # a record takes the functional form with real types: class syntax would
@@ -151,19 +152,20 @@ def family_from_dict(d: dict) -> MarkovFamily:
 
         {"name": ..., "params": ["a"], "box": {"a": [0, 1]},
          "template": [["a", "rest"], [1, 0]],
-         "block_len": 1, "states": optional [...]}
+         "states": optional [...], "block_len": optional}
+
+    with the states and block length of ``MarkovMeasure.from_dict``.
     """
     params = tuple(read_field(d, "params", list_of(is_text), "a list of names"))
     box = read_field(d, "box", lambda v: isinstance(v, dict), "an object")
     box = tuple(_box_entry(p, box[p]) for p in params)
     stack = _compile(d["template"], params)
-    block_len = read_field(d, "block_len", is_int, "an integer", 1)
-    if block_len not in (1, 2):
-        raise ValueError("series supports block_len 1 and 2; recode higher blocks")
+    block_len = read_field(d, "block_len", is_int, "an integer", None)
     states = read_field(d, "states", optional(list_of(is_word)), "a list of states", None)
-    states = _chain_states(states, block_len, len(d["template"]))
+    states, block_len = _chain_states(states, len(d["template"]), block_len)
+    _check_series_block_len(block_len)
     name = read_field(d, "name", is_text, "a string", "custom")
-    return MarkovFamily(name, params, box, stack, states, block_len)
+    return MarkovFamily(name, params, box, stack, states)
 
 
 # the built-ins are custom families over the whole unit box, each built on first use
@@ -171,7 +173,7 @@ _BUILTINS = {d["name"]: dict(d, box={p: [0, 1] for p in d["params"]}) for d in (
     {"name": "full2-1step", "params": ["p00", "p11"],
      "template": [["p00", "rest"], ["rest", "p11"]]},
     {"name": "gms-1step", "params": ["p00"], "template": [["p00", "rest"], [1, 0]]},
-    {"name": "gms-2step", "params": ["p000", "p100"], "block_len": 2, "states": ["00", "01", "10"],
+    {"name": "gms-2step", "params": ["p000", "p100"], "states": ["00", "01", "10"],
      "template": [["p000", "rest", 0], [0, 0, 1], ["p100", "rest", 0]]},
 )}
 

@@ -84,6 +84,13 @@ class TestTopo:
         assert rows[0]["block_k"] == 2
         assert isinstance(rows[0]["Asc_n"], float)
 
+    @pytest.mark.parametrize("spec", ["uniform", "psym:0.5", "measure:0.5=1"])
+    def test_alt_wherever_every_weight_is_two_to_the_minus_n(self, capsys, gms_file, spec):
+        # the weights, not the name of the system, decide that alt is defined
+        code, out, _ = run_cli(capsys, "topo", "--input", gms_file, "--n", "6", "--coeffs", spec)
+        assert code == 0
+        assert parse_csv(out)[0]["Alt_n"] == "7"
+
     def test_alt_blank_for_neural(self, capsys, gms_file):
         code, out, _ = run_cli(capsys, "topo", "--input", gms_file, "--n", "5", "--coeffs", "neural")
         assert code == 0
@@ -485,6 +492,42 @@ class TestMarkov:
         code, out, _ = run_cli(capsys, "markov", "--input", str(path))
         assert code == 0
         assert parse_csv(out)[0]["h_mu_rounded"] == "0.693"
+
+    CHAIN_2BLOCK = {"states": ["00", "01", "10"],
+                    "P": [[0.4, 0.6, 0], [0, 0, 1], [0.6, 0.4, 0]]}
+
+    def test_states_set_the_block_length(self, capsys, tmp_path):
+        # 2-block states with no block_len: a 2-block chain, not a 1-step
+        # chain on 3 symbols (asc 0.360547094323)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(self.CHAIN_2BLOCK))
+        code, out, _ = run_cli(capsys, "markov", "--input", str(path), "--terms", "20")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert (row["method"], row["asc_mu"]) == ("series", "0.269853937027")
+
+    @pytest.mark.parametrize("chain,message", [
+        ({"block_len": 1, **CHAIN_2BLOCK},
+         "block_len 1 disagrees with the states, which are 2-blocks"),
+        ({"block_len": 3, **CHAIN_2BLOCK},
+         "block_len 3 disagrees with the states, which are 2-blocks"),
+        ({"block_len": 0, "states": [""], "P": [[1.0]]}, "block_len must be >= 1, got 0"),
+        ({"block_len": -1, "P": [[1.0]]}, "block_len must be >= 1, got -1"),
+        ({"block_len": 0, "P": [[0.5, 0.5], [0.5, 0.5]]}, "block_len must be >= 1, got 0"),
+        ({"states": ["", ""], "P": [[0.5, 0.5], [0.5, 0.5]]},
+         "every state must hold at least one symbol"),
+        ({"states": ["0", "01"], "P": [[0.5, 0.5], [0.5, 0.5]]},
+         "every state must be a block of one length"),
+        # no row, so no state to read a block length from
+        ({"P": []}, "P must be square"),
+    ], ids=["disagrees-1", "disagrees-3", "block-len-0-empty-state", "block-len-negative",
+            "block-len-0", "empty-states", "mixed-lengths", "no-rows"])
+    def test_block_length_and_states_that_do_not_fit_are_refused_by_name(self, capsys, tmp_path,
+                                                                         chain, message):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain))
+        code, out, err = run_cli(capsys, "markov", "--input", str(path), "--n", "3")
+        assert (code, out, err) == (1, "", f"intricacy: bad input: {message}\n")
 
     def test_three_step_chain_prints_finite_and_mc_rows(self, capsys, tmp_path):
         # the series takes block_len 1 and 2 only; the 3-step chain of the

@@ -174,7 +174,7 @@ class TestValidate:
     def test_unnormalized_measure_fails(self):
         # built directly, so nothing normalized its total mass 0.5
         measure = SymmetricMeasure(((0.3, 0.25),), 0.0, 0.0)
-        report = validate(CoefficientSystem("measure", measure, "measure:0.3=0.25"), 3)
+        report = validate(CoefficientSystem(measure, "measure:0.3=0.25"), 3)
         assert not report.passed
         for row in report.rows:
             assert row["sum_deviation"] == pytest.approx(0.5, abs=1e-15)

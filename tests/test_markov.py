@@ -44,7 +44,7 @@ def full2(p00, p11):
 
 def gms_two_step(p000, p100):
     P = [[p000, 1 - p000, 0.0], [0.0, 0.0, 1.0], [p100, 1 - p100, 0.0]]
-    return MarkovMeasure(P, states=((0, 0), (0, 1), (1, 0)), block_len=2, alphabet_size=2)
+    return MarkovMeasure(P, states=((0, 0), (0, 1), (1, 0)), block_len=2)
 
 
 def full2_two_block(p00, p11):
@@ -844,6 +844,16 @@ class TestMeasureValidation:
     def test_supplied_p_checked(self):
         with pytest.raises(ValueError, match="stationary"):
             MarkovMeasure.one_step([[0.5, 0.5], [0.5, 0.5]], p=[0.9, 0.1])
+
+    def test_states_give_block_length_and_alphabet(self):
+        # forbidding "1" of 3 symbols leaves labels 0 and 2: the alphabet runs to 2
+        m = recode_higher_block({"00": {"0": 0.5, "2": 0.5}, "02": {"0": 1.0},
+                                 "20": {"0": 0.5, "2": 0.5}, "22": {"0": 1.0}},
+                                Sft.from_forbidden_words(3, ["1"]))
+        assert (m.block_len, m.alphabet_size) == (2, 3)
+        m = MarkovMeasure([[0.4, 0.6, 0], [0, 0, 1], [0.6, 0.4, 0]], states=["00", "01", "10"])
+        assert (m.block_len, m.alphabet_size) == (2, 2)
+        assert MarkovMeasure.one_step([[0.5, 0.5], [0.5, 0.5]]).block_len == 1
 
     def test_from_dict_roundtrip(self):
         m = MarkovMeasure.from_dict(

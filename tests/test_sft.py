@@ -76,6 +76,12 @@ class TestBuild:
         s = Sft.from_forbidden_words(2, [])
         assert s.adjacency.tolist() == [[1, 1], [1, 1]]
 
+    def test_forbidden_symbols_only(self):
+        # words of length 1 only: the other symbols, every pair allowed
+        s = Sft.from_forbidden_words(3, ["1"])
+        assert s.adjacency.tolist() == np.ones((2, 2)).tolist()
+        assert s.symbol_labels == (0, 2)
+
     def test_adjacency_input_no_pruning(self):
         s = Sft(SFT_I)
         assert s.alphabet_size == 3

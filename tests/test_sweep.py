@@ -155,7 +155,7 @@ class TestMaximize:
             fam = builtin_family(name)
             assert builtin_family(name) is fam and fam.name == name
             assert fam == fam and fam != sweep.MarkovFamily(fam.name, fam.param_names, fam.box,
-                                                            fam.stack, fam.states, fam.block_len)
+                                                            fam.stack, fam.states)
             # shared by every caller, so it cannot be changed under them
             with pytest.raises(AttributeError, match="immutable"):
                 fam.stack = None
@@ -194,6 +194,18 @@ class TestCustomFamily:
         s = asc_series_markov(m, 20)
         assert s.asc == pytest.approx(0.266, abs=1e-3)
 
+    def test_states_set_the_block_length(self):
+        # as in a Markov file: 2-block states need no block_len, and one
+        # that is given must agree
+        doc = {"name": "gms2-custom", "params": ["x", "y"], "box": {"x": [0, 1], "y": [0, 1]},
+               "states": ["00", "01", "10"],
+               "template": [["x", "rest", 0], [0, 0, 1], ["y", "rest", 0]]}
+        fam = family_from_dict(doc)
+        assert fam.builder((0.618, 0.618)).block_len == 2
+        assert scan(fam, step=0.1).grid == scan(builtin_family("gms-2step"), step=0.1).grid
+        with pytest.raises(ValueError, match="block_len 1 disagrees with the states"):
+            family_from_dict(dict(doc, block_len=1))
+
     def test_rest_marker_required_once(self):
         bad = {
             "name": "x", "params": ["a"], "box": {"a": [0, 1]},
@@ -227,8 +239,11 @@ class TestCustomFamily:
         ({"template": [["a", "rest"], ["b", "rest"]]}, r"cell \(1, 0\) 'b'"),
         ({"template": [["a", "rest"], [True, 0]]}, r"cell \(1, 0\) True"),
         ({"block_len": 2}, "requires explicit states"),
+        ({"block_len": 0}, "block_len must be >= 1, got 0"),
+        ({"states": ["", "1"]}, "every state must hold at least one symbol"),
+        ({"block_len": 3, "states": ["000", "001"]}, "series supports block_len 1 and 2"),
     ], ids=["short-row", "long-rows", "ragged", "two-rest", "undeclared", "boolean",
-            "block2-no-states"])
+            "block2-no-states", "block-len-0", "empty-state", "3-blocks"])
     def test_malformed_template_is_refused_at_load(self, change, where):
         with pytest.raises(ValueError, match=where):
             family_from_dict(dict(self.GMS_JSON, **change))
@@ -405,14 +420,13 @@ class TestBatch:
         for name, Ps in stacks.items():
             fam = builtin_family(name)
             given = sweep.MarkovFamily(fam.name, fam.param_names, fam.box,
-                                       lambda thetas: np.array(Ps, dtype=float), fam.states,
-                                       fam.block_len)
+                                       lambda thetas: np.array(Ps, dtype=float), fam.states)
             got = _evaluate(given, np.zeros((len(Ps), fam.dimension)), 20)
             reasons = [None if isinstance(res, GridPoint) else res[1] for res in got]
             want = []
             for P in Ps:
                 try:
-                    MarkovMeasure(P, states=fam.states, block_len=fam.block_len)
+                    MarkovMeasure(P, states=fam.states)
                     want.append(None)
                 except ValueError as exc:
                     want.append(str(exc))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -132,6 +133,30 @@ class TestFiniteProfile:
         together = finite_profiles(s, systems, n, block_k=block_k)
         assert together == [finite_profile(s, c, n, block_k=block_k) for c in systems]
         assert [p.alt is None for p in together] == [True, False, True]
+
+
+class TestSymmetries:
+    # relabelling the vertices (P A P^T) or reversing time (A^T) leaves
+    # every count average alone, though the kernels see other matrices
+    @staticmethod
+    def variants(A):
+        # every other order of the vertices, and the transpose
+        A = np.asarray(A)
+        perms = list(itertools.permutations(range(len(A))))[1:]
+        return {"transposed": A.T, **{f"relabelled {p}": A[np.ix_(p, p)] for p in perms}}
+
+    @pytest.mark.parametrize("bench", SFT_BENCHMARKS, ids=lambda b: b.tag)
+    @pytest.mark.parametrize("n", [5, 12, 16, 23])
+    @pytest.mark.parametrize("block_k", [0, 2])
+    def test_profiles_unchanged(self, bench, n, block_k):
+        systems = _systems()
+        want = finite_profiles(Sft(np.asarray(bench.adjacency)), systems, n, block_k)
+        for name, A in self.variants(bench.adjacency).items():
+            got = finite_profiles(Sft(A), systems, n, block_k)
+            for w, g in zip(want, got):
+                for field in ("h", "asc", "intricacy", "acc"):
+                    assert getattr(g, field) == pytest.approx(getattr(w, field), rel=1e-13,
+                                                              abs=0.0), (name, w.coeffs_spec, field)
 
 
 class TestEnumerationAgreement:
