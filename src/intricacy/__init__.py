@@ -1,7 +1,7 @@
 """Averaged sample complexity, intricacy, and pressure for shifts of
 finite type and Markov measures."""
 
-from .coeffs import CoefficientSystem, SymmetricMeasure, parse_coeffs, validate
+from .coeffs import CoefficientSystem, parse_coeffs, validate
 from .errors import CapExceeded
 from .markov import (
     MarkovMeasure,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientSystem",
-    "SymmetricMeasure",
     "parse_coeffs",
     "validate",
     "CapExceeded",

@@ -29,9 +29,9 @@ sum over the clusters of S of a value per shape: phi[s, j] sums it over
 the shapes of span s with j elements.  With kappa = n - 1 every subset
 is one cluster and each canonical mask its own shape (``shape_sums``).
 Every weighting system is a symmetric probability measure whose moments
-mu(n, k) are the weights (``coeffs``), so the weights of the ways to
-fill the positions a placed cluster leaves free sum to one moment, and
-n asc = <phi, W>, n acc = <phi, W0> with the tables of
+mu(n, k) are the weights (the rows ``coeffs`` caches), so the weights of
+the ways to fill the positions a placed cluster leaves free sum to one
+moment, and n asc = <phi, W>, n acc = <phi, W0> with the tables of
 ``moment_tables``.  The intricacy is 2 asc - h: a symmetric measure
 weighs a subset as its complement.  ``cluster_product_sum`` gives the
 plain sum over S of a product of per-cluster weights, the uniform alt.
@@ -39,8 +39,8 @@ plain sum over S of a product of per-cluster weights, the uniform alt.
 What does not depend on the shift is kept read-only for the process:
 the cluster shapes of each (n, kappa), 0.6 MB for every window; the
 shape indices of each window part and split gap (``_shapes``), at most
-3.5 MB; and the moment tables of the latest 1024 (measure, n, kappa),
-9 KB each at n = 23.
+3.5 MB; and the moment tables of the latest 1024 (system, n, kappa),
+9 KB each at n = 23, filled from the weight rows of that system.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import operator
 
 import numpy as np
 
+from .coeffs import _weights_row
 from .errors import CapExceeded
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "popcounts",
     "product_table",
     "table_shape_sums",
+    "canonical_places",
     "shape_sums",
     "moment_tables",
     "cluster_product_sum",
@@ -237,6 +239,12 @@ def _shapes(m: int, split: int, low: int = 0):
     return out
 
 
+def canonical_places(n: int) -> np.ndarray:
+    """Row i marks the places of the canonical mask 2i+1 of n places, the
+    order in which ``shape_sums`` reads its values."""
+    return (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
+
+
 def shape_sums(values: np.ndarray, n: int) -> np.ndarray:
     """phi[s, j] in a window of n positions of a value given on the
     canonical masks whose top element is below m <= n (values[i] at mask
@@ -266,22 +274,23 @@ def moment_tables(coeffs, n: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
     n - 1); a window whose weights underflow warns as ``weights_row``
     does, on every call."""
     coeffs.weights_row(n)
-    return _moment_tables(coeffs.measure, n, min(kappa, n - 1))
+    return _moment_tables(coeffs, n, min(kappa, n - 1))
 
 
 @functools.lru_cache(maxsize=1024)
-def _moment_tables(measure, n: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
+def _moment_tables(coeffs, n: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only, 0 where no shape is (j > s + 1).  A cluster of span s at
     place a, of the d + 1 = n - s, leaves the other elements of S
     f = d - min(a, kappa) - min(d - a, kappa) positions, so its subsets
     weigh mu(N_a, j) together, N_a = n - f; W[s, j] sums them over a.
     Of the subsets that hold 0, a cluster at a = 0 keeps all, and one at
     a > kappa those with 0 among the others: mu(N_a + 1, j + 1) each.
-    mu(N, j) = ``measure.moment(N, j)``, N <= n."""
+    mu(N, j) is entry j of the weight row N <= n (``coeffs._weights_row``),
+    so a second kappa at (coeffs, n) evaluates no moment."""
     # mu[N, j] for j <= N <= n; row 0 stands in for the places past d
     mu = np.zeros((n + 1, n + 2))
     for N in range(1, n + 1):
-        mu[N, : N + 1] = [measure.moment(N, j) for j in range(N + 1)]
+        mu[N, : N + 1] = _weights_row(coeffs, N)[0]
     s, a = np.arange(n)[:, None], np.arange(n)
     d = n - 1 - s
     N = s + 1 + np.minimum(a, kappa) + np.minimum(d - a, kappa)

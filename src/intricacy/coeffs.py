@@ -7,12 +7,14 @@ moment families
     weight(n, k) = integral of x^k (1-x)^(n-k) over a symmetric
                    probability measure on [0, 1],
 
-and every ``CoefficientSystem`` is one: the uniform weights 2^-n (point
-mass at 1/2), the neural-complexity weights 1/((n+1) C(n,k)) (Lebesgue
-measure), the two-point p-symmetric weights, and any symmetric measure
-given by its atoms and Lebesgue part.  So the weights of the 2^n
-subsets sum to 1 and a subset weighs what its complement weighs, which
-makes the intricacy 2 asc - h for every system.
+and a ``CoefficientSystem`` is such a measure: the uniform weights 2^-n
+(point mass at 1/2), the neural-complexity weights 1/((n+1) C(n,k))
+(Lebesgue measure), the two-point p-symmetric weights, and any
+symmetric measure given by its atoms and Lebesgue part.  So the weights
+of the 2^n subsets sum to 1 and a subset weighs what its complement
+weighs, which makes the intricacy 2 asc - h for every system.  The
+cached weight row of each (system, n) is the one cache of moments:
+``weight``, ``weights_row`` and the ``_masks`` moment tables read it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .errors import CapExceeded
 
 __all__ = [
-    "SymmetricMeasure",
     "CoefficientSystem",
     "ValidationReport",
     "validate",
@@ -47,34 +48,57 @@ _AXIOM_TOLERANCE = 1e-12
 
 # a record takes the functional form with real types: class syntax would
 # compile each field's annotation string at import
-class SymmetricMeasure(NamedTuple("SymmetricMeasure", [
+class CoefficientSystem(NamedTuple("CoefficientSystem", [
         ("pairs", tuple[tuple[float, float], ...]), ("center_mass", float),
-        ("lebesgue_mass", float)])):
-    """Probability measure on [0,1] invariant under x -> 1-x.
-
-    Stored one-sided: ``pairs`` holds (x, mass), each standing for the
-    mirrored pair {x, 1-x} with the given mass at *each* point;
-    ``center_mass`` sits at 1/2 and ``lebesgue_mass`` is the absolutely
-    continuous part.  ``from_one_sided`` keeps x < 1/2 and normalizes the
-    masses to total 1; ``validate`` checks a measure built otherwise.
+        ("lebesgue_mass", float), ("spec", str)])):
+    """A rule assigning weight(n, k) to every subset of {0..n-1} of size k:
+    the moment of x^k (1-x)^(n-k) of a probability measure on [0,1]
+    invariant under x -> 1-x, stored one-sided.  ``pairs`` holds (x, mass),
+    each standing for the mirrored pair {x, 1-x} with the given mass at
+    *each* point; ``center_mass`` sits at 1/2, ``lebesgue_mass`` is the
+    absolutely continuous part, and ``spec`` is the canonical CLI spec
+    string.  ``validate`` checks a system not built by a constructor.
+    ``alt`` is defined where every weight is 2^-n (``all_at_half``).
     """
 
     __slots__ = ()
 
+    # -- constructors ---------------------------------------------------
+
     @classmethod
-    def from_one_sided(
+    def uniform(cls) -> "CoefficientSystem":
+        """2^-n: mass 1 at 1/2."""
+        return cls((), 1.0, 0.0, "uniform")
+
+    @classmethod
+    def neural(cls) -> "CoefficientSystem":
+        """1/((n+1) C(n,k)): Lebesgue measure."""
+        return cls((), 0.0, 1.0, "neural")
+
+    @classmethod
+    def p_symmetric(cls, p: float) -> "CoefficientSystem":
+        """1/2 (p^k q^(n-k) + q^k p^(n-k)), q = 1 - p: mass 1/2 at p and at
+        1 - p.  p is stored as given, not folded below 1/2, so each weight
+        is that formula term for term."""
+        if not 0.0 < p < 1.0:
+            raise ValueError("psym requires a probability 0 < p < 1")
+        return cls(((p, 0.5),), 0.0, 0.0, f"psym:{p:g}")
+
+    @classmethod
+    def from_measure(
         cls,
         atoms: list[tuple[float, float]] | tuple[tuple[float, float], ...] = (),
         lebesgue_mass: float = 0.0,
-    ) -> "SymmetricMeasure":
-        """Build from one-sided atoms; each atom (x, m) with x != 1/2 is
-        mirrored to (1-x, m).  The total after mirroring plus
-        ``lebesgue_mass`` must be 1 within 1e-9; it is then renormalized
-        exactly.  Every position and mass must be finite.
+    ) -> "CoefficientSystem":
+        """System of the measure with one-sided atoms, each atom (x, m)
+        with x != 1/2 mirrored to (1-x, m), plus an optional Lebesgue
+        component.  The total after mirroring must be 1 within 1e-9; it
+        is then renormalized exactly.  Every position and mass must be
+        finite.
         """
         if not (math.isfinite(lebesgue_mass) and lebesgue_mass >= 0):
             raise ValueError(f"lebesgue mass {lebesgue_mass} is not finite and nonnegative")
-        pairs: dict[float, float] = {}
+        one_sided: dict[float, float] = {}
         center = 0.0
         for x, m in atoms:
             if not (math.isfinite(m) and m >= 0):
@@ -88,32 +112,26 @@ class SymmetricMeasure(NamedTuple("SymmetricMeasure", [
                 center += m
             else:
                 key = x if x < 0.5 else 1.0 - x
-                pairs[key] = pairs.get(key, 0.0) + m
-        total = 2.0 * sum(pairs.values()) + center + lebesgue_mass
+                one_sided[key] = one_sided.get(key, 0.0) + m
+        total = 2.0 * sum(one_sided.values()) + center + lebesgue_mass
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"total mass {total!r} differs from 1 by more than 1e-9")
-        return cls(
-            pairs=tuple(sorted((x, m / total) for x, m in pairs.items())),
-            center_mass=center / total,
-            lebesgue_mass=lebesgue_mass / total,
-        )
+        pairs = tuple(sorted((x, m / total) for x, m in one_sided.items()))
+        center, lebesgue_mass = center / total, lebesgue_mass / total
+        parts = [f"{x:g}={w:g}" for x, w in pairs]
+        if center > 0:
+            parts.append(f"0.5={center:g}")
+        spec = "measure:" + ",".join(parts)
+        if lebesgue_mass > 0:
+            spec += f";lebesgue={lebesgue_mass:g}"
+        return cls(pairs, center, lebesgue_mass, spec)
 
-    @property
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        """Full (mirrored) atom list."""
-        out = [(x, m) for x, m in self.pairs]
-        out += [(1.0 - x, m) for x, m in self.pairs]
-        if self.center_mass > 0:
-            out.append((0.5, self.center_mass))
-        return tuple(sorted(out))
+    # -- evaluation ------------------------------------------------------
 
     @property
     def all_at_half(self) -> bool:
         """Whether all the mass sits at 1/2, where every weight(n, k) is 2^-n."""
         return self.lebesgue_mass == 0 and all(x == 0.5 or m == 0 for x, m in self.pairs)
-
-    def total_mass(self) -> float:
-        return 2.0 * sum(m for _, m in self.pairs) + self.center_mass + self.lebesgue_mass
 
     def moment(self, n: int, k: int) -> float:
         """integral of x^k (1-x)^(n-k).  Mirrored atoms are summed pairwise
@@ -129,94 +147,35 @@ class SymmetricMeasure(NamedTuple("SymmetricMeasure", [
             out += self.lebesgue_mass * (1.0 / ((n + 1) * math.comb(n, k)))
         return out
 
-
-class CoefficientSystem:
-    """A rule assigning weight(n, k) to every subset of {0..n-1} of size k:
-    the moment of x^k (1-x)^(n-k) of a symmetric probability measure.
-
-    ``spec`` is the canonical CLI spec string; ``alt`` is defined where
-    every weight is 2^-n (``SymmetricMeasure.all_at_half``: ``uniform``,
-    ``psym:0.5``, ``measure:0.5=1``).  Immutable after construction;
-    ``weight`` computes on every call, ``weights_row`` once per (measure, n).
-    """
-
-    def __init__(self, measure: SymmetricMeasure, spec: str):
-        self.measure = measure
-        self.spec = spec
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def uniform(cls) -> "CoefficientSystem":
-        """2^-n: mass 1 at 1/2."""
-        return cls(SymmetricMeasure((), 1.0, 0.0), "uniform")
-
-    @classmethod
-    def neural(cls) -> "CoefficientSystem":
-        """1/((n+1) C(n,k)): Lebesgue measure."""
-        return cls(SymmetricMeasure((), 0.0, 1.0), "neural")
-
-    @classmethod
-    def p_symmetric(cls, p: float) -> "CoefficientSystem":
-        """1/2 (p^k q^(n-k) + q^k p^(n-k)), q = 1 - p: mass 1/2 at p and at
-        1 - p.  p is stored as given, not folded below 1/2, so each weight
-        is that formula term for term."""
-        if not 0.0 < p < 1.0:
-            raise ValueError("psym requires a probability 0 < p < 1")
-        return cls(SymmetricMeasure(((p, 0.5),), 0.0, 0.0), f"psym:{p:g}")
-
-    @classmethod
-    def from_measure(
-        cls,
-        atoms: list[tuple[float, float]] | tuple[tuple[float, float], ...] = (),
-        lebesgue_mass: float = 0.0,
-    ) -> "CoefficientSystem":
-        """Measure-backed system from a one-sided atom list (auto-mirrored)
-        plus an optional Lebesgue component."""
-        m = SymmetricMeasure.from_one_sided(atoms, lebesgue_mass)
-        parts = [f"{x:g}={w:g}" for x, w in m.pairs]
-        if m.center_mass > 0:
-            parts.append(f"0.5={m.center_mass:g}")
-        spec = "measure:" + ",".join(parts)
-        if m.lebesgue_mass > 0:
-            spec += f";lebesgue={m.lebesgue_mass:g}"
-        return cls(m, spec)
-
-    # -- evaluation ------------------------------------------------------
-
     def weight(self, n: int, k: int) -> float:
-        """Weight of any subset of {0..n-1} with k elements."""
-        if n < 1 or n > HORIZON:
-            raise CapExceeded(f"n={n} outside [1, horizon={HORIZON}]")
+        """Weight of any subset of {0..n-1} with k elements: entry k of
+        ``weights_row(n)``, warning only if that entry underflowed."""
+        row, underflowed = _weights_row(self, n)
         if k < 0 or k > n:
             raise ValueError(f"k={k} outside [0, {n}]")
-        value = self.measure.moment(n, k)
-        # a moment of a measure with no mass at 0 or 1 is positive, so a
-        # value this small can only be floating-point underflow
-        if value < _UNDERFLOW:
+        if k in underflowed:
             warnings.warn(f"weight({n},{k}) underflowed to 0", RuntimeWarning)
-            value = 0.0
-        return value
+        return row.item(k)
 
     def weights_row(self, n: int) -> np.ndarray:
         """weight(n, k) for k = 0..n, as a read-only float64 row.  Each row
-        is computed once per (measure, n) and kept for the process; a row
-        with underflowed weights warns on every call, as ``weight`` does."""
-        if n < 1 or n > HORIZON:
-            raise CapExceeded(f"n={n} outside [1, horizon={HORIZON}]")
-        row, underflowed = _weights_row(self.measure, n)
+        is computed once per (system, n) and kept for the process; a row
+        with underflowed weights warns on every call, once per such k."""
+        row, underflowed = _weights_row(self, n)
         for k in underflowed:
             warnings.warn(f"weight({n},{k}) underflowed to 0", RuntimeWarning)
         return row
 
-    def __repr__(self) -> str:
-        return f"CoefficientSystem({self.spec!r})"
-
 
 @functools.lru_cache(maxsize=1024)
-def _weights_row(measure: SymmetricMeasure, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    # the row of CoefficientSystem.weights_row and the k whose weight underflowed
-    row = np.array([measure.moment(n, k) for k in range(n + 1)])
+def _weights_row(system: CoefficientSystem, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    # the one place a moment becomes a weight: the read-only row of
+    # ``weights_row``, and the k whose weight underflowed
+    if n < 1 or n > HORIZON:
+        raise CapExceeded(f"n={n} outside [1, horizon={HORIZON}]")
+    row = np.array([system.moment(n, k) for k in range(n + 1)])
+    # a moment of a measure with no mass at 0 or 1 is positive, so a
+    # value this small can only be floating-point underflow
     underflowed = tuple(np.flatnonzero(row < _UNDERFLOW).tolist())
     row[row < _UNDERFLOW] = 0.0
     row.setflags(write=False)

@@ -9,6 +9,7 @@ document costs about a microsecond to check."""
 from itertools import chain
 
 _NUMBERS = frozenset((int, float))
+_DIGITS = frozenset("0123456789")
 
 
 class CapExceeded(RuntimeError):
@@ -52,6 +53,18 @@ def is_text(v) -> bool:
 def is_word(v) -> bool:
     # a word, block or state of symbols: a string of digits or a list of integers
     return isinstance(v, str) or (isinstance(v, list) and all(type(a) is int for a in v))
+
+
+def read_symbols(word, what: str) -> tuple[int, ...]:
+    """The symbols of a word, block or state: the digits 0-9 of a string
+    or the nonnegative integers of a list or tuple.  Anything else is bad
+    input naming ``what`` and the word."""
+    if isinstance(word, str):
+        if _DIGITS.issuperset(word):
+            return tuple(map(int, word))
+    elif isinstance(word, (list, tuple)) and all(type(a) is int and a >= 0 for a in word):
+        return tuple(word)
+    raise ValueError(f"{what} {word!r} must be digits 0-9 or a list of nonnegative integers")
 
 
 def list_of(test):

@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._masks import moment_tables, shape_sums
-from .coeffs import HORIZON, CoefficientSystem, SymmetricMeasure
+from ._masks import canonical_places, moment_tables, shape_sums
+from .coeffs import HORIZON, CoefficientSystem
 from .errors import (CapExceeded, are_numbers, check_terms, is_int, is_matrix, is_word, list_of,
-                     optional, read_field)
+                     optional, read_field, read_symbols)
 from .sft import Sft, _as_subset
 
 __all__ = [
@@ -70,7 +70,7 @@ def _chain_states(states, d: int, block_len: int | None = None):
     if states is None and block_len not in (None, 1):
         raise ValueError("block_len >= 2 requires explicit states")
     states = tuple((a,) for a in range(d)) if states is None else tuple(
-        tuple(int(x) for x in s) for s in states)
+        read_symbols(s, "state") for s in states)
     if len(states) != d:
         raise ValueError("one state per row required")
     lengths = {len(s) for s in states}
@@ -500,8 +500,7 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
         # the full window: H(p) and n - 1 gaps of 1
         h_full = H + (n - 1) * float(hs[0]) if n > 1 else H
     else:
-        canonical = (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
-        phi, kappa = shape_sums(_joint_entropies(m, canonical), n), n - 1
+        phi, kappa = shape_sums(_joint_entropies(m, canonical_places(n)), n), n - 1
         # the full window is the one shape of span n - 1 and size n
         h_full = float(phi[n - 1, n])
     total = float(np.vdot(phi, moment_tables(coeffs, n, kappa)[0]))
@@ -509,10 +508,11 @@ def asc_finite(m: MarkovMeasure, coeffs: CoefficientSystem, n: int) -> SampledEn
     return SampledEntropyResult(n, total / n, (2.0 * total - h_full) / n, h_full / n)
 
 
-def asc_lambda(m: MarkovMeasure, lam: SymmetricMeasure, terms: int = 40) -> float:
-    """General-weight series: sum_i (integral of p^2 (1-p)^(i-1) dlam)
-    times the gap-i conditional entropy.  The point mass at 1/2
-    reproduces the plain series coefficients 2^-(i+1) exactly."""
+def asc_lambda(m: MarkovMeasure, lam: CoefficientSystem, terms: int = 40) -> float:
+    """General-weight series: sum_i of the system lam's moment(i + 1, 2)
+    (the integral of p^2 (1-p)^(i-1) over its measure) times the gap-i
+    conditional entropy.  The point mass at 1/2 reproduces the plain
+    series coefficients 2^-(i+1) exactly."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if m.block_len != 1:

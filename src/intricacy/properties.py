@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._masks import MAX_TABLE_BITS, popcounts
+from ._masks import MAX_TABLE_BITS, canonical_places, popcounts
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
-from .coeffs import CoefficientSystem, SymmetricMeasure, validate
+from .coeffs import CoefficientSystem, validate
 from .errors import CapExceeded
 from .markov import (MarkovMeasure, _joint_entropies, _stationary_stack,
                      _transition_codes, _xlogx, asc_finite, asc_lambda, asc_series_markov,
@@ -117,15 +117,21 @@ def _per_size_sums(phi: np.ndarray, n: int, kappa: int) -> np.ndarray:
 
 
 @functools.cache
+def _published_sfts() -> tuple[tuple[str, Sft, bool], ...]:
+    # (first tag, shift, weighted) per published matrix, built once per process
+    # (an Sft is immutable); weighted where any of its benchmarks has asp10_f1
+    tags, weighted = {}, {}
+    for b in SFT_BENCHMARKS:
+        tags.setdefault(b.adjacency, b.tag)
+        weighted[b.adjacency] = weighted.get(b.adjacency, False) or b.asp10_f1 is not None
+    return tuple((tag, Sft(np.asarray(a)), weighted[a]) for a, tag in tags.items())
+
+
+@functools.cache
 def _dedup_sfts() -> tuple[tuple[str, Sft], ...]:
-    # built once per process: an Sft is immutable
-    out = [("full-2-shift", Sft.full_shift(2)), ("golden-mean", Sft.golden_mean())]
-    seen = set()
-    for bench in SFT_BENCHMARKS:
-        if bench.adjacency not in seen:
-            seen.add(bench.adjacency)
-            out.append((bench.tag, Sft(np.asarray(bench.adjacency))))
-    return tuple(out)
+    # the full 2-shift, the golden mean and the published shifts
+    return (("full-2-shift", Sft.full_shift(2)), ("golden-mean", Sft.golden_mean()),
+            *((tag, sft) for tag, sft, _ in _published_sfts()))
 
 
 _UNIFORM = CoefficientSystem.uniform()
@@ -162,11 +168,6 @@ def _canonical_counts(sft: Sft, n: int) -> list[int]:
     to 0.  Shared by the suites of a run_suites call."""
     return _shared(("counts", sft, n), lambda: [
         sft.count_words_at(SubsetSpec(n, 2 * i + 1)) for i in range(1 << (n - 1))])
-
-
-def _canonical_places(n: int) -> np.ndarray:
-    # row i marks the places of the canonical mask 2i+1 of n places
-    return (2 * np.arange(1 << (n - 1))[:, None] + 1) >> np.arange(n) & 1
 
 
 def _canonical_rows(n: int) -> np.ndarray:
@@ -462,7 +463,7 @@ def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
         three = {f"{b:03b}": {"0": 0.1 + 0.1 * b, "1": 0.9 - 0.1 * b} for b in range(8)}
         families.insert(0, [recode_higher_block(three, Sft.full_shift(2))])
     rows = _canonical_rows(n_max)
-    canonical = _canonical_places(n_max)
+    canonical = canonical_places(n_max)
     for chains in families:
         head = chains[0]
         k, G = head.block_len, len(chains)
@@ -513,7 +514,7 @@ def check_lambda_delta(terms: int = 20) -> PropertyReport:
     """The general-weight series with the point mass at 1/2 equals the
     plain series to 1e-12."""
     rep = PropertyReport("lambda-delta-half")
-    delta_half = SymmetricMeasure.from_one_sided([(0.5, 1.0)])
+    delta_half = CoefficientSystem.from_measure([(0.5, 1.0)])
     chains = [
         MarkovMeasure.one_step([[0.5, 0.5], [0.5, 0.5]]),
         MarkovMeasure.one_step([[0.618, 0.382], [1.0, 0.0]]),
@@ -576,13 +577,6 @@ def _random_primitive_sfts(count: int = 3) -> tuple[Sft, ...]:
     return tuple(out)
 
 
-@functools.cache
-def _published_sfts() -> tuple[tuple[str, Sft, bool], ...]:
-    # (tag, shift, weighted) once per process; the pressure pairs keep their tags
-    return tuple((b.tag, Sft(np.asarray(b.adjacency)), b.asp10_f1 is not None)
-                 for b in {b.adjacency: b for b in SFT_BENCHMARKS}.values())
-
-
 def check_run_kernels(n_max: int = 16) -> PropertyReport:
     """The kernel ``topo._count_sums`` picks against the table with no
     split, to 1e-12 relative (absolute below 1), at n = min(n_max, 23).
@@ -628,7 +622,7 @@ def check_run_kernels(n_max: int = 16) -> PropertyReport:
     n = min(n_max, 12)
     m = MarkovMeasure.one_step([[0.618, 0.382], [1.0, 0.0]], p=np.array([1.0, 0.382]) / 1.382)
     # each subset has the joint entropy of its translate to 0
-    H = np.concatenate([[0.0], _joint_entropies(m, _canonical_places(n))[_canonical_rows(n)]])
+    H = np.concatenate([[0.0], _joint_entropies(m, canonical_places(n))[_canonical_rows(n)]])
     size = popcounts(n)
     for system in (CoefficientSystem.uniform(), CoefficientSystem.neural()):
         w = system.weights_row(n)[size]
@@ -663,7 +657,7 @@ def _finite_profile_slow(sft: Sft, coeffs: CoefficientSystem, n: int, block_k: i
     full = (1 << n) - 1
     log_full = log_count(full)
     asc = intr = acc = alt = 0.0
-    uniform = coeffs.measure.all_at_half
+    uniform = coeffs.all_at_half
     for m in range(1 << n):
         c = weights[pc[m]]
         lm = log_count(m)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .coeffs import HORIZON
-from .errors import CapExceeded, is_int, is_word, list_of, read_field
+from .errors import CapExceeded, is_int, is_word, list_of, read_field, read_symbols
 
 __all__ = ["SubsetSpec", "Sft", "DEFAULT_ORACLE_CAP", "log_spectral_radius"]
 
@@ -160,13 +160,10 @@ def _as_subset(S, n: int | None = None) -> SubsetSpec:
 
 
 def _parse_word(word, alphabet_size: int) -> tuple[int, ...]:
-    if isinstance(word, str):
-        out = tuple(int(ch) for ch in word)
-    else:
-        out = tuple(int(a) for a in word)
+    out = read_symbols(word, "forbidden word")
     if not out:
         raise ValueError("empty forbidden word")
-    if any(not 0 <= a < alphabet_size for a in out):
+    if any(a >= alphabet_size for a in out):
         raise ValueError(f"word {word!r} uses symbols outside the alphabet")
     return out
 

@@ -105,7 +105,7 @@ def finite_profiles(
     order, from one set of shape sums, each system's moment tables
     entering only the dot products at the end.  The intricacy is 2 asc - h."""
     _check_window(n, block_k)
-    with_alt = any(coeffs.measure.all_at_half for coeffs in systems)
+    with_alt = any(coeffs.all_at_half for coeffs in systems)
     phi, kappa, log_full, alt = _count_sums(sft, n, block_k, with_alt)
     profiles = []
     for coeffs in systems:
@@ -113,7 +113,7 @@ def finite_profiles(
         total = float(np.vdot(phi, W))
         profiles.append(ComplexityProfile(
             n, block_k, log_full / n, total / n, (2.0 * total - log_full) / n,
-            float(np.vdot(phi, W0)) / n, alt if coeffs.measure.all_at_half else None, coeffs.spec))
+            float(np.vdot(phi, W0)) / n, alt if coeffs.all_at_half else None, coeffs.spec))
     return profiles
 
 

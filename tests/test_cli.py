@@ -271,6 +271,24 @@ class TestInputDocuments:
         assert err == (f"intricacy: bad input: doc.json: key '{key}' must be {expected}, "
                        f"got {kind}\n")
 
+    @pytest.mark.parametrize("flag,document,word", [
+        ("topo --input", {"alphabet_size": 2, "forbidden_words": ["1a"]}, "forbidden word '1a'"),
+        ("markov --input", {"states": ["a", "b"], "P": [[0.5, 0.5], [0.5, 0.5]]}, "state 'a'"),
+        ("markov --input", {"states": [[0, -1], [1, 0]], "P": [[0.5, 0.5], [0.5, 0.5]]},
+         "state [0, -1]"),
+        ("sweep --input", {"params": ["a"], "box": {"a": [0, 1]}, "states": ["x", "y"],
+                           "template": [["a", "rest"], [1, 0]]}, "state 'x'"),
+    ], ids=["forbidden-word-letter", "markov-letter-state", "markov-negative-symbol",
+            "family-letter-state"])
+    def test_word_or_state_of_no_symbols_is_named(self, capsys, flag, document, word):
+        # a string holds the digits 0-9, a list the nonnegative integers
+        with open("doc.json", "w") as fh:
+            json.dump(document, fh)
+        code, out, err = run_cli(capsys, *self.FLAGS[flag]("doc.json"))
+        assert (code, out) == (1, "")
+        assert err == (f"intricacy: bad input: {word} must be digits 0-9 or a list of "
+                       "nonnegative integers\n")
+
     @pytest.mark.parametrize("flag,document", [
         ("markov --input", {"P": [[0.5, 0.5], [0.5, 0.5]], "p": None, "states": None}),
         ("sweep --input", {"params": ["a"], "box": {"a": [0, 1]}, "states": None,
@@ -894,7 +912,7 @@ def test_cli_import_compiles_no_annotation_string():
 
 
 @pytest.mark.parametrize("record", [
-    benchmarks.SftBenchmark, benchmarks.MarkovBenchmark, coeffs.SymmetricMeasure,
+    benchmarks.SftBenchmark, benchmarks.MarkovBenchmark, coeffs.CoefficientSystem,
     markov.MarkovSeries, markov.McEstimate, markov.SampledEntropyResult, sweep.GridPoint,
     sweep.SweepResult, sweep.MaximizeResult, topo.ComplexityProfile, topo.SeriesEstimate,
     topo.RecursionReport, pressure.Potential,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,11 @@ from hypothesis import strategies as st
 
 from intricacy.coeffs import (
     CoefficientSystem,
-    SymmetricMeasure,
     parse_coeffs,
     validate,
 )
 from intricacy.errors import CapExceeded
+from intricacy.properties import _systems
 
 ALL_SYSTEMS = [
     CoefficientSystem.uniform(),
@@ -88,7 +89,8 @@ class TestFromMeasure:
 
     def test_mirrored_pair_matches_p_symmetric(self):
         system = CoefficientSystem.from_measure([(0.3, 0.5)])
-        assert {x for x, _ in system.measure.atoms} == {0.3, 0.7}
+        # the pair {0.3, 0.7} is stored once, at the point below 1/2
+        assert (system.pairs, system.center_mass, system.lebesgue_mass) == (((0.3, 0.5),), 0, 0)
         for n in range(1, 65):
             for k in range(n + 1):
                 assert system.weight(n, k) == psym_form(0.3, n, k)
@@ -101,15 +103,15 @@ class TestFromMeasure:
 
     def test_rejects_boundary_atoms(self):
         with pytest.raises(ValueError):
-            SymmetricMeasure.from_one_sided([(0.0, 0.5), (0.25, 0.25)])
+            CoefficientSystem.from_measure([(0.0, 0.5), (0.25, 0.25)])
         with pytest.raises(ValueError):
-            SymmetricMeasure.from_one_sided([(1.0, 1.0)])
+            CoefficientSystem.from_measure([(1.0, 1.0)])
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
-            SymmetricMeasure.from_one_sided([(0.3, -0.1)], lebesgue_mass=1.2)
+            CoefficientSystem.from_measure([(0.3, -0.1)], lebesgue_mass=1.2)
         with pytest.raises(ValueError):
-            SymmetricMeasure.from_one_sided([(0.3, 0.2)])  # total 0.4
+            CoefficientSystem.from_measure([(0.3, 0.2)])  # total 0.4
 
     @pytest.mark.parametrize(
         "spec,message",
@@ -124,8 +126,9 @@ class TestFromMeasure:
             parse_coeffs(spec)
 
     def test_normalizes_within_tolerance(self):
-        m = SymmetricMeasure.from_one_sided([(0.5, 1.0 + 5e-10)])
-        assert m.total_mass() == pytest.approx(1.0, abs=1e-15)
+        m = CoefficientSystem.from_measure([(0.3, 0.125 + 2e-10), (0.5, 0.25)], 0.5)
+        total = 2.0 * sum(mass for _, mass in m.pairs) + m.center_mass + m.lebesgue_mass
+        assert total == pytest.approx(1.0, abs=1e-15)
 
     def test_underflow_warns(self):
         system = CoefficientSystem.from_measure([(1e-200, 0.5)])
@@ -145,16 +148,36 @@ class TestFromMeasure:
         with pytest.warns(RuntimeWarning):
             assert rows[0].tolist() == [system.weight(4, k) for k in range(5)]
 
+    @pytest.mark.parametrize("system", _systems(), ids=lambda s: s.spec)
+    def test_weight_is_the_row_entry(self, system):
+        for n in range(1, 65):
+            row = system.weights_row(n)
+            assert [system.weight(n, k) for k in range(n + 1)] == row.tolist()
+            assert all(type(system.weight(n, k)) is float for k in (0, n))
 
-class TestSymmetricMeasure:
+    def test_weight_warns_for_its_own_k_only(self):
+        # of the row at n = 6, the weights of k = 2, 3, 4 underflow
+        system = CoefficientSystem.from_measure([(1e-200, 0.5)])
+        with pytest.warns(RuntimeWarning) as caught:
+            system.weights_row(6)
+        assert len(caught) == 3
+        with pytest.warns(RuntimeWarning, match=r"weight\(6,3\) underflowed") as caught:
+            assert system.weight(6, 3) == 0.0
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert system.weight(6, 1) > 0.0
+
+
+class TestRecord:
     def test_value_type(self):
         # the key of the weight-row cache: immutable, equal and hashed by its fields
-        m = SymmetricMeasure.from_one_sided([(0.25, 0.25)], lebesgue_mass=0.5)
-        same = SymmetricMeasure(((0.25, 0.25),), 0.0, 0.5)
+        m = CoefficientSystem.from_measure([(0.25, 0.25)], lebesgue_mass=0.5)
+        same = CoefficientSystem(((0.25, 0.25),), 0.0, 0.5, "measure:0.25=0.25;lebesgue=0.5")
         assert m == same and hash(m) == hash(same)
-        assert m != SymmetricMeasure(((0.25, 0.25),), 0.0, 0.25)
-        assert repr(m) == ("SymmetricMeasure(pairs=((0.25, 0.25),), center_mass=0.0, "
-                           "lebesgue_mass=0.5)")
+        assert m != same._replace(lebesgue_mass=0.25)
+        assert repr(m) == ("CoefficientSystem(pairs=((0.25, 0.25),), center_mass=0.0, "
+                           "lebesgue_mass=0.5, spec='measure:0.25=0.25;lebesgue=0.5')")
         with pytest.raises(AttributeError):
             m.center_mass = 1.0
         assert m._replace(lebesgue_mass=0.25).lebesgue_mass == 0.25
@@ -173,8 +196,7 @@ class TestValidate:
 
     def test_unnormalized_measure_fails(self):
         # built directly, so nothing normalized its total mass 0.5
-        measure = SymmetricMeasure(((0.3, 0.25),), 0.0, 0.0)
-        report = validate(CoefficientSystem(measure, "measure:0.3=0.25"), 3)
+        report = validate(CoefficientSystem(((0.3, 0.25),), 0.0, 0.0, "measure:0.3=0.25"), 3)
         assert not report.passed
         for row in report.rows:
             assert row["sum_deviation"] == pytest.approx(0.5, abs=1e-15)

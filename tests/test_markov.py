@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from intricacy import markov
-from intricacy.coeffs import CoefficientSystem, SymmetricMeasure
+from intricacy.coeffs import CoefficientSystem, parse_coeffs
 from intricacy.errors import CapExceeded
 from intricacy.markov import (
     _ROW_BLOCK,
@@ -669,13 +669,13 @@ class TestAscFinite:
 class TestAscLambda:
     def test_delta_half_matches_series(self):
         for m in (bernoulli_half(), gms_one_step(), full2(0.216, 0.0)):
-            lam = SymmetricMeasure.from_one_sided([(0.5, 1.0)])
+            lam = CoefficientSystem.from_measure([(0.5, 1.0)])
             assert asc_lambda(m, lam, 20) == pytest.approx(
                 asc_series_markov(m, 20).asc, abs=1e-12
             )
 
     def test_lebesgue_bernoulli_telescopes(self):
-        lam = SymmetricMeasure.from_one_sided([], lebesgue_mass=1.0)
+        lam = CoefficientSystem.from_measure([], lebesgue_mass=1.0)
         K = 60
         partial = sum(Fraction(2, i * (i + 1) * (i + 2)) for i in range(1, K + 1))
         got = asc_lambda(bernoulli_half(), lam, K)
@@ -684,7 +684,7 @@ class TestAscLambda:
 
     def test_two_atom_measure_is_two_point_average(self):
         m = gms_one_step()
-        lam = SymmetricMeasure.from_one_sided([(0.3, 0.5)])
+        lam = CoefficientSystem.from_measure([(0.3, 0.5)])
         K = 40
         expected = 0.0
         for i, h_i in enumerate(gap_entropies(m, K).tolist(), 1):
@@ -692,14 +692,22 @@ class TestAscLambda:
                 expected += 0.5 * p**2 * (1 - p) ** (i - 1) * h_i
         assert asc_lambda(m, lam, K) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", ["neural", "psym:0.3", "measure:0.25=0.25;lebesgue=0.5"])
+    def test_takes_any_system(self, spec):
+        # the gap-i weight is the system's moment(i + 1, 2)
+        lam, m, K = parse_coeffs(spec), gms_one_step(), 30
+        expected = sum(lam.moment(i + 1, 2) * h_i
+                       for i, h_i in enumerate(gap_entropies(m, K).tolist(), 1))
+        assert asc_lambda(m, lam, K) == expected
+
     def test_block_chain_rejected(self):
-        lam = SymmetricMeasure.from_one_sided([(0.5, 1.0)])
+        lam = CoefficientSystem.uniform()
         with pytest.raises(ValueError):
             asc_lambda(gms_two_step(0.5, 0.5), lam, 10)
 
     @pytest.mark.parametrize("terms", [0, -2])
     def test_terms_below_one_refused(self, terms):
-        lam = SymmetricMeasure.from_one_sided([(0.5, 1.0)])
+        lam = CoefficientSystem.uniform()
         with pytest.raises(ValueError, match="terms"):
             asc_lambda(gms_one_step(), lam, terms)
 

@@ -473,8 +473,25 @@ class TestWindowTables:
             with pytest.warns(RuntimeWarning, match=r"weight\(20,10\) underflowed") as caught:
                 tables.append(moment_tables(system, 20, kappa))
             assert len(caught) == 1
-        # kept once per (measure, n, kappa); no gap of the window exceeds 19
+        # kept once per (system, n, kappa); no gap of the window exceeds 19
         assert tables[1] is tables[4] and tables[2] is tables[3]
+
+    def test_moment_tables_read_the_weight_rows(self, monkeypatch):
+        # the weight rows are the one cache of moments: a first table
+        # evaluates the rows N <= n not yet kept, a second kappa none
+        evaluated = []
+        moment = CoefficientSystem.moment
+        monkeypatch.setattr(CoefficientSystem, "moment",
+                            lambda system, n, k: evaluated.append(n) or moment(system, n, k))
+        system = CoefficientSystem.p_symmetric(0.1234567)
+        for n in (1, 2, 3):
+            system.weights_row(n)
+        evaluated.clear()
+        first = moment_tables(system, 6, 2)
+        assert sorted(evaluated) == [4] * 5 + [5] * 6 + [6] * 7
+        evaluated.clear()
+        second = moment_tables(system, 6, 1)
+        assert evaluated == [] and second is not first
 
     def test_cached_arrays_are_read_only(self):
         arrays = [*moment_tables(UNIFORM, 6, 2), _masks._cluster_shapes(6, 2),
