@@ -129,8 +129,10 @@ def product_table(n_bits: int, init: np.ndarray, gap_mats) -> np.ndarray:
     gap_mats stacks the matrices of the gaps 1..n_bits-1.  With init =
     ones and 0/1 reachability matrices this is the pattern count
     N(2i+1); with exponential symbol weights it is the weighted count
-    used by the pressure profile.  The table has 2^(n_bits-1) rows;
-    ``table_shape_sums`` reduces the same entries without holding them.
+    used by the pressure profile.  The table has 2^(n_bits-1) rows.  The
+    check suites take every count of a window from it
+    (``properties._canonical_counts``); ``table_shape_sums`` reduces the
+    same entries for the profiles without holding them.
     """
     mats = np.asarray(gap_mats, dtype=np.float64)
     return _row_vectors(n_bits, np.ones(len(init)), mats) @ np.asarray(init, dtype=np.float64)

@@ -67,6 +67,16 @@ def read_symbols(word, what: str) -> tuple[int, ...]:
     raise ValueError(f"{what} {word!r} must be digits 0-9 or a list of nonnegative integers")
 
 
+def read_symbol(text: str, what: str) -> int:
+    """The symbol a key names: a nonnegative decimal integer with no sign,
+    spaces or leading zeros, so no two keys name one symbol.  Anything
+    else is bad input naming ``what`` and the key."""
+    if isinstance(text, str) and text.isascii() and text.isdigit() and str(int(text)) == text:
+        return int(text)
+    raise ValueError(f"{what} {text!r} must be a nonnegative decimal integer with no sign, "
+                     "spaces or leading zeros")
+
+
 def list_of(test):
     return lambda v: isinstance(v, list) and all(map(test, v))
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._masks import check_table_window, moment_tables
 from .coeffs import CoefficientSystem
-from .errors import are_numbers, read_field
+from .errors import are_numbers, read_field, read_symbol
 from .sft import Sft, _as_subset, log_spectral_radius
 from .topo import _count_sums
 
@@ -37,7 +37,8 @@ class Potential(NamedTuple("Potential", [("values", tuple)])):
         """Input schema: {"values": {"0": 0.0, "1": 1.0, ...}}."""
         table = read_field(d, "values", lambda v: isinstance(v, dict) and are_numbers(v.values()),
                            "an object of numbers")
-        return cls(tuple(sorted((int(k), float(v)) for k, v in table.items())))
+        return cls(tuple(sorted((read_symbol(k, "potential key"), float(v))
+                                for k, v in table.items())))
 
     @classmethod
     def from_values(cls, values: dict[int, float]) -> "Potential":

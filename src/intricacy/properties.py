@@ -12,25 +12,17 @@ arrays with one axis per place.  ``count_words_at_oracle`` and
 ``sampled_joint_entropy_oracle`` project them onto one subset; the
 ``oracle-counts`` and ``oracle-entropy`` suites walk every subset of the
 window from one enumeration (``_lattice``).
-
-One ``run_suites`` call computes what several of its suites share once:
-the production counts at each (shift, canonical mask) that ``product``
-and ``oracle-counts`` check, and the profiles of each (shift, window,
-weighting system) that ``subadd``, ``acc`` and ``bounds`` check.  The
-values are kept for that call only; a suite called on its own, or run
-alone, computes just what it uses.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._masks import MAX_TABLE_BITS, canonical_places, popcounts
+from ._masks import MAX_TABLE_BITS, canonical_places, check_table_window, popcounts, product_table
 from .benchmarks import PRESSURE_F1, SFT_BENCHMARKS
 from .coeffs import CoefficientSystem, validate
 from .errors import CapExceeded
@@ -65,23 +57,6 @@ class PropertyReport:
         entry i where it is False."""
         self.cases += len(ok)
         self.failures += [message(i) for i in np.flatnonzero(~ok).tolist()]
-
-
-# what the suites of one run_suites call share: (kind, shift, ...) keys to
-# values, plus "systems", the weighting systems of the run's profile suites
-# when it has more than one; None outside a call
-_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared", default=None)
-
-
-def _shared(key, make):
-    """make(), kept under key for the rest of the run_suites call when one
-    is running."""
-    memo = _SHARED.get()
-    if memo is None:
-        return make()
-    if key not in memo:
-        memo[key] = make()
-    return memo[key]
 
 
 def _close(a, b) -> bool:
@@ -134,40 +109,19 @@ def _dedup_sfts() -> tuple[tuple[str, Sft], ...]:
             *((tag, sft) for tag, sft, _ in _published_sfts()))
 
 
-_UNIFORM = CoefficientSystem.uniform()
-_NEURAL = CoefficientSystem.neural()
-_PSYM = CoefficientSystem.p_symmetric(0.3)
-
-
 def _systems() -> list[CoefficientSystem]:
-    return [_UNIFORM, _NEURAL, _PSYM,
+    # uniform, neural and p-symmetric first: the profile suites take those
+    return [CoefficientSystem.uniform(), CoefficientSystem.neural(),
+            CoefficientSystem.p_symmetric(0.3),
             CoefficientSystem.from_measure([(0.25, 0.25)], lebesgue_mass=0.5)]
 
 
-# the weighting systems each profile suite asks for
-_PROFILE_SYSTEMS = {"subadd": (_UNIFORM, _NEURAL, _PSYM), "acc": (_UNIFORM,),
-                    "bounds": (_UNIFORM, _NEURAL, _PSYM)}
-
-
-def _profiles(sft: Sft, systems, n: int) -> list[ComplexityProfile]:
-    """finite_profiles(sft, systems, n).  In a run_suites call with more
-    than one profile suite the first request for (sft, n) takes every
-    system of those suites, from one set of shape sums, and later ones
-    reuse them."""
-    memo = _SHARED.get()
-    if memo is None or "systems" not in memo:
-        return finite_profiles(sft, list(systems), n)
-    have = _shared(("profiles", sft, n), lambda: {
-        p.coeffs_spec: p for p in finite_profiles(sft, memo["systems"], n)})
-    return [have[s.spec] for s in systems]
-
-
-def _canonical_counts(sft: Sft, n: int) -> list[int]:
-    """sft.count_words_at at the canonical masks 2i+1 of n places,
-    i < 2^(n-1): every subset of the window has the count of its translate
-    to 0.  Shared by the suites of a run_suites call."""
-    return _shared(("counts", sft, n), lambda: [
-        sft.count_words_at(SubsetSpec(n, 2 * i + 1)) for i in range(1 << (n - 1))])
+def _canonical_counts(sft: Sft, n: int) -> np.ndarray:
+    """N(S) at the masks 1..2^n-1 of n places, each the count of its translate
+    to 0 from one table pass; exact while every count (at most r^n) is below
+    2^53."""
+    assert sft.alphabet_size**n < 1 << 53, f"counts of {sft} over {n} places pass 2^53"
+    return product_table(n, *sft.count_matrices(n)).astype(np.int64)[_canonical_rows(n)]
 
 
 def _canonical_rows(n: int) -> np.ndarray:
@@ -179,13 +133,18 @@ def _canonical_rows(n: int) -> np.ndarray:
 # -- enumeration oracles ---------------------------------------------------
 
 
+def _check_oracle_width(r: int, width: int) -> None:
+    """Refuse an enumeration of r^width cells past DEFAULT_ORACLE_CAP."""
+    if r**width > DEFAULT_ORACLE_CAP:
+        raise CapExceeded(f"r^n = {r}^{width} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
+
+
 def _word_cells(sft: Sft, width: int) -> np.ndarray:
     """cells[a_0, ..., a_(width-1)] is True when the symbols a_i form a
     word of the shift (every consecutive pair an edge); r^width is capped
     at DEFAULT_ORACLE_CAP."""
     r = sft.alphabet_size
-    if r**width > DEFAULT_ORACLE_CAP:
-        raise CapExceeded(f"r^n = {r}^{width} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
+    _check_oracle_width(r, width)
     edge = sft.adjacency > 0
     cells = np.ones(r, dtype=bool)
     for _ in range(width - 1):
@@ -200,8 +159,7 @@ def _cylinder_cells(P: np.ndarray, p: np.ndarray, states, r: int, width: int) ->
     Never by P^g: a word weighs p of its first block times P along its
     blocks, 0 past a block that is no state.  r^width is capped at
     DEFAULT_ORACLE_CAP."""
-    if r**width > DEFAULT_ORACLE_CAP:
-        raise CapExceeded(f"r^n = {r}^{width} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
+    _check_oracle_width(r, width)
     G, d = p.shape
     k = len(states[0])
     # state[b]: the state of the k-block coded b (first symbol highest), d if none
@@ -328,12 +286,12 @@ def check_subadditivity(n_max: int = 6) -> PropertyReport:
     uniform, neural and p-symmetric systems, for n, m <= n_max with
     n + m <= MAX_TABLE_BITS (23), the widest window the kernels take."""
     rep = PropertyReport("subadditivity")
-    systems = _PROFILE_SYSTEMS["subadd"]
+    systems = _systems()[:3]
     shifts = [(name, sft) for name, sft in _dedup_sfts() if name in ("golden-mean", "golden-pair/II")]
     pairs = [(n, m_) for n in range(1, n_max + 1) for m_ in range(1, n_max + 1)
              if n + m_ <= MAX_TABLE_BITS]
     for name, sft in shifts:
-        profiles = {n: _profiles(sft, systems, n)
+        profiles = {n: finite_profiles(sft, systems, n)
                     for n in range(1, min(2 * n_max, MAX_TABLE_BITS) + 1)}
         for i, system in enumerate(systems):
             b = {n: n * prof[i].asc for n, prof in profiles.items()}
@@ -351,19 +309,16 @@ def check_product_formula(n_max: int = 10) -> PropertyReport:
     exactly, for every nonempty subset S of {0..n_max-1} (the subsets of
     every narrower window among them), each held to the count of its
     translate to 0 (``_canonical_counts``)."""
+    check_table_window(n_max)
     rep = PropertyReport("product-formula")
-    masks = range(1, 1 << n_max)
-    rows = _canonical_rows(n_max).tolist()
-    runs = [SubsetSpec(n_max, mask).runs for mask in masks]
+    runs = [SubsetSpec(n_max, mask).runs for mask in range(1, 1 << n_max)]
     for name, sft in _dedup_sfts():
         if not sft.is_square_positive():
             continue
         counts = [1, *sft.word_counts(n_max)]
-        N = _canonical_counts(sft, n_max)
-        for mask, i, lengths in zip(masks, rows, runs):
-            expected = math.prod(counts[t] for t in lengths)
-            ok = N[i] == expected
-            rep.check(ok, "" if ok else f"{name}: N({SubsetSpec(n_max, mask).elements}) != {expected}")
+        expected = np.array([math.prod(counts[t] for t in lengths) for lengths in runs])
+        ok = _canonical_counts(sft, n_max) == expected
+        rep.check_all(ok, lambda i: f"{name}: N({SubsetSpec(n_max, i + 1).elements}) != {expected[i]}")
     return rep
 
 
@@ -377,13 +332,14 @@ def check_count_oracle(n_max: int = 8) -> PropertyReport:
     log N over all subsets and those holding 0 match ``topo._count_sums``
     to 1e-12 relative at block_k 0 and, from n_max 2, at block_k 2 over
     n_max - 1 places (N(S | S << 1)): two more cases per shift."""
+    # r >= 2, so this also keeps n_max within MAX_TABLE_BITS
+    _check_oracle_width(max(sft.alphabet_size for _, sft in _dedup_sfts()), n_max)
     rep = PropertyReport("count-oracle")
-    rows = _canonical_rows(n_max)
     for name, sft in _dedup_sfts():
         N = np.empty(1 << n_max, dtype=np.int64)
         for mask, cells in _lattice(_word_cells(sft, n_max), n_max, np.logical_or.reduce):
             N[mask] = np.count_nonzero(cells)
-        ok = N[1:] == np.array(_canonical_counts(sft, n_max), dtype=np.int64)[rows]
+        ok = N[1:] == _canonical_counts(sft, n_max)
         rep.check_all(ok, lambda i: f"{name}: count mismatch at {SubsetSpec(n_max, i + 1).elements}")
         logs = np.log(N)
         cases = [(0, n_max, logs)]
@@ -402,23 +358,26 @@ def check_count_oracle(n_max: int = 8) -> PropertyReport:
 
 
 def check_count_invariances(n_max: int = 8) -> PropertyReport:
-    """Shift invariance N(S) = N(S - min S), monotonicity under subset
-    inclusion, and submultiplicativity over disjoint unions."""
+    """Shift invariance, ``Sft.count_words_at`` at S against the table
+    count of S - min S (``_canonical_counts``, held to enumeration by
+    ``oracle-counts``), monotonicity under subset inclusion, and
+    submultiplicativity over disjoint unions."""
+    check_table_window(n_max)
     rep = PropertyReport("count-invariances")
     for name, sft in [("golden-mean", Sft.golden_mean()),
                       ("golden-pair/I", Sft(np.asarray(SFT_BENCHMARKS[0].adjacency)))]:
-        n = n_max
-        N = {mask: sft.count_words_at(SubsetSpec(n, mask)) for mask in range(1 << n)}
-        for mask in range(1, 1 << n):
-            spec = SubsetSpec(n, mask)
-            ok = N[mask] == N[spec.canonical().mask]
+        N = [sft.count_words_at(SubsetSpec(n_max, mask)) for mask in range(1 << n_max)]
+        table = [1, *_canonical_counts(sft, n_max).tolist()]
+        for mask in range(1, 1 << n_max):
+            spec = SubsetSpec(n_max, mask)
+            ok = N[mask] == table[mask]
             rep.check(ok, "" if ok else f"{name}: shift invariance fails at {spec.elements}")
             low = (mask - 1) & mask  # drop lowest set bit: a subset
             ok = N[low] <= N[mask]
             rep.check(ok, "" if ok else f"{name}: monotonicity fails at {spec.elements}")
-        for mask in range(1, 1 << n):
-            comp = ((1 << n) - 1) ^ mask
-            sub = comp & ((1 << (n // 2)) - 1)
+        for mask in range(1, 1 << n_max):
+            comp = ((1 << n_max) - 1) ^ mask
+            sub = comp & ((1 << (n_max // 2)) - 1)
             ok = N[mask | sub] <= N[mask] * N[sub]
             rep.check(ok, "" if ok else f"{name}: submultiplicativity fails at mask={mask:#x}")
     return rep
@@ -448,6 +407,7 @@ def check_entropy_oracle(n_max: int = 8) -> PropertyReport:
     family: its cylinder measures over the window (a block at least) are
     enumerated once (``_cylinder_cells``), and every mask's marginals come
     from its parent's by one sum (``_lattice``)."""
+    check_table_window(n_max)  # binary chains: 2^n_max is within DEFAULT_ORACLE_CAP
     rep = PropertyReport("entropy-oracle")
     rng = np.random.Generator(np.random.PCG64(_ORACLE_SEED))
     # per point: p00, p11 of the 1-step chain, then p000, p100 of the 2-step one
@@ -487,7 +447,7 @@ def check_acc_identity(n_max: int = 10) -> PropertyReport:
     asc_n = acc_n + ((n-1)/(2n)) asc_{n-1}, to 1e-12."""
     rep = PropertyReport("acc-identity")
     for name, sft in _dedup_sfts():
-        profiles = {n: _profiles(sft, _PROFILE_SYSTEMS["acc"], n)[0] for n in range(1, n_max + 1)}
+        profiles = {n: finite_profiles(sft, _systems()[:1], n)[0] for n in range(1, n_max + 1)}
         for n in range(2, n_max + 1):
             lhs = profiles[n].asc
             rhs = profiles[n].acc + (n - 1) / (2.0 * n) * profiles[n - 1].asc
@@ -499,10 +459,10 @@ def check_bounds(n_max: int = 12) -> PropertyReport:
     """0 <= intricacy_n and asc_n <= h_n on every benchmark shift, for
     uniform weights up to n_max and the other systems up to 8."""
     rep = PropertyReport("bounds")
-    systems = _PROFILE_SYSTEMS["bounds"]
+    systems = _systems()[:3]
     for name, sft in _dedup_sfts():
         for n in range(1, n_max + 1):
-            for prof in _profiles(sft, systems if n <= 8 else systems[:1], n):
+            for prof in finite_profiles(sft, systems if n <= 8 else systems[:1], n):
                 rep.check(prof.intricacy >= -1e-12, f"{name}/{prof.coeffs_spec}: Int_{n} < 0")
                 rep.check(
                     prof.asc <= prof.h + 1e-12, f"{name}/{prof.coeffs_spec}: Asc_{n} > H_{n}"
@@ -712,22 +672,11 @@ def run_suites(suite: str = "all", max_n: int | None = None) -> list[PropertyRep
     """Run one suite (or all) and return the reports.  ``max_n`` scales
     the window size of the suites that take one; suite-specific defaults
     apply when it is None, and a max_n below 1 is refused before any
-    suite runs.  What the suites share (``_shared``, ``_profiles``) is
-    computed once in the call and dropped when it returns or raises."""
+    suite runs."""
     if max_n is not None and max_n < 1:
         raise ValueError("max_n must be >= 1")
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; available: {sorted(SUITES)}")
     names = list(SUITES) if suite == "all" else [suite]
-    unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite(s) {unknown}; available: {sorted(SUITES)}")
-    memo = {}
-    if sum(name in _PROFILE_SYSTEMS for name in names) > 1:
-        systems = {s.spec: s for name in names for s in _PROFILE_SYSTEMS.get(name, ())}
-        memo["systems"] = list(systems.values())
-    token = _SHARED.set(memo)
-    try:
-        return [SUITES[name]() if max_n is None or name in _UNSIZED else SUITES[name](n_max=max_n)
-                for name in names]
-    finally:
-        _SHARED.reset(token)
-        memo.clear()
+    return [SUITES[name]() if max_n is None or name in _UNSIZED else SUITES[name](n_max=max_n)
+            for name in names]

@@ -17,7 +17,7 @@ from intricacy import benchmarks, coeffs, markov, pressure, properties, sweep, t
 from intricacy.benchmarks import SFT_BENCHMARKS, provenance_for_adjacency
 from intricacy.cli import _emit, build_parsers, main
 from intricacy.coeffs import CoefficientSystem
-from intricacy.properties import SUITES, PropertyReport, run_suites
+from intricacy.properties import SUITES, run_suites
 from intricacy.sft import Sft
 
 
@@ -383,6 +383,27 @@ class TestPressure:
         )
         assert (code, out) == (1, "")
         assert "potential value" in err and "at symbol 0 is not finite" in err
+
+    @pytest.mark.parametrize("key", ["a", "-1", " 1", "1 ", "01", "00", "+1", "1.0", "", "\u00b9"])
+    def test_key_that_is_no_plain_symbol_is_named(self, capsys, tmp_path, gms_file, key):
+        # "01" and " 1" once read as symbol 1, and "-1" was read and then ignored
+        pot = tmp_path / "p.json"
+        pot.write_text(json.dumps({"values": {"0": 0.0, "1": 1.0, key: 0.5}}))
+        code, out, err = run_cli(
+            capsys, "pressure", "--input", gms_file, "--potential", str(pot), "--n", "4"
+        )
+        assert (code, out) == (1, "")
+        assert err == (f"intricacy: bad input: potential key {key!r} must be a nonnegative "
+                       "decimal integer with no sign, spaces or leading zeros\n")
+
+    def test_keys_past_nine_are_symbols(self, capsys, tmp_path, gms_file):
+        pot = tmp_path / "p.json"
+        pot.write_text(json.dumps({"values": {"0": 0.0, "1": 1.0, "10": 2.0}}))
+        code, out, _ = run_cli(
+            capsys, "pressure", "--input", gms_file, "--potential", str(pot), "--n", "3"
+        )
+        assert code == 0
+        assert parse_csv(out)[0]["potential"] == '{"0":0.0,"1":1.0,"10":2.0}'
 
     def test_missing_symbol_is_bad_input(self, capsys, tmp_path, gms_file):
         pot = tmp_path / "p.json"
@@ -766,54 +787,45 @@ class TestCheck:
         assert at_11.passed and at_12.passed
         assert (at_11.cases, at_12.cases) == (726, 858)
 
-    def test_one_call_takes_each_shared_count_and_profile_once(self, monkeypatch):
-        counts, profiles = [], []
-        exact_count, exact_profiles = Sft.count_words_at, properties.finite_profiles
+    def test_only_invariances_counts_one_subset_at_a_time(self, monkeypatch):
+        # product and oracle-counts take every count of a window from one
+        # table pass; invariances holds the per-subset walk to that table
+        callers = []
+        exact = Sft.count_words_at
 
         def count(self, S, n=None):
-            counts.append(S.mask)
-            return exact_count(self, S, n)
-
-        def profile(sft, systems, n):
-            profiles.append((sft, n, [s.spec for s in systems]))
-            return exact_profiles(sft, systems, n)
+            # the suite the call came from (a comprehension has its own
+            # frame before Python 3.12)
+            frame = sys._getframe(1)
+            while not frame.f_code.co_name.startswith("check_"):
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return exact(self, S, n)
 
         monkeypatch.setattr(Sft, "count_words_at", count)
-        monkeypatch.setattr(properties, "finite_profiles", profile)
-        assert all(rep.passed for rep in run_suites("all", 4))
-        # product and oracle-counts share the 8 canonical masks of each of
-        # the 13 shifts; invariances takes every mask of its 2 shifts itself
-        assert len(counts) == 13 * 8 + 2 * 16
-        # subadd, acc and bounds share each (shift, window): 13 shifts at
-        # n <= 4, and subadd's 2 shifts at n = 5..8
-        assert len(profiles) == 13 * 4 + 2 * 4
-        assert len({(id(sft), n) for sft, n, _ in profiles}) == len(profiles)
-        assert all(specs == ["uniform", "neural", "psym:0.3"] for _, _, specs in profiles)
-        # a suite run alone computes only what it uses
-        profiles.clear()
-        run_suites("acc", 4)
-        assert len(profiles) == 13 * 4
-        assert all(specs == ["uniform"] for _, _, specs in profiles)
+        assert all(rep.passed for rep in run_suites("all", 5))
+        # every subset of 5 places on each of its 2 shifts, the empty one included
+        assert callers == ["check_count_invariances"] * 2 * 32
 
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_nothing_shared_outlives_a_call(self, monkeypatch, fails):
-        kept = []
+    @pytest.mark.parametrize("suite,max_n,message", [
+        ("product", 30, "n=30 outside [1, 23]"),
+        ("invariances", 30, "n=30 outside [1, 23]"),
+        ("oracle-counts", 30, "r^n = 3^30 exceeds oracle cap"),
+        ("oracle-counts", 15, "r^n = 3^15 exceeds oracle cap"),
+        ("oracle-entropy", 30, "n=30 outside [1, 23]"),
+        ("all", 30, "n=30 outside [1, 23]"),
+    ])
+    def test_window_suites_refuse_a_cap_before_they_allocate(self, capsys, monkeypatch, suite,
+                                                            max_n, message):
+        def allocated(*args, **kwargs):
+            raise AssertionError("allocated past a cap")
 
-        def peek(n_max=None):
-            kept.append(properties._SHARED.get())
-            assert len(kept[0]) > 1  # product's counts, at least
-            if fails:
-                raise RuntimeError("suite failed")
-            return PropertyReport("peek")
-
-        monkeypatch.setitem(properties.SUITES, "invariances", peek)
-        if fails:
-            with pytest.raises(RuntimeError):
-                run_suites("all", 3)
-        else:
-            run_suites("all", 3)
-        assert kept[0] == {}
-        assert properties._SHARED.get() is None
+        for name in ("_canonical_rows", "product_table", "_word_cells", "_cylinder_cells"):
+            monkeypatch.setattr(properties, name, allocated)
+        monkeypatch.setattr(Sft, "count_words_at", allocated)
+        code, out, err = run_cli(capsys, "check", "--suite", suite, "--max-n", str(max_n))
+        assert (code, out) == (2, "")
+        assert err.startswith("intricacy: cap exceeded: ") and message in err
 
     @pytest.mark.parametrize("max_n", [0, -1])
     @pytest.mark.parametrize("suite", [*SUITES, "all"])

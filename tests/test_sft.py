@@ -285,12 +285,14 @@ class TestOracle:
         # the count oracle also holds the per-size sums at block_k 0 and 2:
         # two cases per shift
         assert rep.passed and rep.cases == len(shifts) * (31 + 2 * (suite is check_count_oracle))
-        exact = Sft.count_words_at
+        exact = properties.product_table
 
-        def off_at_0_2(self, S, n=None):
-            return exact(self, S, n) + (S.mask == 0b101)
+        def off_at_0_2(n_bits, init, gap_mats):
+            table = exact(n_bits, init, gap_mats)
+            table[2] += 1  # the canonical mask 2 * 2 + 1 = 0b101
+            return table
 
-        monkeypatch.setattr(Sft, "count_words_at", off_at_0_2)
+        monkeypatch.setattr(properties, "product_table", off_at_0_2)
         rep = suite(5)
         # each subset is held to the count of its translate to 0, so the
         # wrong count at {0, 2} fails it and its translates {1, 3} and {2, 4}
